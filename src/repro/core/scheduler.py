@@ -96,12 +96,13 @@ class ConcurrentAccessScheduler:
             # very cycle, which the same-cycle gate would block) is stale.
             controller.cancel_burst(now, "host_issue")
             # Streaming usually survives the interruption with a shifted
-            # cadence; re-plan immediately so the unit parks at the new
-            # burst horizon instead of paying a full per-cycle wake.  The
-            # eligibility predicate re-checks bank state, so a host command
-            # that actually perturbed the streak (shared-bank modes) simply
-            # yields no plan and the per-cycle path resumes.
-            controller.plan_burst(now)
+            # cadence; re-plan when the unit is re-polled (the dirty mark
+            # below) so it parks at the new burst horizon instead of paying
+            # a full per-cycle wake.  The eligibility predicate re-checks
+            # bank state, so a host command that actually perturbed the
+            # streak (shared-bank modes) simply yields no plan and the
+            # per-cycle path resumes.
+            controller.replan_cycle = now
         if slot >= 0:
             hub = self._wake_hub
             if hub is not None:

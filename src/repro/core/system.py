@@ -297,8 +297,11 @@ class ChopimSystem:
         command prefixes before any FR-FCFS scan or command issue reads the
         rank timing state.  Truncation: a host issue to a rank cancels that
         rank's plan (via the concurrent-access scheduler, which sees every
-        host issue), and a read-queue change cancels the channel's *write*
-        plans (the next-rank throttle reads the oldest queued read).
+        host issue), and a read-queue change that flips the throttle
+        decision a plan embeds — write plans and read plans made under a
+        pending drain; the next-rank throttle reads the oldest queued read
+        — truncates that plan, as does a host enqueue to the bank of a
+        row command the plan counts on staying blocked.
         """
         for component in rank_components:
             component.burst_enabled = True
@@ -332,12 +335,22 @@ class ChopimSystem:
                                 and upto > plan.start + plan.idx * plan.step):
                             rc.settle_burst(upto)
 
-            def truncate_writes(now: int, ranks=ranks) -> None:
+            def truncate_throttled(now: int, ranks=ranks) -> None:
                 for rc in ranks:
-                    rc.cancel_write_burst(now, "read_queue")
+                    plan = rc._plan
+                    if plan is not None and plan.decision is not None:
+                        rc.park_throttled_burst(now)
+
+            by_rank = {rc.rank: rc for rc in ranks}
+
+            def truncate_contended(now: int, addr, by_rank=by_rank) -> None:
+                rc = by_rank.get(addr.rank)
+                if rc is not None and rc._plan is not None:
+                    rc.park_contended_burst(now, addr)
 
             channel_controller.burst_settler = settle
-            channel_controller.read_queue_listener = truncate_writes
+            channel_controller.read_queue_listener = truncate_throttled
+            channel_controller.bank_demand_listener = truncate_contended
 
     def _build_mapping(self) -> AddressMapping:
         if self.mode.uses_bank_partitioning:

@@ -124,9 +124,16 @@ class ChannelController:
         self.burst_settler: Optional[Callable[[int], None]] = None
         #: Burst truncation hook: invoked with the mutation cycle whenever
         #: the read queue changes (enqueue or issue) — the next-rank write
-        #: throttle reads the oldest queued read, so planned NDA write
-        #: bursts on this channel must fall back to per-cycle decisions.
+        #: throttle reads the oldest queued read, so planned NDA bursts on
+        #: this channel that embed its decisions must fall back to
+        #: per-cycle decisions.
         self.read_queue_listener: Optional[Callable[[int], None]] = None
+        #: Burst truncation hook: invoked with the cycle and address of
+        #: every accepted request — NDA row commands yield to pending host
+        #: requests on their bank, so a planned NDA burst that counts on
+        #: one staying blocked by timing alone must fall back.
+        self.bank_demand_listener: Optional[
+            Callable[[int, DramAddress], None]] = None
 
     # ------------------------------------------------------------------ #
     # Enqueue interface (used by the host model and the runtime)
@@ -161,6 +168,9 @@ class ChannelController:
             listener = self.read_queue_listener
             if listener is not None:
                 listener(now)
+        listener = self.bank_demand_listener
+        if listener is not None:
+            listener(now, request.addr)
         # Settle the drain-mode hysteresis for the new queue state (see
         # _update_drain_mode: one evaluation per length state keeps the
         # selective engine's mode trajectory identical to per-cycle ticking).

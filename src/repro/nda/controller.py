@@ -41,17 +41,21 @@ class _BurstPlan:
     channel settles before every FR-FCFS scan and command issue), (b) the
     engine flushes at a run boundary, or (c) the plan is truncated.  The
     command at index ``i`` issues at cycle ``start + i * step``; ``idx`` is
-    the first unsettled index.  ``end`` (one past the last command's cycle)
-    is the owning unit's calendar wake while the plan is live.
+    the first unsettled index.  ``end`` (past the last command's cycle: the
+    burst horizon) is the owning unit's calendar wake while the plan is live.
     """
 
-    __slots__ = ("is_write", "start", "step", "count", "idx", "acc_idx",
-                 "end", "bank", "bank_index", "bank_group", "stages",
-                 "skip_first")
+    __slots__ = ("cls", "is_write", "start", "step", "count", "idx",
+                 "acc_idx", "end", "bank", "bank_index", "bank_group",
+                 "stages", "skip_first", "decision", "row_bank", "parked",
+                 "parked_at")
 
-    def __init__(self, is_write: bool, start: int, step: int, count: int,
-                 bank, bank_index: int, bank_group: int, stages: bool,
-                 skip_first: bool) -> None:
+    def __init__(self, cls: str, is_write: bool, start: int, step: int,
+                 count: int, end: int, bank, bank_index: int,
+                 bank_group: int, stages: bool, skip_first: bool,
+                 decision: Optional[bool], row_bank: int) -> None:
+        #: Plan class (one of :data:`PLAN_CLASSES`), for the diagnostics.
+        self.cls = cls
         self.is_write = is_write
         self.start = start
         self.step = step
@@ -61,7 +65,7 @@ class _BurstPlan:
         #: applied; timing settlement (``idx``) runs ahead of it — scans
         #: only read timing state, so accounting defers to plan boundaries.
         self.acc_idx = 0
-        self.end = start + (count - 1) * step + 1
+        self.end = end
         self.bank = bank
         self.bank_index = bank_index
         self.bank_group = bank_group
@@ -70,6 +74,24 @@ class _BurstPlan:
         #: issued earlier and recorded the row miss/conflict); classification
         #: is per access, so settlement must not re-record it as a hit.
         self.skip_first = skip_first
+        #: The throttle decision every planned cycle's drain attempt gets
+        #: (``None``: no drain is pending, the throttle is never asked).
+        #: Frozen while the plan lives — a read-queue change that flips it
+        #: truncates the plan.
+        self.decision = decision
+        #: Flat in-rank bank the non-leading side's pending row command
+        #: targets (-1: none).  The proof that it stays futile assumes the
+        #: host does not want that bank — a host enqueue to it truncates.
+        self.row_bank = row_bank
+        #: Truncation cause of a plan whose wake was pulled in to its next
+        #: planned cycle, and the cycle that happened at (see
+        #: ``NdaRankController._park_burst``).
+        self.parked: Optional[str] = None
+        self.parked_at = -1
+
+
+#: The four plan classes, as keyed in ``burst_stats()["planned_by_class"]``.
+PLAN_CLASSES = ("read_streak", "drain_tail", "drain_run", "read_under_drain")
 
 
 @dataclass
@@ -253,22 +275,26 @@ class NdaRankController:
         #: issue-version-tagged wake cache is gone.
         self.wake_listener: Optional[Callable[[], None]] = None
         # ---- burst-issue fast path ------------------------------------- #
-        # The active plan (None outside steady-state streaming), the fixed
-        # column cadence, and the write-buffer watermark thresholds as
-        # integer lengths (computed with the buffer's own float comparisons
-        # so plan-time trajectory prediction matches push/pop bit-exactly).
+        # The active plan (None outside steady-state streaming) and the
+        # fixed column cadence.
         self._plan: Optional[_BurstPlan] = None
+        #: Cycle of the last host-issue truncation: the re-poll it triggers
+        #: (same cycle, at this unit's slot) plans the shifted streak.
+        self.replan_cycle = -1
         timing = dram.timing.timing
         self._burst_step = max(timing.tCCDS, timing.tBL)
-        wb_cap = self.write_buffer.capacity
-        self._wb_flip_len = next(
-            (k for k in range(wb_cap + 1)
-             if k / wb_cap >= self.write_buffer.drain_high_watermark),
-            wb_cap + 1)
-        self._wb_low_len = max(
-            (k for k in range(wb_cap + 1)
-             if k / wb_cap <= self.write_buffer.drain_low_watermark),
-            default=0)
+        # Static platform properties behind the drain-phase futility proofs:
+        # each planned WR pushes the next RD (write-to-read turnaround), and
+        # each planned RD the next WR (read-to-write turnaround), strictly
+        # past the following planned cycle.
+        self._wr_pushes_rd = (timing.tCWL + timing.tBL
+                              + min(timing.tWTRS, timing.tWTRL)
+                              > self._burst_step)
+        self._rd_pushes_wr = timing.read_to_write > self._burst_step
+        # Same for a precharge of the streaming bank itself (tRTP / write
+        # recovery), which a pending access to another row of it needs.
+        self._wr_pushes_pre = timing.write_to_precharge > self._burst_step
+        self._rd_pushes_pre = timing.tRTP > self._burst_step
         #: Optional scheduler whose ``nda_issue_opportunities`` counter is
         #: advanced per settled command (one per issuing cycle, as the
         #: per-cycle selective engine counts).
@@ -279,6 +305,8 @@ class NdaRankController:
         self.burst_commands_settled = 0
         self.bursts_completed = 0
         self.burst_truncations: Dict[str, int] = {}
+        self.burst_commands_by_class: Dict[str, int] = dict.fromkeys(
+            PLAN_CLASSES, 0)
         # Statistics
         self.bytes_read = 0
         self.bytes_written = 0
@@ -307,11 +335,12 @@ class NdaRankController:
         return self._active is not None or bool(self._queue)
 
     def set_throttle(self, policy: WriteThrottlePolicy) -> None:
-        # A planned write burst embeds the old policy's decisions; a planned
-        # read burst embeds the absence of drain attempts.  Policy swaps
-        # happen between engine runs, where the run-boundary flush has
-        # already settled every elapsed command — the unsettled remainder
-        # lies in the future and is simply dropped (settle boundary 0).
+        # A plan made under a pending drain embeds the old policy's
+        # decisions (a read streak embeds none; it is dropped with the
+        # others).  Policy swaps happen between engine runs, where the
+        # run-boundary flush has already settled every elapsed command —
+        # the unsettled remainder lies in the future and is simply dropped
+        # (settle boundary 0).
         self.cancel_burst(0, "throttle_change")
         self.throttle = policy
         # Throttle behaviour feeds the wake computation; re-poll.
@@ -362,27 +391,42 @@ class NdaRankController:
     # Burst-issue fast path
     #
     # In steady-state streaming phases the controller's next K commands are
-    # same-bank column commands at a provably fixed cadence:
+    # same-bank column commands at a provably fixed cadence.  Two *leading*
+    # sides exist, each with and without the other side pending:
     #
-    # * a **read streak** — the remaining row-hit RDs of the current
-    #   (operand, row) run, while drains have no priority (buffer empty or
-    #   not draining, reads not done); and
-    # * a **drain tail** — consecutive row-hit WRs to the buffered output
-    #   row once reads are done, everything is staged and the (deterministic)
-    #   throttle allows writes.
+    # * **read_streak** — the remaining row-hit RDs of the current
+    #   (operand, row) run, while no drain is pending (buffer empty or not
+    #   draining);
+    # * **read_under_drain** — the same run while the buffer is draining,
+    #   when the pending drain is provably futile on every planned cycle;
+    # * **drain_tail** — consecutive row-hit WRs to the buffered output row
+    #   once reads are done;
+    # * **drain_run** — the same WR run mid-instruction, when the pending
+    #   read is provably futile on every planned cycle.
     #
     # Within such a streak, each command's earliest-issue cycle is exactly
     # ``prev + max(tCCD_S, tBL)``: all other timing terms are *frozen*
     # absolute horizons already cleared by the first command, and only the
     # streak's own commands move the rank-local spacing/bus terms — by the
-    # fixed cadence.  :meth:`plan_burst` captures the streak as a
-    # :class:`_BurstPlan` (a pure schedule), the engine parks the unit's
-    # wake at the burst horizon, and :meth:`settle_burst` applies elapsed
-    # prefixes in closed form.  Any event that could perturb the schedule
-    # (a host command to this rank, a read-queue change under next-rank
-    # throttling, a throttle swap, broadcast ``step`` driving) truncates the
-    # plan through :meth:`cancel_burst`, falling back to the per-cycle path
-    # — the same routes that already carry the engine's dirty notifications.
+    # fixed cadence.  The non-leading side is futile when the (deterministic)
+    # throttle inhibits it; when its column command — or its precharge of
+    # the leading bank — is pushed past the next planned cycle by every
+    # planned command (read/write turnaround, tRTP, write recovery: static
+    # platform properties); or when it needs a row command on another bank:
+    # that command's horizon is frozen (no planned command moves an ACT
+    # input or another bank's precharge horizon), so the plan stops short
+    # of it and the wake parks there (the *row gap*).
+    # :meth:`plan_burst` captures the streak as a :class:`_BurstPlan` (a
+    # pure schedule), the engine parks the unit's wake at the burst horizon
+    # — always a cycle the per-cycle engine would process too — and
+    # :meth:`settle_burst` applies elapsed prefixes in closed form.  Any
+    # event that could perturb the schedule or break a futility proof (a
+    # host command to this rank, a read-queue change that flips the
+    # throttle decision, a host request for the bank of a pending row
+    # command, a throttle swap, broadcast ``step`` driving) truncates the
+    # plan (:meth:`cancel_burst`, :meth:`_park_burst`), falling back to the
+    # per-cycle path — the same routes that already carry the engine's
+    # dirty notifications.  ARCHITECTURE.md ("Burst issue") has the proofs.
     # ------------------------------------------------------------------ #
 
     def plan_burst(self, now: int) -> None:
@@ -396,12 +440,78 @@ class NdaRankController:
         if state is None or self._plan is not None:
             return
         wb = self.write_buffer
-        if not state.reads_done:
-            # Read streak.  Drain priority (buffer draining) interleaves
-            # drain attempts — and, under a stochastic throttle, RNG draws —
-            # with reads; streaks are only planned while reads run alone.
-            if not wb.empty and wb.draining:
+        channel = self.channel
+        rank = self.rank
+        horizon = self._issue_horizon
+        reads_pending = not state.reads_done
+        drain_pending = not wb.empty and (wb.draining or not reads_pending)
+        # Each side's next command, and — when it is a row-hit column
+        # command the throttle lets through — the cycle it would issue at.
+        write_at = read_at = decision = None
+        if drain_pending:
+            throttle = self.throttle
+            if not throttle.deterministic:
+                return  # every host-free cycle draws RNG
+            decision = throttle.would_allow(channel, rank, now + 1)
+            head = wb._entries[0]
+            wkind, wearliest = self._required_earliest(head, True, now + 1)
+            if decision and wkind is CommandType.WR:
+                write_at = horizon(channel, rank, wearliest)
+        if reads_pending:
+            raddr = self._next_read_addr(state)
+            rkind, rearliest = self._required_earliest(raddr, False, now + 1)
+            if rkind is CommandType.RD:
+                read_at = horizon(channel, rank, rearliest)
+        # First cycle the non-leading side's row command could issue, and
+        # the (flat in-rank) bank it targets.
+        gap = _NO_EVENT
+        row_bank = -1
+        if write_at is not None and (read_at is None or write_at <= read_at):
+            # Drain tail / drain run (drains have priority on a tie).
+            if read_at is not None:
+                if not self._wr_pushes_rd:
+                    return
+            elif reads_pending:
+                row_bank = self._flat_bank(raddr)
+                gap = self._row_gap(raddr, rearliest, head.bank_index,
+                                    write_at, self._wr_pushes_pre)
+            entries = wb._entries
+            # Exclude any pop that would cross the low watermark (drain-
+            # phase exit) — with reads done, at least the final drain
+            # (completion detection).  Staging stalled on a full buffer
+            # refills it pop for pop (replayed in bulk at accounting), which
+            # only moves the crossing later.
+            limit = len(entries) - wb.drain_low_len - 1
+            if limit < 2:
                 return
+            addr = head
+            bank_index = addr.bank_index
+            row = addr.row
+            count = 1
+            nxt = entries[1]
+            while (count < limit and nxt.bank_index == bank_index
+                   and nxt.row == row):
+                count += 1
+                nxt = entries[count]
+            # Row change after the planned run -> a row command follows;
+            # otherwise another drain, a column command at exactly one
+            # cadence step past the plan.
+            row_end = nxt.bank_index != bank_index or nxt.row != row
+            start = write_at
+            is_write = True
+            stages = not state.writes_all_staged
+            skip_first = state.write_classified_idx >= state.writes_drained
+            cls = "drain_run" if reads_pending else "drain_tail"
+        elif read_at is not None:
+            # Read streak, alone or under a futile pending drain.
+            if decision:
+                if wkind is CommandType.WR:
+                    if not self._rd_pushes_wr:
+                        return
+                else:
+                    row_bank = self._flat_bank(head)
+                    gap = self._row_gap(head, wearliest, raddr.bank_index,
+                                        read_at, self._rd_pushes_pre)
             # Exclude the instruction's final read: its post-cycle triggers
             # force-drain / completion, which the per-cycle path handles.
             remaining = state.total_read_columns - 1 - state.reads_issued
@@ -413,55 +523,20 @@ class NdaRankController:
             run = batch_cols - column  # rest of the (operand, row) run
             count = run if run < remaining else remaining
             # After the plan: a row command (next operand's ACT/PRE) when
-            # the row run ends first, otherwise the instruction's final read
-            # — a column command whose cycle the horizon gives exactly.
-            row_end = run < remaining
-            addr = self._next_read_addr(state)
-            kind, earliest = self._required_earliest(addr, False, now + 1)
-            if kind is not CommandType.RD:
-                return
+            # the row run ends with it, otherwise a read of the same row
+            # (the instruction's final one) — a column command whose cycle
+            # the horizon gives exactly.
+            row_end = run <= remaining
+            addr = raddr
+            start = read_at
             is_write = False
             stages = state.total_write_columns > 0
             skip_first = state.read_classified_idx >= state.reads_issued
+            cls = "read_under_drain" if drain_pending else "read_streak"
         else:
-            # Drain tail.  Staging must be quiescent (everything staged) and
-            # the throttle deterministic and currently permissive — both are
-            # frozen while the plan lives (read-queue changes and throttle
-            # swaps truncate it).
-            if wb.empty or not state.writes_all_staged:
-                return
-            throttle = self.throttle
-            if not throttle.deterministic:
-                return
-            if not throttle.would_allow(self.channel, self.rank, now + 1):
-                return
-            entries = wb._entries
-            # Exclude the final drain (completion detection) and any pop
-            # that would cross the low watermark (drain-phase exit).
-            limit = min(len(entries) - 1,
-                        len(entries) - self._wb_low_len - 1)
-            if limit < 2:
-                return
-            addr = entries[0]
-            kind, earliest = self._required_earliest(addr, True, now + 1)
-            if kind is not CommandType.WR:
-                return
-            bank_index = addr.bank_index
-            row = addr.row
-            count = 1
-            while count < limit:
-                nxt = entries[count]
-                if nxt.bank_index != bank_index or nxt.row != row:
-                    break
-                count += 1
-            # Row change in the buffered run -> a row command follows;
-            # otherwise the final (completion-detecting) drain, a column
-            # command at exactly one cadence step past the plan.
-            row_end = count < limit
-            is_write = True
-            stages = False
-            skip_first = state.write_classified_idx >= state.writes_drained
-        start = self._issue_horizon(self.channel, self.rank, earliest)
+            return
+        if gap <= start:
+            return  # contended, same-bank or already-due row command
         step = self._burst_step
         # A host data burst scheduled to occupy the rank later on blocks the
         # concurrent-access gate mid-streak; plan only up to its start (the
@@ -473,7 +548,7 @@ class NdaRankController:
             if count > window_cap:
                 count = window_cap
                 row_end = False  # the stream resumes past the host window
-        if not is_write and stages:
+        if stages and not drain_pending:
             bound, flipped = self._read_plan_stage_bound(state, count)
             if flipped:
                 count = bound
@@ -494,24 +569,64 @@ class NdaRankController:
             if count > refresh_cap:
                 count = refresh_cap
                 row_end = True  # the gate blocks the continuation
+        gap_capped = False
+        if gap != _NO_EVENT:
+            # Only commands strictly before the row gap are planned; the
+            # streak itself continues past it.
+            gap_cap = (gap - 1 - start) // step + 1
+            if count > gap_cap:
+                count = gap_cap
+                row_end = False
+                gap_capped = True
+        if row_end:
+            # Whatever follows the streak's last command (a row transition,
+            # a drain-phase flip, a refresh) is decided by a re-poll right
+            # after it; leave that command to the per-cycle path, so that
+            # the plan always ends on a continuation of the streak.
+            count -= 1
         if count < 2:
             return
-        plan = _BurstPlan(is_write, start, step, count,
-                          self._banks[addr.bank_index],
-                          addr.bank_index, addr.bank_group, stages,
-                          skip_first)
-        if not row_end:
-            # The next command after the plan is another column command of
-            # the streak: it cannot issue before one cadence step past the
-            # last planned command composed with the (frozen) host-free
-            # windows — park the wake exactly there instead of paying a
-            # provable no-op wake at the horizon.
-            last = plan.end - 1
-            plan.end = self._issue_horizon(self.channel, self.rank,
-                                           last + step)
-        self._plan = plan
+        # The next command after the plan is another column command of the
+        # streak: it cannot issue before one cadence step past the last
+        # planned command composed with the (frozen) host-free windows —
+        # the per-cycle engine's next wake, and so the plan's.
+        end = horizon(channel, rank, start + count * step)
+        if gap < end:
+            # The other side's row command issues through the per-cycle
+            # path in the gap between two planned cycles.
+            end = gap
+        self._plan = _BurstPlan(cls, is_write, start, step, count, end,
+                                self._banks[addr.bank_index],
+                                addr.bank_index, addr.bank_group, stages,
+                                skip_first, decision, row_bank)
         self.bursts_planned += 1
         self.burst_commands_planned += count
+        self.burst_commands_by_class[cls] += count
+        if gap_capped:
+            # Not a mid-flight cancellation, but recorded with them: the
+            # diagnostic answers "what cut this streak short?".
+            self.burst_truncations["row_gap"] = (
+                self.burst_truncations.get("row_gap", 0) + 1)
+
+    def _row_gap(self, addr: DramAddress, earliest: int,
+                 lead_bank_index: int, start: int, pushes_pre: bool) -> int:
+        """First cycle the non-leading side's row command could issue.
+
+        ``earliest`` is the ACT/PRE horizon of ``addr``.  On another bank
+        it is frozen while only column commands issue to the leading bank.
+        On the leading bank itself (a PRE: the bank is open on the leading
+        row) every planned command pushes it past the next planned cycle
+        (``pushes_pre``), so once the first command beats it, it never
+        comes due.  Returns 0 ("no plan") when neither proof holds, or when
+        the host wants the bank (the per-cycle path polls, and counts,
+        every blocked opportunity).
+        """
+        if self._host_wants_bank(addr):
+            return 0
+        gap = self._issue_horizon(self.channel, self.rank, earliest)
+        if addr.bank_index != lead_bank_index:
+            return gap
+        return _NO_EVENT if pushes_pre and gap > start else 0
 
     def _read_plan_stage_bound(self, state: _ExecutionState,
                                count: int) -> Tuple[int, bool]:
@@ -529,7 +644,7 @@ class NdaRankController:
         w = state.writes_staged
         drained = state.writes_drained
         cap = self.write_buffer.capacity
-        flip_len = self._wb_flip_len
+        flip_len = self.write_buffer.drain_high_len
         r = state.reads_issued
         for k in range(1, count + 1):
             rr = r + k
@@ -638,11 +753,8 @@ class NdaRankController:
             state.writes_drained += dj
             state.write_classified_idx = state.writes_drained - 1
             self.fsm.apply_bulk("write_drained", dj)
-            # One throttle decision per drained command, as the per-cycle
-            # selective engine records (permissive by plan invariant).
-            checks = getattr(self.throttle, "checks", None)
-            if checks is not None:
-                self.throttle.checks = checks + dj
+            if plan.stages:
+                self._stage_writes(state)
         else:
             bank.nda_reads += classified
             counts.nda_reads += dj
@@ -652,6 +764,15 @@ class NdaRankController:
             self.fsm.apply_bulk("read_issued", dj)
             if plan.stages:
                 self._stage_writes(state)
+        # One throttle decision per planned cycle while a drain is pending
+        # (the drain attempt precedes the read), as the per-cycle selective
+        # engine records.
+        decision = plan.decision
+        if decision:
+            self.throttle.note_decisions(dj, 0)
+        elif decision is not None:
+            self.throttle.note_decisions(0, dj)
+            self.cycles_blocked_by_throttle += dj
         self.commands_issued += dj
         self.burst_commands_settled += dj
         gate = self.gate_stats
@@ -682,18 +803,50 @@ class NdaRankController:
         if plan.idx >= plan.count:
             self.bursts_completed += 1
         else:
+            cause = plan.parked or cause
             self.burst_truncations[cause] = (
                 self.burst_truncations.get(cause, 0) + 1)
 
-    def cancel_write_burst(self, upto: int, cause: str) -> None:
-        """Truncate only a *write* plan (read-queue changes move the
-        next-rank prediction but cannot perturb a read streak)."""
+    def _park_burst(self, upto: int, cause: str) -> None:
+        """Truncate a plan whose futility proof an outside event just broke.
+
+        The commands from ``upto`` on are stale, but the event (a host
+        enqueue) does not re-poll the per-cycle engine: its calendar still
+        holds the next planned cycle, where it re-decides (and counts the
+        attempt).  So the plan is not dropped here — its wake is pulled in
+        to that cycle, and the wake there cancels it and resumes the
+        per-cycle path.
+        """
         plan = self._plan
-        if plan is not None and plan.is_write:
-            self.cancel_burst(upto, cause)
+        self.settle_burst(upto)
+        if plan.idx < plan.count:
+            plan.end = plan.start + plan.idx * plan.step
+            plan.parked = cause
+            plan.parked_at = upto
             listener = self.wake_listener
             if listener is not None:
                 listener()
+
+    def park_throttled_burst(self, upto: int) -> None:
+        """Truncate a plan whose embedded throttle decision just flipped
+        (the channel's read queue changed at ``upto``).
+
+        Only plans made under a pending drain embed one — every write plan
+        and every read plan made while a drain was pending; a read streak
+        never asks the throttle.
+        """
+        plan = self._plan
+        if (plan is not None and plan.decision is not None
+                and plan.decision != self.throttle.would_allow(
+                    self.channel, self.rank, upto)):
+            self._park_burst(upto, "read_queue")
+
+    def park_contended_burst(self, upto: int, addr: DramAddress) -> None:
+        """Truncate a plan whose pending row command the host now blocks
+        (a host request for ``addr`` was accepted at ``upto``)."""
+        plan = self._plan
+        if plan is not None and plan.row_bank == self._flat_bank(addr):
+            self._park_burst(upto, "bank_demand")
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -749,8 +902,11 @@ class NdaRankController:
     def _host_wants_bank(self, addr: DramAddress) -> bool:
         if self._host_pending_to_bank is None:
             return False
-        flat = addr.bank_group * self.dram.org.banks_per_group + addr.bank
-        return self._host_pending_to_bank(self.channel, self.rank, flat)
+        return self._host_pending_to_bank(self.channel, self.rank,
+                                          self._flat_bank(addr))
+
+    def _flat_bank(self, addr: DramAddress) -> int:
+        return addr.bank_group * self.dram.org.banks_per_group + addr.bank
 
     def _required_earliest(self, addr: DramAddress, is_write: bool,
                            now: int) -> Tuple[CommandType, int]:
@@ -916,12 +1072,27 @@ class NdaRankController:
 
         While a burst plan is live the unit's entire activity up to the
         burst horizon is the plan itself (settled lazily), so the wake is
-        the horizon: the cycle after the plan's last command, where
-        per-cycle processing resumes.
+        the horizon, where per-cycle processing resumes.  The poll is also
+        where the plan set changes without a processed wake: the re-poll
+        after a host-issue truncation plans the shifted streak, and a
+        re-poll that finds a parked plan (other than the one its parking
+        asked for) drops it.
         """
+        if self.replan_cycle == now:
+            # Re-polled after a host-issue truncation: plan here, where the
+            # per-cycle engine re-derives its wake, so both decide on the
+            # same queue state (the host unit may still have enqueued
+            # between the truncating issue and this poll).
+            self.replan_cycle = -1
+            self.plan_burst(now)
         plan = self._plan
         if plan is not None:
-            return plan.end if plan.end > now else now
+            if plan.parked is None or now <= plan.parked_at:
+                return plan.end if plan.end > now else now
+            # A parked plan stands for a stale calendar entry; any later
+            # re-poll (a measurement reset, delivered work) makes the
+            # per-cycle engine re-derive its wake from the current state.
+            self.cancel_burst(now, "wake")
         state = self._active
         if state is None:
             if not self._queue:
@@ -987,6 +1158,7 @@ class NdaRankController:
             "commands_settled": self.burst_commands_settled,
             "bursts_completed": self.bursts_completed,
             "truncations": dict(self.burst_truncations),
+            "planned_by_class": dict(self.burst_commands_by_class),
         }
 
     def stats(self) -> Dict[str, float]:

@@ -50,6 +50,13 @@ class WriteThrottlePolicy:
         """
         raise NotImplementedError
 
+    def note_decisions(self, allowed: int, inhibited: int) -> None:
+        """Record decisions a burst plan embedded without calling
+        :meth:`allow_write` (one per planned drain attempt, each equal to
+        the plan-time :meth:`would_allow`).  Policies that count their
+        decisions override this; only deterministic policies are planned.
+        """
+
     def observe_host_issue(self, channel: int, rank: int, is_read: bool,
                            now: int) -> None:
         """Hook for policies that adapt to observed host traffic."""
@@ -125,6 +132,10 @@ class NextRankPredictionPolicy(WriteThrottlePolicy):
             return True
         predicted = controller.oldest_pending_read_rank()
         return predicted is None or predicted != rank
+
+    def note_decisions(self, allowed: int, inhibited: int) -> None:
+        self.checks += allowed + inhibited
+        self.inhibits += inhibited
 
     def inhibit_rate(self) -> float:
         return self.inhibits / self.checks if self.checks else 0.0

@@ -29,6 +29,16 @@ class NdaWriteBuffer:
         self.capacity = capacity
         self.drain_high_watermark = drain_high_watermark
         self.drain_low_watermark = drain_low_watermark
+        #: The watermarks as integer occupancies — the smallest length at
+        #: which a push enters the drain phase and the largest at which a
+        #: pop leaves it — found with the float comparisons :meth:`push` and
+        #: :meth:`pop` make, so burst plans predict both flips bit-exactly.
+        self.drain_high_len = next(
+            (k for k in range(capacity + 1)
+             if k / capacity >= drain_high_watermark), capacity + 1)
+        self.drain_low_len = max(
+            (k for k in range(capacity + 1)
+             if k / capacity <= drain_low_watermark), default=0)
         self._entries: Deque[DramAddress] = deque()
         self._draining = False
         self.total_enqueued = 0

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any, Union
 
 MAGIC = "repro-snapshot"
-SCHEMA_VERSION = 2  # v2: build payload records stepper_enabled
+SCHEMA_VERSION = 3  # v3: rank controllers record burst_commands_by_class
 
 _TAG = "__t"
 

@@ -389,6 +389,7 @@ def snapshot_system(system) -> Dict[str, Any]:
                                  if pe._current is not None else None)}
                     for pe in rc.pes],
             "burst_truncations": dict(rc.burst_truncations),
+            "burst_commands_by_class": dict(rc.burst_commands_by_class),
         }
         state.update({field: getattr(rc, field)
                       for field in _RC_COUNTER_FIELDS})
@@ -864,6 +865,7 @@ def restore_system(payload: Dict[str, Any]):
             current = pe_state["current"]
             pe._current = instructions[current] if current is not None else None
         rc.burst_truncations = dict(state["burst_truncations"])
+        rc.burst_commands_by_class = dict(state["burst_commands_by_class"])
         for field in _RC_COUNTER_FIELDS:
             setattr(rc, field, state[field])
 

@@ -5,14 +5,19 @@ burst-issue fast path off (every command then goes through the per-cycle
 path).  The oracle here replays each burst-heavy scenario with bursting
 disabled and diffs the *complete* observable state — the SimulationResult
 (stats + energy), every DRAM event and bank counter, the timing engine's
-rank/bank horizons, the replicated FSM registers and the per-rank NDA
-counters — against the bursting run.  Unit tests for the closed-form pieces
+rank/bank horizons, the replicated FSM registers, the per-rank NDA
+counters (futile-attempt counters included) and the throttle's decision
+counts — against the bursting run.  Unit tests for the closed-form pieces
 (bulk FSM transitions, bulk write-buffer drains) ride along.
 """
 
+import contextlib
 import dataclasses
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import scaled_config
 from repro.core.modes import AccessMode
@@ -20,6 +25,7 @@ from repro.core.system import ChopimSystem
 from repro.dram.commands import DramAddress
 from repro.dram.timing import _ChannelTiming, _RankTiming
 from repro.kernel import kernel_available
+from repro.nda.controller import PLAN_CLASSES
 from repro.nda.fsm import ReplicatedFsm
 from repro.nda.isa import NdaOpcode
 from repro.nda.write_buffer import NdaWriteBuffer
@@ -33,11 +39,21 @@ _BACKENDS = ("python", "kernel") if kernel_available() else ("python",)
 def _build_and_run(mode, opcode, *, mix=None, throttle="issue_if_idle",
                    channels=2, ranks=2, elements=1 << 13, cycles=1500,
                    warmup=150, config=None, engine="event",
-                   backend="python"):
+                   backend="python", write_buffer=None, seed=None,
+                   prepare=None):
     cfg = config or scaled_config(channels, ranks)
+    if seed is not None:
+        cfg = dataclasses.replace(cfg, seed=seed)
     system = ChopimSystem(config=cfg, mode=mode,
                           mix=mix, throttle=throttle, engine=engine,
                           backend=backend)
+    if write_buffer is not None:
+        # (capacity, drain-high watermark, drain-low watermark): the
+        # geometry is not a configuration option, so swap the buffers in.
+        for rc in system.rank_controllers.values():
+            rc.write_buffer = NdaWriteBuffer(*write_buffer)
+    if prepare is not None:
+        prepare(system)
     system.set_nda_workload(opcode, elements_per_rank=elements)
     result = system.run(cycles=cycles, warmup=warmup)
     return system, result
@@ -70,7 +86,7 @@ def _timing_state(system):
     return {"ranks": ranks, "banks": banks, "channels": channels}
 
 
-def _full_state(system, result, include_attempt_counters=True):
+def _full_state(system, result):
     return {
         "result": dataclasses.asdict(result),
         "dram_counts": dataclasses.asdict(system.dram.counts),
@@ -83,17 +99,12 @@ def _full_state(system, result, include_attempt_counters=True):
         "rank_controllers": {
             # Instruction ids come from a process-global counter, so the
             # FSM's current_instruction register is normalized to presence.
-            # With include_attempt_counters=False the blocked_by_* counters
-            # are excluded: they count provably futile issue attempts,
-            # which the burst path does not replay — the same exclusion the
-            # cycle==event guarantee makes (see "Equivalence guarantee" in
-            # ARCHITECTURE.md).  The classic DDR4 scenarios keep matching
-            # them exactly, so only suites whose wake patterns provably
-            # diverge on attempts (non-default cadences, refresh pressure)
-            # opt out.
-            key: {k: v for k, v in rc.stats().items()
-                  if include_attempt_counters
-                  or not k.startswith("blocked_by")} | {
+            # The blocked_by_* counters count futile issue *attempts*; the
+            # cycle==event guarantee excludes them, but a burst plan ends
+            # on a cycle the burst-off event engine processes too and
+            # accounts one drain attempt per planned cycle, so here they
+            # must match (see "Burst issue" in ARCHITECTURE.md).
+            key: rc.stats() | {
                 "fsm": (rc.fsm.state.current_instruction is not None,)
                 + rc.fsm.state.as_tuple()[1:],
                 "fsm_events": rc.fsm.events_applied,
@@ -109,13 +120,56 @@ def _full_state(system, result, include_attempt_counters=True):
             # replay vs selective wakes vs the stepper's fused windows).
             # Mode trajectory at every decision point is pinned by the rest
             # of the state compared here (issue order, bank counters,
-            # timing horizons), so the oscillation count is excluded — the
-            # same reasoning as the blocked_by_* attempt counters above.
+            # timing horizons), so the oscillation count is excluded.
             ch: {k: v for k, v in mc.stats().items() if k != "drain_entries"}
             for ch, mc in system.channel_controllers.items()
         },
+        # Throttle decisions are attempts too: one per drain attempt, in
+        # plans as on the per-cycle path.
+        "throttle": (getattr(system.throttle_policy, "checks", None),
+                     getattr(system.throttle_policy, "inhibits", None)),
         "now": system.now,
     }
+
+
+def _planned_by_class(system):
+    totals = dict.fromkeys(PLAN_CLASSES, 0)
+    for rc in system.rank_controllers.values():
+        for cls, count in rc.burst_stats()["planned_by_class"].items():
+            totals[cls] += count
+    return totals
+
+
+@contextlib.contextmanager
+def _burst_env(disabled):
+    """Pin ``REPRO_DISABLE_BURST`` for one system build (hypothesis-safe:
+    no function-scoped fixture involved)."""
+    saved = os.environ.pop("REPRO_DISABLE_BURST", None)
+    if disabled:
+        os.environ["REPRO_DISABLE_BURST"] = "1"
+    try:
+        yield
+    finally:
+        os.environ.pop("REPRO_DISABLE_BURST", None)
+        if saved is not None:
+            os.environ["REPRO_DISABLE_BURST"] = saved
+
+
+def _replay_mismatches(backend="python", config=None, **spec):
+    """Run ``spec`` with bursting on (``backend``) and off (scalar python);
+    returns (burst system, keys of the full state that differ)."""
+    with _burst_env(disabled=False):
+        burst_system, burst_result = _build_and_run(
+            backend=backend, config=config() if config else None, **spec)
+    assert burst_system.burst_enabled
+    with _burst_env(disabled=True):
+        plain_system, plain_result = _build_and_run(
+            config=config() if config else None, **spec)
+    assert not plain_system.burst_enabled
+    burst_state = _full_state(burst_system, burst_result)
+    plain_state = _full_state(plain_system, plain_result)
+    return burst_system, [key for key in plain_state
+                          if plain_state[key] != burst_state[key]]
 
 
 _SCENARIOS = [
@@ -135,22 +189,12 @@ class TestBurstOracle:
 
     @pytest.mark.parametrize("backend", _BACKENDS)
     @pytest.mark.parametrize("name,spec", _SCENARIOS)
-    def test_replay_matches(self, name, spec, backend, monkeypatch):
+    def test_replay_matches(self, name, spec, backend):
         # The bursting run uses ``backend``; the per-cycle replay always
         # uses the pure-python scalar path, so the kernel leg is a combined
         # cross-backend *and* cross-path oracle (vectorized settlement and
         # batched scan against the scalar per-cycle ground truth).
-        monkeypatch.delenv("REPRO_DISABLE_BURST", raising=False)
-        burst_system, burst_result = _build_and_run(backend=backend, **spec)
-        assert burst_system.burst_enabled
-        monkeypatch.setenv("REPRO_DISABLE_BURST", "1")
-        plain_system, plain_result = _build_and_run(**spec)
-        assert not plain_system.burst_enabled
-
-        burst_state = _full_state(burst_system, burst_result)
-        plain_state = _full_state(plain_system, plain_result)
-        mismatched = [key for key in plain_state
-                      if plain_state[key] != burst_state[key]]
+        _, mismatched = _replay_mismatches(backend=backend, **spec)
         assert not mismatched, (
             f"burst path diverged from per-cycle replay on {mismatched}"
         )
@@ -218,24 +262,13 @@ class TestBurstRefreshPressure:
     @pytest.mark.parametrize("platform", _PLATFORMS)
     @pytest.mark.parametrize("name,spec", _SCENARIOS)
     def test_burst_replay_matches_under_refresh_pressure(self, name, spec,
-                                                         platform, backend,
-                                                         monkeypatch):
-        monkeypatch.delenv("REPRO_DISABLE_BURST", raising=False)
-        burst_system, burst_result = _build_and_run(
-            config=_refresh_heavy_config(platform), backend=backend, **spec)
+                                                         platform, backend):
+        burst_system, mismatched = _replay_mismatches(
+            backend=backend,
+            config=lambda: _refresh_heavy_config(platform), **spec)
         refreshes = sum(mc.counters.get("refreshes")
                         for mc in burst_system.channel_controllers.values())
         assert refreshes > 0, "scenario exerts no refresh pressure"
-        monkeypatch.setenv("REPRO_DISABLE_BURST", "1")
-        plain_system, plain_result = _build_and_run(
-            config=_refresh_heavy_config(platform), **spec)
-
-        burst_state = _full_state(burst_system, burst_result,
-                                  include_attempt_counters=False)
-        plain_state = _full_state(plain_system, plain_result,
-                                  include_attempt_counters=False)
-        mismatched = [key for key in plain_state
-                      if plain_state[key] != burst_state[key]]
         assert not mismatched, (
             f"burst path diverged under refresh pressure on {mismatched}")
 
@@ -276,22 +309,10 @@ class TestBurstPlatforms:
 
     @pytest.mark.parametrize("backend", _BACKENDS)
     @pytest.mark.parametrize("name,platform,spec", _SCENARIOS)
-    def test_replay_matches(self, name, platform, spec, backend,
-                            monkeypatch):
-        monkeypatch.delenv("REPRO_DISABLE_BURST", raising=False)
-        burst_system, burst_result = _build_and_run(
-            config=platform_config(platform), backend=backend, **spec)
-        assert burst_system.burst_enabled
-        monkeypatch.setenv("REPRO_DISABLE_BURST", "1")
-        plain_system, plain_result = _build_and_run(
-            config=platform_config(platform), **spec)
-
-        burst_state = _full_state(burst_system, burst_result,
-                                  include_attempt_counters=False)
-        plain_state = _full_state(plain_system, plain_result,
-                                  include_attempt_counters=False)
-        mismatched = [key for key in plain_state
-                      if plain_state[key] != burst_state[key]]
+    def test_replay_matches(self, name, platform, spec, backend):
+        _, mismatched = _replay_mismatches(
+            backend=backend,
+            config=lambda: platform_config(platform), **spec)
         assert not mismatched, (
             f"burst path diverged on platform {platform}: {mismatched}")
 
@@ -304,6 +325,191 @@ class TestBurstPlatforms:
             steps = {rc._burst_step
                      for rc in system.rank_controllers.values()}
             assert steps == {expected}, (platform, steps)
+
+
+def _two_nda_banks(platform=None):
+    """Bank partitioning with two NDA banks per rank, so operands and the
+    output live in different banks (the default single reserved bank puts
+    them in the same one)."""
+    cfg = platform_config(platform) if platform else scaled_config(2, 2)
+    return dataclasses.replace(cfg, shared_banks_per_rank=2)
+
+
+#: The drain phase of write-producing kernels: buffer draining with reads
+#: remaining, where WR runs and RD runs alternate — the phase the two
+#: mid-instruction plan classes cover.
+_DRAIN_PHASE_SCENARIOS = [
+    # The ledger's nda_only_hbm2 shape: native 8ch x 1rk, no host traffic.
+    ("nda_only_hbm2", dict(
+        mode=AccessMode.NDA_ONLY, opcode=NdaOpcode.COPY,
+        throttle="next_rank", config=lambda: platform_config("hbm2"),
+        elements=1 << 14, cycles=3000, warmup=500)),
+    # The ledger's colo_write shape; one NDA bank per rank, so operand and
+    # output share it and every row switch is a same-bank precharge.
+    ("colo_write", dict(
+        mode=AccessMode.BANK_PARTITIONED, mix="mix1", throttle="next_rank",
+        opcode=NdaOpcode.COPY, channels=2, ranks=4, elements=1 << 14,
+        cycles=3000, warmup=500)),
+    ("colocated_two_banks", dict(
+        mode=AccessMode.BANK_PARTITIONED, mix="mix1", throttle="next_rank",
+        opcode=NdaOpcode.AXPY, config=_two_nda_banks, cycles=2500)),
+    # Full-buffer staging stalls and low-watermark drain-phase exits.
+    ("tiny_buffer", dict(
+        mode=AccessMode.NDA_ONLY, opcode=NdaOpcode.COPY,
+        write_buffer=(8, 0.5, 0.25), cycles=2500)),
+    ("tiny_buffer_colocated", dict(
+        mode=AccessMode.BANK_PARTITIONED, mix="mix1", throttle="next_rank",
+        opcode=NdaOpcode.XMY, config=_two_nda_banks,
+        write_buffer=(8, 0.5, 0.25), cycles=2500)),
+    ("refresh_pressure", dict(
+        mode=AccessMode.NDA_ONLY, opcode=NdaOpcode.COPY,
+        throttle="next_rank",
+        config=lambda: _refresh_heavy_config("hbm2"), elements=1 << 12)),
+    ("shared_next_rank", dict(
+        mode=AccessMode.SHARED, mix="mix5", throttle="next_rank",
+        opcode=NdaOpcode.COPY, cycles=2500)),
+]
+
+
+class TestDrainPhasePlans:
+    """The two mid-instruction plan classes (drain_run, read_under_drain)."""
+
+    @pytest.mark.parametrize("backend", _BACKENDS)
+    @pytest.mark.parametrize("name,spec", _DRAIN_PHASE_SCENARIOS)
+    def test_replay_matches(self, name, spec, backend):
+        system, mismatched = _replay_mismatches(backend=backend, **spec)
+        assert not mismatched, (
+            f"drain-phase plans diverged from per-cycle replay on "
+            f"{mismatched}")
+        planned = _planned_by_class(system)
+        assert planned["drain_run"] > 0, planned
+        assert planned["read_under_drain"] > 0, planned
+
+    def test_stochastic_throttle_plans_nothing_new(self):
+        """Every drain attempt draws RNG: no plan may span one."""
+        system, mismatched = _replay_mismatches(
+            mode=AccessMode.SHARED, mix="mix1", throttle="stochastic",
+            opcode=NdaOpcode.AXPY)
+        assert not mismatched
+        planned = _planned_by_class(system)
+        assert planned["read_streak"] > 0
+        assert (planned["drain_tail"] == planned["drain_run"]
+                == planned["read_under_drain"] == 0), planned
+
+    def test_same_bank_without_precharge_push_falls_back(self):
+        """Operand bank == output bank: the pending access needs a PRE of
+        the streaming bank itself.  Planning through it rests on a static
+        platform property (every planned command pushes that PRE past the
+        next one); where it does not hold, the per-cycle path must run."""
+        def no_push(system):
+            for rc in system.rank_controllers.values():
+                rc._wr_pushes_pre = rc._rd_pushes_pre = False
+
+        spec = dict(mode=AccessMode.BANK_PARTITIONED, mix="mix1",
+                    throttle="issue_if_idle", opcode=NdaOpcode.COPY,
+                    cycles=2500)
+        system, mismatched = _replay_mismatches(prepare=no_push, **spec)
+        assert not mismatched
+        fallback = _planned_by_class(system)
+        system, mismatched = _replay_mismatches(**spec)
+        assert not mismatched
+        planned = _planned_by_class(system)
+        # With an always-permissive throttle, every mid-instruction plan on
+        # a single NDA bank goes through the same-bank proof.
+        assert fallback["drain_run"] == fallback["read_under_drain"] == 0
+        assert planned["drain_run"] > 0 and planned["read_under_drain"] > 0
+
+    def test_row_gap_and_new_causes_are_reported(self):
+        with _burst_env(disabled=False):
+            system, _ = _build_and_run(
+                mode=AccessMode.NDA_ONLY, opcode=NdaOpcode.COPY,
+                config=platform_config("hbm2"), cycles=2000)
+        causes = {}
+        for rc in system.rank_controllers.values():
+            stats = rc.burst_stats()
+            assert set(stats["planned_by_class"]) == set(PLAN_CLASSES)
+            assert (sum(stats["planned_by_class"].values())
+                    == stats["commands_planned"])
+            for cause, count in stats["truncations"].items():
+                causes[cause] = causes.get(cause, 0) + count
+        assert causes.get("row_gap", 0) > 0, causes
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(opcode=st.sampled_from([NdaOpcode.COPY, NdaOpcode.AXPY,
+                                   NdaOpcode.AXPBY, NdaOpcode.SCAL,
+                                   NdaOpcode.XMY]),
+           capacity=st.sampled_from([4, 8, 32, 128]),
+           watermarks=st.sampled_from([(0.5, 0.0), (0.5, 0.25),
+                                       (0.75, 0.5), (1.0, 0.0)]),
+           platform=st.sampled_from([None, "hbm2", "ddr5-4800",
+                                     "lpddr4-3200"]),
+           throttle=st.sampled_from(["issue_if_idle", "next_rank",
+                                     "stochastic"]),
+           colocation=st.sampled_from([None, 1, 2]),
+           seed=st.integers(0, 999))
+    def test_fuzz(self, opcode, capacity, watermarks, platform, throttle,
+                  colocation, seed):
+        """(opcode, buffer geometry, platform, throttle, NDA banks) fuzz:
+        burst-on == burst-off on the full state, attempts included."""
+        if colocation is None:
+            spec = dict(mode=AccessMode.NDA_ONLY)
+        else:
+            spec = dict(mode=AccessMode.BANK_PARTITIONED, mix="mix1")
+
+        def config():
+            cfg = platform_config(platform) if platform else scaled_config(2, 2)
+            return dataclasses.replace(
+                cfg, shared_banks_per_rank=colocation or 1)
+
+        _, mismatched = _replay_mismatches(
+            opcode=opcode, throttle=throttle, config=config, seed=seed,
+            write_buffer=(capacity,) + watermarks, elements=1 << 12,
+            cycles=1500, **spec)
+        assert not mismatched, mismatched
+
+
+class TestBurstWorkCounters:
+    """Noise-free work counters, gated tightly (wall-clock is gated loosely
+    by the perf ledger): how much of the command stream the plans carry."""
+
+    @staticmethod
+    def _run(**spec):
+        trusted = {"nda": 0}
+
+        def count_issues(system):
+            issue = system.dram.issue_trusted
+
+            def counting(cmd, now):
+                if cmd.is_nda:
+                    trusted["nda"] += 1
+                issue(cmd, now)
+
+            system.dram.issue_trusted = counting
+
+        with _burst_env(disabled=False):
+            system, _ = _build_and_run(prepare=count_issues, warmup=0,
+                                       cycles=3000, **spec)
+        controllers = system.rank_controllers.values()
+        commands = sum(rc.commands_issued for rc in controllers)
+        settled = sum(rc.burst_commands_settled for rc in controllers)
+        return commands, settled, trusted["nda"]
+
+    def test_nda_only_hbm2_copy(self):
+        commands, settled, issued = self._run(
+            mode=AccessMode.NDA_ONLY, opcode=NdaOpcode.COPY,
+            throttle="next_rank", config=platform_config("hbm2"),
+            elements=1 << 14)
+        assert commands == settled + issued
+        assert settled >= 0.85 * commands, (settled, commands)
+        assert issued <= 0.20 * commands, (issued, commands)
+
+    def test_colocated_copy(self):
+        commands, settled, _ = self._run(
+            mode=AccessMode.BANK_PARTITIONED, mix="mix1",
+            throttle="next_rank", opcode=NdaOpcode.COPY, channels=2,
+            ranks=4, elements=1 << 14)
+        # 0.27 before drain-phase plans existed.
+        assert settled > 0.5 * commands, (settled, commands)
 
 
 class TestBulkPrimitives:

@@ -29,6 +29,7 @@ from repro.config import scaled_config
 from repro.experiments.common import resolve_config
 from repro.kernel import kernel_available
 from repro.nda.isa import NdaOpcode
+from repro.nda.write_buffer import NdaWriteBuffer
 
 CYCLES = 1500
 WARMUP = 150
@@ -268,12 +269,53 @@ _BURST_CONFIGS = [
 ]
 
 
+def _write_fuzz_configs(count: int, seed: int = 0xD2A3):
+    """Seeded write-phase configurations: write-producing kernels crossed
+    with the write-buffer geometry (capacity, drain-high and drain-low
+    watermarks) that decides where drain phases start, stall on a full
+    buffer and end — the phases the mid-instruction burst plans
+    (drain_run / read_under_drain) cover.  NDA-only and colocated with one
+    (operand bank == output bank) or two NDA banks per rank."""
+    rng = random.Random(seed)
+    configs = []
+    for _ in range(count):
+        colocated = rng.random() < 0.6
+        configs.append({
+            "channels": rng.choice([1, 2]),
+            "ranks": rng.choice([1, 2, 4]),
+            "mode": (AccessMode.BANK_PARTITIONED if colocated
+                     else AccessMode.NDA_ONLY),
+            "platform": rng.choice([None, None, "hbm2", "lpddr4-3200",
+                                    "ddr5-4800"]),
+            "throttle": rng.choice(["issue_if_idle", "next_rank",
+                                    "next_rank", "stochastic"]),
+            "probability": 0.25,
+            "mix": rng.choice(["mix1", "mix5"]),
+            "opcode": rng.choice([NdaOpcode.COPY, NdaOpcode.AXPY]),
+            "elements": rng.choice([1 << 12, 1 << 13]),
+            "warmup": rng.choice([0, 100]),
+            "nda_banks": rng.choice([1, 2]),
+            "write_buffer": rng.choice([(128, 0.5, 0.0), (8, 0.5, 0.25),
+                                        (16, 0.75, 0.5), (4, 1.0, 0.0),
+                                        (32, 0.25, 0.0)]),
+        })
+    return configs
+
+
+_WRITE_FUZZ_CONFIGS = _write_fuzz_configs(8)
+
+
 def _run_fuzz_spec(spec, cycles=700):
     mode = spec["mode"]
 
     def configure(system):
         if not mode.has_nda_traffic:
             return
+        if "write_buffer" in spec:
+            # Buffer geometry is not a configuration option: swap it in.
+            for controller in system.rank_controllers.values():
+                controller.write_buffer = NdaWriteBuffer(
+                    *spec["write_buffer"])
         kwargs = {}
         if spec["opcode"] is NdaOpcode.GEMV:
             kwargs["matrix_columns"] = 64
@@ -286,8 +328,10 @@ def _run_fuzz_spec(spec, cycles=700):
         mix=spec["mix"] if mode.has_host_traffic else None,
         throttle=spec["throttle"],
         stochastic_probability=spec["probability"],
-        config=resolve_config(spec.get("platform"),
-                              spec["channels"], spec["ranks"]),
+        config=dataclasses.replace(
+            resolve_config(spec.get("platform"),
+                           spec["channels"], spec["ranks"]),
+            shared_banks_per_rank=spec.get("nda_banks", 1)),
         cycles=cycles, warmup=spec["warmup"],
     )
 
@@ -306,6 +350,10 @@ class TestEngineEquivalenceFuzz:
     @pytest.mark.parametrize("index", range(len(_BURST_CONFIGS)))
     def test_burst_heavy_config(self, index):
         _run_fuzz_spec(_BURST_CONFIGS[index], cycles=1200)
+
+    @pytest.mark.parametrize("index", range(len(_WRITE_FUZZ_CONFIGS)))
+    def test_write_phase_config(self, index):
+        _run_fuzz_spec(_WRITE_FUZZ_CONFIGS[index], cycles=1200)
 
     def test_throttle_flip_mid_stream(self):
         """Swapping the write-throttle policy between run segments truncates

@@ -241,6 +241,75 @@ class TestBoundaryExitPin:
                     "issuable — read priority violated")
 
 
+def _drain_run_system():
+    """A stepper-active colocated COPY system stopped while some rank holds
+    a live mid-instruction write plan (``drain_run``) with at least three
+    commands still unsettled; returns (system, rank controller)."""
+    config = dataclasses.replace(resolve_config(None, 2, 2),
+                                 shared_banks_per_rank=2)
+    system = ChopimSystem(config=config, mode=AccessMode.BANK_PARTITIONED,
+                          mix="mix1", throttle="next_rank", engine="event",
+                          backend="kernel")
+    system.set_nda_workload(NdaOpcode.COPY, elements_per_rank=1 << 13)
+    system.run(cycles=300, warmup=0)
+    for _ in range(400):
+        for controller in system.rank_controllers.values():
+            plan = controller._plan
+            if (plan is not None and plan.cls == "drain_run"
+                    and plan.count - plan.idx >= 3
+                    and plan.start + (plan.idx + 2) * plan.step + 1
+                    < plan.end):
+                return system, controller
+        # Run boundaries settle but keep live plans.
+        system.run(cycles=5, warmup=0)
+    raise AssertionError("no live drain_run plan found")
+
+
+class TestWritePlanSettlement:
+    """Mid-instruction write plans settle inside fused windows exactly as
+    the scalar settler applies them (compiled core and pure-Python twin)."""
+
+    @pytest.mark.parametrize("implementation", ["python", "compiled"])
+    def test_window_settles_drain_run_prefix(self, implementation):
+        if implementation == "compiled" and not compiled_available():
+            pytest.skip("no C toolchain: compiled core off")
+        system, controller = _drain_run_system()
+        stepper = system.kernel_stepper
+        if implementation == "compiled" and not stepper.compiled:
+            pytest.skip("compiled core not bound")
+        step = _compiled_step if implementation == "compiled" \
+            else _python_step
+        stepper._sync_plans()
+        state = stepper.state
+        plan = controller._plan
+        rank = controller._rank_index
+        settled = plan.idx
+        # One cycle past the plan's third unsettled command.
+        boundary = plan.start + (settled + 2) * plan.step + 1
+        # Only the plan's own channel is due: the window settles it before
+        # scanning, whatever the scan then finds.
+        state.next_try[:] = boundary + 1
+        state.next_try[controller.channel] = boundary
+        before = _save_core(state)
+
+        step(stepper, boundary, boundary + 1)
+        assert state.plan_idx[rank] == settled + 3
+        assert plan.idx == settled, "the core must not touch the Python plan"
+        after_core = _save_core(state)
+
+        _restore_core(state, before)
+        # The scalar replay of the same boundary (every plan on the channel).
+        system.channel_controllers[controller.channel].burst_settler(boundary)
+        assert plan.idx == settled + 3
+        mismatch = [name for name in layout.POINTER_CELLS
+                    if not name.startswith("plan_") and name != "next_try"
+                    and not np.array_equal(getattr(state, name),
+                                           after_core[name])]
+        assert not mismatch, (
+            f"{implementation} core settled {mismatch} differently from "
+            "the scalar settler")
+
+
 def _reset_watermarks():
     set_request_id_watermark(0)
     set_instruction_id_watermark(0)

@@ -288,6 +288,48 @@ class TestSnapshotRestoreEquivalence:
             assert not mismatched, (
                 f"restored run diverged on {mismatched[:3]}")
 
+    @pytest.mark.parametrize("backend", [b for e, b in _LEGS
+                                         if e == "event"])
+    def test_checkpoint_inside_live_drain_run_plan(self, backend):
+        """A checkpoint that lands between two planned WRs of a
+        mid-instruction drain-run plan: the plan is settled-and-cancelled
+        at the safe point and the resumed run re-plans the rest."""
+        def build():
+            _reset_watermarks()
+            system = ChopimSystem(config=resolve_config("hbm2"),
+                                  mode=AccessMode.NDA_ONLY, mix=None,
+                                  throttle="next_rank", engine="event",
+                                  backend=backend)
+            system.set_nda_workload(NdaOpcode.COPY,
+                                    elements_per_rank=1 << 13)
+            return system
+
+        baseline = dataclasses.asdict(build().run(cycles=1500, warmup=100))
+        texts = []
+        interrupted = []
+
+        def checkpoint(system):
+            interrupted.extend(
+                (plan.cls, plan.count - plan.idx)
+                for plan in (rc._plan
+                             for rc in system.rank_controllers.values())
+                if plan is not None)
+            texts.append(dumps(snapshot_system(system)))
+
+        chunked = dataclasses.asdict(
+            build().run(cycles=1500, warmup=100, checkpoint_hook=checkpoint,
+                        checkpoint_every=230))
+        assert chunked == baseline, "checkpointing perturbed the run"
+        assert any(cls == "drain_run" and unsettled > 0
+                   for cls, unsettled in interrupted), interrupted
+        for text in texts:
+            restored = restore_system(loads(text))
+            for rc in restored.rank_controllers.values():
+                stats = rc.burst_stats()
+                assert (sum(stats["planned_by_class"].values())
+                        == stats["commands_planned"])
+            assert dataclasses.asdict(restored.finish_run()) == baseline
+
     def test_composite_kernel_sequence(self):
         from repro.core.system import NdaKernelSpec
 
