@@ -5,32 +5,54 @@ full: host-only, NDA-accelerated (serialized) and delayed-update (parallel)
 variants, with convergence computed functionally (numpy) and wall-clock time
 derived from simulator-measured host/NDA throughput.  Conjugate gradient and
 streamcluster provide the additional NDA workload points of Figure 14.
+
+Importing this package loads nothing: the re-exports below resolve on first
+access (PEP 562), so the figure modules that only need the kernel sequences
+of :mod:`repro.apps.workloads` never import numpy, and sweep workers import
+it after their BLAS thread share is set (see ARCHITECTURE.md, "Apps and
+figure pipeline").  numpy is needed by the functional models only
+(``svrg``, ``cg``, ``streamcluster``, ``datasets``; ``pip install .[apps]``).
 """
 
-from repro.apps.datasets import SyntheticClassificationDataset, make_dataset
-from repro.apps.svrg import (
-    SvrgConfig,
-    SvrgTimingModel,
-    SvrgTrainer,
-    SvrgVariant,
-    measure_svrg_timing,
-)
-from repro.apps.cg import ConjugateGradientSolver, cg_kernel_sequence
-from repro.apps.streamcluster import StreamClusterer, streamcluster_kernel_sequence
-from repro.apps.workloads import application_kernel_sequence, svrg_kernel_sequence
+import importlib
 
-__all__ = [
-    "SyntheticClassificationDataset",
-    "make_dataset",
-    "SvrgConfig",
-    "SvrgTimingModel",
-    "SvrgTrainer",
-    "SvrgVariant",
-    "measure_svrg_timing",
-    "ConjugateGradientSolver",
-    "cg_kernel_sequence",
-    "StreamClusterer",
-    "streamcluster_kernel_sequence",
-    "application_kernel_sequence",
-    "svrg_kernel_sequence",
-]
+_EXPORTS = {
+    "SyntheticClassificationDataset": "repro.apps.datasets",
+    "make_dataset": "repro.apps.datasets",
+    "SvrgConfig": "repro.apps.svrg",
+    "SvrgTimingModel": "repro.apps.svrg",
+    "SvrgTrainer": "repro.apps.svrg",
+    "SvrgVariant": "repro.apps.svrg",
+    "measure_svrg_timing": "repro.apps.svrg",
+    "ConjugateGradientSolver": "repro.apps.cg",
+    "cg_kernel_sequence": "repro.apps.workloads",
+    "StreamClusterer": "repro.apps.streamcluster",
+    "streamcluster_kernel_sequence": "repro.apps.workloads",
+    "application_kernel_sequence": "repro.apps.workloads",
+    "svrg_kernel_sequence": "repro.apps.workloads",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_EXPORTS[name]), name)
+    globals()[name] = value
+    return value
+
+
+def require_numpy():
+    """numpy for the functional models, or one actionable error without it."""
+    try:
+        import numpy
+    except ImportError as exc:
+        raise ImportError(
+            "repro.apps.svrg, .cg, .streamcluster and .datasets compute with "
+            f"numpy, which is unavailable: {exc}. Install it with `pip "
+            "install numpy` (or `pip install .[apps]`); the simulator, the "
+            "figure sweeps other than fig15 and repro.apps.workloads run "
+            "without it."
+        ) from exc
+    return numpy

@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
+from repro.apps import require_numpy
 from repro.apps.workloads import cg_kernel_sequence  # re-exported
+
+np = require_numpy()
 
 __all__ = ["ConjugateGradientSolver", "CgIterationStats", "cg_kernel_sequence"]
 

@@ -14,7 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
+from repro.apps import require_numpy
+
+np = require_numpy()
 
 
 @dataclass

@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
+from repro.apps import require_numpy
 from repro.apps.workloads import streamcluster_kernel_sequence  # re-exported
+
+np = require_numpy()
 
 __all__ = ["StreamClusterer", "ClusteringResult", "streamcluster_kernel_sequence"]
 

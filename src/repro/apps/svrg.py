@@ -27,17 +27,25 @@ simulator (:func:`measure_svrg_timing`) or supplied analytically.
 from __future__ import annotations
 
 import enum
+import hashlib
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
+from repro.apps import require_numpy
 from repro.apps.datasets import SyntheticClassificationDataset, make_dataset
 from repro.apps.workloads import svrg_kernel_sequence
 from repro.config import SystemConfig, default_config, scaled_config
 from repro.core.modes import AccessMode
 from repro.core.system import ChopimSystem
+
+np = require_numpy()
+
+#: Reference optima solved in this process, keyed by what the solve depends
+#: on: dataset content, ``l2_lambda`` and the solver's iterations and step.
+#: Every fig15 point retrains the same dataset at another NDA count, so a
+#: worker (or the serial path) solves once and the later trainers reuse it.
+_OPTIMUM_MEMO: Dict[Tuple[bytes, int, float, int, float], float] = {}
 
 
 class SvrgVariant(enum.Enum):
@@ -142,7 +150,10 @@ class SvrgTrainer:
         self.timing = timing or SvrgTimingModel.analytic()
         self.rng = np.random.default_rng(self.config.seed)
         self._labels_one_hot = self.dataset.one_hot()
-        self._optimum_loss: Optional[float] = None
+        #: The design matrix in the precision the model math runs in,
+        #: converted once; every method below reads this one array.
+        self._x = self.dataset.features.astype(np.float64)
+        self._dataset_digest: Optional[bytes] = None
 
     # ------------------------------------------------------------------ #
     # Model math
@@ -167,8 +178,7 @@ class SvrgTrainer:
 
     def loss(self, w: np.ndarray) -> float:
         """Mean cross-entropy plus the ℓ2 penalty."""
-        x = self.dataset.features.astype(np.float64)
-        logits = x @ w
+        logits = self._x @ w
         probs = self._softmax(logits)
         n = self.dataset.num_samples
         nll = -np.log(probs[np.arange(n), self.dataset.labels] + 1e-30).mean()
@@ -177,14 +187,14 @@ class SvrgTrainer:
 
     def full_gradient(self, w: np.ndarray) -> np.ndarray:
         """The summarization task: average gradient over the whole dataset."""
-        x = self.dataset.features.astype(np.float64)
+        x = self._x
         probs = self._softmax(x @ w)
         diff = probs - self._labels_one_hot
         grad = x.T @ diff / self.dataset.num_samples
         return grad + self.config.l2_lambda * w
 
     def sample_gradient(self, w: np.ndarray, index: int) -> np.ndarray:
-        x = self.dataset.features[index].astype(np.float64)
+        x = self._x[index]
         probs = self._softmax(x @ w)
         diff = probs - self._labels_one_hot[index]
         return np.outer(x, diff) + self.config.l2_lambda * w
@@ -193,18 +203,32 @@ class SvrgTrainer:
         """Reference optimum used for the "loss - optimum" axis of Figure 15a.
 
         Full-batch gradient descent with Nesterov-style momentum is cheap at
-        these problem sizes and monotone enough for a reference value.
+        these problem sizes and monotone enough for a reference value.  It
+        depends only on the dataset, ``l2_lambda`` and the solver arguments,
+        so it is solved once per process (:data:`_OPTIMUM_MEMO`).
         """
-        if self._optimum_loss is not None:
-            return self._optimum_loss
-        w = self._init_weights()
-        velocity = np.zeros_like(w)
-        for _ in range(iterations):
-            grad = self.full_gradient(w)
-            velocity = 0.9 * velocity - lr * grad
-            w = w + velocity
-        self._optimum_loss = min(self.loss(w), 0.0 + self.loss(w))
-        return self._optimum_loss
+        key = (self._content_digest(), self.dataset.classes,
+               self.config.l2_lambda, iterations, lr)
+        optimum = _OPTIMUM_MEMO.get(key)
+        if optimum is None:
+            w = self._init_weights()
+            velocity = np.zeros_like(w)
+            for _ in range(iterations):
+                grad = self.full_gradient(w)
+                velocity = 0.9 * velocity - lr * grad
+                w = w + velocity
+            optimum = _OPTIMUM_MEMO[key] = self.loss(w)
+        return optimum
+
+    def _content_digest(self) -> bytes:
+        """Hash of the dataset's features and labels (dtype, shape, bytes)."""
+        if self._dataset_digest is None:
+            digest = hashlib.blake2b(digest_size=16)
+            for array in (self.dataset.features, self.dataset.labels):
+                digest.update(f"{array.dtype.str}{array.shape}".encode())
+                digest.update(np.ascontiguousarray(array))
+            self._dataset_digest = digest.digest()
+        return self._dataset_digest
 
     # ------------------------------------------------------------------ #
     # Training variants
@@ -219,7 +243,7 @@ class SvrgTrainer:
         ``velocity`` persists across calls within one training run."""
         batch = 32
         velocity = np.zeros_like(w) if velocity is None else velocity
-        x_all = self.dataset.features.astype(np.float64)
+        x_all = self._x
         done = 0
         while done < iterations:
             take = min(batch, iterations - done)

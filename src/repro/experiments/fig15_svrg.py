@@ -11,23 +11,21 @@ Convergence is functional (numpy); timing comes from simulator-measured host
 and NDA bandwidth (:func:`repro.apps.svrg.measure_svrg_timing`) or, when
 ``measure=False``, from the analytic bandwidth model, which keeps the quick
 benchmark path fast.
+
+:mod:`repro.apps.svrg` (and with it numpy) is imported where a point first
+trains, not with this module: the sweep driver never needs it, and a sweep
+worker must set its BLAS thread share before numpy loads.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.apps.datasets import make_dataset
-from repro.apps.svrg import (
-    SvrgConfig,
-    SvrgHistoryPoint,
-    SvrgTimingModel,
-    SvrgTrainer,
-    SvrgVariant,
-    measure_svrg_timing,
-)
 from repro.experiments.common import format_table, resolve_config, run_experiment_cli
 from repro.experiments.sweep import SweepOptions, run_sweep
+
+if TYPE_CHECKING:
+    from repro.apps.svrg import SvrgHistoryPoint, SvrgTrainer
 
 #: Epoch fractions swept by the paper (N, N/2, N/4).
 EPOCH_FRACTIONS: Tuple[float, ...] = (1.0, 0.5, 0.25)
@@ -46,6 +44,14 @@ def _trainer(num_ndas: int, measure: bool, dataset_kwargs: Optional[Dict] = None
              measure_cycles: int = 4000,
              learning_rate: float = BEST_TUNED_LR,
              platform: Optional[str] = None) -> SvrgTrainer:
+    from repro.apps.datasets import make_dataset
+    from repro.apps.svrg import (
+        SvrgConfig,
+        SvrgTimingModel,
+        SvrgTrainer,
+        measure_svrg_timing,
+    )
+
     dataset = make_dataset(**(dataset_kwargs or {}))
     if measure:
         channels, ranks = next(cfg for n, cfg in NDA_SCALING if n == num_ndas)
@@ -71,6 +77,8 @@ def run_svrg_convergence(num_ndas: int = 8,
     ``DelayedUpdate`` and so on.  ``platform`` retimes the bandwidth model
     (measured or analytic) to a memory-platform preset.
     """
+    from repro.apps.svrg import SvrgVariant
+
     trainer = _trainer(num_ndas, measure, dataset_kwargs, platform=platform)
     histories: Dict[str, List[SvrgHistoryPoint]] = {}
     for fraction in epoch_fractions:
@@ -91,6 +99,8 @@ def _point(num_ndas: int, outer_iterations: int, measure: bool,
            dataset_kwargs: Optional[Dict] = None,
            platform: Optional[str] = None) -> Dict[str, object]:
     """Figure 15b sweep point: speedups at one NDA count."""
+    from repro.apps.svrg import SvrgTrainer, SvrgVariant
+
     trainer = _trainer(num_ndas, measure, dataset_kwargs, platform=platform)
     max_outer = outer_iterations * 4
     # The quality target is the gap host-only SVRG reaches at its default

@@ -49,6 +49,9 @@ from repro.experiments.sweeprunner.faults import (
 #: driver is still alive (orphan self-exit after a driver ``kill -9``).
 _ORPHAN_POLL = 1.0
 
+#: Pool-size variables of the BLAS / OpenMP runtimes numpy may load.
+_THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 def default_start_method() -> str:
     """``fork`` shares the already-imported simulator with the workers;
@@ -85,8 +88,22 @@ def _describe_error(exc: BaseException) -> Dict[str, str]:
     }
 
 
+def _claim_thread_share(workers: int) -> None:
+    """Default this worker's BLAS pools to its share of the CPUs.
+
+    ``workers`` processes that each start a ``cpu_count``-thread pool
+    oversubscribe the box (fig15 on 2 cores: 8-14 s against 3 s).  The pool
+    size is read when the library loads, so this only reaches a point
+    function that imports numpy after the worker started, and a value the
+    user set wins.
+    """
+    share = str(max(1, (os.cpu_count() or 1) // workers))
+    for name in _THREAD_ENV:
+        os.environ.setdefault(name, share)
+
+
 def _worker_main(worker_id, fn, inbox, outbox, fault_plan, parent_pid,
-                 checkpoint_dir):
+                 checkpoint_dir, workers):
     """Worker loop: lease → (maybe fault) → run → report.
 
     Runs in a child process.  Fault decisions replay the deterministic
@@ -94,6 +111,7 @@ def _worker_main(worker_id, fn, inbox, outbox, fault_plan, parent_pid,
     path on exactly which (key, attempt) executions misbehave.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _claim_thread_share(workers)
     while True:
         try:
             message = inbox.get(timeout=_ORPHAN_POLL)
@@ -147,14 +165,14 @@ def _worker_main(worker_id, fn, inbox, outbox, fault_plan, parent_pid,
 
 class _WorkerHandle:
     def __init__(self, ctx, worker_id: int, fn, outbox, fault_plan,
-                 checkpoint_dir) -> None:
+                 checkpoint_dir, workers: int) -> None:
         self.worker_id = worker_id
         self.inbox = ctx.Queue()
         self.assignment: Optional[Assignment] = None
         self.process = ctx.Process(
             target=_worker_main,
             args=(worker_id, fn, self.inbox, outbox, fault_plan, os.getpid(),
-                  checkpoint_dir),
+                  checkpoint_dir, workers),
             daemon=True,
         )
         self.process.start()
@@ -201,10 +219,11 @@ class Supervisor:
         self.respawns = 0
         self._next_ticket = 0
         self._live_tickets: Dict[int, _WorkerHandle] = {}
+        self._workers = max(1, workers)
         self._handles: List[_WorkerHandle] = [
             _WorkerHandle(self._ctx, i, fn, self.outbox, fault_plan,
-                          checkpoint_dir)
-            for i in range(max(1, workers))
+                          checkpoint_dir, self._workers)
+            for i in range(self._workers)
         ]
 
     # -- submission ------------------------------------------------------
@@ -288,7 +307,8 @@ class Supervisor:
         self.respawns += 1
         self._handles[slot] = _WorkerHandle(
             self._ctx, self._handles[slot].worker_id, self._fn,
-            self.outbox, self._fault_plan, self._checkpoint_dir)
+            self.outbox, self._fault_plan, self._checkpoint_dir,
+            self._workers)
 
     # -- shutdown --------------------------------------------------------
 

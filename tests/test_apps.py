@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.apps import svrg as svrg_module
 from repro.apps.cg import ConjugateGradientSolver
 from repro.apps.datasets import make_dataset
 from repro.apps.streamcluster import StreamClusterer
@@ -95,6 +96,103 @@ class TestSvrgMath:
         history = small_trainer.train(SvrgVariant.ACCELERATED)
         times = [p.wall_clock_seconds for p in history]
         assert all(b > a for a, b in zip(times, times[1:]))
+
+
+class _CountingFeatures(np.ndarray):
+    """A feature matrix that counts its conversions to float64."""
+
+    conversions = 0
+
+    def astype(self, dtype, *args, **kwargs):
+        if np.dtype(dtype) == np.float64:
+            _CountingFeatures.conversions += 1
+        return np.asarray(super().astype(dtype, *args, **kwargs))
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls of ``SvrgTrainer.<name>``; returns the one-element tally."""
+    original = getattr(SvrgTrainer, name)
+    tally = [0]
+
+    def counted(self, *args, **kwargs):
+        tally[0] += 1
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SvrgTrainer, name, counted)
+    return tally
+
+
+class TestSvrgComputeOnce:
+    """The float64 design matrix and the reference optimum are invariants of
+    the dataset: one conversion per trainer, one solve per process."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self, monkeypatch):
+        monkeypatch.setattr(svrg_module, "_OPTIMUM_MEMO", {})
+
+    def test_one_float64_conversion_per_trainer(self, monkeypatch):
+        dataset = make_dataset(256, 32, classes=4, seed=3)
+        dataset.features = dataset.features.view(_CountingFeatures)
+        monkeypatch.setattr(_CountingFeatures, "conversions", 0)
+        trainer = SvrgTrainer(dataset, SvrgConfig(learning_rate=0.05),
+                              SvrgTimingModel.analytic(4))
+        trainer.train(SvrgVariant.HOST_ONLY, outer_iterations=2)
+        trainer.train(SvrgVariant.DELAYED_UPDATE, outer_iterations=2)
+        trainer.sample_gradient(trainer._init_weights(), 5)
+        assert _CountingFeatures.conversions == 1
+
+    def test_methods_match_per_call_conversion(self, small_trainer):
+        """The shared matrix gives the floats the per-call copies gave."""
+        trainer = small_trainer
+        rng = np.random.default_rng(0)
+        w = rng.standard_normal((trainer.num_features, trainer.num_classes))
+        x = trainer.dataset.features.astype(np.float64)
+        probs = trainer._softmax(x @ w)
+        grad = x.T @ (probs - trainer.dataset.one_hot()) / trainer.dataset.num_samples
+        assert np.array_equal(trainer.full_gradient(w),
+                              grad + trainer.config.l2_lambda * w)
+        row = trainer.dataset.features[7].astype(np.float64)
+        diff = trainer._softmax(row @ w) - trainer.dataset.one_hot()[7]
+        assert np.array_equal(trainer.sample_gradient(w, 7),
+                              np.outer(row, diff) + trainer.config.l2_lambda * w)
+
+    def test_optimum_solved_once_per_process(self, monkeypatch):
+        gradients = _count_calls(monkeypatch, "full_gradient")
+        losses = _count_calls(monkeypatch, "loss")
+        config = SvrgConfig(learning_rate=0.05)
+        first = SvrgTrainer(make_dataset(256, 32, classes=4, seed=3), config,
+                            SvrgTimingModel.analytic(4))
+        optimum = first.optimum_loss(iterations=40)
+        assert (gradients[0], losses[0]) == (40, 1)
+        # Same content in another trainer (another NDA count): no new solve.
+        second = SvrgTrainer(make_dataset(256, 32, classes=4, seed=3), config,
+                             SvrgTimingModel.analytic(16))
+        assert second.optimum_loss(iterations=40) == optimum
+        assert first.optimum_loss(iterations=40) == optimum
+        assert (gradients[0], losses[0]) == (40, 1)
+
+    def test_memo_key_covers_what_the_solve_depends_on(self, monkeypatch):
+        gradients = _count_calls(monkeypatch, "full_gradient")
+        timing = SvrgTimingModel.analytic(4)
+        base = SvrgTrainer(make_dataset(256, 32, classes=4, seed=3),
+                           SvrgConfig(), timing)
+        base.optimum_loss(iterations=20)
+        # Datasets that differ only in seed do not share an entry ...
+        other_seed = SvrgTrainer(make_dataset(256, 32, classes=4, seed=4),
+                                 SvrgConfig(), timing)
+        assert other_seed.optimum_loss(iterations=20) != base.optimum_loss(iterations=20)
+        assert gradients[0] == 40
+        # ... nor do another l2_lambda, iteration count or step.
+        SvrgTrainer(base.dataset, SvrgConfig(l2_lambda=1e-2),
+                    timing).optimum_loss(iterations=20)
+        base.optimum_loss(iterations=21)
+        base.optimum_loss(iterations=20, lr=0.25)
+        assert gradients[0] == 40 + 20 + 21 + 20
+        assert len(svrg_module._OPTIMUM_MEMO) == 5
+        # The learning rate and the seed of the training runs do not enter.
+        SvrgTrainer(base.dataset, SvrgConfig(learning_rate=0.5, seed=1),
+                    timing).optimum_loss(iterations=20)
+        assert gradients[0] == 101
 
 
 class TestSvrgVariants:

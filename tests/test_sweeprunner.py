@@ -192,6 +192,51 @@ class TestSupervisedRecovery:
         assert outcome.rows[0]["recovered"] is True
 
 
+THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _thread_env(value: int) -> dict:
+    return {"value": value,
+            **{name: os.environ.get(name) for name in THREAD_ENV}}
+
+
+class TestWorkerThreadShare:
+    """Workers default their BLAS pools to cpu_count // workers, so that a
+    point function importing numpy in the worker does not oversubscribe."""
+
+    OPTIONS = dict(processes=2, cache_dir="", journal=False)
+
+    def test_unset_variables_default_to_the_share(self, monkeypatch):
+        for name in THREAD_ENV:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)  # forked workers inherit it
+        rows = run_sweep(_thread_env, [{"value": 0}, {"value": 1}],
+                         options=SweepOptions(**self.OPTIONS))
+        assert [row["value"] for row in rows] == [0, 1]
+        for row in rows:
+            assert [row[name] for name in THREAD_ENV] == ["4", "4", "4"]
+        assert not any(name in os.environ for name in THREAD_ENV)
+
+    def test_share_is_at_least_one_thread(self, monkeypatch):
+        for name in THREAD_ENV:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        rows = run_sweep(_thread_env, [{"value": 0}, {"value": 1}],
+                         options=SweepOptions(**self.OPTIONS))
+        assert all(row[name] == "1" for row in rows for name in THREAD_ENV)
+
+    def test_caller_set_value_wins(self, monkeypatch):
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        rows = run_sweep(_thread_env, [{"value": 0}, {"value": 1}],
+                         options=SweepOptions(**self.OPTIONS))
+        for row in rows:
+            assert row["OPENBLAS_NUM_THREADS"] == "2"
+            assert row["OMP_NUM_THREADS"] == row["MKL_NUM_THREADS"] == "4"
+
+
 class TestGracefulDegradation:
     def test_exhausted_retries_reported_not_raised(self, tmp_path, capsys):
         params = [{"value": 0}, {"value": 1}]
