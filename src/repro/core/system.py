@@ -35,7 +35,6 @@ from repro.core.modes import AccessMode, split_ranks_for_partitioning
 from repro.core.scheduler import ConcurrentAccessScheduler
 from repro.core.stats import SimulationResult, SimulationStats
 from repro.dram.device import DramSystem
-from repro.dram.timing import TimingEngine
 from repro.engine.components import (
     ChannelComponent,
     HostComponent,
@@ -97,9 +96,7 @@ class ChopimSystem:
                  stochastic_probability: float = 0.25,
                  launch_packets_use_channel: bool = True,
                  collect_energy: bool = True,
-                 engine: str = "event",
-                 backend: str = "python",
-                 stepper: Optional[bool] = None) -> None:
+                 engine: str = "event") -> None:
         self.config = config or default_config()
         self.config.validate()
         self.mode = mode
@@ -107,52 +104,11 @@ class ChopimSystem:
         self.rng = DeterministicRng(self.config.seed, "system")
         self.collect_energy = collect_energy
 
-        # ---- execution backend -------------------------------------------
-        # ``backend`` selects the hot-path state representation:
-        # ``"python"`` keeps the flat-list scalar core; ``"kernel"`` swaps
-        # in the numpy array-resident timing engine, the batched FR-FCFS
-        # vector scan and the vectorized burst settler (bit-identical
-        # results; see repro.kernel and ARCHITECTURE.md "Kernel backend").
-        if backend not in ("python", "kernel"):
-            raise ValueError(
-                f"unknown backend {backend!r}: expected 'python' or 'kernel'")
-        self.backend = backend
-        # Resident multi-cycle stepper (repro.kernel.stepper): advances whole
-        # idle-except-channels windows in one fused call.  Auto-enabled on
-        # the event engine + kernel backend; ``stepper=True`` demands it
-        # (errors elsewhere), ``stepper=False`` / REPRO_DISABLE_STEPPER=1
-        # forces the plain event engine for A/B runs.
-        if stepper is None:
-            stepper_active = (
-                engine == "event" and backend == "kernel"
-                and os.environ.get("REPRO_DISABLE_STEPPER", "")
-                not in ("1", "true", "yes"))
-        elif stepper:
-            if engine != "event" or backend != "kernel":
-                raise ValueError(
-                    "stepper=True requires engine='event' and "
-                    f"backend='kernel' (got engine={engine!r}, "
-                    f"backend={backend!r})")
-            stepper_active = True
-        else:
-            stepper_active = False
-        self.stepper_enabled = stepper_active
-        timing_cls: type = TimingEngine
-        scheduler_factory = None
-        if backend == "kernel":
-            from repro.kernel import require_kernel
-            require_kernel()
-            from repro.kernel.scan import KernelFrFcfsScheduler
-            from repro.kernel.timing_kernel import KernelTimingEngine
-            timing_cls = KernelTimingEngine
-            scheduler_factory = KernelFrFcfsScheduler
-
         org = self.config.org
-        self.dram = DramSystem(org, self.config.timing, timing_cls=timing_cls)
+        self.dram = DramSystem(org, self.config.timing)
         self.mapping = self._build_mapping()
         self.channel_controllers: Dict[int, ChannelController] = {
-            ch: ChannelController(ch, self.dram, self.config.scheduler,
-                                  scheduler_factory=scheduler_factory)
+            ch: ChannelController(ch, self.dram, self.config.scheduler)
             for ch in range(org.channels)
         }
         self.scheduler = ConcurrentAccessScheduler(self.dram, self.channel_controllers)
@@ -208,12 +164,7 @@ class ChopimSystem:
                 rank_components.append(NdaRankComponent(self, key, controller))
             components.extend(rank_components)
         components.append(self._stats_component)
-        if stepper_active:
-            from repro.kernel.stepper import StepperEventEngine
-
-            self.engine: SimulationEngine = StepperEventEngine(components)
-        else:
-            self.engine = make_engine(engine, components)
+        self.engine: SimulationEngine = make_engine(engine, components)
         self._wire_wake_hub(components, channel_components, host_slot,
                             nda_host_component, rank_components)
         # Burst-issue fast path: event engine only (the cycle engine is the
@@ -227,17 +178,6 @@ class ChopimSystem:
         )
         if self.burst_enabled:
             self._wire_burst(rank_components)
-        # The stepper binds last: it aliases the kernel arrays and the
-        # wired queues/schedulers, and (when the compiled core is live)
-        # reroutes the per-channel FR-FCFS scans through the shared library.
-        self.kernel_stepper = None
-        if stepper_active:
-            from repro.kernel.stepper import KernelStepper
-
-            kernel_stepper = KernelStepper(self)
-            self.engine.bind_stepper(kernel_stepper)
-            kernel_stepper.bind_scan()
-            self.kernel_stepper = kernel_stepper
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -310,30 +250,20 @@ class ChopimSystem:
             controller.gate_stats = self.scheduler
             by_channel.setdefault(ch, []).append(controller)
         self.scheduler.bind_burst_controllers(self.rank_controllers)
-        kernel_settler_cls = None
-        if self.backend == "kernel":
-            from repro.kernel.settle import KernelBurstSettler
-            kernel_settler_cls = KernelBurstSettler
         for ch, channel_controller in self.channel_controllers.items():
             ranks = by_channel.get(ch)
             if not ranks:
                 continue
 
-            if kernel_settler_cls is not None:
-                # Kernel backend: per-plan scalar eligibility walk; effects
-                # apply through the shared scalar single-writer
-                # (_apply_settlement).
-                settle = kernel_settler_cls(ranks)
-            else:
-                def settle(upto: int, ranks=ranks) -> None:
-                    for rc in ranks:
-                        plan = rc._plan
-                        # Inline the no-elapsed-commands fast path: this runs
-                        # before every FR-FCFS scan/issue on the channel, and
-                        # most boundaries fall between two planned commands.
-                        if (plan is not None
-                                and upto > plan.start + plan.idx * plan.step):
-                            rc.settle_burst(upto)
+            def settle(upto: int, ranks=ranks) -> None:
+                for rc in ranks:
+                    plan = rc._plan
+                    # Inline the no-elapsed-commands fast path: this runs
+                    # before every FR-FCFS scan/issue on the channel, and
+                    # most boundaries fall between two planned commands.
+                    if (plan is not None
+                            and upto > plan.start + plan.idx * plan.step):
+                        rc.settle_burst(upto)
 
             def truncate_throttled(now: int, ranks=ranks) -> None:
                 for rc in ranks:

@@ -46,16 +46,12 @@ class DramEventCounts:
 class DramSystem:
     """All banks of the memory system plus the timing engine."""
 
-    def __init__(self, org: DramOrgConfig, timing: DramTimingConfig,
-                 timing_cls: type = TimingEngine) -> None:
+    def __init__(self, org: DramOrgConfig, timing: DramTimingConfig) -> None:
         org.validate()
         timing.validate()
         self.org = org
         self.timing_config = timing
-        #: ``timing_cls`` is the backend hook: the kernel backend substitutes
-        #: :class:`repro.kernel.timing_kernel.KernelTimingEngine` (the same
-        #: constraint law over array-resident per-bank state).
-        self.timing = timing_cls(org, timing)
+        self.timing = TimingEngine(org, timing)
         self.counts = DramEventCounts()
         self._ranks_per_channel = org.ranks_per_channel
         self._banks_per_group = org.banks_per_group

@@ -169,7 +169,7 @@ class SimulationEngine:
         self.hub.mark_all()
 
     def wake_stats(self) -> List[Dict[str, object]]:
-        """Per-unit scheduling statistics (profiling / BENCH_engine.json)."""
+        """Per-unit scheduling statistics (profiling / the perf ledger)."""
         processed = self.cycles_processed
         stats = []
         post_counts = getattr(self, "post_run_updates", None)

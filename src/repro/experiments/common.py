@@ -4,11 +4,7 @@ Every experiment point is built through :func:`build_system`, which carries
 the **platform axis**: pass ``platform="lpddr4-3200"`` (or any name from
 :func:`repro.platform.platform_names`), or set the ``REPRO_PLATFORM``
 environment variable to retarget every figure sweep wholesale.  Unset, the
-paper's DDR4-2400 baseline is used, bit-exactly as before.  The **backend
-axis** works the same way: pass ``backend="kernel"`` or set
-``REPRO_BACKEND`` to run every point through the vectorized kernel backend
-(results are bit-identical by the equivalence contract; only speed
-differs).
+paper's DDR4-2400 baseline is used, bit-exactly as before.
 """
 
 from __future__ import annotations
@@ -86,30 +82,6 @@ def resolve_platform(platform: Optional[str] = None) -> str:
     return name
 
 
-#: Hot-path implementations :func:`resolve_backend` accepts.
-VALID_BACKENDS = ("python", "kernel")
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """The validated execution backend for one experiment point.
-
-    Resolution order mirrors :func:`resolve_platform`: the explicit
-    ``backend`` argument, then the ``REPRO_BACKEND`` environment variable
-    (empty counts as unset), then the pure-python backend.  Unknown values
-    are rejected here with the valid choices, so ``REPRO_BACKEND=kernle``
-    aborts the sweep up front instead of silently running one point per
-    worker into a constructor error.
-    """
-    name = backend or os.environ.get("REPRO_BACKEND") or "python"
-    if name not in VALID_BACKENDS:
-        source = ("backend argument" if backend
-                  else "REPRO_BACKEND environment variable")
-        raise ValueError(
-            f"unknown backend {name!r} (from the {source}); "
-            f"valid choices: {', '.join(VALID_BACKENDS)}")
-    return name
-
-
 def build_system(mode: AccessMode, mix: Optional[str],
                  channels: Optional[int] = None,
                  ranks_per_channel: Optional[int] = None,
@@ -118,8 +90,7 @@ def build_system(mode: AccessMode, mix: Optional[str],
                  config: Optional[SystemConfig] = None,
                  cores: Optional[int] = None,
                  engine: str = "event",
-                 platform: Optional[str] = None,
-                 backend: Optional[str] = None) -> ChopimSystem:
+                 platform: Optional[str] = None) -> ChopimSystem:
     """Construct a system for one experiment point.
 
     ``engine`` selects the simulation driver: the event-driven engine
@@ -128,15 +99,13 @@ def build_system(mode: AccessMode, mix: Optional[str],
     names a memory-platform preset (see :mod:`repro.platform`); it is
     ignored when an explicit ``config`` is supplied.  ``channels`` and
     ``ranks_per_channel`` default to the platform's native organization
-    (the paper's 2x2 on the baseline).  ``backend`` selects the hot-path
-    implementation (``"python"`` or the numpy ``"kernel"``), defaulting to
-    the ``REPRO_BACKEND`` environment variable.
+    (the paper's 2x2 on the baseline).
     """
     cfg = config or resolve_config(platform, channels, ranks_per_channel,
                                    cores=cores)
     return ChopimSystem(config=cfg, mode=mode, mix=mix, throttle=throttle,
                         stochastic_probability=stochastic_probability,
-                        engine=engine, backend=resolve_backend(backend))
+                        engine=engine)
 
 
 def run_point(system: ChopimSystem, cycles: int = DEFAULT_CYCLES,

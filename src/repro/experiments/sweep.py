@@ -13,7 +13,7 @@ implementation lives in :mod:`repro.experiments.sweeprunner`:
   cutting hung points.
 * **Caching** — each point's result row is keyed by the point function,
   its parameters, the simulation environment (``REPRO_PLATFORM`` /
-  ``REPRO_BACKEND`` / ``REPRO_DISABLE_BURST``) and a content fingerprint
+  ``REPRO_DISABLE_BURST``) and a content fingerprint
   of the simulator source, then stored as JSON in a content-addressed
   store; re-running a figure with unchanged parameters replays instantly.
   Set ``REPRO_SWEEP_CACHE`` (or pass ``cache_dir``) to enable it.

@@ -105,7 +105,8 @@ class SweepOptions:
     #: Progress-line interval in seconds; None resolves REPRO_SWEEP_PROGRESS.
     progress: Optional[float] = None
     start_method: Optional[str] = None
-    #: None resolves from the REPRO_SWEEP_FAULT_* environment.
+    #: None resolves from REPRO_SWEEP_FAULT_RATE / REPRO_SWEEP_FAULT_SEED /
+    #: REPRO_SWEEP_FAULT_KINDS.
     fault_plan: Optional[FaultPlan] = None
     #: Directory for mid-point checkpoints of preemptible points (see
     #: :mod:`.checkpoint`); defaults to ``<cache_dir>/checkpoints`` when

@@ -1,95 +1,15 @@
-"""Vectorized kernel backend: array-resident timing/scan core.
+"""Compatibility shim for the removed array-kernel backend.
 
-``ChopimSystem(backend="kernel")`` swaps the flat-list hot-path state of the
-Python backend for preallocated numpy arrays (see ARCHITECTURE.md, "Kernel
-backend"):
-
-* :class:`repro.kernel.timing_kernel.KernelTimingEngine` keeps every bank's
-  timing horizons (and the open-row mirror) in dense int64 arrays, with issue
-  effects applied as masked scatter updates;
-* :class:`repro.kernel.scan.KernelFrFcfsScheduler` probes every bank bucket
-  of a channel queue in one vector pass;
-* :class:`repro.kernel.settle.KernelBurstSettler` evaluates closed-form burst
-  settlement as array arithmetic over all of a channel's live plans.
-
-numpy is an **optional** dependency (``pip install repro[kernel]``): this
-module imports without it, :func:`kernel_available` reports availability, and
-:func:`require_kernel` raises an actionable error when the kernel backend is
-requested without it.  The Python cycle/event engines never import numpy and
-are unaffected.  Setting ``REPRO_FORCE_NO_NUMPY=1`` makes the kernel report
-unavailable even when numpy is importable (used by the CI no-numpy job and
-the fallback tests).
-
-The **compiled core** (the resident multi-cycle stepper in
-:mod:`repro.kernel.core`, built on demand with the system C compiler) is a
-second optional layer with the same gating pattern:
-:func:`compiled_available` reports whether the shared library can be built
-and loaded, and ``REPRO_FORCE_NO_COMPILED=1`` forces it unavailable (used
-by the CI no-toolchain job), in which case the stepper runs its bit-exact
-pure-Python twin (:mod:`repro.kernel.core.pycore`).
+The event engine over the scalar core is the only fast path; there is no
+kernel backend to select.  The one remaining caller is
+``benchmarks/ledger/run.py``, which records :func:`kernel_available` in its
+environment block.  The next change to the benchmark ledger drops that field
+and deletes this module with it.
 """
 
 from __future__ import annotations
 
-import os
-
-try:  # pragma: no cover - exercised via kernel_available() in both branches
-    import numpy  # noqa: F401
-
-    _NUMPY_IMPORTABLE = True
-    _NUMPY_ERROR = ""
-except ImportError as exc:  # pragma: no cover - depends on environment
-    _NUMPY_IMPORTABLE = False
-    _NUMPY_ERROR = str(exc)
-
 
 def kernel_available() -> bool:
-    """Whether the kernel backend can run in this environment."""
-    if os.environ.get("REPRO_FORCE_NO_NUMPY", "") in ("1", "true", "yes"):
-        return False
-    return _NUMPY_IMPORTABLE
-
-
-def kernel_unavailable_reason() -> str:
-    """Human-readable reason :func:`kernel_available` is False."""
-    if os.environ.get("REPRO_FORCE_NO_NUMPY", "") in ("1", "true", "yes"):
-        return "REPRO_FORCE_NO_NUMPY is set"
-    if not _NUMPY_IMPORTABLE:
-        return f"numpy is not installed ({_NUMPY_ERROR})"
-    return ""
-
-
-def compiled_available() -> bool:
-    """Whether the compiled stepper core can run in this environment.
-
-    Triggers the lazy on-demand build on first call; the result (library
-    or failure reason) is memoized per process.
-    """
-    if os.environ.get("REPRO_FORCE_NO_COMPILED", "") in ("1", "true", "yes"):
-        return False
-    from repro.kernel.core import load_core
-
-    return load_core() is not None
-
-
-def compiled_unavailable_reason() -> str:
-    """Human-readable reason :func:`compiled_available` is False."""
-    if os.environ.get("REPRO_FORCE_NO_COMPILED", "") in ("1", "true", "yes"):
-        return "REPRO_FORCE_NO_COMPILED is set"
-    from repro.kernel.core import load_core, load_error
-
-    if load_core() is None:
-        return load_error() or "compiled core failed to load"
-    return ""
-
-
-def require_kernel() -> None:
-    """Raise a clean, actionable error when the kernel backend cannot run."""
-    if kernel_available():
-        return
-    raise RuntimeError(
-        "backend='kernel' requires numpy, which is unavailable: "
-        f"{kernel_unavailable_reason()}. Install it with `pip install numpy` "
-        "(or `pip install .[kernel]`), or use backend='python' — the Python "
-        "cycle/event engines produce bit-identical results without numpy."
-    )
+    """Always ``False``: the kernel backend no longer exists."""
+    return False

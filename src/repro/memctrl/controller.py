@@ -35,19 +35,13 @@ class ChannelController:
     """FR-FCFS memory controller for one channel."""
 
     def __init__(self, channel: int, dram: DramSystem,
-                 config: Optional[SchedulerConfig] = None,
-                 scheduler_factory: Optional[
-                     Callable[[DramSystem, int], FrFcfsScheduler]] = None) -> None:
+                 config: Optional[SchedulerConfig] = None) -> None:
         self.channel = channel
         self.dram = dram
         self.config = config or SchedulerConfig()
         self.read_queue = RequestQueue(self.config.read_queue_entries)
         self.write_queue = RequestQueue(self.config.write_queue_entries)
-        # ``scheduler_factory`` is the backend hook: the kernel backend
-        # substitutes the batched vector scan (same FR-FCFS selection law;
-        # see repro.kernel.scan) by constructing with ``(dram, channel)``.
-        self.scheduler = (FrFcfsScheduler(dram) if scheduler_factory is None
-                          else scheduler_factory(dram, channel))
+        self.scheduler = FrFcfsScheduler(dram)
         # Integer occupancy thresholds with semantics identical to the
         # float comparisons they replace (computed by evaluating the exact
         # original expression for every possible length).
@@ -95,13 +89,6 @@ class ChannelController:
         #: only pushes timing constraints later, so a stale hint can only be
         #: early — which costs a no-op wake, never a missed event.
         self._issue_hint: int = 0
-        #: Set by the resident stepper: post-issue wake refinement (the
-        #: exact ``_probe_issue`` scan in :meth:`wake_after_tick`) is
-        #: skipped, because with a stepper bound the engine re-enters the
-        #: fused window at the conservative ``now + 1`` wake and the core
-        #: re-derives the horizon in C within the same window — one fused
-        #: call instead of a ctypes probe plus a later window entry.
-        self.lazy_wake_probe: bool = False
         # Memoized FR-FCFS scans, one slot per queue: (cycle, queue version,
         # channel DRAM version, choice, horizon, choice_at_horizon).  A scan
         # is a pure function of (queue contents+order, channel bank/timing
@@ -442,7 +429,7 @@ class ChannelController:
                 wake = due
         if self.read_queue or self.write_queue:
             hint = self._issue_hint
-            if hint <= now < wake and not self.lazy_wake_probe:
+            if hint <= now < wake:
                 hint = self._probe_issue(now)
             if hint < wake:
                 wake = hint
@@ -474,8 +461,7 @@ class ChannelController:
                 wake = due
         if self.read_queue or self.write_queue:
             hint = self._issue_hint
-            if (hint <= now + 1 and wake > now + 1
-                    and not self.lazy_wake_probe):
+            if hint <= now + 1 and wake > now + 1:
                 hint = self._probe_issue(now + 1)
             if hint < wake:
                 wake = hint

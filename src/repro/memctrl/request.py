@@ -114,14 +114,6 @@ class RequestQueue:
         self._next_seq = 0
         #: Bumped on every push/remove; scan results memoized against it.
         self.version = 0
-        #: Optional membership observers, invoked after an accepted push /
-        #: after a removal.  The kernel backend's batched FR-FCFS scan uses
-        #: them to keep its array-resident slot state (one row per queued
-        #: request) in lock-step with the dict representation, and parks its
-        #: slot arrays on ``kernel_arrays``.
-        self.on_push: Optional[Callable[[MemoryRequest], None]] = None
-        self.on_remove: Optional[Callable[[MemoryRequest], None]] = None
-        self.kernel_arrays = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -155,8 +147,6 @@ class RequestQueue:
             bucket = self._by_bank[key] = {}
         bucket[request.request_id] = request
         self._rank_counts[addr.rank] = self._rank_counts.get(addr.rank, 0) + 1
-        if self.on_push is not None:
-            self.on_push(request)
         return True
 
     def remove(self, request: MemoryRequest) -> None:
@@ -176,8 +166,6 @@ class RequestQueue:
             self._rank_counts[addr.rank] = count
         else:
             del self._rank_counts[addr.rank]
-        if self.on_remove is not None:
-            self.on_remove(request)
 
     def oldest(self) -> Optional[MemoryRequest]:
         return next(iter(self._entries.values()), None)

@@ -299,7 +299,7 @@ class NdaRankController:
         #: advanced per settled command (one per issuing cycle, as the
         #: per-cycle selective engine counts).
         self.gate_stats = None
-        # Burst diagnostics (cumulative; recorded by bench_engine).
+        # Burst diagnostics (cumulative; read by the perf ledger).
         self.bursts_planned = 0
         self.burst_commands_planned = 0
         self.burst_commands_settled = 0
@@ -675,18 +675,6 @@ class NdaRankController:
             j = plan.count
         if j <= done:
             return
-        self._apply_settlement(plan, j)
-
-    def _apply_settlement(self, plan: _BurstPlan, j: int) -> None:
-        """Apply the state effects of settling ``plan`` through index ``j``.
-
-        The single writer for settlement effects: :meth:`settle_burst`
-        computes ``j`` scalar-wise, the kernel backend's
-        :class:`~repro.kernel.settle.KernelBurstSettler` computes it as
-        array arithmetic over all of a channel's plans — both apply through
-        here, so the two backends cannot diverge on settlement state.
-        ``j`` must be a settled-command count in ``(plan.idx, plan.count]``.
-        """
         plan.idx = j
         c_last = plan.start + (j - 1) * plan.step
         timing = self.dram.timing
@@ -1151,7 +1139,7 @@ class NdaRankController:
         return self.bytes_read + self.bytes_written
 
     def burst_stats(self) -> Dict[str, object]:
-        """Burst-issue diagnostics (cumulative; reported by bench_engine)."""
+        """Burst-issue diagnostics (cumulative; read by the perf ledger)."""
         return {
             "bursts_planned": self.bursts_planned,
             "commands_planned": self.burst_commands_planned,

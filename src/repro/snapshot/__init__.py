@@ -6,8 +6,7 @@ state, FR-FCFS queues (with their ``queue_seq``/version counters),
 replicated FSMs, NDA write buffers, host cores, stats windows, and
 workload/RNG cursors — into a versioned, sha256-checked envelope, and
 restores it into a freshly built system that continues bit-identically
-(the same contract the cycle==event==burst==kernel equivalence fuzz
-enforces).
+(the same contract the cycle==event==burst equivalence fuzz enforces).
 
 Public API::
 

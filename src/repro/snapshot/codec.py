@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any, Union
 
 MAGIC = "repro-snapshot"
-SCHEMA_VERSION = 3  # v3: rank controllers record burst_commands_by_class
+SCHEMA_VERSION = 4  # v4: build record drops the kernel backend's two fields
 
 _TAG = "__t"
 

@@ -65,9 +65,7 @@ from repro.nda.launch import (
 )
 from repro.snapshot.codec import SnapshotError
 
-#: Serialized slots of the scalar timing-state objects.  The bank slots are
-#: restored through the named attributes (not the raw slot storage) so the
-#: kernel backend's write-through array views receive the values.
+#: Serialized slots of the timing-state objects.
 _RANK_SLOTS = (
     "act_allowed", "act_allowed_bg", "faw_window",
     "last_read_cycle", "last_read_bg",
@@ -407,9 +405,7 @@ def snapshot_system(system) -> Dict[str, Any]:
             "launch_packets_use_channel": system._launch_packets_use_channel,
             "collect_energy": system.collect_energy,
             "engine": system.engine_kind,
-            "backend": system.backend,
             "burst_enabled": system.burst_enabled,
-            "stepper_enabled": system.stepper_enabled,
         },
         "now": system.now,
         "measure_start": system._measure_start,
@@ -567,9 +563,8 @@ def _restore_request(state: Dict[str, Any], system) -> MemoryRequest:
 def _restore_queue(queue, state: Dict[str, Any], registry) -> None:
     for request_id in state["ids"]:
         request = registry[request_id]
-        # push stamps queue_seq from _next_seq and fires on_push, keeping
-        # the kernel backend's slot arrays in lock-step; pre-seeding
-        # _next_seq per request reproduces the original stamps.
+        # push stamps queue_seq from _next_seq; pre-seeding _next_seq per
+        # request reproduces the original stamps.
         queue._next_seq = request.queue_seq
         if not queue.push(request):  # pragma: no cover - capacity matches
             raise SnapshotError("queue overflow during restore")
@@ -662,7 +657,6 @@ def restore_system(payload: Dict[str, Any]):
         launch_packets_use_channel=build["launch_packets_use_channel"],
         collect_energy=build["collect_energy"],
         engine=build["engine"],
-        backend=build["backend"],
     )
     if system.burst_enabled != build["burst_enabled"]:
         raise SnapshotError(
@@ -670,12 +664,6 @@ def restore_system(payload: Dict[str, Any]):
             f"{build['burst_enabled']}, this process resolves it to "
             f"{system.burst_enabled} (check REPRO_DISABLE_BURST); resumes "
             "must run under the same burst configuration to stay bit-exact")
-    if system.stepper_enabled != build["stepper_enabled"]:
-        raise SnapshotError(
-            f"stepper mismatch: snapshot taken with stepper_enabled="
-            f"{build['stepper_enabled']}, this process resolves it to "
-            f"{system.stepper_enabled} (check REPRO_DISABLE_STEPPER); "
-            "resumes must run under the same stepper configuration")
 
     watermarks = payload["watermarks"]
     set_request_id_watermark(watermarks["request"])
@@ -716,8 +704,6 @@ def restore_system(payload: Dict[str, Any]):
                 value = deque(value, maxlen=value.maxlen)
             setattr(rt, slot, value)
     for bt, values in zip(timing._banks, timing_state["banks"]):
-        # Through the named attributes: on the kernel backend these are
-        # write-through views into the horizon arrays.
         for slot, value in zip(_BANK_SLOTS, values):
             setattr(bt, slot, value)
     for ct, state in zip(timing._channels, timing_state["channels"]):
@@ -726,14 +712,6 @@ def restore_system(payload: Dict[str, Any]):
     timing._channel_refresh_due[:] = timing_state["channel_refresh_due"]
     timing._issue_versions[:] = timing_state["issue_versions"]
     timing._row_versions[:] = timing_state["row_versions"]
-    if system.backend == "kernel":
-        # Rebuild the kernel's open-row mirror from the restored bank state.
-        from repro.platform.packing import NO_OPEN_ROW
-
-        for index, bank in enumerate(system.dram._banks):
-            timing.open_row[index] = (bank.open_row
-                                      if bank.state is BankState.OPEN
-                                      else NO_OPEN_ROW)
 
     # ---- requests ------------------------------------------------------ #
     registry = {request_id: _restore_request(state, system)

@@ -7,12 +7,16 @@ disabled and diffs the *complete* observable state — the SimulationResult
 (stats + energy), every DRAM event and bank counter, the timing engine's
 rank/bank horizons, the replicated FSM registers, the per-rank NDA
 counters (futile-attempt counters included) and the throttle's decision
-counts — against the bursting run.  Unit tests for the closed-form pieces
-(bulk FSM transitions, bulk write-buffer drains) ride along.
+counts — against the bursting run.  Each scenario is also replayed on the
+cycle engine, the per-cycle oracle, with the same diff minus the futile-
+attempt counters that count wake cadence.  Unit tests for the closed-form
+pieces (bulk FSM transitions, bulk write-buffer drains) ride along.
 """
 
 import contextlib
 import dataclasses
+import hashlib
+import json
 import os
 
 import pytest
@@ -23,30 +27,24 @@ from repro.config import scaled_config
 from repro.core.modes import AccessMode
 from repro.core.system import ChopimSystem
 from repro.dram.commands import DramAddress
-from repro.dram.timing import _ChannelTiming, _RankTiming
-from repro.kernel import kernel_available
+from repro.dram.timing import _BankTiming, _ChannelTiming, _RankTiming
+from repro.experiments.common import build_system, resolve_config
 from repro.nda.controller import PLAN_CLASSES
 from repro.nda.fsm import ReplicatedFsm
 from repro.nda.isa import NdaOpcode
 from repro.nda.write_buffer import NdaWriteBuffer
 from repro.platform import platform_config
-from repro.platform.packing import BANK_FIELDS
-
-#: Backends the replay oracles cover; the kernel leg drops out with numpy.
-_BACKENDS = ("python", "kernel") if kernel_available() else ("python",)
 
 
 def _build_and_run(mode, opcode, *, mix=None, throttle="issue_if_idle",
                    channels=2, ranks=2, elements=1 << 13, cycles=1500,
                    warmup=150, config=None, engine="event",
-                   backend="python", write_buffer=None, seed=None,
-                   prepare=None):
+                   write_buffer=None, seed=None, prepare=None):
     cfg = config or scaled_config(channels, ranks)
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
     system = ChopimSystem(config=cfg, mode=mode,
-                          mix=mix, throttle=throttle, engine=engine,
-                          backend=backend)
+                          mix=mix, throttle=throttle, engine=engine)
     if write_buffer is not None:
         # (capacity, drain-high watermark, drain-low watermark): the
         # geometry is not a configuration option, so swap the buffers in.
@@ -60,30 +58,15 @@ def _build_and_run(mode, opcode, *, mix=None, throttle="issue_if_idle",
 
 
 def _timing_state(system):
-    # All three state tiers are read by *scalar field name*, not
-    # ``__slots__``: on the kernel backend ``_banks``/``_ranks``/
-    # ``_channels`` hold array views whose slots are private column
-    # references but whose public fields mirror the scalar classes, so
-    # states compare across backends.  Container fields (``faw_window``,
-    # ``act_allowed_bg``) are materialized as plain lists for the same
-    # reason.
     timing = system.dram.timing
-    rank_containers = ("faw_window", "act_allowed_bg")
-    ranks = [
-        {slot: getattr(rank, slot) for slot in _RankTiming.__slots__
-         if slot not in rank_containers}
-        | {slot: list(getattr(rank, slot)) for slot in rank_containers}
-        for rank in timing._ranks
-    ]
-    banks = [
-        {field: getattr(bank, field) for field in BANK_FIELDS}
-        for bank in timing._banks
-    ]
-    channels = [
-        {slot: getattr(ch, slot) for slot in _ChannelTiming.__slots__}
-        for ch in timing._channels
-    ]
-    return {"ranks": ranks, "banks": banks, "channels": channels}
+    return {
+        tier: [{slot: getattr(state, slot) for slot in cls.__slots__}
+               for state in states]
+        for tier, cls, states in (
+            ("ranks", _RankTiming, timing._ranks),
+            ("banks", _BankTiming, timing._banks),
+            ("channels", _ChannelTiming, timing._channels))
+    }
 
 
 def _full_state(system, result):
@@ -117,7 +100,7 @@ def _full_state(system, result):
             # entered drain mode; in pick-insensitive oscillating states
             # (see _update_drain_mode) its value depends on tick cadence,
             # which legitimately differs across wake patterns (per-cycle
-            # replay vs selective wakes vs the stepper's fused windows).
+            # replay vs selective wakes).
             # Mode trajectory at every decision point is pinned by the rest
             # of the state compared here (issue order, bank counters,
             # timing horizons), so the oscillation count is excluded.
@@ -155,19 +138,53 @@ def _burst_env(disabled):
             os.environ["REPRO_DISABLE_BURST"] = saved
 
 
-def _replay_mismatches(backend="python", config=None, **spec):
-    """Run ``spec`` with bursting on (``backend``) and off (scalar python);
+#: The per-cycle oracles a bursting run is diffed against: the event engine
+#: with ``REPRO_DISABLE_BURST=1`` (full state, attempt counters included)
+#: and the cycle engine, which never plans (full state minus the futile-
+#: attempt counters, see :func:`_without_attempts`).
+_ORACLES = ("burst_off", "cycle")
+
+
+def _without_attempts(state):
+    """``state`` minus the counters of futile issue *attempts*.
+
+    ``blocked_by_*`` and the throttle's decision counts grow once per
+    attempt, and the cycle engine attempts on every cycle where the event
+    engine sleeps; the cycle == event guarantee therefore excludes them.
+    Everything an attempt decides (issue order, timing horizons, FSM and
+    buffer state) is still compared.
+    """
+    attempts = ("blocked_by_host", "blocked_by_throttle")
+    return state | {
+        "rank_controllers": {
+            key: {k: v for k, v in stats.items() if k not in attempts}
+            for key, stats in state["rank_controllers"].items()
+        },
+        "throttle": None,
+    }
+
+
+def _replay_mismatches(config=None, oracle="burst_off", **spec):
+    """Run ``spec`` with bursting on and on the per-cycle ``oracle``;
     returns (burst system, keys of the full state that differ)."""
     with _burst_env(disabled=False):
         burst_system, burst_result = _build_and_run(
-            backend=backend, config=config() if config else None, **spec)
-    assert burst_system.burst_enabled
-    with _burst_env(disabled=True):
-        plain_system, plain_result = _build_and_run(
             config=config() if config else None, **spec)
+    assert burst_system.burst_enabled
+    if oracle == "cycle":
+        with _burst_env(disabled=False):
+            plain_system, plain_result = _build_and_run(
+                config=config() if config else None, engine="cycle", **spec)
+    else:
+        with _burst_env(disabled=True):
+            plain_system, plain_result = _build_and_run(
+                config=config() if config else None, **spec)
     assert not plain_system.burst_enabled
     burst_state = _full_state(burst_system, burst_result)
     plain_state = _full_state(plain_system, plain_result)
+    if oracle == "cycle":
+        burst_state = _without_attempts(burst_state)
+        plain_state = _without_attempts(plain_state)
     return burst_system, [key for key in plain_state
                           if plain_state[key] != burst_state[key]]
 
@@ -185,18 +202,14 @@ _SCENARIOS = [
 
 
 class TestBurstOracle:
-    """Burst-on vs burst-off (per-cycle replay) must match state-for-state."""
+    """Burst-on vs each per-cycle oracle must match state-for-state."""
 
-    @pytest.mark.parametrize("backend", _BACKENDS)
+    @pytest.mark.parametrize("oracle", _ORACLES)
     @pytest.mark.parametrize("name,spec", _SCENARIOS)
-    def test_replay_matches(self, name, spec, backend):
-        # The bursting run uses ``backend``; the per-cycle replay always
-        # uses the pure-python scalar path, so the kernel leg is a combined
-        # cross-backend *and* cross-path oracle (vectorized settlement and
-        # batched scan against the scalar per-cycle ground truth).
-        _, mismatched = _replay_mismatches(backend=backend, **spec)
+    def test_replay_matches(self, name, spec, oracle):
+        _, mismatched = _replay_mismatches(oracle=oracle, **spec)
         assert not mismatched, (
-            f"burst path diverged from per-cycle replay on {mismatched}"
+            f"burst path diverged from the {oracle} replay on {mismatched}"
         )
 
     def test_bursts_actually_planned(self, monkeypatch):
@@ -258,14 +271,14 @@ class TestBurstRefreshPressure:
     #: exercised at cadences other than DDR4's 4 (hbm2: 2, ddr5-4800: 8).
     _PLATFORMS = [None, "hbm2", "ddr5-4800"]
 
-    @pytest.mark.parametrize("backend", _BACKENDS)
+    @pytest.mark.parametrize("oracle", _ORACLES)
     @pytest.mark.parametrize("platform", _PLATFORMS)
     @pytest.mark.parametrize("name,spec", _SCENARIOS)
     def test_burst_replay_matches_under_refresh_pressure(self, name, spec,
-                                                         platform, backend):
+                                                         platform, oracle):
         burst_system, mismatched = _replay_mismatches(
-            backend=backend,
-            config=lambda: _refresh_heavy_config(platform), **spec)
+            config=lambda: _refresh_heavy_config(platform), oracle=oracle,
+            **spec)
         refreshes = sum(mc.counters.get("refreshes")
                         for mc in burst_system.channel_controllers.values())
         assert refreshes > 0, "scenario exerts no refresh pressure"
@@ -307,12 +320,11 @@ class TestBurstPlatforms:
                                         elements=1 << 13)),
     ]
 
-    @pytest.mark.parametrize("backend", _BACKENDS)
+    @pytest.mark.parametrize("oracle", _ORACLES)
     @pytest.mark.parametrize("name,platform,spec", _SCENARIOS)
-    def test_replay_matches(self, name, platform, spec, backend):
+    def test_replay_matches(self, name, platform, spec, oracle):
         _, mismatched = _replay_mismatches(
-            backend=backend,
-            config=lambda: platform_config(platform), **spec)
+            config=lambda: platform_config(platform), oracle=oracle, **spec)
         assert not mismatched, (
             f"burst path diverged on platform {platform}: {mismatched}")
 
@@ -374,12 +386,12 @@ _DRAIN_PHASE_SCENARIOS = [
 class TestDrainPhasePlans:
     """The two mid-instruction plan classes (drain_run, read_under_drain)."""
 
-    @pytest.mark.parametrize("backend", _BACKENDS)
+    @pytest.mark.parametrize("oracle", _ORACLES)
     @pytest.mark.parametrize("name,spec", _DRAIN_PHASE_SCENARIOS)
-    def test_replay_matches(self, name, spec, backend):
-        system, mismatched = _replay_mismatches(backend=backend, **spec)
+    def test_replay_matches(self, name, spec, oracle):
+        system, mismatched = _replay_mismatches(oracle=oracle, **spec)
         assert not mismatched, (
-            f"drain-phase plans diverged from per-cycle replay on "
+            f"drain-phase plans diverged from the {oracle} replay on "
             f"{mismatched}")
         planned = _planned_by_class(system)
         assert planned["drain_run"] > 0, planned
@@ -468,9 +480,127 @@ class TestDrainPhasePlans:
         assert not mismatched, mismatched
 
 
+_BP = AccessMode.BANK_PARTITIONED
+
+#: Work-counter table: shape -> (platform, channels, ranks, mode, mix, NDA
+#: opcode) and the exact counters of a seed-1 run of 500 warm-up + 2000
+#: measured cycles on the default path.  The first four rows are the perf
+#: ledger's simulation workloads at smoke length; the ``colo_read@<preset>``
+#: rows carry the per-platform axis (``colo_read`` itself is the ddr4-2400
+#: leg).  ``dram`` is (ACT, PRE, REF, host RD, host WR, NDA RD, NDA WR) over
+#: the measured window, ``nda`` is (commands settled from burst plans,
+#: commands issued), and ``sha256`` digests the whole SimulationResult.
+_WORK_TABLE = {
+    "colo_read": (
+        ("ddr4-2400", 2, 4, _BP, "mix1", NdaOpcode.DOT),
+        dict(processed=1727, skipped=773,
+             dram=(367, 321, 0, 372, 149, 2751, 0), nda=(3103, 2797),
+             sha256="bfce497204dbbb5627e1c8e65dc4038c"
+                    "a7006a31906f17797d2d1fc4a9c94a90")),
+    "colo_write": (
+        ("ddr4-2400", 2, 4, _BP, "mix1", NdaOpcode.COPY),
+        dict(processed=1712, skipped=788,
+             dram=(404, 361, 0, 349, 139, 1123, 1200), nda=(2641, 2496),
+             sha256="223b7d8655937daf0e2f69d8399e7851"
+                    "57335c23bfd60b8600a19744d923ebca")),
+    "host_only": (
+        ("ddr4-2400", 2, 2, AccessMode.HOST_ONLY, "mix1", None),
+        dict(processed=1708, skipped=792,
+             dram=(410, 395, 0, 438, 170, 0, 0), nda=(0, 0),
+             sha256="58ee0c73c551b405d122d23c3f1a0fa8"
+                    "8864dd88d9a89ea4d732bdbed229e2cd")),
+    "nda_only_hbm2": (
+        ("hbm2", None, None, AccessMode.NDA_ONLY, None, NdaOpcode.COPY),
+        dict(processed=98, skipped=2402,
+             dram=(200, 200, 0, 0, 0, 3232, 3328), nda=(7688, 6960),
+             sha256="22766dbea5f5df2113ef9a3793a17932"
+                    "9fbd5b2275058c298da41ab46e335d6e")),
+    "colo_read@ddr4-3200": (
+        ("ddr4-3200", 2, 4, _BP, "mix1", NdaOpcode.DOT),
+        dict(processed=1395, skipped=1105,
+             dram=(213, 175, 0, 224, 95, 2960, 0), nda=(3318, 3006),
+             sha256="99d946a034578909edf9b5f6ba08b6f0"
+                    "a53c80ef577a38221074057c82b2a6f2")),
+    "colo_read@lpddr4-3200": (
+        ("lpddr4-3200", 2, 4, _BP, "mix1", NdaOpcode.DOT),
+        dict(processed=1154, skipped=1346,
+             dram=(252, 224, 0, 178, 94, 1380, 0), nda=(1472, 1424),
+             sha256="38c6e6eb66b54d2ea3df736a0adab7fe"
+                    "a44a69e09240c833711b548ceb8d1bc5")),
+    "colo_read@ddr5-4800": (
+        ("ddr5-4800", 2, 4, _BP, "mix1", NdaOpcode.DOT),
+        dict(processed=1058, skipped=1442,
+             dram=(166, 84, 0, 198, 91, 1208, 0), nda=(1249, 1242),
+             sha256="559865cb5d6f9a004a6fa3d47b6548e6"
+                    "61f5ffb83dd74d7bfc0a40cb463c6c7c")),
+    "colo_read@hbm2": (
+        ("hbm2", 2, 4, _BP, "mix1", NdaOpcode.DOT),
+        dict(processed=2023, skipped=477,
+             dram=(670, 629, 0, 450, 186, 4484, 0), nda=(4808, 4762),
+             sha256="396d158dbe24816ee7497266fe2328de"
+                    "ee5bf637104afdf2465b60bfee9be7e4")),
+}
+
+
+def _work_counters(shape, variant="default"):
+    """The table's counters for ``shape`` on one execution variant: the
+    default path, the event engine with bursting off, or the cycle
+    engine."""
+    platform, channels, ranks, mode, mix, opcode = shape
+    config = dataclasses.replace(resolve_config(platform, channels, ranks),
+                                 seed=1)
+    engine = "cycle" if variant == "cycle" else "event"
+    with _burst_env(disabled=variant == "burst_off"):
+        system = build_system(mode, mix, config=config, throttle="next_rank",
+                              engine=engine)
+    if opcode is not None:
+        system.set_nda_workload(opcode, elements_per_rank=1 << 14)
+    result = system.run(cycles=2000, warmup=500)
+    counts = system.dram.counts
+    controllers = system.rank_controllers.values()
+    text = json.dumps(dataclasses.asdict(result), sort_keys=True)
+    return dict(
+        processed=system.engine.cycles_processed,
+        skipped=system.engine.cycles_skipped,
+        dram=(counts.activates, counts.precharges, counts.refreshes,
+              counts.host_reads, counts.host_writes, counts.nda_reads,
+              counts.nda_writes),
+        nda=(sum(rc.burst_commands_settled for rc in controllers),
+             sum(rc.commands_issued for rc in controllers)),
+        sha256=hashlib.sha256(text.encode("utf-8")).hexdigest())
+
+
 class TestBurstWorkCounters:
     """Noise-free work counters, gated tightly (wall-clock is gated loosely
-    by the perf ledger): how much of the command stream the plans carry."""
+    by the perf ledger): how much of the command stream the plans carry,
+    and how much work the default path does per shape."""
+
+    @pytest.mark.parametrize("name", list(_WORK_TABLE))
+    def test_work_table(self, name):
+        """Exact counters and result digest per shape: any change to the
+        work the default path does — cycles processed, commands issued or
+        settled — or to a single result bit shows up here as a literal
+        diff, with no wall-clock noise involved."""
+        shape, expected = _WORK_TABLE[name]
+        assert _work_counters(shape) == expected
+
+    @pytest.mark.parametrize("variant", ["burst_off", "cycle"])
+    @pytest.mark.parametrize("name", list(_WORK_TABLE))
+    def test_variants_do_the_same_commands(self, name, variant):
+        """The other execution variants issue the table's DRAM and NDA
+        commands and reach its result bits; only the work differs: nothing
+        is settled from a plan, and the processed cycles are a superset of
+        the default path's (every cycle, on the cycle engine)."""
+        shape, expected = _WORK_TABLE[name]
+        got = _work_counters(shape, variant)
+        assert got["sha256"] == expected["sha256"]
+        assert got["dram"] == expected["dram"]
+        assert got["nda"] == (0, expected["nda"][1])
+        cycles = expected["processed"] + expected["skipped"]
+        assert got["processed"] + got["skipped"] == cycles
+        assert got["processed"] >= expected["processed"]
+        if variant == "cycle":
+            assert got["skipped"] == 0
 
     @staticmethod
     def _run(**spec):

@@ -1,4 +1,4 @@
-"""Equivalence suite: every engine/backend must be cycle-result-exact.
+"""Equivalence suite: the event engine must be cycle-result-exact.
 
 For every access mode, every throttle policy, a composite kernel sequence
 and a seeded random sample of full configurations, ``engine="event"`` must
@@ -7,18 +7,9 @@ floating-point metrics, per-rank idle breakdowns and the energy table — is
 *identical* (not approximately equal) to ``engine="cycle"``.  This is the
 regression contract of the selective-wake engine and its dirty-notification
 routing (see ARCHITECTURE.md).
-
-The suite also carries a **backend axis**: when numpy is importable, every
-assertion additionally runs the vectorized kernel backend
-(``backend="kernel"``, under the event engine — so the batched scan, array
-timing state and vectorized burst settlement all engage) and requires it to
-match the scalar cycle oracle on every field.  A dedicated class pins the
-kernel under the cycle engine too.  Without numpy the kernel legs drop out
-and the suite still proves cycle == event on the pure-python backend.
 """
 
 import dataclasses
-import os
 import random
 
 import pytest
@@ -27,80 +18,44 @@ from repro.core.modes import AccessMode
 from repro.core.system import ChopimSystem, NdaKernelSpec
 from repro.config import scaled_config
 from repro.experiments.common import resolve_config
-from repro.kernel import kernel_available
 from repro.nda.isa import NdaOpcode
 from repro.nda.write_buffer import NdaWriteBuffer
 
 CYCLES = 1500
 WARMUP = 150
 
-#: (engine, backend) legs every equivalence assertion runs; index 0 is the
-#: oracle all others are compared against.  The ``kernel`` leg runs with
-#: the resident stepper in its default configuration (compiled when a C
-#: toolchain is present, the pure-Python twin otherwise);
-#: ``kernel-nostepper`` pins the plain per-cycle kernel path, and
-#: ``kernel-pystepper`` (only meaningful when the compiled core exists)
-#: pins the pure-Python stepper — so all three stepper configurations stay
-#: on the equivalence contract.
-_LEGS = [("cycle", "python"), ("event", "python")]
-if kernel_available():
-    from repro.kernel import compiled_available
-
-    _LEGS.append(("event", "kernel"))
-    _LEGS.append(("event", "kernel-nostepper"))
-    if compiled_available():
-        _LEGS.append(("event", "kernel-pystepper"))
-
-requires_kernel = pytest.mark.skipif(
-    not kernel_available(), reason="numpy unavailable: kernel backend off")
+#: Engines every equivalence assertion runs; index 0 is the per-cycle
+#: oracle the fast path is compared against.
+_ENGINES = ("cycle", "event")
 
 
 def _build(engine, mode, mix=None, throttle="next_rank", config=None,
-           stochastic_probability=0.25, backend="python"):
-    stepper = None
-    forced = backend == "kernel-pystepper"
-    if backend == "kernel-nostepper":
-        backend, stepper = "kernel", False
-    elif forced:
-        backend, stepper = "kernel", True
-        forced_env = os.environ.get("REPRO_FORCE_NO_COMPILED")
-        os.environ["REPRO_FORCE_NO_COMPILED"] = "1"
-    try:
-        return ChopimSystem(config=config, mode=mode, mix=mix,
-                            throttle=throttle,
-                            stochastic_probability=stochastic_probability,
-                            engine=engine, backend=backend, stepper=stepper)
-    finally:
-        if forced:
-            if forced_env is None:
-                os.environ.pop("REPRO_FORCE_NO_COMPILED", None)
-            else:
-                os.environ["REPRO_FORCE_NO_COMPILED"] = forced_env
+           stochastic_probability=0.25):
+    return ChopimSystem(config=config, mode=mode, mix=mix, throttle=throttle,
+                        stochastic_probability=stochastic_probability,
+                        engine=engine)
 
 
 def _assert_equivalent(configure, mode, mix=None, throttle="next_rank",
                        config=None, cycles=CYCLES, warmup=WARMUP,
-                       stochastic_probability=0.25, legs=None):
+                       stochastic_probability=0.25):
     results = {}
-    for engine, backend in (legs or _LEGS):
+    for engine in _ENGINES:
         system = _build(engine, mode, mix=mix, throttle=throttle,
                         config=config,
-                        stochastic_probability=stochastic_probability,
-                        backend=backend)
+                        stochastic_probability=stochastic_probability)
         if configure is not None:
             configure(system)
-        results[(engine, backend)] = dataclasses.asdict(
+        results[engine] = dataclasses.asdict(
             system.run(cycles=cycles, warmup=warmup))
-    oracle_leg, *other_legs = list(results)
-    oracle = results[oracle_leg]
-    for leg in other_legs:
-        result = results[leg]
-        mismatched = [key for key in oracle if oracle[key] != result[key]]
-        assert not mismatched, (
-            f"{leg} diverged from {oracle_leg} on {mismatched}: "
-            + "; ".join(f"{k}: {oracle[k]!r} != {result[k]!r}"
-                        for k in mismatched[:3])
-        )
+    oracle = results["cycle"]
+    result = results["event"]
+    mismatched = [key for key in oracle if oracle[key] != result[key]]
+    assert not mismatched, (
+        f"event diverged from cycle on {mismatched}: "
+        + "; ".join(f"{k}: {oracle[k]!r} != {result[k]!r}"
+                    for k in mismatched[:3])
+    )
 
 
 class TestEngineEquivalenceModes:
@@ -131,6 +86,25 @@ class TestEngineEquivalenceModes:
         def configure(system):
             system.set_nda_workload(NdaOpcode.DOT, elements_per_rank=1 << 12)
         _assert_equivalent(configure, AccessMode.RANK_PARTITIONED, mix="mix8")
+
+    def test_bank_partitioned_read_stream(self):
+        """The paper baseline's colocated read kernel (read-streak plans
+        only, no write phase)."""
+        def configure(system):
+            system.set_nda_workload(NdaOpcode.DOT, elements_per_rank=1 << 12)
+        _assert_equivalent(configure, AccessMode.BANK_PARTITIONED, mix="mix1")
+
+    def test_shared_on_platform_preset(self):
+        def configure(system):
+            system.set_nda_workload(NdaOpcode.AXPY, elements_per_rank=1 << 12)
+        _assert_equivalent(configure, AccessMode.SHARED, mix="mix5",
+                           config=resolve_config("ddr5-4800"), cycles=1000,
+                           warmup=100)
+
+    def test_host_only_refresh_horizon(self):
+        """Long enough to cross tREFI: pins the refresh wake."""
+        _assert_equivalent(None, AccessMode.HOST_ONLY, mix="mix1",
+                           cycles=12000, warmup=0)
 
 
 class TestEngineEquivalenceThrottles:
@@ -362,9 +336,9 @@ class TestEngineEquivalenceFuzz:
         from repro.utils.rng import DeterministicRng
 
         results = {}
-        for engine, backend in _LEGS:
+        for engine in _ENGINES:
             system = _build(engine, AccessMode.BANK_PARTITIONED, mix="mix5",
-                            throttle="issue_if_idle", backend=backend)
+                            throttle="issue_if_idle")
             system.set_nda_workload(NdaOpcode.COPY, elements_per_rank=1 << 13)
             system.run(cycles=600, warmup=100)
             # Flip every rank controller to next-rank prediction mid-stream
@@ -374,43 +348,9 @@ class TestEngineEquivalenceFuzz:
                                  host_controllers=system.channel_controllers)
             for controller in system.rank_controllers.values():
                 controller.set_throttle(policy)
-            results[(engine, backend)] = dataclasses.asdict(
-                system.run(cycles=900))
-        oracle = results[("cycle", "python")]
-        for leg, result in results.items():
-            assert result == oracle, f"{leg} diverged across throttle flip"
-
-
-@requires_kernel
-class TestKernelBackendCycleEngine:
-    """The kernel backend under the *cycle* engine.
-
-    The default backend axis above runs the kernel under the event engine
-    (where its batched scan and vectorized settlement see the most traffic);
-    these pin the orthogonality claim — the kernel timing/scan core is
-    engine-agnostic — by running it under the per-cycle driver too, on the
-    paper baseline and a non-default preset.
-    """
-
-    _CYCLE_LEGS = [("cycle", "python"), ("cycle", "kernel")]
-
-    def test_bank_partitioned_baseline(self):
-        def configure(system):
-            system.set_nda_workload(NdaOpcode.DOT, elements_per_rank=1 << 12)
-        _assert_equivalent(configure, AccessMode.BANK_PARTITIONED, mix="mix1",
-                           legs=self._CYCLE_LEGS)
-
-    def test_shared_on_platform_preset(self):
-        def configure(system):
-            system.set_nda_workload(NdaOpcode.AXPY, elements_per_rank=1 << 12)
-        _assert_equivalent(configure, AccessMode.SHARED, mix="mix5",
-                           config=resolve_config("ddr5-4800"),
-                           legs=self._CYCLE_LEGS, cycles=1000, warmup=100)
-
-    def test_host_only_refresh_horizon(self):
-        """Long enough to cross tREFI: pins the vectorized REF scatter."""
-        _assert_equivalent(None, AccessMode.HOST_ONLY, mix="mix1",
-                           legs=self._CYCLE_LEGS, cycles=12000, warmup=0)
+            results[engine] = dataclasses.asdict(system.run(cycles=900))
+        assert results["event"] == results["cycle"], (
+            "event diverged across throttle flip")
 
 
 class TestEngineBehaviour:
@@ -443,8 +383,3 @@ class TestEngineBehaviour:
         with pytest.raises(ValueError):
             ChopimSystem(mode=AccessMode.HOST_ONLY, mix="mix8",
                          engine="warp")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            ChopimSystem(mode=AccessMode.HOST_ONLY, mix="mix8",
-                         backend="fortran")

@@ -1,0 +1,317 @@
+"""Micro-oracles for the fast path's shortcuts, each against its plain form.
+
+The system-level suites (engine equivalence, burst replay, snapshot fuzz)
+prove the event engine end-to-end; these localize a failure to the single
+shortcut that broke, on live simulator state reached by running real
+workloads:
+
+* **probe caches and the column fast probe** — every cached ACT/PRE/NDA
+  column horizon equals a fresh evaluation of the constraint law, and the
+  bucketed scan's host-column probe (``host_column_base`` + the bank's tRCD
+  horizon) equals ``earliest_issue_at``;
+* **bucketed scan** — ``FrFcfsScheduler._select_bucketed`` (one probe per
+  bank bucket and command class, plus the at-horizon prediction) picks what
+  the linear per-request FR-FCFS scan picks, and the controller's memoized
+  scan agrees with both;
+* **never-late wake** — no cycle before a channel's published wake (from
+  the idle probe, or refined after an issuing tick) holds an issuable
+  request, checked cycle by cycle with the linear scan;
+* **closed-form settlement** — ``settle_burst`` leaves the timing state the
+  per-command ``TimingEngine.issue`` replay of the same planned commands
+  leaves, for every plan class.
+"""
+
+import copy
+import random
+
+import pytest
+
+from repro.core.modes import AccessMode
+from repro.core.system import ChopimSystem
+from repro.dram.commands import Command, CommandType, DramAddress, RequestSource
+from repro.dram.timing import _BankTiming, _ChannelTiming, _RankTiming
+from repro.experiments.common import resolve_config
+from repro.memctrl.frfcfs import NO_EVENT
+from repro.nda.controller import PLAN_CLASSES
+from repro.nda.isa import NdaOpcode
+
+_HOST = RequestSource.HOST
+_NDA = RequestSource.NDA
+
+
+def _live_system(seed, extra_cycles=0):
+    """An event-engine system advanced to a seed-dependent live state."""
+    rng = random.Random(seed)
+    mode, mix, opcode = rng.choice([
+        (AccessMode.HOST_ONLY, "mix1", None),
+        (AccessMode.SHARED, "mix5", NdaOpcode.AXPY),
+        (AccessMode.BANK_PARTITIONED, "mix1", NdaOpcode.DOT),
+        (AccessMode.BANK_PARTITIONED, "mix5", NdaOpcode.COPY),
+        (AccessMode.RANK_PARTITIONED, "mix8", NdaOpcode.COPY),
+    ])
+    platform = rng.choice([None, "ddr4-3200", "lpddr4-3200", "ddr5-4800",
+                           "hbm2"])
+    system = ChopimSystem(
+        config=resolve_config(platform, rng.choice([1, 2]), 2),
+        mode=mode, mix=mix, engine="event")
+    if opcode is not None:
+        system.set_nda_workload(opcode, elements_per_rank=1 << 12)
+    system.run(cycles=rng.randrange(200, 900) + extra_cycles, warmup=0)
+    return system
+
+
+def _bank_addresses(system):
+    """One stamped address per bank of the system."""
+    org = system.dram.org
+    for channel in range(org.channels):
+        for rank in range(org.ranks_per_channel):
+            rank_index = channel * org.ranks_per_channel + rank
+            for group in range(org.bank_groups):
+                for bank in range(org.banks_per_group):
+                    bank_index = (rank_index * org.banks_per_rank
+                                  + group * org.banks_per_group + bank)
+                    yield DramAddress(channel, rank, group, bank, 0, 0,
+                                      rank_index, bank_index)
+
+
+def _check_probes(system):
+    """Diff every probe shortcut against the law on the current state;
+    returns how many probes were answered from a live cache entry."""
+    timing = system.dram.timing
+    now = system.now
+    caches = [
+        (CommandType.ACT, _HOST, timing._act_cache, timing._row_versions),
+        (CommandType.PRE, _HOST, timing._pre_cache, timing._row_versions),
+        (CommandType.RD, _NDA, timing._nda_rd_cache, timing._issue_versions),
+        (CommandType.WR, _NDA, timing._nda_wr_cache, timing._issue_versions),
+    ]
+    hits = 0
+    for addr in _bank_addresses(system):
+        bank = timing._banks[addr.bank_index]
+        # Probing at cycle 0 exposes the absolute horizons unclamped, so a
+        # term that only matters in the past still has to agree.
+        for at in (now, 0):
+            for is_read, kind in ((True, CommandType.RD),
+                                  (False, CommandType.WR)):
+                allowed = bank.rd_allowed if is_read else bank.wr_allowed
+                fast = max(at, allowed,
+                           timing.host_column_base(is_read, addr))
+                assert fast == timing.earliest_issue_at(kind, addr, _HOST,
+                                                        at), (kind, addr, at)
+        for kind, source, cache, versions in caches:
+            hits += cache[addr.bank_index][0] == versions[addr.rank_index]
+            probed = timing.earliest_issue_at(kind, addr, source, 0)
+            # Invalidate the entry: the probe re-derives it from the law.
+            cache[addr.bank_index] = (-1, 0)
+            fresh = timing.earliest_issue_at(kind, addr, source, 0)
+            assert probed == fresh, (kind, source, addr)
+    return hits
+
+
+class TestTimingProbes:
+    """Cached and fast probes vs the full constraint law, bank by bank."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_probes_match_uncached_law(self, seed):
+        system = _live_system(seed)
+        hits = _check_probes(system)
+        # Invalidated entries hold correct values, so the run continues
+        # exactly; later stops meet entries the simulation itself cached.
+        for _ in range(6):
+            system.run(cycles=97, warmup=0)
+            hits += _check_probes(system)
+        assert hits > 0, "no probe cache entry was live to check"
+
+
+def _compare_scans(system):
+    """Diff the bucketed scan against the linear scan on every queue;
+    returns how many non-empty queues were compared."""
+    compared = 0
+    now = system.now
+    for controller in system.channel_controllers.values():
+        scheduler = controller.scheduler
+        for queue in (controller.read_queue, controller.write_queue):
+            pick, horizon, future = scheduler._select_bucketed(queue, now)
+            linear, linear_horizon = scheduler.select_or_horizon(
+                list(queue), now)
+            assert (pick is None) == (linear is None)
+            memo, memo_horizon = controller._scan(queue, now)
+            assert (memo is None) == (pick is None)
+            if pick is not None:
+                for other in (linear, memo):
+                    assert other[0].request_id == pick[0].request_id
+                    assert other[1].kind is pick[1].kind
+                    assert other[1].addr == pick[1].addr
+            else:
+                assert horizon == linear_horizon == memo_horizon
+                assert (future is None) == (not queue)
+            if future is not None:
+                # Unchanged state: the linear scan at the horizon cycle picks
+                # the bucketed scan's prediction.
+                at_horizon, _ = scheduler.select_or_horizon(list(queue),
+                                                            horizon)
+                assert at_horizon is not None
+                assert at_horizon[0].request_id == future[0].request_id
+                assert at_horizon[1].kind is future[1].kind
+            compared += bool(queue)
+    return compared
+
+
+class TestBucketedScan:
+    """The bucketed scan vs the linear FR-FCFS scan on live queue state."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_scan_matches_linear_scheduler(self, seed):
+        system = _live_system(seed + 100)
+        compared = _compare_scans(system)
+        # March forward and re-compare, so the scan meets evolving queue
+        # and timing state.
+        for _ in range(6):
+            system.run(cycles=97, warmup=0)
+            compared += _compare_scans(system)
+        assert compared > 0, "scenario never produced a non-empty queue"
+
+    def test_empty_queue_reports_no_event(self):
+        system = ChopimSystem(config=resolve_config(None),
+                              mode=AccessMode.NDA_ONLY)
+        controller = system.channel_controllers[0]
+        pick, horizon, future = controller.scheduler._select_bucketed(
+            controller.read_queue, 0)
+        assert pick is None and future is None
+        assert horizon == NO_EVENT
+        assert controller.scheduler.select_or_horizon([], 0) == (None,
+                                                                 NO_EVENT)
+
+
+def _check_wakes(system, post_tick=False, window=4000):
+    """Assert no issuable request before each channel's wake; returns the
+    number of (channel, cycle) pairs checked.
+
+    ``post_tick`` ticks the channel at the stop cycle first (it may issue)
+    and checks the refined wake ``wake_after_tick`` publishes instead.
+    """
+    checked = 0
+    now = system.now
+    for channel, controller in system.channel_controllers.items():
+        if not (controller.read_queue or controller.write_queue):
+            continue
+        if post_tick:
+            controller.tick(now)
+            wake, first = controller.wake_after_tick(now), now + 1
+        else:
+            wake, first = controller.next_event_cycle(now), now
+        settler = controller.burst_settler
+        for cycle in range(first, min(wake, first + window)):
+            # The scan tick(cycle) would run sees every planned NDA command
+            # issued on earlier cycles.
+            if settler is not None:
+                settler(cycle)
+            for queue in (controller.read_queue, controller.write_queue):
+                choice, _ = controller.scheduler.select_or_horizon(
+                    list(queue), cycle)
+                assert choice is None, (
+                    f"channel {channel}: request {choice[0].request_id} "
+                    f"issuable at {cycle}, but the wake is {wake}")
+            checked += 1
+    return checked
+
+
+class TestWakeNeverLate:
+    """A channel's published wake is never after its first issuable cycle."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_no_issuable_cycle_before_the_wake(self, seed):
+        checked = 0
+        # Each stop point is a fresh deterministic run: the check settles
+        # plans ahead of the engine, so the system is not continued.
+        for extra in (0, 131, 262):
+            checked += _check_wakes(_live_system(seed + 200, extra))
+        assert checked > 0, "no channel slept with requests queued"
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_no_issuable_cycle_before_the_post_tick_wake(self, seed):
+        """The refinement after an issuing tick skips the dead cycles
+        behind the issued command (tRCD, CCD spacing), never a live one."""
+        checked = 0
+        for extra in (0, 131, 262):
+            checked += _check_wakes(_live_system(seed + 300, extra),
+                                    post_tick=True)
+        assert checked > 0, "no channel slept with requests queued"
+
+
+def _timing_dump(timing):
+    return {
+        tier: [{slot: copy.copy(getattr(state, slot))
+                for slot in cls.__slots__} for state in states]
+        for tier, cls, states in (
+            ("ranks", _RankTiming, timing._ranks),
+            ("banks", _BankTiming, timing._banks),
+            ("channels", _ChannelTiming, timing._channels))
+    }
+
+
+def _timing_load(timing, dump):
+    for tier, states in (("ranks", timing._ranks), ("banks", timing._banks),
+                         ("channels", timing._channels)):
+        for state, fields in zip(states, dump[tier]):
+            for slot, value in fields.items():
+                setattr(state, slot, copy.copy(value))
+
+
+def _live_plan(cls):
+    """A native hbm2 NDA-only COPY system stopped while some rank holds a
+    live ``cls`` plan with at least three commands still unsettled."""
+    system = ChopimSystem(config=resolve_config("hbm2"),
+                          mode=AccessMode.NDA_ONLY, mix=None,
+                          throttle="next_rank", engine="event")
+    system.set_nda_workload(NdaOpcode.COPY, elements_per_rank=1 << 13)
+    system.run(cycles=100, warmup=0)
+    for _ in range(600):
+        for controller in system.rank_controllers.values():
+            plan = controller._plan
+            if (plan is not None and plan.cls == cls
+                    and plan.count - plan.idx >= 3):
+                return system, controller
+        # Run boundaries settle but keep live plans.
+        system.run(cycles=5, warmup=0)
+    raise AssertionError(f"no live {cls} plan found")
+
+
+class TestSettlementReplay:
+    """``settle_burst`` == one ``TimingEngine.issue`` per planned command."""
+
+    @pytest.mark.parametrize("cls", PLAN_CLASSES)
+    def test_settlement_matches_per_command_issue(self, cls):
+        system, controller = _live_plan(cls)
+        timing = system.dram.timing
+        plan = controller._plan
+        settled = plan.idx
+        before = _timing_dump(timing)
+
+        # Commands at cycles strictly before ``upto`` are settled: the
+        # command at the boundary cycle itself is not, one cycle later it is.
+        controller.settle_burst(plan.start + (settled + 1) * plan.step)
+        assert plan.idx == settled + 1
+        controller.settle_burst(plan.start + (settled + 2) * plan.step + 1)
+        assert plan.idx == settled + 3
+        closed_form = _timing_dump(timing)
+
+        _timing_load(timing, before)
+        bank = plan.bank
+        addr = DramAddress(controller.channel, controller.rank,
+                           plan.bank_group, bank.bank, bank.open_row or 0, 0,
+                           controller._rank_index, plan.bank_index)
+        kind = CommandType.WR if plan.is_write else CommandType.RD
+        for index in range(settled, settled + 3):
+            timing.issue(Command(kind, addr, _NDA),
+                         plan.start + index * plan.step)
+        replayed = _timing_dump(timing)
+        mismatched = [
+            (tier, position, slot)
+            for tier, states in closed_form.items()
+            for position, fields in enumerate(states)
+            for slot, value in fields.items()
+            if replayed[tier][position][slot] != value]
+        assert not mismatched, (
+            f"{cls} settlement diverged from the per-command replay on "
+            f"{mismatched[:5]}")

@@ -3,12 +3,12 @@ snapshot/restore bit-exactness contract.
 
 The heart of the suite is :class:`TestSnapshotRestoreEquivalence`: over a
 seeded random sample of full system configurations (platform, geometry,
-mode, throttle, workload) and every engine/backend leg, a run that
-checkpoints mid-flight must produce a result identical — every field —
-to an uninterrupted run, and a fresh system restored from any of those
+mode, throttle, workload), both engines and the event engine with bursting
+off, a run that checkpoints
+mid-flight must produce a result identical — every field — to an
+uninterrupted run, and a fresh system restored from any of those
 checkpoints must finish to the same result.  This extends the repo's
-cycle == event == burst == kernel equivalence contract with
-"== checkpoint/restore".
+cycle == event == burst equivalence contract with "== checkpoint/restore".
 """
 
 import dataclasses
@@ -22,7 +22,6 @@ from repro.config import default_config
 from repro.core.modes import AccessMode
 from repro.core.system import ChopimSystem
 from repro.experiments.common import resolve_config
-from repro.kernel import kernel_available
 from repro.memctrl.request import set_request_id_watermark
 from repro.nda.isa import NdaOpcode, set_instruction_id_watermark
 from repro.nda.launch import set_operation_id_watermark
@@ -40,10 +39,6 @@ from repro.snapshot import (
     snapshot_system,
     write_snapshot,
 )
-
-_LEGS = [("cycle", "python"), ("event", "python")]
-if kernel_available():
-    _LEGS.append(("event", "kernel"))
 
 
 def _reset_watermarks():
@@ -154,10 +149,16 @@ class TestEnvelope:
             loads(json.dumps(envelope))
 
     def test_rejects_unknown_version(self):
-        envelope = json.loads(dumps(self.PAYLOAD))
-        envelope["version"] = SCHEMA_VERSION + 1
-        with pytest.raises(SnapshotVersionError):
-            loads(json.dumps(envelope))
+        # 3 is the last format that recorded the removed kernel backend's
+        # build fields; it is refused like any other foreign version, and
+        # the error names both the file's version and the expected one.
+        for version in (3, SCHEMA_VERSION + 1):
+            envelope = json.loads(dumps(self.PAYLOAD))
+            envelope["version"] = version
+            with pytest.raises(SnapshotVersionError,
+                               match=rf"version {version}\b.*expected "
+                                     rf"{SCHEMA_VERSION}\b"):
+                loads(json.dumps(envelope))
 
     def test_rejects_flipped_bit(self):
         envelope = json.loads(dumps(self.PAYLOAD))
@@ -235,7 +236,7 @@ _CYCLES = 700
 _EVERY = 250  # three chunks: two mid-run checkpoints per leg
 
 
-def _build_spec(spec, engine, backend):
+def _build_spec(spec, engine):
     _reset_watermarks()
     mode = spec["mode"]
     system = ChopimSystem(
@@ -245,7 +246,7 @@ def _build_spec(spec, engine, backend):
         mix=spec["mix"] if mode.has_host_traffic else None,
         throttle=spec["throttle"],
         stochastic_probability=spec["probability"],
-        engine=engine, backend=backend)
+        engine=engine)
     if mode.has_nda_traffic:
         kwargs = {}
         if spec["opcode"] is NdaOpcode.GEMV:
@@ -258,19 +259,26 @@ def _build_spec(spec, engine, backend):
 class TestSnapshotRestoreEquivalence:
     """checkpointed run == uninterrupted run == restored-and-finished run."""
 
-    @pytest.mark.parametrize("engine,backend", _LEGS,
-                             ids=[f"{e}-{b}" for e, b in _LEGS])
+    @pytest.mark.parametrize("leg", ["cycle", "event", "event-noburst"])
     @pytest.mark.parametrize("index", range(len(_SPECS)))
-    def test_fuzzed_config(self, index, engine, backend):
+    def test_fuzzed_config(self, index, leg, monkeypatch):
+        # ``event-noburst`` is the fast path with REPRO_DISABLE_BURST=1; the
+        # variable stays set through restore, which refuses a burst-mode
+        # mismatch.
+        if leg == "event-noburst":
+            monkeypatch.setenv("REPRO_DISABLE_BURST", "1")
+        else:
+            monkeypatch.delenv("REPRO_DISABLE_BURST", raising=False)
+        engine = leg.split("-")[0]
         spec = _SPECS[index]
 
         baseline = dataclasses.asdict(
-            _build_spec(spec, engine, backend).run(
+            _build_spec(spec, engine).run(
                 cycles=_CYCLES, warmup=spec["warmup"]))
 
         texts = []
         chunked = dataclasses.asdict(
-            _build_spec(spec, engine, backend).run(
+            _build_spec(spec, engine).run(
                 cycles=_CYCLES, warmup=spec["warmup"],
                 checkpoint_hook=lambda s: texts.append(
                     dumps(snapshot_system(s))),
@@ -288,18 +296,29 @@ class TestSnapshotRestoreEquivalence:
             assert not mismatched, (
                 f"restored run diverged on {mismatched[:3]}")
 
-    @pytest.mark.parametrize("backend", [b for e, b in _LEGS
-                                         if e == "event"])
-    def test_checkpoint_inside_live_drain_run_plan(self, backend):
+    #: (platform, channels, ranks, mode, mix): the perf ledger's two write
+    #: shapes — native hbm2 without host traffic, and DDR4 2x4 colocated
+    #: with one NDA bank per rank (operand and output share it).
+    _DRAIN_RUN_SHAPES = {
+        "nda_only_hbm2": ("hbm2", None, None, AccessMode.NDA_ONLY, None),
+        "colo_write": ("ddr4-2400", 2, 4, AccessMode.BANK_PARTITIONED,
+                       "mix1"),
+    }
+
+    @pytest.mark.parametrize("shape", list(_DRAIN_RUN_SHAPES))
+    def test_checkpoint_inside_live_drain_run_plan(self, shape,
+                                                   monkeypatch):
         """A checkpoint that lands between two planned WRs of a
         mid-instruction drain-run plan: the plan is settled-and-cancelled
         at the safe point and the resumed run re-plans the rest."""
+        monkeypatch.delenv("REPRO_DISABLE_BURST", raising=False)
+        platform, channels, ranks, mode, mix = self._DRAIN_RUN_SHAPES[shape]
+
         def build():
             _reset_watermarks()
-            system = ChopimSystem(config=resolve_config("hbm2"),
-                                  mode=AccessMode.NDA_ONLY, mix=None,
-                                  throttle="next_rank", engine="event",
-                                  backend=backend)
+            system = ChopimSystem(
+                config=resolve_config(platform, channels, ranks),
+                mode=mode, mix=mix, throttle="next_rank", engine="event")
             system.set_nda_workload(NdaOpcode.COPY,
                                     elements_per_rank=1 << 13)
             return system

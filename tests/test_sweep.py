@@ -84,12 +84,12 @@ class TestSweepCache:
         retargeted = SweepTask("m", "f", {"value": 1}).cache_key()
         assert default != retargeted
 
-    def test_cache_key_distinguishes_backend_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    def test_cache_key_distinguishes_burst_env(self, monkeypatch):
+        monkeypatch.delenv("REPRO_DISABLE_BURST", raising=False)
         default = SweepTask("m", "f", {"value": 1}).cache_key()
-        monkeypatch.setenv("REPRO_BACKEND", "kernel")
-        kernel = SweepTask("m", "f", {"value": 1}).cache_key()
-        assert default != kernel
+        monkeypatch.setenv("REPRO_DISABLE_BURST", "1")
+        per_cycle = SweepTask("m", "f", {"value": 1}).cache_key()
+        assert default != per_cycle
 
     def test_cache_key_distinguishes_code_version(self):
         base = SweepTask("m", "f", {"value": 1})
@@ -100,10 +100,9 @@ class TestSweepCache:
 
     def test_stale_rows_not_replayed_across_environment(self, tmp_path,
                                                         monkeypatch):
-        # A row cached under one platform/backend must not satisfy a sweep
-        # run under another: the same params hash to a different key.
+        # A row cached under one platform must not satisfy a sweep run
+        # under another: the same params hash to a different key.
         monkeypatch.delenv("REPRO_PLATFORM", raising=False)
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         run_sweep(_double, [{"value": 4}], cache_dir=tmp_path)
         assert len(list(tmp_path.glob("*.json"))) == 1
         monkeypatch.setenv("REPRO_PLATFORM", "ddr5-4800")

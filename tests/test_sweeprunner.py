@@ -357,7 +357,6 @@ class TestSpawnKeyDerivation:
 
     def test_spawn_worker_derives_identical_keys(self, monkeypatch):
         monkeypatch.setenv("REPRO_PLATFORM", "hbm2")
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         local = describe_key_derivation({"value": 11})
         ctx = multiprocessing.get_context("spawn")
         with ctx.Pool(1) as pool:
