@@ -74,11 +74,6 @@ class DramAddress(_DramAddressBase):
 
     __slots__ = ()
 
-    @property
-    def flat_bank(self) -> int:
-        """Bank index within the rank, flattened over bank groups."""
-        return self.bank_group * 4 + self.bank
-
     def with_column(self, column: int) -> "DramAddress":
         # Column changes keep the bank identity, so stamps stay valid.
         return self._make((self.channel, self.rank, self.bank_group, self.bank,

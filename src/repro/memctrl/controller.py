@@ -185,10 +185,6 @@ class ChannelController:
             return None
         return oldest.addr.rank
 
-    def pending_requests_for_rank(self, rank: int) -> int:
-        return (self.read_queue.count_for_rank(rank)
-                + self.write_queue.count_for_rank(rank))
-
     def pending_to_bank(self, rank: int, bank_group: int, bank: int) -> bool:
         """Whether either queue holds a request for the given bank (O(1))."""
         return (self.read_queue.has_bank(rank, bank_group, bank)

@@ -49,15 +49,6 @@ class FrFcfsScheduler:
         self._host_column_base = dram.timing.host_column_base
         self._bank_timings = dram.timing._banks
 
-    def next_command_for(self, request: MemoryRequest,
-                         now: int) -> Optional[Command]:
-        """The next command required by ``request`` if issuable now, else None."""
-        kind = self.dram.required_command(request.addr, request.is_write)
-        if self.dram.can_issue_at(kind, request.addr, RequestSource.HOST, now):
-            return Command(kind, request.addr, RequestSource.HOST,
-                           request_id=request.request_id)
-        return None
-
     def select(self, requests: Iterable[MemoryRequest],
                now: int) -> Optional[Tuple[MemoryRequest, Command]]:
         """Pick (request, command) per FR-FCFS, or None if nothing can issue."""

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.dram.commands import DramAddress
 
@@ -99,9 +99,8 @@ class RequestQueue:
     iteration remains exactly arrival order while removal is O(1) amortized
     (the old list representation paid an O(n) ``list.remove`` per issued
     command).  Per-bank buckets (same dict trick, same order) serve the
-    bank-local queries — ``find_same_bank``, ``find_write_to``,
-    ``has_bank`` — without scanning the whole queue, and a per-rank counter
-    serves rank-occupancy queries in O(1).
+    bank-local queries — ``find_write_to``, ``has_bank`` and the FR-FCFS
+    scan's ``bank_buckets`` — without scanning the whole queue.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -110,7 +109,6 @@ class RequestQueue:
         self.capacity = capacity
         self._entries: Dict[int, MemoryRequest] = {}
         self._by_bank: Dict[_BankKey, Dict[int, MemoryRequest]] = {}
-        self._rank_counts: Dict[int, int] = {}
         self._next_seq = 0
         #: Bumped on every push/remove; scan results memoized against it.
         self.version = 0
@@ -128,10 +126,6 @@ class RequestQueue:
     def full(self) -> bool:
         return len(self._entries) >= self.capacity
 
-    @property
-    def occupancy(self) -> float:
-        return len(self._entries) / self.capacity
-
     def push(self, request: MemoryRequest) -> bool:
         """Append a request; returns False (and drops nothing) when full."""
         if self.full:
@@ -146,7 +140,6 @@ class RequestQueue:
         if bucket is None:
             bucket = self._by_bank[key] = {}
         bucket[request.request_id] = request
-        self._rank_counts[addr.rank] = self._rank_counts.get(addr.rank, 0) + 1
         return True
 
     def remove(self, request: MemoryRequest) -> None:
@@ -161,19 +154,9 @@ class RequestQueue:
         del bucket[request_id]
         if not bucket:
             del self._by_bank[key]
-        count = self._rank_counts[addr.rank] - 1
-        if count:
-            self._rank_counts[addr.rank] = count
-        else:
-            del self._rank_counts[addr.rank]
 
     def oldest(self) -> Optional[MemoryRequest]:
         return next(iter(self._entries.values()), None)
-
-    def find_same_bank(self, addr: DramAddress) -> List[MemoryRequest]:
-        """Requests targeting the same bank as ``addr`` (row-policy decisions)."""
-        bucket = self._by_bank.get(_bank_key(addr))
-        return list(bucket.values()) if bucket else []
 
     def find_write_to(self, addr: DramAddress) -> Optional[MemoryRequest]:
         """A queued write to the same cache line (read forwarding), if any."""
@@ -199,7 +182,3 @@ class RequestQueue:
     def has_bank(self, rank: int, bank_group: int, bank: int) -> bool:
         """Whether any queued request targets the given bank (O(1))."""
         return (rank, bank_group, bank) in self._by_bank
-
-    def count_for_rank(self, rank: int) -> int:
-        """Number of queued requests targeting ``rank`` (O(1))."""
-        return self._rank_counts.get(rank, 0)

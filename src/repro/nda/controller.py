@@ -141,14 +141,14 @@ class _ExecutionState:
         self.num_operands = max(1, len(work.operand_banks))
         per_operand = (self.total_read_columns + self.num_operands - 1) // self.num_operands
         self.columns_per_operand = max(1, per_operand)
-        # Memo of write_stage_allowed keyed on its inputs: the predicate is
-        # probed every cycle per rank but its inputs only move on progress.
-        self._stage_memo = (-1, -1, False)
-        # Decoded target of the next read access, keyed by the read cursor:
-        # recomputed only when the cursor moves; blocked attempts and wake
-        # probes reuse the immutable address.
+        # Decoded targets of the next read access and of the next drain (the
+        # write buffer's head), keyed by their cursors: recomputed only when
+        # a cursor moves; blocked attempts and wake probes reuse the
+        # immutable address.
         self._read_addr_idx = -1
         self._read_addr: Optional[DramAddress] = None
+        self._drain_addr_idx = -1
+        self._drain_addr: Optional[DramAddress] = None
 
     # -- reads ------------------------------------------------------------ #
 
@@ -184,36 +184,39 @@ class _ExecutionState:
     def writes_done(self) -> bool:
         return self.writes_drained >= self.total_write_columns
 
-    def next_write(self) -> Tuple[int, int, int]:
-        idx = self.writes_staged
+    def next_drain(self) -> Tuple[int, int, int]:
+        """(flat bank, row, column) of the write buffer's head: it holds
+        exactly writes ``[writes_drained, writes_staged)``, in order."""
+        idx = self.writes_drained
         column = idx % self.columns_per_row
         row_offset = idx // self.columns_per_row
         bank = self.work.output_bank if self.work.output_bank is not None else 0
         base_row = self.work.output_base_row or 0
         return bank, base_row + row_offset, column
 
-    def advance_write_staged(self) -> None:
-        self.writes_staged += 1
-
-    def advance_write_drained(self) -> None:
-        self.writes_drained += 1
-
     @property
     def complete(self) -> bool:
         return self.reads_done and self.writes_done
 
-    def write_stage_allowed(self) -> bool:
-        """Results may only be staged for data that has been read (pipelined)."""
-        if self.total_write_columns == 0:
-            return False
-        memo = self._stage_memo
-        if memo[0] == self.reads_issued and memo[1] == self.writes_staged:
-            return memo[2]
-        read_progress = self.reads_issued / max(1, self.total_read_columns)
-        write_progress = self.writes_staged / max(1, self.total_write_columns)
-        allowed = write_progress < read_progress or self.reads_done
-        self._stage_memo = (self.reads_issued, self.writes_staged, allowed)
-        return allowed
+    def stage_frontier(self, capacity: int) -> int:
+        """Writes staged once staging has caught up.
+
+        Results may only be staged for data that has been read (pipelined)
+        and into a free slot: until reads are done, write ``w`` waits for
+        ``w / total_writes < reads_issued / total_reads`` — in integers
+        ``w < ceil(reads_issued * total_writes / total_reads)``, the same
+        verdict for totals below 2**26.
+        """
+        frontier = self.writes_drained + capacity
+        total = self.total_write_columns
+        if frontier > total:
+            frontier = total
+        reads = self.total_read_columns
+        if self.reads_issued < reads:
+            allowed = -(-self.reads_issued * total // reads)
+            if allowed < frontier:
+                frontier = allowed
+        return frontier
 
 
 class NdaRankController:
@@ -453,7 +456,7 @@ class NdaRankController:
             if not throttle.deterministic:
                 return  # every host-free cycle draws RNG
             decision = throttle.would_allow(channel, rank, now + 1)
-            head = wb._entries[0]
+            head = self._next_drain_addr(state)
             wkind, wearliest = self._required_earliest(head, True, now + 1)
             if decision and wkind is CommandType.WR:
                 write_at = horizon(channel, rank, wearliest)
@@ -475,28 +478,24 @@ class NdaRankController:
                 row_bank = self._flat_bank(raddr)
                 gap = self._row_gap(raddr, rearliest, head.bank_index,
                                     write_at, self._wr_pushes_pre)
-            entries = wb._entries
             # Exclude any pop that would cross the low watermark (drain-
             # phase exit) — with reads done, at least the final drain
             # (completion detection).  Staging stalled on a full buffer
-            # refills it pop for pop (replayed in bulk at accounting), which
+            # refills it pop for pop (applied in bulk at accounting), which
             # only moves the crossing later.
-            limit = len(entries) - wb.drain_low_len - 1
+            limit = wb.length - wb.drain_low_len - 1
             if limit < 2:
                 return
-            addr = head
-            bank_index = addr.bank_index
-            row = addr.row
-            count = 1
-            nxt = entries[1]
-            while (count < limit and nxt.bank_index == bank_index
-                   and nxt.row == row):
-                count += 1
-                nxt = entries[count]
+            # The buffered writes are consecutive output columns, so the
+            # head's same-row run is the rest of its row.
+            batch_cols = state.columns_per_row
+            run = batch_cols - state.writes_drained % batch_cols
+            count = run if run < limit else limit
             # Row change after the planned run -> a row command follows;
             # otherwise another drain, a column command at exactly one
             # cadence step past the plan.
-            row_end = nxt.bank_index != bank_index or nxt.row != row
+            row_end = count == run
+            addr = head
             start = write_at
             is_write = True
             stages = not state.writes_all_staged
@@ -549,9 +548,9 @@ class NdaRankController:
                 count = window_cap
                 row_end = False  # the stream resumes past the host window
         if stages and not drain_pending:
-            bound, flipped = self._read_plan_stage_bound(state, count)
-            if flipped:
-                count = bound
+            flip = self._stage_flip(state)
+            if flip <= count:
+                count = flip
                 # Drains gain priority right after the flip (and, under a
                 # stochastic throttle, start drawing RNG every host-free
                 # cycle): resume per-cycle processing immediately.
@@ -628,31 +627,27 @@ class NdaRankController:
             return gap
         return _NO_EVENT if pushes_pre and gap > start else 0
 
-    def _read_plan_stage_bound(self, state: _ExecutionState,
-                               count: int) -> Tuple[int, bool]:
-        """Truncate a read plan at the first drain-phase flip.
+    def _stage_flip(self, state: _ExecutionState) -> int:
+        """Reads, from now, until staging enters the drain phase (a read
+        plan's last command: drains gain priority right after it).
 
-        Replays the per-cycle staging trajectory (the exact float
-        comparisons of ``write_stage_allowed`` and the buffer watermarks)
-        without mutating state: once a staged push crosses the drain-high
-        watermark, drains gain priority on the following cycle, so the
-        flipping read must be the plan's last command.  Returns
-        ``(command bound, flipped)``.
+        The flip is the push of write ``target``: the first to reach length
+        ``drain_high_len``, or the next one if the buffer already holds that
+        many (coinciding watermarks).  The frontier reaches it once
+        ``ceil(reads * total_writes / total_reads) >= target``.
+        ``_NO_EVENT`` when writes or capacity stop staging short of it.
         """
-        tw = state.total_write_columns
-        tr = max(1, state.total_read_columns)
-        w = state.writes_staged
+        wb = self.write_buffer
         drained = state.writes_drained
-        cap = self.write_buffer.capacity
-        flip_len = self.write_buffer.drain_high_len
-        r = state.reads_issued
-        for k in range(1, count + 1):
-            rr = r + k
-            while w < tw and (w / tw < rr / tr) and (w - drained) < cap:
-                w += 1
-                if (w - drained) >= flip_len:
-                    return k, True
-        return count, False
+        target = drained + wb.drain_high_len
+        if target <= state.writes_staged:
+            target = state.writes_staged + 1
+        writes = state.total_write_columns
+        if target > writes or target > drained + wb.capacity:
+            return _NO_EVENT
+        reads = (target - 1) * state.total_read_columns // writes + 1
+        flip = reads - state.reads_issued
+        return flip if flip > 1 else 1
 
     def settle_burst(self, upto: int) -> None:
         """Apply the timing effects of commands at cycles before ``upto``.
@@ -713,9 +708,10 @@ class NdaRankController:
     def _account_burst(self, plan: _BurstPlan) -> None:
         """Apply the deferred accounting for the plan's settled commands.
 
-        Counters and FSM transitions are additive and staging's fixed point
-        depends only on the final read cursor, so one bulk application per
-        plan boundary is state-identical to per-command application.
+        Counters and FSM transitions are additive and the staging frontier
+        depends only on the final read and drain cursors, so one bulk
+        application per plan boundary — O(1), however many commands it
+        covers — is state-identical to per-command application.
         """
         done = plan.acc_idx
         dj = plan.idx - done
@@ -737,7 +733,7 @@ class NdaRankController:
             bank.nda_writes += classified
             counts.nda_writes += dj
             self.bytes_written += dj * cacheline
-            self.write_buffer.pop_bulk(dj)
+            self.write_buffer.pop(dj)
             state.writes_drained += dj
             state.write_classified_idx = state.writes_drained - 1
             self.fsm.apply_bulk("write_drained", dj)
@@ -969,6 +965,16 @@ class NdaRankController:
         state._read_addr = addr
         return addr
 
+    def _next_drain_addr(self, state: _ExecutionState) -> DramAddress:
+        idx = state.writes_drained
+        if state._drain_addr_idx == idx:
+            return state._drain_addr
+        bank, row, column = state.next_drain()
+        addr = self._addr(bank, row, column)
+        state._drain_addr_idx = idx
+        state._drain_addr = addr
+        return addr
+
     def _try_read(self, now: int, state: _ExecutionState) -> bool:
         addr = self._next_read_addr(state)
         classify = state.reads_issued > state.read_classified_idx
@@ -986,26 +992,22 @@ class NdaRankController:
         return False
 
     def _stage_writes(self, state: _ExecutionState) -> None:
-        while (not state.writes_all_staged and state.write_stage_allowed()
-               and not self.write_buffer.full):
-            bank, row, column = state.next_write()
-            if self.write_buffer.push(self._addr(bank, row, column)):
-                state.advance_write_staged()
-                self.fsm.apply("write_buffered")
-            else:  # pragma: no cover - full buffer already checked
-                break
-        if state.reads_done and not self.write_buffer.empty:
-            if not self.write_buffer.draining:
-                self.write_buffer.force_drain()
-                self.fsm.apply("drain_start")
+        """Stage every result write the staging frontier allows, at once."""
+        wb = self.write_buffer
+        count = state.stage_frontier(wb.capacity) - state.writes_staged
+        if count > 0:
+            wb.push(count)
+            state.writes_staged += count
+            self.fsm.apply_bulk("write_buffered", count)
+        if state.reads_done and wb.length and not wb.draining:
+            wb.force_drain()
+            self.fsm.apply("drain_start")
 
     def _try_drain_write(self, now: int, state: _ExecutionState) -> bool:
-        addr = self.write_buffer.peek()
-        if addr is None:
-            return False
         if not self.throttle.allow_write(self.channel, self.rank, now):
             self.cycles_blocked_by_throttle += 1
             return False
+        addr = self._next_drain_addr(state)
         classify = state.writes_drained > state.write_classified_idx
         issued = self._issue_toward(addr, is_write=True, now=now,
                                     classify=classify)
@@ -1015,7 +1017,7 @@ class NdaRankController:
             state.write_classified_idx = state.writes_drained
         if issued.is_column:
             self.write_buffer.pop()
-            state.advance_write_drained()
+            state.writes_drained += 1
             self.bytes_written += self.dram.org.cacheline_bytes
             self.fsm.apply("write_drained")
             return True
@@ -1097,7 +1099,7 @@ class NdaRankController:
             if not self.throttle.deterministic:
                 wake = self._issue_horizon(self.channel, self.rank, now)
             elif self.throttle.would_allow(self.channel, self.rank, now):
-                addr = self.write_buffer.peek()
+                addr = self._next_drain_addr(state)
                 kind, earliest = self._required_earliest(addr, True, now)
                 if kind.is_row and self._host_wants_bank(addr):
                     # Blocked on the host queue: poll at each opportunity.

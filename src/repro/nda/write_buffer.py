@@ -6,18 +6,20 @@ what produces the read/write-turnaround interference with host reads that the
 throttling mechanisms of Section III-B manage, so buffer occupancy and drain
 phases are modelled explicitly and mirrored by the replicated FSM
 (Section III-D).
+
+The buffer always holds a contiguous, in-order run of the active
+instruction's result writes — those staged but not yet drained — so it is
+kept as that index window's length: the entries' addresses follow from the
+owner's drain cursor (``NdaRankController`` derives the head address).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Optional, Tuple
-
-from repro.dram.commands import DramAddress
+from typing import Tuple
 
 
 class NdaWriteBuffer:
-    """Bounded FIFO of pending NDA write transactions for one rank."""
+    """Occupancy and drain phase of one rank's FIFO of pending NDA writes."""
 
     def __init__(self, capacity: int = 128,
                  drain_high_watermark: float = 0.5,
@@ -31,36 +33,28 @@ class NdaWriteBuffer:
         self.drain_low_watermark = drain_low_watermark
         #: The watermarks as integer occupancies — the smallest length at
         #: which a push enters the drain phase and the largest at which a
-        #: pop leaves it — found with the float comparisons :meth:`push` and
-        #: :meth:`pop` make, so burst plans predict both flips bit-exactly.
+        #: pop leaves it — found with float ``length / capacity``
+        #: comparisons, so bulk pushes/pops and burst plans flip the phase
+        #: bit-exactly.
         self.drain_high_len = next(
             (k for k in range(capacity + 1)
              if k / capacity >= drain_high_watermark), capacity + 1)
         self.drain_low_len = max(
             (k for k in range(capacity + 1)
              if k / capacity <= drain_low_watermark), default=0)
-        self._entries: Deque[DramAddress] = deque()
+        self.length = 0
         self._draining = False
         self.total_enqueued = 0
         self.total_drained = 0
-        self.stall_cycles = 0
 
     # ------------------------------------------------------------------ #
 
     def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def occupancy(self) -> float:
-        return len(self._entries) / self.capacity
-
-    @property
-    def full(self) -> bool:
-        return len(self._entries) >= self.capacity
+        return self.length
 
     @property
     def empty(self) -> bool:
-        return not self._entries
+        return not self.length
 
     @property
     def draining(self) -> bool:
@@ -69,53 +63,41 @@ class NdaWriteBuffer:
 
     # ------------------------------------------------------------------ #
 
-    def push(self, addr: DramAddress) -> bool:
-        """Stage a write; returns False when the buffer is full (PE stalls)."""
-        if self.full:
-            self.stall_cycles += 1
-            return False
-        self._entries.append(addr)
-        self.total_enqueued += 1
-        if self.occupancy >= self.drain_high_watermark:
-            self._draining = True
-        return True
+    def push(self, count: int = 1) -> None:
+        """Stage ``count`` writes (the PE stalls rather than overfill).
 
-    def peek(self) -> Optional[DramAddress]:
-        return self._entries[0] if self._entries else None
-
-    def pop(self) -> DramAddress:
-        if not self._entries:
-            raise IndexError("write buffer is empty")
-        addr = self._entries.popleft()
-        self.total_drained += 1
-        if self.occupancy <= self.drain_low_watermark:
-            self._draining = False
-        return addr
-
-    def pop_bulk(self, count: int) -> None:
-        """Drain ``count`` entries in one step (burst-issue settlement).
-
-        State-identical to ``count`` :meth:`pop` calls; the caller has
-        already consumed the popped addresses via :meth:`peek`/iteration
-        (burst plans snapshot the address run up front).  The low-watermark
-        check runs once on the final occupancy — intermediate occupancies
-        are strictly higher, so no drain-phase exit is skipped.
+        Lengths only grow while pushing, so the drain-phase entry is checked
+        once, on the final length: state-identical to ``count`` single
+        pushes.
         """
-        if count <= 0:
-            return
-        if count > len(self._entries):
-            raise IndexError("pop_bulk beyond buffer occupancy")
-        for _ in range(count):
-            self._entries.popleft()
+        length = self.length + count
+        if length > self.capacity:
+            raise IndexError("push beyond buffer capacity")
+        self.length = length
+        self.total_enqueued += count
+        if length >= self.drain_high_len:
+            self._draining = True
+
+    def pop(self, count: int = 1) -> None:
+        """Drain ``count`` writes (one subtraction, however many).
+
+        Lengths only shrink while popping, so the drain-phase exit is
+        checked once, on the final length: state-identical to ``count``
+        single pops.
+        """
+        length = self.length - count
+        if length < 0:
+            raise IndexError("pop beyond buffer occupancy")
+        self.length = length
         self.total_drained += count
-        if self.occupancy <= self.drain_low_watermark:
+        if length <= self.drain_low_len:
             self._draining = False
 
     def force_drain(self) -> None:
         """Enter the drain phase regardless of occupancy (end of instruction)."""
-        if self._entries:
+        if self.length:
             self._draining = True
 
     def state_tuple(self) -> Tuple[int, bool]:
         """(occupancy, draining) — the state mirrored by the replicated FSM."""
-        return (len(self._entries), self._draining)
+        return (self.length, self._draining)

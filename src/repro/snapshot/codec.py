@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any, Union
 
 MAGIC = "repro-snapshot"
-SCHEMA_VERSION = 4  # v4: build record drops the kernel backend's two fields
+SCHEMA_VERSION = 5  # v5: the NDA write buffer is its occupancy, not entries
 
 _TAG = "__t"
 

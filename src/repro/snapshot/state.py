@@ -368,12 +368,13 @@ def snapshot_system(system) -> Dict[str, Any]:
         state = {
             "queue": [_work_state(work) for work in rc._queue],
             "active": active,
+            # The entries' addresses follow from the active instruction's
+            # drain cursor; the buffer itself is its occupancy.
             "write_buffer": {
-                "entries": [tuple(addr) for addr in wb._entries],
+                "length": wb.length,
                 "draining": wb._draining,
                 "total_enqueued": wb.total_enqueued,
                 "total_drained": wb.total_drained,
-                "stall_cycles": wb.stall_cycles,
             },
             "fsm": {
                 "device": {f: getattr(fsm._device, f) for f in _FSM_FIELDS},
@@ -824,12 +825,10 @@ def restore_system(payload: Dict[str, Any]):
             rc._active = exec_state
         wb_state = state["write_buffer"]
         wb = rc.write_buffer
-        wb._entries = deque(DramAddress._make(addr)
-                            for addr in wb_state["entries"])
+        wb.length = wb_state["length"]
         wb._draining = wb_state["draining"]
         wb.total_enqueued = wb_state["total_enqueued"]
         wb.total_drained = wb_state["total_drained"]
-        wb.stall_cycles = wb_state["stall_cycles"]
         fsm_state = state["fsm"]
         for field in _FSM_FIELDS:
             setattr(rc.fsm._device, field, fsm_state["device"][field])

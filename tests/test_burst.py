@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from repro.config import scaled_config
 from repro.core.modes import AccessMode
 from repro.core.system import ChopimSystem
-from repro.dram.commands import DramAddress
 from repro.dram.timing import _BankTiming, _ChannelTiming, _RankTiming
 from repro.experiments.common import build_system, resolve_config
 from repro.nda.controller import PLAN_CLASSES
@@ -672,26 +671,29 @@ class TestBulkPrimitives:
             fsm.apply_bulk("launch", 3)
 
     def test_write_buffer_pop_bulk_matches_loop(self):
-        def fill(buffer, count):
-            for i in range(count):
-                buffer.push(DramAddress(0, 0, 0, 0, 0, i))
-
-        bulk = NdaWriteBuffer(16, drain_high_watermark=0.5,
-                              drain_low_watermark=0.125)
-        loop = NdaWriteBuffer(16, drain_high_watermark=0.5,
-                              drain_low_watermark=0.125)
-        fill(bulk, 10)
-        fill(loop, 10)
-        assert bulk.draining and loop.draining
-        for _ in range(6):
-            loop.pop()
-        bulk.pop_bulk(6)
-        assert bulk.state_tuple() == loop.state_tuple()
-        assert bulk.total_drained == loop.total_drained
-        assert list(bulk._entries) == list(loop._entries)
+        """One bulk push/pop == that many single ones, including the
+        drain-phase entry and exit (or not, short of the low watermark)."""
+        for low, pops in ((0.125, 6), (0.5, 1), (0.5, 3)):
+            bulk = NdaWriteBuffer(16, drain_high_watermark=0.5,
+                                  drain_low_watermark=low)
+            loop = NdaWriteBuffer(16, drain_high_watermark=0.5,
+                                  drain_low_watermark=low)
+            bulk.push(10)
+            for _ in range(10):
+                loop.push()
+            assert bulk.draining and loop.draining
+            for _ in range(pops):
+                loop.pop()
+            bulk.pop(pops)
+            assert bulk.state_tuple() == loop.state_tuple()
+            assert bulk.total_enqueued == loop.total_enqueued == 10
+            assert bulk.total_drained == loop.total_drained == pops
 
     def test_write_buffer_pop_bulk_bounds(self):
         buffer = NdaWriteBuffer(4)
-        buffer.push(DramAddress(0, 0, 0, 0, 0, 0))
+        buffer.push()
         with pytest.raises(IndexError):
-            buffer.pop_bulk(2)
+            buffer.pop(2)
+        with pytest.raises(IndexError):
+            buffer.push(4)
+        assert buffer.state_tuple() == (1, False)

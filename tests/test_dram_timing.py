@@ -40,9 +40,6 @@ class TestCommandTypes:
         assert CommandType.ACT.is_row and CommandType.PRE.is_row
         assert not CommandType.RD.is_row
 
-    def test_dram_address_flat_bank(self):
-        assert addr(bg=2, bank=3).flat_bank == 11
-
     def test_dram_address_same_bank(self):
         assert addr(row=1).same_bank(addr(row=9))
         assert not addr(bank=1).same_bank(addr(bank=2))

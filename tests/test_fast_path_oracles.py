@@ -18,22 +18,36 @@ workloads:
   request, checked cycle by cycle with the linear scan;
 * **closed-form settlement** — ``settle_burst`` leaves the timing state the
   per-command ``TimingEngine.issue`` replay of the same planned commands
-  leaves, for every plan class.
+  leaves, for every plan class;
+* **staging window** — the write buffer's integer staging frontier and a
+  read plan's drain-flip index equal the per-write float loop they replaced,
+  on drawn buffer states and on live ones.
 """
 
 import copy
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.config import DramOrgConfig, DramTimingConfig
 from repro.core.modes import AccessMode
 from repro.core.system import ChopimSystem
 from repro.dram.commands import Command, CommandType, DramAddress, RequestSource
+from repro.dram.device import DramSystem
 from repro.dram.timing import _BankTiming, _ChannelTiming, _RankTiming
 from repro.experiments.common import resolve_config
 from repro.memctrl.frfcfs import NO_EVENT
-from repro.nda.controller import PLAN_CLASSES
-from repro.nda.isa import NdaOpcode
+from repro.nda.controller import (
+    PLAN_CLASSES,
+    NdaRankController,
+    RankWorkItem,
+    _ExecutionState,
+    _NO_EVENT,
+)
+from repro.nda.isa import NdaInstruction, NdaOpcode
+from repro.nda.write_buffer import NdaWriteBuffer
 
 _HOST = RequestSource.HOST
 _NDA = RequestSource.NDA
@@ -315,3 +329,164 @@ class TestSettlementReplay:
         assert not mismatched, (
             f"{cls} settlement diverged from the per-command replay on "
             f"{mismatched[:5]}")
+
+
+# The per-write staging loop the closed forms replaced, kept verbatim as the
+# plain form: one float progress comparison and one float watermark check
+# per staged write.
+
+def _plain_stage_allowed(reads, total_reads, staged, total_writes):
+    if total_writes == 0:
+        return False
+    read_progress = reads / max(1, total_reads)
+    write_progress = staged / max(1, total_writes)
+    return write_progress < read_progress or reads >= total_reads
+
+
+def _plain_stage(reads, total_reads, staged, drained, total_writes,
+                 capacity, high, draining):
+    """Stage write by write; returns (writes staged, draining)."""
+    while (staged < total_writes
+           and _plain_stage_allowed(reads, total_reads, staged, total_writes)
+           and staged - drained < capacity):
+        staged += 1
+        if (staged - drained) / capacity >= high:
+            draining = True
+    if reads >= total_reads and staged > drained:
+        draining = True  # force-drain once reads are done
+    return staged, draining
+
+
+def _plain_flip(reads, total_reads, staged, drained, total_writes,
+                capacity, high, count):
+    """Replay ``count`` reads' staging; the read whose staged push enters
+    the drain phase, or None."""
+    tr = max(1, total_reads)
+    w = staged
+    for k in range(1, count + 1):
+        rr = reads + k
+        while (w < total_writes and w / total_writes < rr / tr
+               and w - drained < capacity):
+            w += 1
+            if (w - drained) / capacity >= high:
+                return k
+    return None
+
+
+@pytest.fixture(scope="module")
+def staging_controller():
+    return NdaRankController(0, 0, DramSystem(DramOrgConfig(),
+                                              DramTimingConfig()))
+
+
+def _staging_state(total_reads, total_writes, reads, staged, drained):
+    work = RankWorkItem(NdaInstruction(NdaOpcode.COPY, num_elements=1024),
+                        [0], [0], 1, 0)
+    state = _ExecutionState(work, columns_per_row=128)
+    state.total_read_columns = total_reads
+    state.total_write_columns = total_writes
+    state.reads_issued = reads
+    state.writes_staged = staged
+    state.writes_drained = drained
+    return state
+
+
+@st.composite
+def _buffer_points(draw, reads_pending):
+    """A buffer geometry plus instruction progress, with the write window
+    drawn near the read-progress frontier, where the two forms could part.
+    Totals stay below 2**26, the bound under which integer and float
+    progress comparisons agree."""
+    capacity = draw(st.integers(1, 160))
+    high = draw(st.floats(0.0, 1.0))
+    low = draw(st.floats(0.0, high))
+    sizes = st.one_of(st.integers(0, 300), st.integers(0, 1 << 20))
+    total_writes = max(draw(sizes), 1 if reads_pending else 0)
+    total_reads = max(draw(sizes), 2 if reads_pending else 0)
+    top = total_reads - 2 if reads_pending else total_reads
+    reads = draw(st.integers(0, top))
+    near = reads * total_writes // max(1, total_reads)
+    drained = draw(st.integers(max(0, near - 2 * capacity),
+                               min(total_writes, near + capacity)))
+    staged = draw(st.integers(drained,
+                              min(total_writes, drained + capacity)))
+    return dict(capacity=capacity, high=high, low=low,
+                total_reads=total_reads, total_writes=total_writes,
+                reads=reads, staged=staged, drained=drained)
+
+
+class TestStagingWindow:
+    """The write buffer's closed-form staging vs the per-write loop."""
+
+    @given(_buffer_points(reads_pending=False), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_frontier_matches_per_write_loop(self, staging_controller, p,
+                                             draining):
+        controller = staging_controller
+        wb = controller.write_buffer = NdaWriteBuffer(
+            p["capacity"], p["high"], p["low"])
+        wb.length = p["staged"] - p["drained"]
+        wb._draining = draining = draining and wb.length > 0
+        state = _staging_state(p["total_reads"], p["total_writes"],
+                               p["reads"], p["staged"], p["drained"])
+        controller._stage_writes(state)
+        staged, draining = _plain_stage(
+            p["reads"], p["total_reads"], p["staged"], p["drained"],
+            p["total_writes"], p["capacity"], p["high"], draining)
+        assert (state.writes_staged, wb.draining) == (staged, draining), p
+        assert len(wb) == staged - p["drained"]
+        assert wb.total_enqueued == staged - p["staged"]
+
+    @given(_buffer_points(reads_pending=True), st.integers(1, 512))
+    @settings(max_examples=400, deadline=None)
+    def test_drain_flip_matches_replay(self, staging_controller, p, count):
+        controller = staging_controller
+        controller.write_buffer = NdaWriteBuffer(p["capacity"], p["high"],
+                                                 p["low"])
+        count = min(count, p["total_reads"] - 1 - p["reads"])
+        state = _staging_state(p["total_reads"], p["total_writes"],
+                               p["reads"], p["staged"], p["drained"])
+        flip = controller._stage_flip(state)
+        assert flip >= 1
+        closed = flip if flip <= count else None
+        assert closed == _plain_flip(
+            p["reads"], p["total_reads"], p["staged"], p["drained"],
+            p["total_writes"], p["capacity"], p["high"], count), p
+
+    @pytest.mark.parametrize("buffer", [None, (8, 0.5, 0.25), (6, 0.5, 0.5)])
+    def test_live_window_matches_per_write_loop(self, buffer):
+        """On live COPY runs: the buffer is exactly the window of staged,
+        undrained writes; staging stands at the per-write loop's fixed
+        point; and the drain-flip index equals the replay's.  The platform
+        follows ``REPRO_PLATFORM``."""
+        system = ChopimSystem(config=resolve_config(None, 1, 2),
+                              mode=AccessMode.BANK_PARTITIONED, mix="mix5",
+                              throttle="next_rank", engine="event")
+        if buffer is not None:
+            for rc in system.rank_controllers.values():
+                rc.write_buffer = NdaWriteBuffer(*buffer)
+        system.set_nda_workload(NdaOpcode.COPY, elements_per_rank=1 << 12)
+        windows = flips = 0
+        for _ in range(40):
+            system.run(cycles=89, warmup=0)
+            for rc in system.rank_controllers.values():
+                state, wb = rc._active, rc.write_buffer
+                if state is None:
+                    assert wb.state_tuple() == (0, False)
+                    continue
+                windows += 1
+                assert len(wb) == state.writes_staged - state.writes_drained
+                args = (state.reads_issued, state.total_read_columns,
+                        state.writes_staged, state.writes_drained,
+                        state.total_write_columns)
+                assert _plain_stage(*args, wb.capacity,
+                                    wb.drain_high_watermark, wb.draining) == (
+                    state.writes_staged, wb.draining)
+                count = min(512, state.total_read_columns - 1
+                            - state.reads_issued)
+                if count >= 1 and not wb.draining:
+                    flip = rc._stage_flip(state)
+                    assert (flip if flip <= count else None) == _plain_flip(
+                        *args, wb.capacity, wb.drain_high_watermark, count)
+                    flips += flip != _NO_EVENT
+        assert windows > 0 and flips > 0, (windows, flips)

@@ -46,11 +46,6 @@ class TestRequestQueue:
         q.remove(r1)
         assert q.oldest() is r2
 
-    def test_occupancy(self):
-        q = RequestQueue(4)
-        q.push(MemoryRequest(addr(), False))
-        assert q.occupancy == 0.25
-
     def test_find_write_to(self):
         q = RequestQueue(4)
         w = MemoryRequest(addr(row=3), True)
@@ -83,7 +78,7 @@ class TestRequestQueue:
         with pytest.raises(ValueError):
             q.remove(r)
 
-    def test_bank_buckets_and_rank_counts_track_membership(self):
+    def test_bank_buckets_track_membership(self):
         q = RequestQueue(8)
         a0 = addr(rank=0, bank=1, row=1)
         a1 = addr(rank=1, bank=1, row=2)
@@ -94,14 +89,13 @@ class TestRequestQueue:
             q.push(r)
         assert q.has_bank(0, 0, 1) and q.has_bank(1, 0, 1)
         assert not q.has_bank(0, 0, 2)
-        assert q.count_for_rank(0) == 2 and q.count_for_rank(1) == 1
-        assert [r.request_id for r in q.find_same_bank(a0)] == [
-            r0.request_id, r2.request_id]
+        assert sorted([r.request_id for r in bucket.values()]
+                      for bucket in q.bank_buckets()) == sorted(
+            [[r0.request_id, r2.request_id], [r1.request_id]])
         q.remove(r0)
         q.remove(r2)
         assert not q.has_bank(0, 0, 1)
-        assert q.count_for_rank(0) == 0
-        assert q.find_same_bank(a0) == []
+        assert [list(bucket.values()) for bucket in q.bank_buckets()] == [[r1]]
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):

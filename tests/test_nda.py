@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import DramOrgConfig, DramTimingConfig, NdaConfig
-from repro.dram.commands import DramAddress
 from repro.dram.device import DramSystem
 from repro.memctrl.controller import ChannelController
 from repro.nda.controller import NdaRankController, RankWorkItem
@@ -122,25 +121,26 @@ class TestProcessingElement:
 class TestWriteBuffer:
     def test_capacity_and_drain_watermark(self):
         wb = NdaWriteBuffer(capacity=4, drain_high_watermark=0.5)
-        a = DramAddress(0, 0, 0, 0, 0, 0)
-        assert wb.push(a)
+        wb.push()
         assert not wb.draining
-        assert wb.push(a)
+        wb.push()
         assert wb.draining
-        assert wb.push(a) and wb.push(a)
-        assert wb.full
-        assert not wb.push(a)
-        assert wb.stall_cycles == 1
+        wb.push(2)
+        assert len(wb) == 4
+        with pytest.raises(IndexError):
+            wb.push()  # full: the PE stalls instead
+        assert len(wb) == 4 and wb.total_enqueued == 4
 
     def test_drain_clears_flag_at_low_watermark(self):
         wb = NdaWriteBuffer(capacity=4, drain_high_watermark=0.5, drain_low_watermark=0.25)
-        a = DramAddress(0, 0, 0, 0, 0, 0)
-        for _ in range(3):
-            wb.push(a)
-        while not wb.empty:
-            wb.pop()
+        wb.push(3)
+        assert wb.draining
+        wb.pop()
+        assert wb.draining
+        wb.pop()
         assert not wb.draining
-        assert wb.total_drained == 3
+        wb.pop()
+        assert wb.empty and wb.total_drained == 3
 
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
@@ -148,14 +148,16 @@ class TestWriteBuffer:
 
     def test_force_drain(self):
         wb = NdaWriteBuffer(capacity=128)
-        wb.push(DramAddress(0, 0, 0, 0, 0, 0))
+        wb.force_drain()
+        assert not wb.draining
+        wb.push()
         assert not wb.draining
         wb.force_drain()
         assert wb.draining
 
     def test_state_tuple_matches_fsm_view(self):
         wb = NdaWriteBuffer(capacity=8)
-        wb.push(DramAddress(0, 0, 0, 0, 0, 0))
+        wb.push()
         assert wb.state_tuple() == (1, False)
 
     def test_invalid_watermarks(self):

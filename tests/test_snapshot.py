@@ -149,10 +149,10 @@ class TestEnvelope:
             loads(json.dumps(envelope))
 
     def test_rejects_unknown_version(self):
-        # 3 is the last format that recorded the removed kernel backend's
-        # build fields; it is refused like any other foreign version, and
-        # the error names both the file's version and the expected one.
-        for version in (3, SCHEMA_VERSION + 1):
+        # 4 is the last format that listed the NDA write buffer's entries;
+        # it is refused like any other foreign version, and the error names
+        # both the file's version and the expected one.
+        for version in (4, SCHEMA_VERSION + 1):
             envelope = json.loads(dumps(self.PAYLOAD))
             envelope["version"] = version
             with pytest.raises(SnapshotVersionError,
