@@ -261,8 +261,7 @@ class ChopimSystem:
                     # Inline the no-elapsed-commands fast path: this runs
                     # before every FR-FCFS scan/issue on the channel, and
                     # most boundaries fall between two planned commands.
-                    if (plan is not None
-                            and upto > plan.start + plan.idx * plan.step):
+                    if plan is not None and upto > plan.due:
                         rc.settle_burst(upto)
 
             def truncate_throttled(now: int, ranks=ranks) -> None:

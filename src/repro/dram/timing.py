@@ -325,6 +325,19 @@ class TimingEngine:
         refreshing = rank.refreshing_until
         return refreshing if refreshing > now else now
 
+    def act_after_precharge(self, addr: DramAddress, pre_cycle: int) -> int:
+        """Earliest cycle at which ``addr``'s bank may be activated once a
+        ``PRE`` to it issues at ``pre_cycle``.
+
+        The precharge moves exactly one ACT input — its own bank's horizon,
+        to ``pre_cycle + tRP`` (``issue`` takes the max) — so the answer is
+        the current ACT horizon composed with that, read through the ACT law
+        itself.  The burst planner uses it to schedule a row transition of
+        another bank ahead of time.
+        """
+        return self.earliest_issue_at(CommandType.ACT, addr, RequestSource.NDA,
+                                      pre_cycle + self.timing.tRP)
+
     def host_column_base(self, is_read: bool, addr: DramAddress) -> int:
         """Bank-independent part of a host column command's earliest cycle.
 

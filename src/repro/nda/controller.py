@@ -41,19 +41,24 @@ class _BurstPlan:
     channel settles before every FR-FCFS scan and command issue), (b) the
     engine flushes at a run boundary, or (c) the plan is truncated.  The
     command at index ``i`` issues at cycle ``start + i * step``; ``idx`` is
-    the first unsettled index.  ``end`` (past the last command's cycle: the
-    burst horizon) is the owning unit's calendar wake while the plan is live.
+    the first unsettled index.  ``rows`` holds the non-leading side's
+    *absorbed* row commands still to settle, as ``(cycle, Command)`` in cycle
+    order; ``due`` is the cycle of the first unsettled command of either
+    kind (``_NO_EVENT`` once all have settled).  ``end`` (past the last
+    command's cycle: the burst horizon) is the owning unit's calendar wake
+    while the plan is live.
     """
 
     __slots__ = ("cls", "is_write", "start", "step", "count", "idx",
                  "acc_idx", "end", "bank", "bank_index", "bank_group",
-                 "stages", "skip_first", "decision", "row_bank", "parked",
-                 "parked_at")
+                 "stages", "skip_first", "decision", "row_bank", "rows",
+                 "due", "parked", "parked_at")
 
     def __init__(self, cls: str, is_write: bool, start: int, step: int,
                  count: int, end: int, bank, bank_index: int,
                  bank_group: int, stages: bool, skip_first: bool,
-                 decision: Optional[bool], row_bank: int) -> None:
+                 decision: Optional[bool], row_bank: int,
+                 rows: List[Tuple[int, Command]]) -> None:
         #: Plan class (one of :data:`PLAN_CLASSES`), for the diagnostics.
         self.cls = cls
         self.is_write = is_write
@@ -79,10 +84,13 @@ class _BurstPlan:
         #: Frozen while the plan lives — a read-queue change that flips it
         #: truncates the plan.
         self.decision = decision
-        #: Flat in-rank bank the non-leading side's pending row command
-        #: targets (-1: none).  The proof that it stays futile assumes the
-        #: host does not want that bank — a host enqueue to it truncates.
+        #: Flat in-rank bank the non-leading side's pending row commands
+        #: target (-1: none).  Absorbing them, and the proof that the rest
+        #: stay futile, assume the host does not want that bank — a host
+        #: enqueue to it truncates.
         self.row_bank = row_bank
+        self.rows = rows
+        self.due = rows[0][0] if rows and rows[0][0] < start else start
         #: Truncation cause of a plan whose wake was pulled in to its next
         #: planned cycle, and the cycle that happened at (see
         #: ``NdaRankController._park_burst``).
@@ -306,6 +314,8 @@ class NdaRankController:
         self.bursts_planned = 0
         self.burst_commands_planned = 0
         self.burst_commands_settled = 0
+        #: Absorbed row commands settled (also in ``commands_issued``).
+        self.burst_row_commands = 0
         self.bursts_completed = 0
         self.burst_truncations: Dict[str, int] = {}
         self.burst_commands_by_class: Dict[str, int] = dict.fromkeys(
@@ -415,21 +425,27 @@ class NdaRankController:
     # throttle inhibits it; when its column command — or its precharge of
     # the leading bank — is pushed past the next planned cycle by every
     # planned command (read/write turnaround, tRTP, write recovery: static
-    # platform properties); or when it needs a row command on another bank:
+    # platform properties).  When it needs a row command on another bank,
     # that command's horizon is frozen (no planned command moves an ACT
-    # input or another bank's precharge horizon), so the plan stops short
-    # of it and the wake parks there (the *row gap*).
+    # input or another bank's precharge horizon), so the plan *absorbs* it
+    # at that cycle — a PRE, then its ACT at ``act_after_precharge`` —
+    # after which the side's column command is pushed like any other.  A
+    # row command it cannot absorb (on a planned cycle, past the last
+    # planned command, an ACT without the push) stops the plan short of it
+    # and the wake parks there (the *row gap*).
     # :meth:`plan_burst` captures the streak as a :class:`_BurstPlan` (a
     # pure schedule), the engine parks the unit's wake at the burst horizon
     # — always a cycle the per-cycle engine would process too — and
-    # :meth:`settle_burst` applies elapsed prefixes in closed form.  Any
+    # :meth:`settle_burst` applies elapsed prefixes: column commands in
+    # closed form, absorbed row commands through ``issue_trusted``.  Any
     # event that could perturb the schedule or break a futility proof (a
     # host command to this rank, a read-queue change that flips the
-    # throttle decision, a host request for the bank of a pending row
-    # command, a throttle swap, broadcast ``step`` driving) truncates the
-    # plan (:meth:`cancel_burst`, :meth:`_park_burst`), falling back to the
-    # per-cycle path — the same routes that already carry the engine's
-    # dirty notifications.  ARCHITECTURE.md ("Burst issue") has the proofs.
+    # throttle decision, a host request for the bank of an absorbed or
+    # pending row command, a throttle swap, broadcast ``step`` driving)
+    # truncates the plan (:meth:`cancel_burst`, :meth:`_park_burst`),
+    # falling back to the per-cycle path — the same routes that already
+    # carry the engine's dirty notifications.  ARCHITECTURE.md ("Burst
+    # issue") has the proofs.
     # ------------------------------------------------------------------ #
 
     def plan_burst(self, now: int) -> None:
@@ -465,8 +481,10 @@ class NdaRankController:
             rkind, rearliest = self._required_earliest(raddr, False, now + 1)
             if rkind is CommandType.RD:
                 read_at = horizon(channel, rank, rearliest)
-        # First cycle the non-leading side's row command could issue, and
-        # the (flat in-rank) bank it targets.
+        # The non-leading side's row commands the plan absorbs, the first
+        # cycle it could act otherwise, and the (flat in-rank) bank they
+        # target.
+        rows = []
         gap = _NO_EVENT
         row_bank = -1
         if write_at is not None and (read_at is None or write_at <= read_at):
@@ -476,8 +494,10 @@ class NdaRankController:
                     return
             elif reads_pending:
                 row_bank = self._flat_bank(raddr)
-                gap = self._row_gap(raddr, rearliest, head.bank_index,
-                                    write_at, self._wr_pushes_pre)
+                rows, gap = self._row_gap(raddr, rkind, rearliest,
+                                          head.bank_index, write_at,
+                                          self._wr_pushes_pre,
+                                          self._wr_pushes_rd)
             # Exclude any pop that would cross the low watermark (drain-
             # phase exit) — with reads done, at least the final drain
             # (completion detection).  Staging stalled on a full buffer
@@ -509,8 +529,10 @@ class NdaRankController:
                         return
                 else:
                     row_bank = self._flat_bank(head)
-                    gap = self._row_gap(head, wearliest, raddr.bank_index,
-                                        read_at, self._rd_pushes_pre)
+                    rows, gap = self._row_gap(head, wkind, wearliest,
+                                              raddr.bank_index, read_at,
+                                              self._rd_pushes_pre,
+                                              self._rd_pushes_wr)
             # Exclude the instruction's final read: its post-cycle triggers
             # force-drain / completion, which the per-cycle path handles.
             remaining = state.total_read_columns - 1 - state.reads_issued
@@ -585,6 +607,12 @@ class NdaRankController:
             count -= 1
         if count < 2:
             return
+        # Absorb only row commands before the last planned column command:
+        # past it lie the host windows and the refresh deadline the caps
+        # above stop at.  The first one left out is the row gap.
+        last = start + (count - 1) * step
+        while rows and rows[-1][0] > last:
+            gap = rows.pop()[0]
         # The next command after the plan is another column command of the
         # streak: it cannot issue before one cadence step past the last
         # planned command composed with the (frozen) host-free windows —
@@ -597,7 +625,7 @@ class NdaRankController:
         self._plan = _BurstPlan(cls, is_write, start, step, count, end,
                                 self._banks[addr.bank_index],
                                 addr.bank_index, addr.bank_group, stages,
-                                skip_first, decision, row_bank)
+                                skip_first, decision, row_bank, rows)
         self.bursts_planned += 1
         self.burst_commands_planned += count
         self.burst_commands_by_class[cls] += count
@@ -607,25 +635,46 @@ class NdaRankController:
             self.burst_truncations["row_gap"] = (
                 self.burst_truncations.get("row_gap", 0) + 1)
 
-    def _row_gap(self, addr: DramAddress, earliest: int,
-                 lead_bank_index: int, start: int, pushes_pre: bool) -> int:
-        """First cycle the non-leading side's row command could issue.
+    def _row_gap(self, addr: DramAddress, kind: CommandType, earliest: int,
+                 lead_bank_index: int, start: int, pushes_pre: bool,
+                 pushes_col: bool) -> Tuple[List[Tuple[int, Command]], int]:
+        """The non-leading side's row commands a plan starting at ``start``
+        can absorb, and the first cycle that side acts otherwise.
 
-        ``earliest`` is the ACT/PRE horizon of ``addr``.  On another bank
-        it is frozen while only column commands issue to the leading bank.
+        ``kind``/``earliest`` are the pending ACT/PRE of ``addr`` and its
+        horizon.  On another bank it is frozen while only column commands
+        issue to the leading bank, so the command is absorbed at that cycle;
+        a PRE's ACT follows at ``act_after_precharge`` (equally frozen), and
+        after the ACT the side's column command is pushed past every next
+        planned cycle like any pending column command (``pushes_col``).  An
+        ACT is absorbed only after the plan's first command, so that the
+        push covers it.  A command landing on a planned cycle is not
+        absorbed (``try_issue`` would order the two sides): it is the gap.
         On the leading bank itself (a PRE: the bank is open on the leading
         row) every planned command pushes it past the next planned cycle
         (``pushes_pre``), so once the first command beats it, it never
-        comes due.  Returns 0 ("no plan") when neither proof holds, or when
-        the host wants the bank (the per-cycle path polls, and counts,
+        comes due.  The gap is 0 ("no plan") when neither proof holds, or
+        when the host wants the bank (the per-cycle path polls, and counts,
         every blocked opportunity).
         """
         if self._host_wants_bank(addr):
-            return 0
+            return [], 0
         gap = self._issue_horizon(self.channel, self.rank, earliest)
-        if addr.bank_index != lead_bank_index:
-            return gap
-        return _NO_EVENT if pushes_pre and gap > start else 0
+        if addr.bank_index == lead_bank_index:
+            return [], (_NO_EVENT if pushes_pre and gap > start else 0)
+        step = self._burst_step
+        rows = []
+        if kind is CommandType.PRE:
+            if gap >= start and (gap - start) % step == 0:
+                return rows, gap
+            rows.append((gap, Command(kind, addr, RequestSource.NDA)))
+            gap = self._issue_horizon(
+                self.channel, self.rank,
+                self.dram.timing.act_after_precharge(addr, gap))
+        if not pushes_col or gap <= start or (gap - start) % step == 0:
+            return rows, gap
+        rows.append((gap, Command(CommandType.ACT, addr, RequestSource.NDA)))
+        return rows, _NO_EVENT
 
     def _stage_flip(self, state: _ExecutionState) -> int:
         """Reads, from now, until staging enters the drain phase (a read
@@ -659,51 +708,85 @@ class NdaRankController:
         applying the aggregate is order-safe) and the probe-cache versions.
         Counters, the replicated FSM and staging are deferred to
         :meth:`_account_burst`: nothing reads them mid-plan, and one bulk
-        update per plan beats one per elapsed boundary.
+        update per plan beats one per elapsed boundary.  Absorbed row
+        commands go through :meth:`_settle_row` at their own cycles: they
+        touch only the other bank and the ACT/busy horizons, none of which
+        the column aggregate reads or writes, so the two commute.
         """
         plan = self._plan
+        rows = plan.rows
+        while rows and rows[0][0] < upto:
+            cycle, cmd = rows.pop(0)
+            self._settle_row(cycle, cmd, not plan.is_write)
         done = plan.idx
-        if upto <= plan.start + done * plan.step:
-            return
         j = (upto - 1 - plan.start) // plan.step + 1
         if j > plan.count:
             j = plan.count
-        if j <= done:
-            return
-        plan.idx = j
-        c_last = plan.start + (j - 1) * plan.step
-        timing = self.dram.timing
-        t = timing.timing
-        rt = self._rank_timing
-        bank_timing = timing._banks[plan.bank_index]
-        if plan.is_write:
-            if c_last > rt.last_write_cycle:
-                rt.last_write_cycle = c_last
-                rt.last_write_bg = plan.bank_group
-            bus = c_last + t.tCWL + t.tBL
-            if bus > rt.nda_bus_free:
-                rt.nda_bus_free = bus
-            wtp = c_last + timing._write_to_precharge
-            if wtp > bank_timing.pre_allowed:
-                bank_timing.pre_allowed = wtp
-        else:
-            if c_last > rt.last_read_cycle:
-                rt.last_read_cycle = c_last
-                rt.last_read_bg = plan.bank_group
-            if c_last > rt.last_nda_read_cycle:
-                rt.last_nda_read_cycle = c_last
-            bus = c_last + t.tCL + t.tBL
-            if bus > rt.nda_bus_free:
-                rt.nda_bus_free = bus
-            rtp = c_last + t.tRTP
-            if rtp > bank_timing.pre_allowed:
-                bank_timing.pre_allowed = rtp
-        # Version-keyed memo invalidation (equality-compared keys: one bump
-        # per settlement batch suffices), plus the point-wise precharge-
-        # horizon kill a column command performs on its own bank.
-        timing._issue_versions[self._rank_index] += 1
-        timing._pre_cache[plan.bank_index] = (-1, 0)
-        self.dram.channel_issue_version[self.channel] += 1
+        if j > done:
+            plan.idx = done = j
+            c_last = plan.start + (j - 1) * plan.step
+            timing = self.dram.timing
+            t = timing.timing
+            rt = self._rank_timing
+            bank_timing = timing._banks[plan.bank_index]
+            if plan.is_write:
+                if c_last > rt.last_write_cycle:
+                    rt.last_write_cycle = c_last
+                    rt.last_write_bg = plan.bank_group
+                bus = c_last + t.tCWL + t.tBL
+                if bus > rt.nda_bus_free:
+                    rt.nda_bus_free = bus
+                wtp = c_last + timing._write_to_precharge
+                if wtp > bank_timing.pre_allowed:
+                    bank_timing.pre_allowed = wtp
+            else:
+                if c_last > rt.last_read_cycle:
+                    rt.last_read_cycle = c_last
+                    rt.last_read_bg = plan.bank_group
+                if c_last > rt.last_nda_read_cycle:
+                    rt.last_nda_read_cycle = c_last
+                bus = c_last + t.tCL + t.tBL
+                if bus > rt.nda_bus_free:
+                    rt.nda_bus_free = bus
+                rtp = c_last + t.tRTP
+                if rtp > bank_timing.pre_allowed:
+                    bank_timing.pre_allowed = rtp
+            # Version-keyed memo invalidation (equality-compared keys: one
+            # bump per settlement batch suffices), plus the point-wise
+            # precharge-horizon kill a column command performs on its own
+            # bank.
+            timing._issue_versions[self._rank_index] += 1
+            timing._pre_cache[plan.bank_index] = (-1, 0)
+            self.dram.channel_issue_version[self.channel] += 1
+        due = (plan.start + done * plan.step if done < plan.count
+               else _NO_EVENT)
+        if rows and rows[0][0] < due:
+            due = rows[0][0]
+        plan.due = due
+
+    def _settle_row(self, cycle: int, cmd: Command, is_write: bool) -> None:
+        """Issue an absorbed row command of the non-leading side (``is_write``:
+        the drain) with what the per-cycle wake issuing it records: the
+        access's classification if it is the access's first command, one
+        gate opportunity and one drain-attempt throttle decision —
+        permissive, since only plans under a permissive pending drain
+        absorb."""
+        state = self._active
+        dram = self.dram
+        if is_write:
+            if state.writes_drained > state.write_classified_idx:
+                dram.record_access_outcome(cmd.addr, True, is_nda=True)
+                state.write_classified_idx = state.writes_drained
+        elif state.reads_issued > state.read_classified_idx:
+            dram.record_access_outcome(cmd.addr, False, is_nda=True)
+            state.read_classified_idx = state.reads_issued
+        dram.issue_trusted(cmd, cycle)
+        self.commands_issued += 1
+        self.burst_row_commands += 1
+        self.throttle.note_decisions(1, 0)
+        gate = self.gate_stats
+        if gate is not None:
+            gate.nda_issue_opportunities += 1
 
     def _account_burst(self, plan: _BurstPlan) -> None:
         """Apply the deferred accounting for the plan's settled commands.
@@ -784,7 +867,7 @@ class NdaRankController:
         self.settle_burst(upto)
         self._account_burst(plan)
         self._plan = None
-        if plan.idx >= plan.count:
+        if plan.due == _NO_EVENT:
             self.bursts_completed += 1
         else:
             cause = plan.parked or cause
@@ -798,13 +881,13 @@ class NdaRankController:
         enqueue) does not re-poll the per-cycle engine: its calendar still
         holds the next planned cycle, where it re-decides (and counts the
         attempt).  So the plan is not dropped here — its wake is pulled in
-        to that cycle, and the wake there cancels it and resumes the
-        per-cycle path.
+        to that cycle (an absorbed row command's, if that comes first), and
+        the wake there cancels it and resumes the per-cycle path.
         """
         plan = self._plan
         self.settle_burst(upto)
-        if plan.idx < plan.count:
-            plan.end = plan.start + plan.idx * plan.step
+        if plan.due != _NO_EVENT:
+            plan.end = plan.due
             plan.parked = cause
             plan.parked_at = upto
             listener = self.wake_listener
@@ -1141,11 +1224,17 @@ class NdaRankController:
         return self.bytes_read + self.bytes_written
 
     def burst_stats(self) -> Dict[str, object]:
-        """Burst-issue diagnostics (cumulative; read by the perf ledger)."""
+        """Burst-issue diagnostics (cumulative; read by the perf ledger).
+
+        ``commands_settled`` counts the column commands settled in closed
+        form; ``row_commands`` the other side's row commands plans absorbed
+        and settled (both are in ``commands_issued``).
+        """
         return {
             "bursts_planned": self.bursts_planned,
             "commands_planned": self.burst_commands_planned,
             "commands_settled": self.burst_commands_settled,
+            "row_commands": self.burst_row_commands,
             "bursts_completed": self.bursts_completed,
             "truncations": dict(self.burst_truncations),
             "planned_by_class": dict(self.burst_commands_by_class),

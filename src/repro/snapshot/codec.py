@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any, Union
 
 MAGIC = "repro-snapshot"
-SCHEMA_VERSION = 5  # v5: the NDA write buffer is its occupancy, not entries
+SCHEMA_VERSION = 6  # v6: NDA rank controllers carry burst_row_commands
 
 _TAG = "__t"
 

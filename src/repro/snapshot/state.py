@@ -88,7 +88,8 @@ _CORE_FIELDS = ("_retired_fp", "_cpu_cycles_fp", "_stall_cycles",
 _EXEC_FIELDS = ("reads_issued", "writes_staged", "writes_drained",
                 "read_classified_idx", "write_classified_idx")
 _RC_COUNTER_FIELDS = ("bursts_planned", "burst_commands_planned",
-                      "burst_commands_settled", "bursts_completed",
+                      "burst_commands_settled", "burst_row_commands",
+                      "bursts_completed",
                       "bytes_read", "bytes_written", "commands_issued",
                       "cycles_blocked_by_host", "cycles_blocked_by_throttle",
                       "instructions_completed")

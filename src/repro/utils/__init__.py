@@ -1,15 +1,13 @@
-"""Shared utilities: deterministic RNG, histograms, counters and rate meters."""
+"""Shared utilities: deterministic RNG, histograms and counters."""
 
 from repro.utils.rng import DeterministicRng
 from repro.utils.histogram import BucketHistogram, IDLE_BUCKETS
-from repro.utils.stats import Counter, MovingAverage, RateMeter, WindowedStat
+from repro.utils.stats import Counter, WindowedStat
 
 __all__ = [
     "DeterministicRng",
     "BucketHistogram",
     "IDLE_BUCKETS",
     "Counter",
-    "MovingAverage",
-    "RateMeter",
     "WindowedStat",
 ]

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, Iterable, Optional
+from typing import Dict, Optional
 
 
 class Counter:
@@ -31,58 +30,6 @@ class Counter:
         return name in self._counts
 
 
-class MovingAverage:
-    """Fixed-window moving average."""
-
-    def __init__(self, window: int = 64) -> None:
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.window = window
-        self._values: Deque[float] = deque(maxlen=window)
-        self._sum = 0.0
-
-    def add(self, value: float) -> None:
-        if len(self._values) == self.window:
-            self._sum -= self._values[0]
-        self._values.append(value)
-        self._sum += value
-
-    @property
-    def value(self) -> float:
-        if not self._values:
-            return 0.0
-        return self._sum / len(self._values)
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-
-class RateMeter:
-    """Tracks an event rate (events per cycle) over a simulation run."""
-
-    def __init__(self) -> None:
-        self.events = 0
-        self.quantity = 0.0
-        self.start_cycle: Optional[int] = None
-        self.last_cycle: Optional[int] = None
-
-    def record(self, cycle: int, quantity: float = 1.0) -> None:
-        if self.start_cycle is None:
-            self.start_cycle = cycle
-        self.last_cycle = cycle
-        self.events += 1
-        self.quantity += quantity
-
-    def rate(self, total_cycles: Optional[int] = None) -> float:
-        """Quantity per cycle over the measured window (or given window)."""
-        if total_cycles is not None and total_cycles > 0:
-            return self.quantity / total_cycles
-        if self.start_cycle is None or self.last_cycle is None:
-            return 0.0
-        span = max(1, self.last_cycle - self.start_cycle + 1)
-        return self.quantity / span
-
-
 class WindowedStat:
     """Accumulates samples and reports simple summary statistics."""
 
@@ -101,40 +48,3 @@ class WindowedStat:
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    def merge(self, other: "WindowedStat") -> None:
-        self.count += other.count
-        self.total += other.total
-        for attr in ("minimum", "maximum"):
-            mine, theirs = getattr(self, attr), getattr(other, attr)
-            if theirs is None:
-                continue
-            if mine is None:
-                setattr(self, attr, theirs)
-            elif attr == "minimum":
-                setattr(self, attr, min(mine, theirs))
-            else:
-                setattr(self, attr, max(mine, theirs))
-
-
-def geometric_mean(values: Iterable[float]) -> float:
-    """Geometric mean of positive values; returns 0 for an empty sequence."""
-    values = [v for v in values]
-    if not values:
-        return 0.0
-    product = 1.0
-    for v in values:
-        if v <= 0:
-            raise ValueError("geometric mean requires positive values")
-        product *= v
-    return product ** (1.0 / len(values))
-
-
-def harmonic_mean(values: Iterable[float]) -> float:
-    """Harmonic mean of positive values; returns 0 for an empty sequence."""
-    values = [v for v in values]
-    if not values:
-        return 0.0
-    if any(v <= 0 for v in values):
-        raise ValueError("harmonic mean requires positive values")
-    return len(values) / sum(1.0 / v for v in values)

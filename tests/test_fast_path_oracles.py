@@ -18,7 +18,11 @@ workloads:
   request, checked cycle by cycle with the linear scan;
 * **closed-form settlement** — ``settle_burst`` leaves the timing state the
   per-command ``TimingEngine.issue`` replay of the same planned commands
-  leaves, for every plan class;
+  leaves, for every plan class, and across a plan's absorbed row commands
+  (each re-derived from the per-cycle law) also the bank state, open rows
+  and row version;
+* **ACT after PRE** — ``TimingEngine.act_after_precharge`` equals issuing
+  the precharge on a copy and probing the ACT law;
 * **staging window** — the write buffer's integer staging frontier and a
   read plan's drain-flip index equal the per-write float loop they replaced,
   on drawn buffer states and on live ones.
@@ -272,9 +276,10 @@ def _timing_load(timing, dump):
                 setattr(state, slot, copy.copy(value))
 
 
-def _live_plan(cls):
+def _live_plan(cls, rows=0):
     """A native hbm2 NDA-only COPY system stopped while some rank holds a
-    live ``cls`` plan with at least three commands still unsettled."""
+    live ``cls`` plan with at least three column commands and ``rows``
+    absorbed row commands still unsettled."""
     system = ChopimSystem(config=resolve_config("hbm2"),
                           mode=AccessMode.NDA_ONLY, mix=None,
                           throttle="next_rank", engine="event")
@@ -284,51 +289,149 @@ def _live_plan(cls):
         for controller in system.rank_controllers.values():
             plan = controller._plan
             if (plan is not None and plan.cls == cls
-                    and plan.count - plan.idx >= 3):
+                    and plan.count - plan.idx >= 3
+                    and len(plan.rows) >= rows):
                 return system, controller
         # Run boundaries settle but keep live plans.
         system.run(cycles=5, warmup=0)
     raise AssertionError(f"no live {cls} plan found")
 
 
+def _row_state(system, controller):
+    """Row-buffer state of the controller's rank plus its row version."""
+    dram = system.dram
+    return ([(bank.state, bank.open_row) for bank in
+             dram.banks_of_rank(controller.channel, controller.rank)],
+            dram.timing._row_versions[controller._rank_index])
+
+
+def _check_settlement_replay(system, controller, upto):
+    """Settle the live plan up to ``upto`` in closed form, then replay the
+    same window command by command on the saved state and diff the two.
+
+    The replay derives each absorbed row command from the plain per-cycle
+    law — its kind from the bank state, its cycle from the probe composed
+    with the host-free windows (``try_issue`` tries the drain first, so a
+    read's row command due on a planned ``WR`` cycle waits one cycle) — and
+    issues it through the validating ``DramSystem.issue``."""
+    dram = system.dram
+    timing = dram.timing
+    plan = controller._plan
+    settled = plan.idx
+    absorbed = list(plan.rows)
+    before = _timing_dump(timing), _row_state(system, controller)
+
+    # Commands at cycles strictly before ``upto`` are settled: the column
+    # command at a boundary cycle itself is not, one cycle later it is.
+    controller.settle_burst(plan.start + (settled + 1) * plan.step)
+    assert plan.idx == settled + 1
+    controller.settle_burst(upto)
+    columns = plan.idx - settled
+    assert columns >= 3
+    closed_form = _timing_dump(timing), _row_state(system, controller)
+
+    _timing_load(timing, before[0])
+    banks = dram.banks_of_rank(controller.channel, controller.rank)
+    for bank, (state, open_row) in zip(banks, before[1][0]):
+        bank.state, bank.open_row = state, open_row
+    timing._row_versions[controller._rank_index] = before[1][1]
+    bank = plan.bank
+    lead = DramAddress(controller.channel, controller.rank, plan.bank_group,
+                       bank.bank, bank.open_row or 0, 0,
+                       controller._rank_index, plan.bank_index)
+    lead_kind = CommandType.WR if plan.is_write else CommandType.RD
+    slots = {plan.start + index * plan.step
+             for index in range(plan.count)}
+    events = [(plan.start + index * plan.step, None)
+              for index in range(settled, settled + columns)]
+    events += [(cycle, cmd) for cycle, cmd in absorbed if cycle < upto]
+    floor = system.now
+    for cycle, cmd in sorted(events, key=lambda event: event[0]):
+        if cmd is None:
+            timing.issue(Command(lead_kind, lead, _NDA), cycle)
+            continue
+        kind = dram.required_command(cmd.addr, not plan.is_write)
+        plain = dram.next_host_free_cycle(
+            controller.channel, controller.rank,
+            timing.earliest_issue_at(kind, cmd.addr, _NDA, floor))
+        if plan.is_write and plain in slots:
+            plain = dram.next_host_free_cycle(controller.channel,
+                                              controller.rank, plain + 1)
+        assert (kind, plain) == (cmd.kind, cycle), (
+            f"{plan.cls}: absorbed {cmd.kind.name} planned at {cycle}, the "
+            f"per-cycle law issues {kind.name} at {plain}")
+        dram.issue(Command(kind, cmd.addr, _NDA), cycle)
+        floor = cycle + 1
+    replayed = _timing_dump(timing), _row_state(system, controller)
+    mismatched = [
+        (tier, position, slot)
+        for tier, states in closed_form[0].items()
+        for position, fields in enumerate(states)
+        for slot, value in fields.items()
+        if replayed[0][tier][position][slot] != value]
+    assert not mismatched, (
+        f"{plan.cls} settlement diverged from the per-command replay on "
+        f"{mismatched[:5]}")
+    assert replayed[1] == closed_form[1], (
+        f"{plan.cls}: bank state / row version diverged")
+
+
 class TestSettlementReplay:
-    """``settle_burst`` == one ``TimingEngine.issue`` per planned command."""
+    """``settle_burst`` == one issue per planned command, in cycle order."""
 
     @pytest.mark.parametrize("cls", PLAN_CLASSES)
     def test_settlement_matches_per_command_issue(self, cls):
         system, controller = _live_plan(cls)
-        timing = system.dram.timing
         plan = controller._plan
-        settled = plan.idx
-        before = _timing_dump(timing)
+        _check_settlement_replay(
+            system, controller, plan.start + (plan.idx + 2) * plan.step + 1)
 
-        # Commands at cycles strictly before ``upto`` are settled: the
-        # command at the boundary cycle itself is not, one cycle later it is.
-        controller.settle_burst(plan.start + (settled + 1) * plan.step)
-        assert plan.idx == settled + 1
-        controller.settle_burst(plan.start + (settled + 2) * plan.step + 1)
-        assert plan.idx == settled + 3
-        closed_form = _timing_dump(timing)
+    @pytest.mark.parametrize("cls", ["drain_run", "read_under_drain"])
+    def test_settlement_across_absorbed_row_commands(self, cls):
+        """A plan carrying the other bank's PRE and ACT, settled across
+        both: bank state, open row and row version match the replay."""
+        system, controller = _live_plan(cls, rows=2)
+        plan = controller._plan
+        upto = max(plan.start + (plan.idx + 2) * plan.step,
+                   plan.rows[-1][0]) + 1
+        _check_settlement_replay(system, controller, upto)
+        assert not plan.rows and controller.burst_row_commands >= 2
 
-        _timing_load(timing, before)
-        bank = plan.bank
-        addr = DramAddress(controller.channel, controller.rank,
-                           plan.bank_group, bank.bank, bank.open_row or 0, 0,
-                           controller._rank_index, plan.bank_index)
-        kind = CommandType.WR if plan.is_write else CommandType.RD
-        for index in range(settled, settled + 3):
-            timing.issue(Command(kind, addr, _NDA),
-                         plan.start + index * plan.step)
-        replayed = _timing_dump(timing)
-        mismatched = [
-            (tier, position, slot)
-            for tier, states in closed_form.items()
-            for position, fields in enumerate(states)
-            for slot, value in fields.items()
-            if replayed[tier][position][slot] != value]
-        assert not mismatched, (
-            f"{cls} settlement diverged from the per-command replay on "
-            f"{mismatched[:5]}")
+
+class TestActAfterPrecharge:
+    """``TimingEngine.act_after_precharge`` == issue the PRE on a copy, then
+    probe the ACT law, on drawn platforms and timing states."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(platform=st.sampled_from([None, "ddr4-3200", "lpddr4-3200",
+                                     "ddr5-4800", "hbm2"]),
+           history=st.lists(st.tuples(st.sampled_from(list(CommandType)),
+                                      st.integers(0, 63),
+                                      st.integers(0, 40)), max_size=24),
+           bank=st.integers(0, 63), offset=st.integers(0, 80))
+    def test_matches_precharge_then_probe(self, platform, history, bank,
+                                          offset):
+        config = resolve_config(platform, 1, 1)
+        timing = DramSystem(config.org, config.timing).timing
+        banks = config.org.banks_per_rank
+        per_group = config.org.banks_per_group
+
+        def addr(flat):
+            flat %= banks
+            return DramAddress(0, 0, flat // per_group, flat % per_group, 0,
+                               0, 0, flat)
+
+        now = 0
+        for kind, flat, gap in history:
+            now += gap
+            timing.issue(Command(kind, addr(flat), _NDA), now)
+        target = addr(bank)
+        pre_cycle = now + offset
+        plain = copy.deepcopy(timing)
+        plain.issue(Command(CommandType.PRE, target, _NDA), pre_cycle)
+        expected = plain.earliest_issue_at(CommandType.ACT, target, _NDA,
+                                           pre_cycle)
+        assert timing.act_after_precharge(target, pre_cycle) == expected
 
 
 # The per-write staging loop the closed forms replaced, kept verbatim as the

@@ -5,14 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.utils.histogram import BucketHistogram, IDLE_BUCKETS
 from repro.utils.rng import DeterministicRng
-from repro.utils.stats import (
-    Counter,
-    MovingAverage,
-    RateMeter,
-    WindowedStat,
-    geometric_mean,
-    harmonic_mean,
-)
+from repro.utils.stats import Counter
 
 
 class TestDeterministicRng:
@@ -115,44 +108,3 @@ class TestStatsHelpers:
         assert c["reads"] == 5
         assert "reads" in c
         assert c["missing"] == 0
-
-    def test_moving_average_window(self):
-        m = MovingAverage(window=3)
-        for v in (1, 2, 3, 4):
-            m.add(v)
-        assert m.value == pytest.approx(3.0)
-        assert len(m) == 3
-
-    def test_moving_average_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            MovingAverage(0)
-
-    def test_rate_meter(self):
-        r = RateMeter()
-        r.record(10, 64)
-        r.record(20, 64)
-        assert r.rate() == pytest.approx(128 / 11)
-        assert r.rate(total_cycles=128) == pytest.approx(1.0)
-
-    def test_windowed_stat_merge(self):
-        a, b = WindowedStat(), WindowedStat()
-        a.add(1)
-        a.add(3)
-        b.add(10)
-        a.merge(b)
-        assert a.count == 3
-        assert a.minimum == 1
-        assert a.maximum == 10
-        assert a.mean == pytest.approx(14 / 3)
-
-    def test_geometric_mean(self):
-        assert geometric_mean([2, 8]) == pytest.approx(4.0)
-        assert geometric_mean([]) == 0.0
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, -1.0])
-
-    def test_harmonic_mean(self):
-        assert harmonic_mean([1, 1]) == pytest.approx(1.0)
-        assert harmonic_mean([2, 6]) == pytest.approx(3.0)
-        with pytest.raises(ValueError):
-            harmonic_mean([0.0])
