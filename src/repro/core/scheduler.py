@@ -22,7 +22,6 @@ class ConcurrentAccessScheduler:
                  channel_controllers: Dict[int, ChannelController]) -> None:
         self.dram = dram
         self.channel_controllers = channel_controllers
-        self._next_host_free = dram.timing.next_host_free_cycle
         # Direct view of the per-rank timing state (list mutated in place,
         # never reassigned): the gate reads the busy windows inline — it
         # runs once per rank per processed cycle.
@@ -90,19 +89,8 @@ class ConcurrentAccessScheduler:
         if route is None:
             return
         slot, controller = route
-        if controller is not None and controller._plan is not None:
-            # The elapsed prefix was settled when the issuing channel began
-            # its tick; the remainder (including a command planned for this
-            # very cycle, which the same-cycle gate would block) is stale.
-            controller.cancel_burst(now, "host_issue")
-            # Streaming usually survives the interruption with a shifted
-            # cadence; re-plan when the unit is re-polled (the dirty mark
-            # below) so it parks at the new burst horizon instead of paying
-            # a full per-cycle wake.  The eligibility predicate re-checks
-            # bank state, so a host command that actually perturbed the
-            # streak (shared-bank modes) simply yields no plan and the
-            # per-cycle path resumes.
-            controller.replan_cycle = now
+        if controller is not None and controller.burst_class is not None:
+            controller.note_host_issue(now)
         if slot >= 0:
             hub = self._wake_hub
             if hub is not None:
@@ -137,17 +125,6 @@ class ConcurrentAccessScheduler:
             return False
         self.nda_issue_opportunities += 1
         return True
-
-    def nda_issue_horizon(self, channel: int, rank: int, now: int) -> int:
-        """Earliest cycle >= ``now`` at which :meth:`nda_may_issue` can be True.
-
-        The event-engine counterpart of the per-cycle gate: derived from the
-        rank's host-busy timing state, it is exact until the next host
-        command issues to the rank (which is itself an engine-processed
-        event).  Same-cycle host issues are handled by the per-cycle gate
-        when the cycle is actually processed.
-        """
-        return self._next_host_free(channel, rank, now)
 
     def host_pending_to_bank(self, channel: int, rank: int, flat_bank: int) -> bool:
         """Whether the host has a queued request to the given bank.

@@ -250,6 +250,7 @@ class ChopimSystem:
             controller.gate_stats = self.scheduler
             by_channel.setdefault(ch, []).append(controller)
         self.scheduler.bind_burst_controllers(self.rank_controllers)
+        bank_index = self.dram.bank_index
         for ch, channel_controller in self.channel_controllers.items():
             ranks = by_channel.get(ch)
             if not ranks:
@@ -257,25 +258,28 @@ class ChopimSystem:
 
             def settle(upto: int, ranks=ranks) -> None:
                 for rc in ranks:
-                    plan = rc._plan
-                    # Inline the no-elapsed-commands fast path: this runs
-                    # before every FR-FCFS scan/issue on the channel, and
-                    # most boundaries fall between two planned commands.
-                    if plan is not None and upto > plan.due:
+                    # This runs before every FR-FCFS scan/issue on the
+                    # channel, and most boundaries fall between two planned
+                    # commands.
+                    if upto > rc.burst_due:
                         rc.settle_burst(upto)
 
+            # The class table says which live plans an event can break.
             def truncate_throttled(now: int, ranks=ranks) -> None:
                 for rc in ranks:
-                    plan = rc._plan
-                    if plan is not None and plan.decision is not None:
-                        rc.park_throttled_burst(now)
+                    cls = rc.burst_class
+                    if cls is not None and cls.embeds_decision:
+                        rc.stop_burst(now, "read_queue", park=True)
 
             by_rank = {rc.rank: rc for rc in ranks}
 
             def truncate_contended(now: int, addr, by_rank=by_rank) -> None:
                 rc = by_rank.get(addr.rank)
-                if rc is not None and rc._plan is not None:
-                    rc.park_contended_burst(now, addr)
+                if rc is not None:
+                    cls = rc.burst_class
+                    if cls is not None and cls.absorbs_rows:
+                        rc.stop_burst(now, "bank_demand", park=True,
+                                      bank=bank_index(addr))
 
             channel_controller.burst_settler = settle
             channel_controller.read_queue_listener = truncate_throttled

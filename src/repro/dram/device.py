@@ -97,13 +97,6 @@ class DramSystem:
         start = (channel * self._ranks_per_channel + rank) * self._banks_per_rank
         return self._banks[start:start + self._banks_per_rank]
 
-    def global_rank_index(self, channel: int, rank: int) -> int:
-        return channel * self.org.ranks_per_channel + rank
-
-    def all_rank_coords(self) -> List[Tuple[int, int]]:
-        return [(ch, rk) for ch in range(self.org.channels)
-                for rk in range(self.org.ranks_per_channel)]
-
     # ------------------------------------------------------------------ #
     # Command legality and the prerequisite sequence for an access
     # ------------------------------------------------------------------ #
@@ -199,6 +192,18 @@ class DramSystem:
             self.counts.refreshes += 1
         self.timing.issue(cmd, now)
 
+    def issue_nda_run(self, kind: CommandType, addr: DramAddress,
+                      last: int) -> None:
+        """Settle the timing of a run of NDA column commands to ``addr``'s
+        bank ending at cycle ``last`` (a burst plan's elapsed prefix).
+
+        The run's twin of :meth:`issue_trusted`: column commands leave the
+        bank state alone, and the event counts are the caller's (burst
+        accounting defers them to plan boundaries).
+        """
+        self.channel_issue_version[addr.channel] += 1
+        self.timing.issue_nda_run(kind, addr, last)
+
     def record_access_outcome(self, addr: DramAddress, is_write: bool,
                               is_nda: bool) -> str:
         """Classify and record the row-buffer outcome of a new column access.
@@ -246,10 +251,6 @@ class DramSystem:
     # ------------------------------------------------------------------ #
     # Convenience queries used by schedulers and statistics
     # ------------------------------------------------------------------ #
-
-    def row_hit_possible(self, addr: DramAddress) -> bool:
-        """Whether a column access to ``addr`` would be a row-buffer hit."""
-        return self.bank(addr).is_open(addr.row)
 
     def open_row(self, addr: DramAddress) -> Optional[int]:
         return self.bank(addr).open_row

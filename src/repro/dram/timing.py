@@ -423,7 +423,7 @@ class TimingEngine:
             self.busy_observer(addr.channel, addr.rank, now)
 
         if is_column:
-            self._issue_column(cmd, kind, addr, bank, rank, now)
+            self._issue_column(cmd.is_nda, kind, addr, bank, rank, now)
             return
 
         if kind is CommandType.ACT:
@@ -475,8 +475,29 @@ class TimingEngine:
             for r in self._ranks[first:first + self._ranks_per_channel]
         )
 
-    def _issue_column(self, cmd: Command, kind: CommandType, addr: DramAddress,
-                      bank: _BankTiming, rank: _RankTiming, now: int) -> None:
+    def issue_nda_run(self, kind: CommandType, addr: DramAddress,
+                      last: int) -> None:
+        """Apply the timing consequences of a run of NDA column commands
+        ``kind`` to ``addr``'s bank whose last command issues at ``last``
+        (a burst plan's settled prefix).
+
+        Every field the NDA column law writes takes the last command's
+        value or a monotone max over the run, so the run leaves the state
+        its last command alone would: :meth:`issue` of that command, except
+        that the rank's issue version advances once per run — the probe
+        caches compare versions for equality, so one bump invalidates them
+        as surely as one per command.
+        """
+        bank_index = addr.bank_index
+        rank_index = addr.rank_index
+        self._issue_versions[rank_index] += 1
+        self._pre_cache[bank_index] = (-1, 0)
+        self._issue_column(True, kind, addr, self._banks[bank_index],
+                           self._ranks[rank_index], last)
+
+    def _issue_column(self, is_nda: bool, kind: CommandType,
+                      addr: DramAddress, bank: _BankTiming,
+                      rank: _RankTiming, now: int) -> None:
         """Column-command (RD/WR) consequences — the dominant issue path."""
         t = self.timing
         is_read = kind is CommandType.RD
@@ -489,7 +510,7 @@ class TimingEngine:
                 bank.pre_allowed = rtp
             rank.last_read_cycle = now
             rank.last_read_bg = addr.bank_group
-            if cmd.is_nda:
+            if is_nda:
                 rank.last_nda_read_cycle = now
             else:
                 rank.last_host_read_cycle = now
@@ -500,7 +521,7 @@ class TimingEngine:
             rank.last_write_cycle = now
             rank.last_write_bg = addr.bank_group
 
-        if cmd.is_nda:
+        if is_nda:
             if data_end > rank.nda_bus_free:
                 rank.nda_bus_free = data_end
         else:
@@ -528,11 +549,6 @@ class TimingEngine:
     def refresh_due(self, channel: int, rank: int, now: int) -> bool:
         """Whether a refresh is due for the given rank at cycle ``now``."""
         return now >= self.rank_state(channel, rank).refresh_due
-
-    def refresh_urgency(self, channel: int, rank: int, now: int) -> float:
-        """How overdue the next refresh is, in multiples of tREFI."""
-        due = self.rank_state(channel, rank).refresh_due
-        return (now - due) / self.timing.tREFI if now > due else 0.0
 
     # ------------------------------------------------------------------ #
     # Host-busy queries used by the NDA opportunistic scheduler
@@ -606,10 +622,6 @@ class TimingEngine:
             runs.append((busy, nxt - cursor))
             cursor = nxt
         return runs
-
-    def next_refresh_due_cycle(self, channel: int, rank: int) -> int:
-        """Absolute cycle at which the rank's next refresh becomes due."""
-        return self.rank_state(channel, rank).refresh_due
 
     def channel_min_refresh_due(self, channel: int) -> int:
         """Earliest refresh-due cycle over all ranks of ``channel`` (O(1))."""

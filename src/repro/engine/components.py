@@ -443,11 +443,11 @@ class NdaRankComponent:
 
     def on_wake(self, now: int) -> None:
         controller = self.controller
-        if controller._plan is not None:
+        if controller.burst_class is not None:
             # Burst horizon reached (all commands elapsed → counted as a
             # completed burst) or an early wake interleaved — either way the
             # remainder is re-decided per cycle from the settled state.
-            controller.cancel_burst(now, "wake")
+            controller.stop_burst(now, "wake")
         channel, rank = self.key
         if self.system.scheduler.nda_may_issue(channel, rank, now):
             controller.try_issue(now)
@@ -470,7 +470,7 @@ class NdaRankComponent:
         Full settlement — timing *and* deferred accounting — because flush
         boundaries feed results and measurement resets.
         """
-        self.controller.flush_burst(stop)
+        self.controller.stop_burst(stop)
 
 
 class StatsComponent:

@@ -21,85 +21,31 @@ from repro.config import NdaConfig
 from repro.dram.bank import BankState
 from repro.dram.commands import Command, CommandType, DramAddress, RequestSource
 from repro.dram.device import DramSystem
+from repro.nda.burst import (
+    NO_EVENT,
+    PLAN_CLASSES,
+    BurstPlan,
+    Caps,
+    PlanClass,
+    Side,
+    StreakPlanner,
+    stage_flip,
+)
 from repro.nda.fsm import ReplicatedFsm
 from repro.nda.isa import NdaInstruction
 from repro.nda.pe import ProcessingElement
 from repro.nda.throttle import IssueIfIdlePolicy, WriteThrottlePolicy
 from repro.nda.write_buffer import NdaWriteBuffer
 
-#: Sentinel for "no wake-up needed" horizons (matches the engine's INFINITY).
-_NO_EVENT = 1 << 62
-
-
-class _BurstPlan:
-    """A planned steady-state command burst: K column commands at a fixed
-    cadence, applied lazily ("settled") in closed form.
-
-    A plan is a pure *schedule* — no simulation state changes when it is
-    created.  Commands are applied by :meth:`NdaRankController.settle_burst`
-    when (a) an external reader needs the rank's timing state (the owning
-    channel settles before every FR-FCFS scan and command issue), (b) the
-    engine flushes at a run boundary, or (c) the plan is truncated.  The
-    command at index ``i`` issues at cycle ``start + i * step``; ``idx`` is
-    the first unsettled index.  ``rows`` holds the non-leading side's
-    *absorbed* row commands still to settle, as ``(cycle, Command)`` in cycle
-    order; ``due`` is the cycle of the first unsettled command of either
-    kind (``_NO_EVENT`` once all have settled).  ``end`` (past the last
-    command's cycle: the burst horizon) is the owning unit's calendar wake
-    while the plan is live.
-    """
-
-    __slots__ = ("cls", "is_write", "start", "step", "count", "idx",
-                 "acc_idx", "end", "bank", "bank_index", "bank_group",
-                 "stages", "skip_first", "decision", "row_bank", "rows",
-                 "due", "parked", "parked_at")
-
-    def __init__(self, cls: str, is_write: bool, start: int, step: int,
-                 count: int, end: int, bank, bank_index: int,
-                 bank_group: int, stages: bool, skip_first: bool,
-                 decision: Optional[bool], row_bank: int,
-                 rows: List[Tuple[int, Command]]) -> None:
-        #: Plan class (one of :data:`PLAN_CLASSES`), for the diagnostics.
-        self.cls = cls
-        self.is_write = is_write
-        self.start = start
-        self.step = step
-        self.count = count
-        self.idx = 0
-        #: Commands whose *accounting* (counters, FSM, staging) has been
-        #: applied; timing settlement (``idx``) runs ahead of it — scans
-        #: only read timing state, so accounting defers to plan boundaries.
-        self.acc_idx = 0
-        self.end = end
-        self.bank = bank
-        self.bank_index = bank_index
-        self.bank_group = bank_group
-        self.stages = stages
-        #: The first command's access was already classified (its PRE/ACT
-        #: issued earlier and recorded the row miss/conflict); classification
-        #: is per access, so settlement must not re-record it as a hit.
-        self.skip_first = skip_first
-        #: The throttle decision every planned cycle's drain attempt gets
-        #: (``None``: no drain is pending, the throttle is never asked).
-        #: Frozen while the plan lives — a read-queue change that flips it
-        #: truncates the plan.
-        self.decision = decision
-        #: Flat in-rank bank the non-leading side's pending row commands
-        #: target (-1: none).  Absorbing them, and the proof that the rest
-        #: stay futile, assume the host does not want that bank — a host
-        #: enqueue to it truncates.
-        self.row_bank = row_bank
-        self.rows = rows
-        self.due = rows[0][0] if rows and rows[0][0] < start else start
-        #: Truncation cause of a plan whose wake was pulled in to its next
-        #: planned cycle, and the cycle that happened at (see
-        #: ``NdaRankController._park_burst``).
-        self.parked: Optional[str] = None
-        self.parked_at = -1
-
-
-#: The four plan classes, as keyed in ``burst_stats()["planned_by_class"]``.
-PLAN_CLASSES = ("read_streak", "drain_tail", "drain_run", "read_under_drain")
+#: Builds a probe record from a tuple of its fields: the records are made
+#: once or twice per wake, where keyword processing is measurable.
+_new_record = tuple.__new__
+# Enum members read through their class cost an attribute lookup each.
+_ACT = CommandType.ACT
+_PRE = CommandType.PRE
+_RD = CommandType.RD
+_WR = CommandType.WR
+_CLOSED = BankState.CLOSED
 
 
 @dataclass
@@ -147,16 +93,12 @@ class _ExecutionState:
         # Read phase bookkeeping: operands are streamed one row (batch) at a
         # time, operand after operand within a batch.
         self.num_operands = max(1, len(work.operand_banks))
-        per_operand = (self.total_read_columns + self.num_operands - 1) // self.num_operands
-        self.columns_per_operand = max(1, per_operand)
-        # Decoded targets of the next read access and of the next drain (the
-        # write buffer's head), keyed by their cursors: recomputed only when
-        # a cursor moves; blocked attempts and wake probes reuse the
-        # immutable address.
-        self._read_addr_idx = -1
-        self._read_addr: Optional[DramAddress] = None
-        self._drain_addr_idx = -1
-        self._drain_addr: Optional[DramAddress] = None
+        # (cursor, decoded address) of the next read access and of the next
+        # drain (the write buffer's head): recomputed only when a cursor
+        # moves; blocked attempts and wake probes reuse the immutable
+        # address.
+        self.read_memo: Tuple[int, Optional[DramAddress]] = (-1, None)
+        self.drain_memo: Tuple[int, Optional[DramAddress]] = (-1, None)
 
     # -- reads ------------------------------------------------------------ #
 
@@ -168,25 +110,14 @@ class _ExecutionState:
         """(flat bank, row, column) of the next read access."""
         # Column index within the whole instruction, mapped to operand and
         # then to (row, column) within the operand's row sequence.
-        idx = self.reads_issued
-        batch_cols = self.columns_per_row
-        batch = idx // (self.num_operands * batch_cols)
-        within = idx % (self.num_operands * batch_cols)
-        operand = within // batch_cols
-        column = within % batch_cols
-        operand = min(operand, self.num_operands - 1)
+        batch, within = divmod(self.reads_issued,
+                               self.num_operands * self.columns_per_row)
+        operand, column = divmod(within, self.columns_per_row)
         bank = self.work.operand_banks[operand]
         row = self.work.operand_base_rows[operand] + batch
         return bank, row, column
 
-    def advance_read(self) -> None:
-        self.reads_issued += 1
-
     # -- writes ------------------------------------------------------------ #
-
-    @property
-    def writes_all_staged(self) -> bool:
-        return self.writes_staged >= self.total_write_columns
 
     @property
     def writes_done(self) -> bool:
@@ -195,16 +126,10 @@ class _ExecutionState:
     def next_drain(self) -> Tuple[int, int, int]:
         """(flat bank, row, column) of the write buffer's head: it holds
         exactly writes ``[writes_drained, writes_staged)``, in order."""
-        idx = self.writes_drained
-        column = idx % self.columns_per_row
-        row_offset = idx // self.columns_per_row
+        row_offset, column = divmod(self.writes_drained, self.columns_per_row)
         bank = self.work.output_bank if self.work.output_bank is not None else 0
         base_row = self.work.output_base_row or 0
         return bank, base_row + row_offset, column
-
-    @property
-    def complete(self) -> bool:
-        return self.reads_done and self.writes_done
 
     def stage_frontier(self, capacity: int) -> int:
         """Writes staged once staging has caught up.
@@ -235,7 +160,6 @@ class NdaRankController:
                  allowed_banks: Optional[List[int]] = None,
                  throttle: Optional[WriteThrottlePolicy] = None,
                  host_pending_to_bank: Optional[Callable[[int, int, int], bool]] = None,
-                 issue_horizon: Optional[Callable[[int, int, int], int]] = None,
                  ) -> None:
         self.channel = channel
         self.rank = rank
@@ -262,15 +186,12 @@ class NdaRankController:
         self.allowed_banks = allowed_banks or list(range(dram.org.banks_per_rank))
         self.throttle = throttle or IssueIfIdlePolicy()
         self._host_pending_to_bank = host_pending_to_bank
-        # Host-free horizon: injected override, or an inline walk over this
-        # rank's (stable) timing-state object — called once or twice per
-        # wake probe, where the generic rank_state lookup is measurable.
+        # This rank's (stable) timing-state object: the host-free walk runs
+        # once or twice per wake probe, where the generic rank_state lookup
+        # is measurable.
         self._rank_timing = dram.timing.rank_state(channel, rank)
-        self._issue_horizon = issue_horizon or self._host_free_from
-        #: Whether the owning system runs refresh (SchedulerConfig); burst
-        #: plans then stop short of the rank's refresh-due cycle, mirroring
-        #: the concurrent-access gate's refresh deference.  Set by the
-        #: system at construction.
+        #: Whether the owning system runs refresh (set by the system): plans
+        #: then stop short of the refresh deadline, as the gate defers to it.
         self.refresh_enabled = True
         self.write_buffer = NdaWriteBuffer(self.config.write_buffer_entries)
         self.fsm = ReplicatedFsm(channel, rank)
@@ -280,32 +201,22 @@ class NdaRankController:
         self._active: Optional[_ExecutionState] = None
         #: Selective-wake notification: invoked whenever work is delivered,
         #: so the engine re-polls (and, when eligible, runs) this rank's
-        #: unit on the delivery cycle.  The engine re-polls after every run
-        #: and on host-issue notifications, so :meth:`next_event_cycle` is
-        #: only ever called when its inputs actually changed — the old
-        #: issue-version-tagged wake cache is gone.
+        #: unit on the delivery cycle.
         self.wake_listener: Optional[Callable[[], None]] = None
-        # ---- burst-issue fast path ------------------------------------- #
-        # The active plan (None outside steady-state streaming) and the
-        # fixed column cadence.
-        self._plan: Optional[_BurstPlan] = None
-        #: Cycle of the last host-issue truncation: the re-poll it triggers
-        #: (same cycle, at this unit's slot) plans the shifted streak.
-        self.replan_cycle = -1
-        timing = dram.timing.timing
-        self._burst_step = max(timing.tCCDS, timing.tBL)
-        # Static platform properties behind the drain-phase futility proofs:
-        # each planned WR pushes the next RD (write-to-read turnaround), and
-        # each planned RD the next WR (read-to-write turnaround), strictly
-        # past the following planned cycle.
-        self._wr_pushes_rd = (timing.tCWL + timing.tBL
-                              + min(timing.tWTRS, timing.tWTRL)
-                              > self._burst_step)
-        self._rd_pushes_wr = timing.read_to_write > self._burst_step
-        # Same for a precharge of the streaming bank itself (tRTP / write
-        # recovery), which a pending access to another row of it needs.
-        self._wr_pushes_pre = timing.write_to_precharge > self._burst_step
-        self._rd_pushes_pre = timing.tRTP > self._burst_step
+        # ---- burst-issue fast path (see nda/burst.py) ------------------ #
+        self._plan: Optional[BurstPlan] = None
+        #: The live plan's row of ``PLAN_TABLE``, whose flags say which
+        #: outside events can break it, and the cycle of its first unsettled
+        #: command, past which the owning channel settles it before a scan
+        #: (None / ``NO_EVENT`` without a plan).
+        self.burst_class: Optional[PlanClass] = None
+        self.burst_due = NO_EVENT
+        # Cycle of the last host-issue stop: the re-poll it triggers (same
+        # cycle, at this unit's slot) plans the shifted streak.
+        self._replan_cycle = -1
+        self._planner = StreakPlanner.for_timing(
+            dram.timing.timing, self._host_free,
+            dram.timing.act_after_precharge)
         #: Optional scheduler whose ``nda_issue_opportunities`` counter is
         #: advanced per settled command (one per issuing cycle, as the
         #: per-cycle selective engine counts).
@@ -348,13 +259,10 @@ class NdaRankController:
         return self._active is not None or bool(self._queue)
 
     def set_throttle(self, policy: WriteThrottlePolicy) -> None:
-        # A plan made under a pending drain embeds the old policy's
-        # decisions (a read streak embeds none; it is dropped with the
-        # others).  Policy swaps happen between engine runs, where the
-        # run-boundary flush has already settled every elapsed command —
-        # the unsettled remainder lies in the future and is simply dropped
-        # (settle boundary 0).
-        self.cancel_burst(0, "throttle_change")
+        # Plans embed the old policy's decisions.  Swaps happen between
+        # engine runs, after the run-boundary flush settled every elapsed
+        # command: the remainder lies in the future and is simply dropped.
+        self.stop_burst(0, "throttle_change")
         self.throttle = policy
         # Throttle behaviour feeds the wake computation; re-poll.
         listener = self.wake_listener
@@ -372,7 +280,7 @@ class NdaRankController:
         if state is None:
             if not self._queue:
                 return False
-            self._refill(now)
+            self._refill()
             state = self._active
 
         # Drain has priority when the buffer asks for it or reads are done.
@@ -401,368 +309,74 @@ class NdaRankController:
             self._complete_active(now)
 
     # ------------------------------------------------------------------ #
-    # Burst-issue fast path
-    #
-    # In steady-state streaming phases the controller's next K commands are
-    # same-bank column commands at a provably fixed cadence.  Two *leading*
-    # sides exist, each with and without the other side pending:
-    #
-    # * **read_streak** — the remaining row-hit RDs of the current
-    #   (operand, row) run, while no drain is pending (buffer empty or not
-    #   draining);
-    # * **read_under_drain** — the same run while the buffer is draining,
-    #   when the pending drain is provably futile on every planned cycle;
-    # * **drain_tail** — consecutive row-hit WRs to the buffered output row
-    #   once reads are done;
-    # * **drain_run** — the same WR run mid-instruction, when the pending
-    #   read is provably futile on every planned cycle.
-    #
-    # Within such a streak, each command's earliest-issue cycle is exactly
-    # ``prev + max(tCCD_S, tBL)``: all other timing terms are *frozen*
-    # absolute horizons already cleared by the first command, and only the
-    # streak's own commands move the rank-local spacing/bus terms — by the
-    # fixed cadence.  The non-leading side is futile when the (deterministic)
-    # throttle inhibits it; when its column command — or its precharge of
-    # the leading bank — is pushed past the next planned cycle by every
-    # planned command (read/write turnaround, tRTP, write recovery: static
-    # platform properties).  When it needs a row command on another bank,
-    # that command's horizon is frozen (no planned command moves an ACT
-    # input or another bank's precharge horizon), so the plan *absorbs* it
-    # at that cycle — a PRE, then its ACT at ``act_after_precharge`` —
-    # after which the side's column command is pushed like any other.  A
-    # row command it cannot absorb (on a planned cycle, past the last
-    # planned command, an ACT without the push) stops the plan short of it
-    # and the wake parks there (the *row gap*).
-    # :meth:`plan_burst` captures the streak as a :class:`_BurstPlan` (a
-    # pure schedule), the engine parks the unit's wake at the burst horizon
-    # — always a cycle the per-cycle engine would process too — and
-    # :meth:`settle_burst` applies elapsed prefixes: column commands in
-    # closed form, absorbed row commands through ``issue_trusted``.  Any
-    # event that could perturb the schedule or break a futility proof (a
-    # host command to this rank, a read-queue change that flips the
-    # throttle decision, a host request for the bank of an absorbed or
-    # pending row command, a throttle swap, broadcast ``step`` driving)
-    # truncates the plan (:meth:`cancel_burst`, :meth:`_park_burst`),
-    # falling back to the per-cycle path — the same routes that already
-    # carry the engine's dirty notifications.  ARCHITECTURE.md ("Burst
-    # issue") has the proofs.
+    # Burst-issue fast path (plans: nda/burst.py; their classes and proofs:
+    # ARCHITECTURE.md, "Burst issue").
     # ------------------------------------------------------------------ #
 
     def plan_burst(self, now: int) -> None:
-        """Plan the next command streak starting strictly after ``now``.
-
-        Called by the engine component at the end of a processed wake.  A
-        plan is only created when the streak is provably regular for at
-        least two commands; otherwise the per-cycle path continues.
-        """
+        """Plan the next streak starting strictly after ``now`` (at the end
+        of a processed wake, and on the re-poll after a host-issue stop)."""
         state = self._active
         if state is None or self._plan is not None:
             return
         wb = self.write_buffer
-        channel = self.channel
-        rank = self.rank
-        horizon = self._issue_horizon
-        reads_pending = not state.reads_done
-        drain_pending = not wb.empty and (wb.draining or not reads_pending)
-        # Each side's next command, and — when it is a row-hit column
-        # command the throttle lets through — the cycle it would issue at.
-        write_at = read_at = decision = None
+        drain_pending = not wb.empty and (wb.draining or state.reads_done)
+        if drain_pending and not self.throttle.deterministic:
+            return  # every host-free cycle draws RNG
+        # The side probe: what each side needs next, from the next cycle on.
+        floor = now + 1
+        drain = decision = None
         if drain_pending:
-            throttle = self.throttle
-            if not throttle.deterministic:
-                return  # every host-free cycle draws RNG
-            decision = throttle.would_allow(channel, rank, now + 1)
-            head = self._next_drain_addr(state)
-            wkind, wearliest = self._required_earliest(head, True, now + 1)
-            if decision and wkind is CommandType.WR:
-                write_at = horizon(channel, rank, wearliest)
-        if reads_pending:
-            raddr = self._next_read_addr(state)
-            rkind, rearliest = self._required_earliest(raddr, False, now + 1)
-            if rkind is CommandType.RD:
-                read_at = horizon(channel, rank, rearliest)
-        # The non-leading side's row commands the plan absorbs, the first
-        # cycle it could act otherwise, and the (flat in-rank) bank they
-        # target.
-        rows = []
-        gap = _NO_EVENT
-        row_bank = -1
-        if write_at is not None and (read_at is None or write_at <= read_at):
-            # Drain tail / drain run (drains have priority on a tie).
-            if read_at is not None:
-                if not self._wr_pushes_rd:
-                    return
-            elif reads_pending:
-                row_bank = self._flat_bank(raddr)
-                rows, gap = self._row_gap(raddr, rkind, rearliest,
-                                          head.bank_index, write_at,
-                                          self._wr_pushes_pre,
-                                          self._wr_pushes_rd)
-            # Exclude any pop that would cross the low watermark (drain-
-            # phase exit) — with reads done, at least the final drain
-            # (completion detection).  Staging stalled on a full buffer
-            # refills it pop for pop (applied in bulk at accounting), which
-            # only moves the crossing later.
-            limit = wb.length - wb.drain_low_len - 1
-            if limit < 2:
-                return
-            # The buffered writes are consecutive output columns, so the
-            # head's same-row run is the rest of its row.
-            batch_cols = state.columns_per_row
-            run = batch_cols - state.writes_drained % batch_cols
-            count = run if run < limit else limit
-            # Row change after the planned run -> a row command follows;
-            # otherwise another drain, a column command at exactly one
-            # cadence step past the plan.
-            row_end = count == run
-            addr = head
-            start = write_at
-            is_write = True
-            stages = not state.writes_all_staged
-            skip_first = state.write_classified_idx >= state.writes_drained
-            cls = "drain_run" if reads_pending else "drain_tail"
-        elif read_at is not None:
-            # Read streak, alone or under a futile pending drain.
-            if decision:
-                if wkind is CommandType.WR:
-                    if not self._rd_pushes_wr:
-                        return
-                else:
-                    row_bank = self._flat_bank(head)
-                    rows, gap = self._row_gap(head, wkind, wearliest,
-                                              raddr.bank_index, read_at,
-                                              self._rd_pushes_pre,
-                                              self._rd_pushes_wr)
-            # Exclude the instruction's final read: its post-cycle triggers
-            # force-drain / completion, which the per-cycle path handles.
-            remaining = state.total_read_columns - 1 - state.reads_issued
-            if remaining < 2:
-                return
-            batch_cols = state.columns_per_row
-            column = (state.reads_issued
-                      % (state.num_operands * batch_cols)) % batch_cols
-            run = batch_cols - column  # rest of the (operand, row) run
-            count = run if run < remaining else remaining
-            # After the plan: a row command (next operand's ACT/PRE) when
-            # the row run ends with it, otherwise a read of the same row
-            # (the instruction's final one) — a column command whose cycle
-            # the horizon gives exactly.
-            row_end = run <= remaining
-            addr = raddr
-            start = read_at
-            is_write = False
-            stages = state.total_write_columns > 0
-            skip_first = state.read_classified_idx >= state.reads_issued
-            cls = "read_under_drain" if drain_pending else "read_streak"
-        else:
-            return
-        if gap <= start:
-            return  # contended, same-bank or already-due row command
-        step = self._burst_step
-        # A host data burst scheduled to occupy the rank later on blocks the
-        # concurrent-access gate mid-streak; plan only up to its start (the
-        # window's own end is handled by the per-cycle wake logic).
+            decision = self.throttle.would_allow(self.channel, self.rank,
+                                                 floor)
+            drain = self._side(self._next_drain_addr(state), True, floor)
+        read = (None if state.reads_done
+                else self._side(self._next_read_addr(state), False, floor))
+        cols = state.columns_per_row
         rt = self._rank_timing
-        data_from = rt.data_busy_from
-        if data_from > start:
-            window_cap = (data_from - start - 1) // step + 1
-            if count > window_cap:
-                count = window_cap
-                row_end = False  # the stream resumes past the host window
-        if stages and not drain_pending:
-            flip = self._stage_flip(state)
-            if flip <= count:
-                count = flip
-                # Drains gain priority right after the flip (and, under a
-                # stochastic throttle, start drawing RNG every host-free
-                # cycle): resume per-cycle processing immediately.
-                row_end = True
-        if self.refresh_enabled:
-            # The concurrent-access gate blocks NDA issue from the rank's
-            # refresh-due cycle onward (the NDA defers to refresh), so no
-            # planned command may land at or past it.  ``refresh_due`` is
-            # frozen while the plan lives: only a REF moves it, and every
-            # host issue to the rank truncates the plan first.
-            due = rt.refresh_due
-            if due <= start:
-                return  # refresh imminent: per-cycle path defers to it
-            refresh_cap = (due - 1 - start) // step + 1
-            if count > refresh_cap:
-                count = refresh_cap
-                row_end = True  # the gate blocks the continuation
-        gap_capped = False
-        if gap != _NO_EVENT:
-            # Only commands strictly before the row gap are planned; the
-            # streak itself continues past it.
-            gap_cap = (gap - 1 - start) // step + 1
-            if count > gap_cap:
-                count = gap_cap
-                row_end = False
-                gap_capped = True
-        if row_end:
-            # Whatever follows the streak's last command (a row transition,
-            # a drain-phase flip, a refresh) is decided by a re-poll right
-            # after it; leave that command to the per-cycle path, so that
-            # the plan always ends on a continuation of the streak.
-            count -= 1
-        if count < 2:
+        # The Caps fields, in order (built without keyword processing).
+        plan = self._planner.plan(read, drain, decision, _new_record(Caps, (
+            cols - state.reads_issued % cols,
+            state.total_read_columns - 1 - state.reads_issued,
+            NO_EVENT if drain_pending else stage_flip(state, wb),
+            cols - state.writes_drained % cols,
+            wb.length - wb.drain_low_len - 1,
+            rt.data_busy_from,
+            rt.refresh_due if self.refresh_enabled else NO_EVENT)))
+        if plan is None:
             return
-        # Absorb only row commands before the last planned column command:
-        # past it lie the host windows and the refresh deadline the caps
-        # above stop at.  The first one left out is the row gap.
-        last = start + (count - 1) * step
-        while rows and rows[-1][0] > last:
-            gap = rows.pop()[0]
-        # The next command after the plan is another column command of the
-        # streak: it cannot issue before one cadence step past the last
-        # planned command composed with the (frozen) host-free windows —
-        # the per-cycle engine's next wake, and so the plan's.
-        end = horizon(channel, rank, start + count * step)
-        if gap < end:
-            # The other side's row command issues through the per-cycle
-            # path in the gap between two planned cycles.
-            end = gap
-        self._plan = _BurstPlan(cls, is_write, start, step, count, end,
-                                self._banks[addr.bank_index],
-                                addr.bank_index, addr.bank_group, stages,
-                                skip_first, decision, row_bank, rows)
+        plan.skip_first = (
+            state.write_classified_idx >= state.writes_drained
+            if plan.kind is _WR
+            else state.read_classified_idx >= state.reads_issued)
+        self._plan = plan
+        self.burst_class = plan.cls
+        self.burst_due = plan.due
         self.bursts_planned += 1
-        self.burst_commands_planned += count
-        self.burst_commands_by_class[cls] += count
-        if gap_capped:
-            # Not a mid-flight cancellation, but recorded with them: the
-            # diagnostic answers "what cut this streak short?".
+        self.burst_commands_planned += plan.count
+        self.burst_commands_by_class[plan.cls.name] += plan.count
+        if plan.row_gapped:  # recorded with the stops: it cut a streak
             self.burst_truncations["row_gap"] = (
                 self.burst_truncations.get("row_gap", 0) + 1)
 
-    def _row_gap(self, addr: DramAddress, kind: CommandType, earliest: int,
-                 lead_bank_index: int, start: int, pushes_pre: bool,
-                 pushes_col: bool) -> Tuple[List[Tuple[int, Command]], int]:
-        """The non-leading side's row commands a plan starting at ``start``
-        can absorb, and the first cycle that side acts otherwise.
-
-        ``kind``/``earliest`` are the pending ACT/PRE of ``addr`` and its
-        horizon.  On another bank it is frozen while only column commands
-        issue to the leading bank, so the command is absorbed at that cycle;
-        a PRE's ACT follows at ``act_after_precharge`` (equally frozen), and
-        after the ACT the side's column command is pushed past every next
-        planned cycle like any pending column command (``pushes_col``).  An
-        ACT is absorbed only after the plan's first command, so that the
-        push covers it.  A command landing on a planned cycle is not
-        absorbed (``try_issue`` would order the two sides): it is the gap.
-        On the leading bank itself (a PRE: the bank is open on the leading
-        row) every planned command pushes it past the next planned cycle
-        (``pushes_pre``), so once the first command beats it, it never
-        comes due.  The gap is 0 ("no plan") when neither proof holds, or
-        when the host wants the bank (the per-cycle path polls, and counts,
-        every blocked opportunity).
-        """
-        if self._host_wants_bank(addr):
-            return [], 0
-        gap = self._issue_horizon(self.channel, self.rank, earliest)
-        if addr.bank_index == lead_bank_index:
-            return [], (_NO_EVENT if pushes_pre and gap > start else 0)
-        step = self._burst_step
-        rows = []
-        if kind is CommandType.PRE:
-            if gap >= start and (gap - start) % step == 0:
-                return rows, gap
-            rows.append((gap, Command(kind, addr, RequestSource.NDA)))
-            gap = self._issue_horizon(
-                self.channel, self.rank,
-                self.dram.timing.act_after_precharge(addr, gap))
-        if not pushes_col or gap <= start or (gap - start) % step == 0:
-            return rows, gap
-        rows.append((gap, Command(CommandType.ACT, addr, RequestSource.NDA)))
-        return rows, _NO_EVENT
-
-    def _stage_flip(self, state: _ExecutionState) -> int:
-        """Reads, from now, until staging enters the drain phase (a read
-        plan's last command: drains gain priority right after it).
-
-        The flip is the push of write ``target``: the first to reach length
-        ``drain_high_len``, or the next one if the buffer already holds that
-        many (coinciding watermarks).  The frontier reaches it once
-        ``ceil(reads * total_writes / total_reads) >= target``.
-        ``_NO_EVENT`` when writes or capacity stop staging short of it.
-        """
-        wb = self.write_buffer
-        drained = state.writes_drained
-        target = drained + wb.drain_high_len
-        if target <= state.writes_staged:
-            target = state.writes_staged + 1
-        writes = state.total_write_columns
-        if target > writes or target > drained + wb.capacity:
-            return _NO_EVENT
-        reads = (target - 1) * state.total_read_columns // writes + 1
-        flip = reads - state.reads_issued
-        return flip if flip > 1 else 1
-
     def settle_burst(self, upto: int) -> None:
-        """Apply the timing effects of commands at cycles before ``upto``.
-
-        The hot settlement path: the owning channel calls it (through the
-        system's settle hook) before every FR-FCFS scan or command issue, so
-        it updates exactly the state a scan can read — rank/bank timing
-        horizons (last-command absolute values; all updates are monotone, so
-        applying the aggregate is order-safe) and the probe-cache versions.
-        Counters, the replicated FSM and staging are deferred to
-        :meth:`_account_burst`: nothing reads them mid-plan, and one bulk
-        update per plan beats one per elapsed boundary.  Absorbed row
-        commands go through :meth:`_settle_row` at their own cycles: they
-        touch only the other bank and the ACT/busy horizons, none of which
-        the column aggregate reads or writes, so the two commute.
-        """
+        """Apply the timing effects of planned commands before ``upto`` —
+        the hot path, run before every FR-FCFS scan on the channel past
+        :attr:`burst_due`.  Counters, the FSM and staging defer to
+        :meth:`_account_burst`: nothing reads them mid-plan.  Absorbed row
+        commands touch only the other bank and the ACT/busy horizons, which
+        the column law neither reads nor writes, so the two commute."""
         plan = self._plan
         rows = plan.rows
-        while rows and rows[0][0] < upto:
-            cycle, cmd = rows.pop(0)
-            self._settle_row(cycle, cmd, not plan.is_write)
-        done = plan.idx
-        j = (upto - 1 - plan.start) // plan.step + 1
-        if j > plan.count:
-            j = plan.count
-        if j > done:
-            plan.idx = done = j
-            c_last = plan.start + (j - 1) * plan.step
-            timing = self.dram.timing
-            t = timing.timing
-            rt = self._rank_timing
-            bank_timing = timing._banks[plan.bank_index]
-            if plan.is_write:
-                if c_last > rt.last_write_cycle:
-                    rt.last_write_cycle = c_last
-                    rt.last_write_bg = plan.bank_group
-                bus = c_last + t.tCWL + t.tBL
-                if bus > rt.nda_bus_free:
-                    rt.nda_bus_free = bus
-                wtp = c_last + timing._write_to_precharge
-                if wtp > bank_timing.pre_allowed:
-                    bank_timing.pre_allowed = wtp
-            else:
-                if c_last > rt.last_read_cycle:
-                    rt.last_read_cycle = c_last
-                    rt.last_read_bg = plan.bank_group
-                if c_last > rt.last_nda_read_cycle:
-                    rt.last_nda_read_cycle = c_last
-                bus = c_last + t.tCL + t.tBL
-                if bus > rt.nda_bus_free:
-                    rt.nda_bus_free = bus
-                rtp = c_last + t.tRTP
-                if rtp > bank_timing.pre_allowed:
-                    bank_timing.pre_allowed = rtp
-            # Version-keyed memo invalidation (equality-compared keys: one
-            # bump per settlement batch suffices), plus the point-wise
-            # precharge-horizon kill a column command performs on its own
-            # bank.
-            timing._issue_versions[self._rank_index] += 1
-            timing._pre_cache[plan.bank_index] = (-1, 0)
-            self.dram.channel_issue_version[self.channel] += 1
-        due = (plan.start + done * plan.step if done < plan.count
-               else _NO_EVENT)
-        if rows and rows[0][0] < due:
-            due = rows[0][0]
-        plan.due = due
+        while (rows and plan.row_idx < len(rows)
+               and rows[plan.row_idx][0] < upto):
+            cycle, cmd = rows[plan.row_idx]
+            plan.row_idx += 1
+            self._settle_row(cycle, cmd, plan.kind is _RD)
+        last = plan.advance(upto)
+        if last >= 0:
+            self.dram.issue_nda_run(plan.kind, plan.addr, last)
+        self.burst_due = plan.due
 
     def _settle_row(self, cycle: int, cmd: Command, is_write: bool) -> None:
         """Issue an absorbed row command of the non-leading side (``is_write``:
@@ -771,16 +385,8 @@ class NdaRankController:
         gate opportunity and one drain-attempt throttle decision —
         permissive, since only plans under a permissive pending drain
         absorb."""
-        state = self._active
-        dram = self.dram
-        if is_write:
-            if state.writes_drained > state.write_classified_idx:
-                dram.record_access_outcome(cmd.addr, True, is_nda=True)
-                state.write_classified_idx = state.writes_drained
-        elif state.reads_issued > state.read_classified_idx:
-            dram.record_access_outcome(cmd.addr, False, is_nda=True)
-            state.read_classified_idx = state.reads_issued
-        dram.issue_trusted(cmd, cycle)
+        self._classify(self._active, cmd.addr, is_write)
+        self.dram.issue_trusted(cmd, cycle)
         self.commands_issued += 1
         self.burst_row_commands += 1
         self.throttle.note_decisions(1, 0)
@@ -788,14 +394,11 @@ class NdaRankController:
         if gate is not None:
             gate.nda_issue_opportunities += 1
 
-    def _account_burst(self, plan: _BurstPlan) -> None:
-        """Apply the deferred accounting for the plan's settled commands.
-
-        Counters and FSM transitions are additive and the staging frontier
-        depends only on the final read and drain cursors, so one bulk
-        application per plan boundary — O(1), however many commands it
-        covers — is state-identical to per-command application.
-        """
+    def _account_burst(self, plan: BurstPlan) -> None:
+        """Apply the deferred accounting of the plan's settled commands:
+        counters and FSM transitions are additive and the staging frontier
+        depends only on the final cursors, so one O(1) bulk application is
+        state-identical to per-command application."""
         done = plan.acc_idx
         dj = plan.idx - done
         if dj <= 0:
@@ -803,7 +406,7 @@ class NdaRankController:
         plan.acc_idx = plan.idx
         dram = self.dram
         counts = dram.counts
-        bank = plan.bank
+        bank = self._banks[plan.addr.bank_index]
         # Every streak command is a row-buffer hit, classified (once per
         # access) at its issue — except a first command whose access was
         # already classified by its preceding row command.
@@ -812,7 +415,7 @@ class NdaRankController:
         counts.nda_row_hits += classified
         cacheline = dram.org.cacheline_bytes
         state = self._active
-        if plan.is_write:
+        if plan.kind is _WR:
             bank.nda_writes += classified
             counts.nda_writes += dj
             self.bytes_written += dj * cacheline
@@ -820,8 +423,6 @@ class NdaRankController:
             state.writes_drained += dj
             state.write_classified_idx = state.writes_drained - 1
             self.fsm.apply_bulk("write_drained", dj)
-            if plan.stages:
-                self._stage_writes(state)
         else:
             bank.nda_reads += classified
             counts.nda_reads += dj
@@ -829,8 +430,9 @@ class NdaRankController:
             state.reads_issued += dj
             state.read_classified_idx = state.reads_issued - 1
             self.fsm.apply_bulk("read_issued", dj)
-            if plan.stages:
-                self._stage_writes(state)
+        if state.writes_staged < state.total_write_columns:
+            # As the per-cycle path's post-cycle after each command.
+            self._stage_writes(state)
         # One throttle decision per planned cycle while a drain is pending
         # (the drain attempt precedes the read), as the per-cycle selective
         # engine records.
@@ -846,90 +448,82 @@ class NdaRankController:
         if gate is not None:
             gate.nda_issue_opportunities += dj
 
-    def flush_burst(self, upto: int) -> None:
-        """Settle timing *and* accounting up to ``upto`` (run-boundary
-        flushes: results and measurement resets read the counters)."""
-        plan = self._plan
-        if plan is None:
-            return
-        self.settle_burst(upto)
-        self._account_burst(plan)
+    def stop_burst(self, upto: int, cause: Optional[str] = None,
+                   park: bool = False, bank: int = -1) -> None:
+        """Settle the live plan's commands before ``upto`` and stop it.
 
-    def cancel_burst(self, upto: int, cause: str) -> None:
-        """Settle the elapsed prefix (< ``upto``) and drop the remainder.
-
-        ``cause`` labels the truncation source in the burst diagnostics; a
-        plan whose commands had all elapsed counts as completed instead.
+        * No ``cause``: a run-boundary flush.  Accounting settles too
+          (results and measurement resets read it); the plan stays live.
+        * ``park``: a host enqueue broke the plan's futility proof —
+          ``read_queue`` flipping the embedded throttle decision, or
+          ``bank_demand`` for ``bank``, the other side's row-command bank.
+          Callers park only plans whose class rests on that proof
+          (:attr:`burst_class`, a row of ``PLAN_TABLE``).
+          Enqueues do not re-poll the per-cycle engine's unit, whose
+          calendar still holds the next planned cycle, where it re-decides.
+          So the plan stays, its wake pulled in to that command, where the
+          wake drops it.
+        * Otherwise the plan is dropped: counted as completed if all its
+          commands elapsed, else under ``cause`` (or its park cause).
         """
         plan = self._plan
         if plan is None:
             return
+        if park:
+            if cause == "read_queue":
+                broken = plan.decision != self.throttle.would_allow(
+                    self.channel, self.rank, upto)
+            else:
+                broken = plan.row_bank == bank
+            if not broken:
+                return
         self.settle_burst(upto)
+        due = self.burst_due
+        if park:
+            if due != NO_EVENT:
+                plan.end = due
+                plan.parked = cause
+                plan.parked_at = upto
+                listener = self.wake_listener
+                if listener is not None:
+                    listener()
+            return
         self._account_burst(plan)
+        if cause is None:
+            return
         self._plan = None
-        if plan.due == _NO_EVENT:
+        self.burst_class = None
+        self.burst_due = NO_EVENT
+        if due == NO_EVENT:
             self.bursts_completed += 1
         else:
             cause = plan.parked or cause
             self.burst_truncations[cause] = (
                 self.burst_truncations.get(cause, 0) + 1)
 
-    def _park_burst(self, upto: int, cause: str) -> None:
-        """Truncate a plan whose futility proof an outside event just broke.
+    def note_host_issue(self, now: int) -> None:
+        """A host command issued to this rank at ``now``: stop the plan.
 
-        The commands from ``upto`` on are stale, but the event (a host
-        enqueue) does not re-poll the per-cycle engine: its calendar still
-        holds the next planned cycle, where it re-decides (and counts the
-        attempt).  So the plan is not dropped here — its wake is pulled in
-        to that cycle (an absorbed row command's, if that comes first), and
-        the wake there cancels it and resumes the per-cycle path.
+        Streaming usually survives with a shifted cadence, so the re-poll
+        the issue triggers plans again (the planner re-reads bank state: a
+        host command that perturbed the streak yields no plan).
         """
-        plan = self._plan
-        self.settle_burst(upto)
-        if plan.due != _NO_EVENT:
-            plan.end = plan.due
-            plan.parked = cause
-            plan.parked_at = upto
-            listener = self.wake_listener
-            if listener is not None:
-                listener()
-
-    def park_throttled_burst(self, upto: int) -> None:
-        """Truncate a plan whose embedded throttle decision just flipped
-        (the channel's read queue changed at ``upto``).
-
-        Only plans made under a pending drain embed one — every write plan
-        and every read plan made while a drain was pending; a read streak
-        never asks the throttle.
-        """
-        plan = self._plan
-        if (plan is not None and plan.decision is not None
-                and plan.decision != self.throttle.would_allow(
-                    self.channel, self.rank, upto)):
-            self._park_burst(upto, "read_queue")
-
-    def park_contended_burst(self, upto: int, addr: DramAddress) -> None:
-        """Truncate a plan whose pending row command the host now blocks
-        (a host request for ``addr`` was accepted at ``upto``)."""
-        plan = self._plan
-        if plan is not None and plan.row_bank == self._flat_bank(addr):
-            self._park_burst(upto, "bank_demand")
+        if self._plan is not None:
+            self.stop_burst(now, "host_issue")
+            self._replan_cycle = now
 
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
 
-    def _refill(self, now: int) -> None:
-        if self._active is not None or not self._queue:
-            return
+    def _refill(self) -> None:
+        """Start the next queued work item (the caller checked the queue)."""
         work = self._queue.popleft()
-        self._active = _ExecutionState(work, self.dram.org.columns_per_row)
-        self.fsm.apply(
-            "launch",
-            instruction_id=work.instruction.instruction_id,
-            reads=self._active.total_read_columns,
-            writes=self._active.total_write_columns,
-        )
+        state = self._active = _ExecutionState(work,
+                                               self.dram.org.columns_per_row)
+        self.fsm.apply("launch", instruction_id=work.instruction.instruction_id,
+                       reads=state.total_read_columns,
+                       writes=state.total_write_columns)
         for pe in self.pes:
             if not pe.busy:
                 pe.start(work.instruction)
@@ -950,12 +544,9 @@ class NdaRankController:
             self._bank_index_base + flat_bank,
         ))
 
-    def _host_free_from(self, channel: int, rank: int, cycle: int) -> int:
-        """Earliest host-free cycle >= ``cycle`` for this rank.
-
-        Same walk as ``TimingEngine.next_host_free_cycle``, bound to this
-        rank's timing-state object (signature kept for injected overrides).
-        """
+    def _host_free(self, cycle: int) -> int:
+        """Earliest host-free cycle >= ``cycle`` for this rank (the walk of
+        ``TimingEngine.next_host_free_cycle``)."""
         state = self._rank_timing
         while True:
             if cycle < state.busy_until:
@@ -969,11 +560,21 @@ class NdaRankController:
     def _host_wants_bank(self, addr: DramAddress) -> bool:
         if self._host_pending_to_bank is None:
             return False
-        return self._host_pending_to_bank(self.channel, self.rank,
-                                          self._flat_bank(addr))
+        return self._host_pending_to_bank(
+            self.channel, self.rank, addr.bank_index - self._bank_index_base)
 
-    def _flat_bank(self, addr: DramAddress) -> int:
-        return addr.bank_group * self.dram.org.banks_per_group + addr.bank
+    def _classify(self, state: _ExecutionState, addr: DramAddress,
+                  is_write: bool) -> None:
+        """Record the access's row-buffer outcome (hit/miss/conflict) if the
+        command about to issue is its first, so the outcome reflects the
+        bank state the access found."""
+        if is_write:
+            if state.writes_drained > state.write_classified_idx:
+                self.dram.record_access_outcome(addr, True, is_nda=True)
+                state.write_classified_idx = state.writes_drained
+        elif state.reads_issued > state.read_classified_idx:
+            self.dram.record_access_outcome(addr, False, is_nda=True)
+            state.read_classified_idx = state.reads_issued
 
     def _required_earliest(self, addr: DramAddress, is_write: bool,
                            now: int) -> Tuple[CommandType, int]:
@@ -988,20 +589,20 @@ class NdaRankController:
         """
         bank_index = addr.bank_index
         bank = self._banks[bank_index]
-        if bank.state is BankState.CLOSED:
-            kind = CommandType.ACT
+        if bank.state is _CLOSED:
+            kind = _ACT
             cache = self._act_cache
             versions = self._timing_row_versions
         elif bank.open_row == addr.row:
             if is_write:
-                kind = CommandType.WR
+                kind = _WR
                 cache = self._nda_wr_cache
             else:
-                kind = CommandType.RD
+                kind = _RD
                 cache = self._nda_rd_cache
             versions = self._timing_versions
         else:
-            kind = CommandType.PRE
+            kind = _PRE
             cache = self._pre_cache
             versions = self._timing_row_versions
         cached = cache[bank_index]
@@ -1011,15 +612,22 @@ class NdaRankController:
         return kind, self._timing_earliest_issue_at(kind, addr,
                                                     RequestSource.NDA, now)
 
-    def _issue_toward(self, addr: DramAddress, is_write: bool, now: int,
-                      classify: bool = False) -> Optional[CommandType]:
+    def _side(self, addr: DramAddress, is_write: bool, floor: int) -> Side:
+        """The side probe :meth:`next_event_cycle` and :meth:`plan_burst`
+        share: what the access to ``addr`` needs next, from ``floor`` on."""
+        kind, earliest = self._required_earliest(addr, is_write, floor)
+        # A row command the host blocks polls every opportunity.
+        blocked = kind.is_row and self._host_wants_bank(addr)
+        return _new_record(Side, (addr, kind, self._host_free(
+            floor if blocked else earliest), blocked))
+
+    def _issue_toward(self, state: _ExecutionState, addr: DramAddress,
+                      is_write: bool, now: int) -> Optional[CommandType]:
         """Issue the next command (PRE/ACT/column) needed for an access.
 
         Returns the issued command kind, or None when nothing could issue
         (the access is still pending and did not consume this cycle's issue
-        slot).  ``classify`` records the row-buffer outcome of the access
-        (hit/miss/conflict) just before its first command issues, so the
-        outcome reflects the bank state the access found.
+        slot).
         """
         kind, earliest = self._required_earliest(addr, is_write, now)
         if kind.is_row and self._host_wants_bank(addr):
@@ -1030,8 +638,7 @@ class NdaRankController:
             return None
         if earliest > now:
             return None
-        if classify:
-            self.dram.record_access_outcome(addr, is_write, is_nda=True)
+        self._classify(state, addr, is_write)
         # required_command + the probe above are exactly the issue-time
         # legality checks; nothing issued in between.
         self.dram.issue_trusted(Command(kind, addr, RequestSource.NDA), now)
@@ -1039,40 +646,28 @@ class NdaRankController:
         return kind
 
     def _next_read_addr(self, state: _ExecutionState) -> DramAddress:
-        idx = state.reads_issued
-        if state._read_addr_idx == idx:
-            return state._read_addr
-        bank, row, column = state.next_read()
-        addr = self._addr(bank, row, column)
-        state._read_addr_idx = idx
-        state._read_addr = addr
-        return addr
+        memo = state.read_memo
+        if memo[0] != state.reads_issued:
+            memo = state.read_memo = (state.reads_issued,
+                                      self._addr(*state.next_read()))
+        return memo[1]
 
     def _next_drain_addr(self, state: _ExecutionState) -> DramAddress:
-        idx = state.writes_drained
-        if state._drain_addr_idx == idx:
-            return state._drain_addr
-        bank, row, column = state.next_drain()
-        addr = self._addr(bank, row, column)
-        state._drain_addr_idx = idx
-        state._drain_addr = addr
-        return addr
+        memo = state.drain_memo
+        if memo[0] != state.writes_drained:
+            memo = state.drain_memo = (state.writes_drained,
+                                       self._addr(*state.next_drain()))
+        return memo[1]
 
     def _try_read(self, now: int, state: _ExecutionState) -> bool:
-        addr = self._next_read_addr(state)
-        classify = state.reads_issued > state.read_classified_idx
-        issued = self._issue_toward(addr, is_write=False, now=now,
-                                    classify=classify)
-        if issued is None:
+        issued = self._issue_toward(state, self._next_read_addr(state), False,
+                                    now)
+        if issued is None or not issued.is_column:
             return False
-        if classify:
-            state.read_classified_idx = state.reads_issued
-        if issued.is_column:
-            state.advance_read()
-            self.bytes_read += self.dram.org.cacheline_bytes
-            self.fsm.apply("read_issued")
-            return True
-        return False
+        state.reads_issued += 1
+        self.bytes_read += self.dram.org.cacheline_bytes
+        self.fsm.apply("read_issued")
+        return True
 
     def _stage_writes(self, state: _ExecutionState) -> None:
         """Stage every result write the staging frontier allows, at once."""
@@ -1090,21 +685,15 @@ class NdaRankController:
         if not self.throttle.allow_write(self.channel, self.rank, now):
             self.cycles_blocked_by_throttle += 1
             return False
-        addr = self._next_drain_addr(state)
-        classify = state.writes_drained > state.write_classified_idx
-        issued = self._issue_toward(addr, is_write=True, now=now,
-                                    classify=classify)
-        if issued is None:
+        issued = self._issue_toward(state, self._next_drain_addr(state), True,
+                                    now)
+        if issued is None or not issued.is_column:
             return False
-        if classify:
-            state.write_classified_idx = state.writes_drained
-        if issued.is_column:
-            self.write_buffer.pop()
-            state.writes_drained += 1
-            self.bytes_written += self.dram.org.cacheline_bytes
-            self.fsm.apply("write_drained")
-            return True
-        return False
+        self.write_buffer.pop()
+        state.writes_drained += 1
+        self.bytes_written += self.dram.org.cacheline_bytes
+        self.fsm.apply("write_drained")
+        return True
 
     def _complete_active(self, now: int) -> None:
         state = self._active
@@ -1127,36 +716,26 @@ class NdaRankController:
     def next_event_cycle(self, now: int) -> int:
         """Earliest cycle >= ``now`` at which this controller may act.
 
-        The contract (see ``engine/``): for every cycle strictly before the
-        returned value, calling ``try_issue``/``post_cycle`` would neither
-        issue a command, classify an access, consume throttle RNG, nor
-        complete an instruction — so the event engine may skip those cycles.
-        Drains under a non-deterministic throttle pin the wake-up to every
-        host-free cycle so RNG draws land on exactly the same cycles as in
-        the cycle-by-cycle loop.
+        The contract (see ``engine/``): before the returned cycle,
+        ``try_issue``/``post_cycle`` would neither issue a command, classify
+        an access, consume throttle RNG, nor complete an instruction.  A
+        drain under a stochastic throttle pins the wake to every host-free
+        cycle, so RNG draws land where the cycle-by-cycle loop makes them.
+        Access wakes compose the required command's timing horizon with the
+        rank's host-busy windows; both stay frozen until the next command to
+        the rank, which is this controller's own or arrives as a host-issue
+        dirty notification.
 
-        Access wake-ups combine the DRAM timing horizon of the required
-        command with the rank's host-busy windows (the concurrent-access
-        gate).  Exact under the fast-forward contract: both inputs are
-        frozen until the next command issues to the rank — and every such
-        issue either is this controller's own (the engine re-polls ran
-        units) or arrives as a host-issue dirty notification, so the unit
-        is re-polled in time.
-
-        While a burst plan is live the unit's entire activity up to the
-        burst horizon is the plan itself (settled lazily), so the wake is
-        the horizon, where per-cycle processing resumes.  The poll is also
-        where the plan set changes without a processed wake: the re-poll
-        after a host-issue truncation plans the shifted streak, and a
-        re-poll that finds a parked plan (other than the one its parking
-        asked for) drops it.
+        A live plan's wake is its horizon.  The poll is also where plans
+        change without a processed wake: the re-poll after a host-issue stop
+        plans the shifted streak, and any later re-poll drops a parked plan.
         """
-        if self.replan_cycle == now:
-            # Re-polled after a host-issue truncation: plan here, where the
+        if self._replan_cycle == now:
+            # Re-polled after a host-issue stop: plan here, where the
             # per-cycle engine re-derives its wake, so both decide on the
             # same queue state (the host unit may still have enqueued
-            # between the truncating issue and this poll).
-            self.replan_cycle = -1
+            # between the stopping issue and this poll).
+            self._replan_cycle = -1
             self.plan_burst(now)
         plan = self._plan
         if plan is not None:
@@ -1165,43 +744,31 @@ class NdaRankController:
             # A parked plan stands for a stale calendar entry; any later
             # re-poll (a measurement reset, delivered work) makes the
             # per-cycle engine re-derive its wake from the current state.
-            self.cancel_burst(now, "wake")
+            self.stop_burst(now, "wake")
         state = self._active
         if state is None:
             if not self._queue:
                 # Idle ranks stay idle until new work arrives; delivery
                 # fires wake_listener, so the engine re-polls in time.
-                return _NO_EVENT
+                return NO_EVENT
             # Refill (and the first command of the new work item) happens at
             # the next issue opportunity.
-            return self._issue_horizon(self.channel, self.rank, now)
-        wake = _NO_EVENT
-        drain_pending = (not self.write_buffer.empty
-                         and (self.write_buffer.draining or state.reads_done))
-        if drain_pending:
+            return self._host_free(now)
+        wake = NO_EVENT
+        wb = self.write_buffer
+        if not wb.empty and (wb.draining or state.reads_done):
             if not self.throttle.deterministic:
-                wake = self._issue_horizon(self.channel, self.rank, now)
+                wake = self._host_free(now)
             elif self.throttle.would_allow(self.channel, self.rank, now):
-                addr = self._next_drain_addr(state)
-                kind, earliest = self._required_earliest(addr, True, now)
-                if kind.is_row and self._host_wants_bank(addr):
-                    # Blocked on the host queue: poll at each opportunity.
-                    wake = self._issue_horizon(self.channel, self.rank, now)
-                else:
-                    wake = self._issue_horizon(self.channel, self.rank, earliest)
+                wake = self._side(self._next_drain_addr(state), True, now).at
             # else: throttled — the block only lifts when the host queue
             # changes: either a read to this rank issues (a host-issue
             # dirty notification re-polls this unit) or an enqueue makes
             # the prediction stricter (which can only delay the drain).
         if not state.reads_done:
-            addr = self._next_read_addr(state)
-            kind, earliest = self._required_earliest(addr, False, now)
-            if kind.is_row and self._host_wants_bank(addr):
-                candidate = self._issue_horizon(self.channel, self.rank, now)
-            else:
-                candidate = self._issue_horizon(self.channel, self.rank, earliest)
-            if candidate < wake:
-                wake = candidate
+            at = self._side(self._next_read_addr(state), False, now).at
+            if at < wake:
+                wake = at
         return wake
 
     def reset_measurement(self) -> None:

@@ -5,7 +5,7 @@ A snapshot is taken at a **safe point**: an inter-cycle engine boundary
 such a boundary the only state that is not a plain value is
 
 * live burst plans (pure schedules) — settled-and-dropped first via
-  ``cancel_burst(now, "checkpoint")``, which is exactly the per-cycle
+  ``stop_burst(now, "checkpoint")``, which is exactly the per-cycle
   fallback every early wake already takes, so the continuing run stays
   bit-identical to the restored one;
 * the engine wake calendar — derived, never serialized; both the
@@ -271,7 +271,7 @@ def snapshot_system(system) -> Dict[str, Any]:
             "cannot snapshot a system built from custom benchmark profiles "
             "(profiles=...): the build spec records only named mixes")
     for controller in system.rank_controllers.values():
-        controller.cancel_burst(system.now, "checkpoint")
+        controller.stop_burst(system.now, "checkpoint")
 
     timing = system.dram.timing
     requests: Dict[int, Dict[str, Any]] = {}

@@ -10,11 +10,12 @@ counters (futile-attempt counters included) and the throttle's decision
 counts — against the bursting run.  Each scenario is also replayed on the
 cycle engine, the per-cycle oracle, with the same diff minus the futile-
 attempt counters that count wake cadence.  Every replay also diffs the
-sequence of NDA row commands (cycle, channel, rank, bank, row, kind) per
-rank and names the first divergent record — plans absorb row commands of
-the other bank, so their cycles are checked directly, not only through
-the final state.  Unit tests for the closed-form pieces (bulk FSM
-transitions, bulk write-buffer drains) ride along.
+sequence of NDA commands (cycle, channel, rank, bank, row, column, kind)
+per rank and names the first divergent record — planned commands expand
+from their closed form as they settle, so every cycle a plan claims is
+checked directly, not only through the final state.  Unit tests for the
+closed-form pieces (bulk FSM transitions, bulk write-buffer drains) ride
+along.
 """
 
 import contextlib
@@ -32,7 +33,7 @@ from repro.core.modes import AccessMode
 from repro.core.system import ChopimSystem
 from repro.dram.timing import _BankTiming, _ChannelTiming, _RankTiming
 from repro.experiments.common import build_system, resolve_config
-from repro.nda.controller import PLAN_CLASSES
+from repro.nda.burst import PLAN_CLASSES
 from repro.nda.fsm import ReplicatedFsm
 from repro.nda.isa import NdaOpcode
 from repro.nda.write_buffer import NdaWriteBuffer
@@ -169,28 +170,51 @@ def _without_attempts(state):
     }
 
 
-def _record_row_commands(system):
-    """Log every NDA row command as (cycle, channel, rank, bank_index, row,
-    kind), by wrapping ``DramSystem.issue_trusted`` — the one path per-cycle
-    issue and plan settlement share.  Returns the (live) log."""
+def _record_commands(system):
+    """Log every NDA command as (cycle, channel, rank, bank_index, row,
+    column, kind): per-cycle ones through ``DramSystem.issue_trusted``,
+    planned ones from ``BurstPlan.commands()`` as ``settle_burst`` settles
+    them (the plan's settle cursors say which).  Returns the (live) log."""
     log = []
+    settling = []  # absorbed row commands reach issue_trusted too
+
+    def record(cycle, cmd):
+        addr = cmd.addr
+        log.append((cycle, addr.channel, addr.rank, addr.bank_index,
+                    addr.row, addr.column, cmd.kind.name))
+
     issue = system.dram.issue_trusted
 
-    def recording(cmd, now):
-        if cmd.is_nda and cmd.kind.is_row:
-            addr = cmd.addr
-            log.append((now, addr.channel, addr.rank, addr.bank_index,
-                        addr.row, cmd.kind.name))
+    def recording_issue(cmd, now):
+        if cmd.is_nda and not settling:
+            record(now, cmd)
         issue(cmd, now)
 
-    system.dram.issue_trusted = recording
+    system.dram.issue_trusted = recording_issue
+    for rc in system.rank_controllers.values():
+        def recording_settle(upto, rc=rc, settle=rc.settle_burst):
+            plan = rc._plan
+            idx, row_idx = plan.idx, plan.row_idx
+            settling.append(plan)
+            try:
+                settle(upto)
+            finally:
+                settling.pop()
+            commands = list(plan.commands())
+            columns = [item for item in commands if item[1].kind.is_column]
+            rows = [item for item in commands if item[1].kind.is_row]
+            for cycle, cmd in (columns[idx:plan.idx]
+                               + rows[row_idx:plan.row_idx]):
+                record(cycle, cmd)
+
+        rc.settle_burst = recording_settle
     return log
 
 
 def _first_divergence(burst_log, plain_log):
-    """The first differing record of two row-command logs, each sorted per
-    rank by cycle (plans settle lazily, so ranks interleave differently), or
-    None when they agree."""
+    """The first differing record of two command logs, each sorted per rank
+    by cycle (plans settle lazily, so ranks interleave differently), or None
+    when they agree."""
     def per_rank(log):
         return sorted(log, key=lambda record: (record[1], record[2],
                                                record[0]))
@@ -211,12 +235,12 @@ def _replay_mismatches(config=None, oracle="burst_off", prepare=None,
                        **spec):
     """Run ``spec`` with bursting on and on the per-cycle ``oracle``;
     returns (burst system, keys of the full state that differ).  The NDA
-    row-command sequences are diffed too, reported by their first divergent
+    command sequences are diffed too, reported by their first divergent
     record."""
     logs = []
 
     def recording(system):
-        logs.append(_record_row_commands(system))
+        logs.append(_record_commands(system))
         if prepare is not None:
             prepare(system)
 
@@ -244,7 +268,7 @@ def _replay_mismatches(config=None, oracle="burst_off", prepare=None,
                   if plain_state[key] != burst_state[key]]
     divergence = _first_divergence(*logs)
     if divergence is not None:
-        mismatched.append(f"row_commands ({divergence})")
+        mismatched.append(f"commands ({divergence})")
     return burst_system, mismatched
 
 
@@ -310,7 +334,7 @@ class TestBurstRefreshPressure:
     Each scenario is checked two ways: the burst run against the
     ``REPRO_DISABLE_BURST=1`` per-cycle replay (full-state diff), and the
     event engine against the cycle engine (result diff) — if a REF fails
-    to truncate a live ``_BurstPlan``, the settled stream runs through the
+    to truncate a live ``BurstPlan``, the settled stream runs through the
     refresh window and both diffs light up.
     """
 
@@ -393,7 +417,7 @@ class TestBurstPlatforms:
             system = ChopimSystem(config=platform_config(platform),
                                   mode=AccessMode.NDA_ONLY, mix=None,
                                   engine="event")
-            steps = {rc._burst_step
+            steps = {rc._planner.step
                      for rc in system.rank_controllers.values()}
             assert steps == {expected}, (platform, steps)
 
@@ -481,7 +505,8 @@ class TestDrainPhasePlans:
         next one); where it does not hold, the per-cycle path must run."""
         def no_push(system):
             for rc in system.rank_controllers.values():
-                rc._wr_pushes_pre = rc._rd_pushes_pre = False
+                rc._planner = rc._planner._replace(wr_pushes_pre=False,
+                                                   rd_pushes_pre=False)
 
         spec = dict(mode=AccessMode.BANK_PARTITIONED, mix="mix1",
                     throttle="issue_if_idle", opcode=NdaOpcode.COPY,
@@ -507,9 +532,8 @@ class TestDrainPhasePlans:
             system, _ = _build_and_run(
                 mode=AccessMode.NDA_ONLY, opcode=NdaOpcode.COPY,
                 config=platform_config("hbm2"), cycles=2000,
-                prepare=lambda system: logs.append(
-                    _record_row_commands(system)))
-        issued = len(logs[0])
+                prepare=lambda system: logs.append(_record_commands(system)))
+        issued = sum(record[-1] in ("ACT", "PRE") for record in logs[0])
         absorbed = 0
         for rc in system.rank_controllers.values():
             stats = rc.burst_stats()
@@ -521,16 +545,16 @@ class TestDrainPhasePlans:
         assert 0.5 * issued < absorbed <= issued, (absorbed, issued)
 
     def test_row_command_diff_names_the_first_divergent_record(self):
-        plain = [(10, 0, 0, 1, 5, "PRE"), (24, 0, 0, 1, 6, "ACT"),
-                 (12, 0, 1, 3, 5, "PRE")]
+        plain = [(10, 0, 0, 1, 5, 0, "PRE"), (24, 0, 0, 1, 6, 0, "ACT"),
+                 (12, 0, 1, 3, 5, 9, "RD")]
         # Ranks may interleave differently; per rank, order is by cycle.
         assert _first_divergence(plain[::-1], plain) is None
         late = [(11,) + plain[0][1:]] + plain[1:]
         assert _first_divergence(late, plain) == (
-            "record 0: burst (11, 0, 0, 1, 5, 'PRE') != per-cycle "
-            "(10, 0, 0, 1, 5, 'PRE')")
+            "record 0: burst (11, 0, 0, 1, 5, 0, 'PRE') != per-cycle "
+            "(10, 0, 0, 1, 5, 0, 'PRE')")
         assert _first_divergence(plain[:2], plain) == (
-            "record 2: only the per-cycle run has (12, 0, 1, 3, 5, 'PRE')")
+            "record 2: only the per-cycle run has (12, 0, 1, 3, 5, 9, 'RD')")
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(opcode=st.sampled_from([NdaOpcode.COPY, NdaOpcode.AXPY,

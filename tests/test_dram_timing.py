@@ -276,10 +276,6 @@ class TestRefresh:
         assert not dram.can_issue(act, T.tRFC - 1)
         assert dram.can_issue(act, T.tRFC)
 
-    def test_refresh_urgency(self, engine):
-        assert engine.refresh_urgency(0, 0, 0) == 0.0
-        assert engine.refresh_urgency(0, 0, T.tREFI * 2) > 0.0
-
 
 class TestDramSystemFacade:
     def test_required_command_progression(self, dram):

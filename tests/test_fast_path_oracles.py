@@ -16,6 +16,10 @@ workloads:
 * **never-late wake** — no cycle before a channel's published wake (from
   the idle probe, or refined after an issuing tick) holds an issuable
   request, checked cycle by cycle with the linear scan;
+* **NDA column runs** — ``TimingEngine.issue_nda_run`` leaves every timing
+  field, both version lists (as invalidations) and every live probe-cache
+  entry that one ``issue`` per command of the run leaves, on drawn
+  platforms, runs and command histories;
 * **closed-form settlement** — ``settle_burst`` leaves the timing state the
   per-command ``TimingEngine.issue`` replay of the same planned commands
   leaves, for every plan class, and across a plan's absorbed row commands
@@ -43,12 +47,11 @@ from repro.dram.device import DramSystem
 from repro.dram.timing import _BankTiming, _ChannelTiming, _RankTiming
 from repro.experiments.common import resolve_config
 from repro.memctrl.frfcfs import NO_EVENT
+from repro.nda.burst import PLAN_CLASSES, stage_flip
 from repro.nda.controller import (
-    PLAN_CLASSES,
     NdaRankController,
     RankWorkItem,
     _ExecutionState,
-    _NO_EVENT,
 )
 from repro.nda.isa import NdaInstruction, NdaOpcode
 from repro.nda.write_buffer import NdaWriteBuffer
@@ -288,9 +291,9 @@ def _live_plan(cls, rows=0):
     for _ in range(600):
         for controller in system.rank_controllers.values():
             plan = controller._plan
-            if (plan is not None and plan.cls == cls
+            if (plan is not None and plan.cls.name == cls
                     and plan.count - plan.idx >= 3
-                    and len(plan.rows) >= rows):
+                    and len(plan.rows) - plan.row_idx >= rows):
                 return system, controller
         # Run boundaries settle but keep live plans.
         system.run(cycles=5, warmup=0)
@@ -318,7 +321,7 @@ def _check_settlement_replay(system, controller, upto):
     timing = dram.timing
     plan = controller._plan
     settled = plan.idx
-    absorbed = list(plan.rows)
+    absorbed = plan.rows[plan.row_idx:]
     before = _timing_dump(timing), _row_state(system, controller)
 
     # Commands at cycles strictly before ``upto`` are settled: the column
@@ -335,11 +338,7 @@ def _check_settlement_replay(system, controller, upto):
     for bank, (state, open_row) in zip(banks, before[1][0]):
         bank.state, bank.open_row = state, open_row
     timing._row_versions[controller._rank_index] = before[1][1]
-    bank = plan.bank
-    lead = DramAddress(controller.channel, controller.rank, plan.bank_group,
-                       bank.bank, bank.open_row or 0, 0,
-                       controller._rank_index, plan.bank_index)
-    lead_kind = CommandType.WR if plan.is_write else CommandType.RD
+    is_write = plan.kind is CommandType.WR
     slots = {plan.start + index * plan.step
              for index in range(plan.count)}
     events = [(plan.start + index * plan.step, None)
@@ -348,17 +347,17 @@ def _check_settlement_replay(system, controller, upto):
     floor = system.now
     for cycle, cmd in sorted(events, key=lambda event: event[0]):
         if cmd is None:
-            timing.issue(Command(lead_kind, lead, _NDA), cycle)
+            timing.issue(Command(plan.kind, plan.addr, _NDA), cycle)
             continue
-        kind = dram.required_command(cmd.addr, not plan.is_write)
+        kind = dram.required_command(cmd.addr, not is_write)
         plain = dram.next_host_free_cycle(
             controller.channel, controller.rank,
             timing.earliest_issue_at(kind, cmd.addr, _NDA, floor))
-        if plan.is_write and plain in slots:
+        if is_write and plain in slots:
             plain = dram.next_host_free_cycle(controller.channel,
                                               controller.rank, plain + 1)
         assert (kind, plain) == (cmd.kind, cycle), (
-            f"{plan.cls}: absorbed {cmd.kind.name} planned at {cycle}, the "
+            f"{plan.cls.name}: absorbed {cmd.kind.name} planned at {cycle}, the "
             f"per-cycle law issues {kind.name} at {plain}")
         dram.issue(Command(kind, cmd.addr, _NDA), cycle)
         floor = cycle + 1
@@ -370,10 +369,10 @@ def _check_settlement_replay(system, controller, upto):
         for slot, value in fields.items()
         if replayed[0][tier][position][slot] != value]
     assert not mismatched, (
-        f"{plan.cls} settlement diverged from the per-command replay on "
+        f"{plan.cls.name} settlement diverged from the per-command replay on "
         f"{mismatched[:5]}")
     assert replayed[1] == closed_form[1], (
-        f"{plan.cls}: bank state / row version diverged")
+        f"{plan.cls.name}: bank state / row version diverged")
 
 
 class TestSettlementReplay:
@@ -395,7 +394,79 @@ class TestSettlementReplay:
         upto = max(plan.start + (plan.idx + 2) * plan.step,
                    plan.rows[-1][0]) + 1
         _check_settlement_replay(system, controller, upto)
-        assert not plan.rows and controller.burst_row_commands >= 2
+        assert plan.row_idx == len(plan.rows)
+        assert controller.burst_row_commands >= 2
+
+
+def _effective(cache, versions, rank_index):
+    """A probe cache's live entries: the cached horizon where the entry's
+    version is the rank's current one (the probes compare for equality),
+    None where the next probe re-derives it."""
+    return [entry[1] if entry[0] == versions[rank_index] else None
+            for entry in cache]
+
+
+class TestNdaColumnRun:
+    """``TimingEngine.issue_nda_run`` == one ``TimingEngine.issue`` per
+    command of the run, on drawn platforms, runs and command histories."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(platform=st.sampled_from([None, "ddr4-3200", "lpddr4-3200",
+                                     "ddr5-4800", "hbm2"]),
+           history=st.lists(st.tuples(st.sampled_from(list(CommandType)),
+                                      st.sampled_from([_HOST, _NDA]),
+                                      st.integers(0, 63),
+                                      st.integers(0, 40)), max_size=24),
+           length=st.integers(1, 40), is_read=st.booleans(),
+           group=st.integers(0, 7), bank=st.integers(0, 7),
+           gap=st.integers(0, 60))
+    def test_run_matches_per_command_issue(self, platform, history, length,
+                                           is_read, group, bank, gap):
+        config = resolve_config(platform, 1, 1)
+        org = config.org
+        timing = DramSystem(org, config.timing).timing
+
+        def addr(flat):
+            flat %= org.banks_per_rank
+            return DramAddress(0, 0, flat // org.banks_per_group,
+                               flat % org.banks_per_group, 0, 0, 0, flat)
+
+        now = 0
+        for kind, source, flat, delay in history:
+            now += delay
+            timing.issue(Command(kind, addr(flat), source), now)
+        # Fill every probe cache at the current versions, so the run must
+        # invalidate exactly what per-command issue invalidates.
+        for flat in range(org.banks_per_rank):
+            for kind, source in ((CommandType.ACT, _HOST),
+                                 (CommandType.PRE, _HOST),
+                                 (CommandType.RD, _NDA),
+                                 (CommandType.WR, _NDA)):
+                timing.earliest_issue_at(kind, addr(flat), source, now)
+        target = addr(group % org.bank_groups * org.banks_per_group
+                      + bank % org.banks_per_group)
+        kind = CommandType.RD if is_read else CommandType.WR
+        step = max(config.timing.tCCDS, config.timing.tBL)
+        start = now + gap
+        before = timing._issue_versions[0]
+        plain = copy.deepcopy(timing)
+        for j in range(length):
+            plain.issue(Command(kind, target, _NDA), start + j * step)
+        timing.issue_nda_run(kind, target, start + (length - 1) * step)
+
+        assert _timing_dump(timing) == _timing_dump(plain)
+        assert timing._row_versions == plain._row_versions
+        # One bump per run, one per command: both move the same rank.
+        assert timing._issue_versions[0] > before
+        assert plain._issue_versions[0] > before
+        for name, versions in (("_act_cache", "_row_versions"),
+                               ("_pre_cache", "_row_versions"),
+                               ("_nda_rd_cache", "_issue_versions"),
+                               ("_nda_wr_cache", "_issue_versions")):
+            assert (_effective(getattr(timing, name),
+                               getattr(timing, versions), 0)
+                    == _effective(getattr(plain, name),
+                                  getattr(plain, versions), 0)), name
 
 
 class TestActAfterPrecharge:
@@ -549,7 +620,7 @@ class TestStagingWindow:
         count = min(count, p["total_reads"] - 1 - p["reads"])
         state = _staging_state(p["total_reads"], p["total_writes"],
                                p["reads"], p["staged"], p["drained"])
-        flip = controller._stage_flip(state)
+        flip = stage_flip(state, controller.write_buffer)
         assert flip >= 1
         closed = flip if flip <= count else None
         assert closed == _plain_flip(
@@ -588,8 +659,8 @@ class TestStagingWindow:
                 count = min(512, state.total_read_columns - 1
                             - state.reads_issued)
                 if count >= 1 and not wb.draining:
-                    flip = rc._stage_flip(state)
+                    flip = stage_flip(state, wb)
                     assert (flip if flip <= count else None) == _plain_flip(
                         *args, wb.capacity, wb.drain_high_watermark, count)
-                    flips += flip != _NO_EVENT
+                    flips += flip != NO_EVENT
         assert windows > 0 and flips > 0, (windows, flips)

@@ -329,7 +329,7 @@ class TestSnapshotRestoreEquivalence:
 
         def checkpoint(system):
             interrupted.extend(
-                (plan.cls, plan.count - plan.idx)
+                (plan.cls.name, plan.count - plan.idx)
                 for plan in (rc._plan
                              for rc in system.rank_controllers.values())
                 if plan is not None)
