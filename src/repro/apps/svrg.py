@@ -5,9 +5,9 @@ The algorithm (Johnson & Zhang) alternates two tasks per outer iteration:
 1. **Summarization** — the full-data average gradient ``g`` (the correction
    term), a streaming, low-arithmetic-intensity pass over the entire input
    matrix.  This is the part offloaded to the NDAs (Figure 8).
-2. **Inner loop** — ``epoch_length`` stochastic updates of the model ``w``
-   using the variance-reduced gradient, a cache-friendly tight loop that
-   stays on the host.
+2. **Inner loop** — one epoch of stochastic updates of the model ``w``
+   (``epoch_fraction`` × N of them) using the variance-reduced gradient, a
+   cache-friendly tight loop that stays on the host.
 
 Three execution variants are modelled, exactly as evaluated in Figure 15:
 
@@ -21,16 +21,19 @@ Three execution variants are modelled, exactly as evaluated in Figure 15:
 
 Convergence is computed functionally with numpy; wall-clock time comes from a
 :class:`SvrgTimingModel` whose bandwidth/latency inputs are measured on the
-simulator (:func:`measure_svrg_timing`) or supplied analytically.
+simulator (:func:`measure_svrg_timing`) or supplied analytically.  The two
+never mix: :meth:`SvrgTrainer.train` computes a timing-free *trajectory*
+(losses plus the delayed variant's segment schedule) and then sums its
+*timeline* from the timing model, so trainers that differ only in timing
+share one trajectory (:data:`_TRAJECTORY_MEMO`).
 """
 
 from __future__ import annotations
 
 import enum
 import hashlib
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.apps import require_numpy
 from repro.apps.datasets import SyntheticClassificationDataset, make_dataset
@@ -46,6 +49,32 @@ np = require_numpy()
 #: Every fig15 point retrains the same dataset at another NDA count, so a
 #: worker (or the serial path) solves once and the later trainers reuse it.
 _OPTIMUM_MEMO: Dict[Tuple[bytes, int, float, int, float], float] = {}
+
+#: Training trajectories computed in this process, keyed by what the numerics
+#: depend on: dataset content and ``classes``, ``l2_lambda``, ``momentum``,
+#: the learning rate, the epoch length, the outer iterations, the delayed
+#: variant's segment length (0 for the serialized variants) and the RNG
+#: state at entry.  Timing is not in the key: fig15b's points differ only in
+#: their NDA count, so the later points re-time the first point's
+#: trajectories instead of retraining them.
+_TRAJECTORY_MEMO: Dict[tuple, _Trajectory] = {}
+
+
+class _Trajectory(NamedTuple):
+    """A memoised training run: what :meth:`SvrgTrainer._trajectory` returns
+    plus the generator state the run left behind."""
+
+    losses: Tuple[float, ...]
+    segments: Tuple[int, ...]
+    rng_state: dict
+
+
+def _frozen(value):
+    """A hashable copy of a ``bit_generator.state`` dict (nested dicts of
+    names and integers for the trainer's PCG64)."""
+    if isinstance(value, dict):
+        return tuple((k, _frozen(v)) for k, v in sorted(value.items()))
+    return value
 
 
 class SvrgVariant(enum.Enum):
@@ -66,13 +95,14 @@ class SvrgConfig:
     outer_iterations: int = 20
     seed: int = 11
 
-    def epoch_length(self, num_samples: int) -> int:
-        return max(1, int(num_samples * self.epoch_fraction))
-
 
 @dataclass
 class SvrgTimingModel:
-    """Wall-clock cost model fed by simulator measurements.
+    """Wall-clock cost model of the SVRG tasks.
+
+    fig15 builds it with :meth:`analytic` from peak bandwidths unless
+    ``measure=True``, which feeds it :func:`measure_svrg_timing`'s simulator
+    runs instead (ROADMAP item 3).
 
     ``host_stream_gbs`` is the host's effective streaming bandwidth over the
     input matrix (used for host-only summarization), ``nda_stream_gbs`` the
@@ -176,22 +206,29 @@ class SvrgTrainer:
         e = np.exp(z)
         return e / e.sum(axis=-1, keepdims=True)
 
-    def loss(self, w: np.ndarray) -> float:
-        """Mean cross-entropy plus the ℓ2 penalty."""
-        logits = self._x @ w
-        probs = self._softmax(logits)
+    def _forward(self, w: np.ndarray) -> np.ndarray:
+        """Class probabilities of every sample: the full-data forward pass
+        that :meth:`loss` and :meth:`full_gradient` share."""
+        return self._softmax(self._x @ w)
+
+    def _loss_of(self, w: np.ndarray, probs: np.ndarray) -> float:
         n = self.dataset.num_samples
         nll = -np.log(probs[np.arange(n), self.dataset.labels] + 1e-30).mean()
         reg = 0.5 * self.config.l2_lambda * float((w * w).sum())
         return float(nll + reg)
 
+    def _gradient_of(self, w: np.ndarray, probs: np.ndarray) -> np.ndarray:
+        diff = probs - self._labels_one_hot
+        grad = self._x.T @ diff / self.dataset.num_samples
+        return grad + self.config.l2_lambda * w
+
+    def loss(self, w: np.ndarray) -> float:
+        """Mean cross-entropy plus the ℓ2 penalty."""
+        return self._loss_of(w, self._forward(w))
+
     def full_gradient(self, w: np.ndarray) -> np.ndarray:
         """The summarization task: average gradient over the whole dataset."""
-        x = self._x
-        probs = self._softmax(x @ w)
-        diff = probs - self._labels_one_hot
-        grad = x.T @ diff / self.dataset.num_samples
-        return grad + self.config.l2_lambda * w
+        return self._gradient_of(w, self._forward(w))
 
     def sample_gradient(self, w: np.ndarray, index: int) -> np.ndarray:
         x = self._x[index]
@@ -264,74 +301,126 @@ class SvrgTrainer:
               learning_rate: Optional[float] = None,
               epoch_fraction: Optional[float] = None,
               outer_iterations: Optional[int] = None) -> List[SvrgHistoryPoint]:
-        """Run SVRG under one execution variant; returns the loss trajectory."""
+        """Run SVRG under one execution variant; returns the loss trajectory
+        on the timing model's wall clock."""
         lr = learning_rate if learning_rate is not None else self.config.learning_rate
         fraction = epoch_fraction if epoch_fraction is not None else self.config.epoch_fraction
         outer = outer_iterations if outer_iterations is not None else self.config.outer_iterations
         epoch_len = max(1, int(self.dataset.num_samples * fraction))
 
         optimum = self.optimum_loss()
-        dataset_bytes = self.dataset.nbytes
         timing = self.timing
-
-        w = self._init_weights()
-        velocity = np.zeros_like(w)
-        snapshot = w.copy()
-        correction = self.full_gradient(snapshot)
-        stale_correction = correction.copy()
-        stale_snapshot = snapshot.copy()
-        wall_clock = 0.0
-        history: List[SvrgHistoryPoint] = []
-
-        initial_loss = self.loss(w)
-        history.append(SvrgHistoryPoint(0, 0.0, initial_loss,
-                                        max(initial_loss - optimum, 1e-16)))
-
         summarize_on_nda = variant is not SvrgVariant.HOST_ONLY
-        summarize_time = timing.summarize_seconds(dataset_bytes, summarize_on_nda)
-        inner_time = timing.inner_loop_seconds(epoch_len, self.num_features)
-        per_iter_time = timing.inner_loop_seconds(1, self.num_features)
-        # Delayed update exchanges whenever the NDAs finish a correction term,
-        # so the host runs one *segment* of inner iterations per exchange;
-        # more NDAs mean shorter segments and a fresher (less stale) term.
-        segment_len = max(1, min(epoch_len,
-                                 int(round(summarize_time / max(per_iter_time, 1e-12)))))
+        summarize_time = timing.summarize_seconds(self.dataset.nbytes, summarize_on_nda)
+        segment_len = 0
+        if variant is SvrgVariant.DELAYED_UPDATE:
+            # Delayed update exchanges whenever the NDAs finish a correction
+            # term, so the host runs one *segment* of inner iterations per
+            # exchange; more NDAs mean shorter segments and a fresher (less
+            # stale) term.
+            per_iter_time = timing.inner_loop_seconds(1, self.num_features)
+            segment_len = max(1, min(epoch_len, int(round(
+                summarize_time / max(per_iter_time, 1e-12)))))
+        losses, segments = self._trajectory(lr, epoch_len, outer, segment_len)
 
-        for outer_it in range(1, outer + 1):
-            if variant is SvrgVariant.DELAYED_UPDATE:
-                # Parallel execution: the host's inner loop overlaps the NDA
-                # summarization and uses the correction term of the previous
-                # exchange (one NDA pass stale).
-                iterations_left = epoch_len
-                while iterations_left > 0:
-                    segment = min(segment_len, iterations_left)
-                    w, velocity = self._inner_loop(w, stale_snapshot, stale_correction,
-                                                   segment, lr, velocity)
-                    segment_time = timing.inner_loop_seconds(segment, self.num_features)
-                    wall_clock += max(summarize_time, segment_time)
-                    wall_clock += timing.exchange_seconds()
-                    stale_snapshot = snapshot.copy()
-                    stale_correction = correction.copy()
-                    snapshot = w.copy()
-                    correction = self.full_gradient(snapshot)
-                    iterations_left -= segment
+        # The timeline: each task's time goes into the wall clock in the
+        # order the tasks run.
+        exchange_time = timing.exchange_seconds()
+        if segments:
+            segment_times = [max(summarize_time,
+                                 timing.inner_loop_seconds(segment, self.num_features))
+                             for segment in segments]
+        else:
+            inner_time = timing.inner_loop_seconds(epoch_len, self.num_features)
+        wall_clock = 0.0
+        history = [SvrgHistoryPoint(0, 0.0, losses[0],
+                                    max(losses[0] - optimum, 1e-16))]
+        for outer_it, current_loss in enumerate(losses[1:], start=1):
+            if segments:
+                for segment_time in segment_times:
+                    wall_clock += segment_time
+                    wall_clock += exchange_time
             else:
-                # Serialized: summarize, then run the inner loop.
-                snapshot = w.copy()
-                correction = self.full_gradient(snapshot)
                 wall_clock += summarize_time
-                w, velocity = self._inner_loop(w, snapshot, correction,
-                                               epoch_len, lr, velocity)
                 wall_clock += inner_time
                 if variant is SvrgVariant.ACCELERATED:
-                    wall_clock += timing.exchange_seconds()
-
-            current_loss = self.loss(w)
+                    wall_clock += exchange_time
             history.append(SvrgHistoryPoint(
                 outer_it, wall_clock, current_loss,
                 max(current_loss - optimum, 1e-16),
             ))
         return history
+
+    def _trajectory(self, lr: float, epoch_len: int, outer: int,
+                    segment_len: int) -> Tuple[Tuple[float, ...], Tuple[int, ...]]:
+        """The loss after each outer iteration (initial loss first) and the
+        segment lengths of one delayed-update epoch (empty when serialized).
+
+        Depends on the numerics and the RNG stream only, so it is memoised
+        per process (:data:`_TRAJECTORY_MEMO`).  A hit moves the generator
+        to where the cold run left it, so later calls draw the same stream.
+        """
+        key = (self._content_digest(), self.dataset.classes,
+               self.config.l2_lambda, self.config.momentum, lr, epoch_len,
+               outer, segment_len, _frozen(self.rng.bit_generator.state))
+        trajectory = _TRAJECTORY_MEMO.get(key)
+        if trajectory is None:
+            segments: Tuple[int, ...] = ()
+            if segment_len:
+                whole, rest = divmod(epoch_len, segment_len)
+                segments = (segment_len,) * whole + ((rest,) if rest else ())
+                losses = self._delayed_losses(lr, outer, segments)
+            else:
+                losses = self._serialized_losses(lr, epoch_len, outer)
+            trajectory = _TRAJECTORY_MEMO[key] = _Trajectory(
+                tuple(losses), segments, self.rng.bit_generator.state)
+        else:
+            self.rng.bit_generator.state = trajectory.rng_state
+        return trajectory.losses, trajectory.segments
+
+    def _serialized_losses(self, lr: float, epoch_len: int,
+                           outer: int) -> List[float]:
+        """Summarize, then run the inner loop; the forward pass that scores
+        one outer iteration is the next iteration's summarization."""
+        w = self._init_weights()
+        velocity = np.zeros_like(w)
+        probs = self._forward(w)
+        losses = [self._loss_of(w, probs)]
+        for _ in range(outer):
+            snapshot = w
+            correction = self._gradient_of(snapshot, probs)
+            # Free the N x classes matrix before the next pass allocates
+            # its own, so sharing it does not raise the peak footprint.
+            del probs
+            w, velocity = self._inner_loop(w, snapshot, correction,
+                                           epoch_len, lr, velocity)
+            probs = self._forward(w)
+            losses.append(self._loss_of(w, probs))
+        return losses
+
+    def _delayed_losses(self, lr: float, outer: int,
+                        segments: Tuple[int, ...]) -> List[float]:
+        """Parallel execution: the host's inner loop overlaps the NDA
+        summarization and uses the correction term of the previous exchange
+        (one NDA pass stale).  An outer iteration ends on an exchange, so
+        its loss reuses the last summarization's forward pass."""
+        w = self._init_weights()
+        velocity = np.zeros_like(w)
+        probs = self._forward(w)
+        losses = [self._loss_of(w, probs)]
+        snapshot = stale_snapshot = w
+        correction = stale_correction = self._gradient_of(snapshot, probs)
+        for _ in range(outer):
+            for segment in segments:
+                del probs  # dead from here on; see _serialized_losses
+                w, velocity = self._inner_loop(w, stale_snapshot, stale_correction,
+                                               segment, lr, velocity)
+                stale_snapshot, stale_correction = snapshot, correction
+                snapshot = w
+                probs = self._forward(snapshot)
+                correction = self._gradient_of(snapshot, probs)
+            losses.append(self._loss_of(w, probs))
+        return losses
 
     def train_until(self, variant: SvrgVariant, gap_threshold: float,
                     learning_rate: Optional[float] = None,
@@ -376,19 +465,6 @@ class SvrgTrainer:
             if point.loss_gap <= gap_threshold:
                 return point.wall_clock_seconds
         return None
-
-    @staticmethod
-    def best_history(histories: Dict[str, List[SvrgHistoryPoint]],
-                     gap_threshold: float) -> Tuple[str, Optional[float]]:
-        """The configuration reaching the threshold first (the 'ACC_Best' bar)."""
-        best_name, best_time = "", None
-        for name, history in histories.items():
-            t = SvrgTrainer.time_to_converge(history, gap_threshold)
-            if t is None:
-                continue
-            if best_time is None or t < best_time:
-                best_name, best_time = name, t
-        return best_name, best_time
 
 
 def measure_svrg_timing(channels: int = 2, ranks_per_channel: int = 2,

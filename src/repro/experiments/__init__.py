@@ -4,7 +4,7 @@ Every module exposes a ``run_*`` function that returns plain data structures
 (lists of row dicts) mirroring the series plotted in the paper, plus a
 ``format_table`` helper that renders them for the terminal.  The benchmark
 suite under ``benchmarks/`` regenerates every figure/table through these
-entry points; ``EXPERIMENTS.md`` records paper-vs-measured values.
+entry points.
 """
 
 from repro.experiments import common

@@ -106,23 +106,6 @@ def checksum_point(value: int, spin: int = 2000,
     return {"value": value, "checksum": acc, "spin": spin}
 
 
-def _canonical_point():
-    """``checksum_point`` from the canonically-imported module.
-
-    Task keys embed the point function's module name.  When this file runs
-    as ``python -m ...selftest`` the in-file reference would be
-    ``__main__.checksum_point`` while an in-process caller (pytest, the
-    resume leg) sees ``repro...selftest.checksum_point`` — different keys,
-    so a resume would never match the child driver's store.  Resolving
-    through :mod:`importlib` gives every incarnation the same identity.
-    """
-    import importlib
-
-    module = importlib.import_module(
-        "repro.experiments.sweeprunner.selftest")
-    return module.checksum_point
-
-
 def proof_params(points: int, spin: int, sleep: float) -> List[Dict[str, Any]]:
     return [{"value": v, "spin": spin, "sleep": sleep}
             for v in range(points)]
@@ -183,7 +166,7 @@ def drive(store: Path, points: int, spin: int, sleep: float,
         processes=workers, cache_dir=store, max_retries=max_retries,
         task_timeout=task_timeout, retry_backoff=0.05,
         fault_plan=fault_plan, progress=progress)
-    return run_sweep_outcome(_canonical_point(),
+    return run_sweep_outcome(checksum_point,
                              proof_params(points, spin, sleep),
                              options=options)
 
@@ -200,22 +183,13 @@ def _reset_sim_watermarks() -> None:
     set_operation_id_watermark(0)
 
 
-def _canonical_sim_point():
-    """``simulation_point`` under its canonical module identity."""
-    import importlib
-
-    module = importlib.import_module(
-        "repro.experiments.sweeprunner.selftest")
-    return module.simulation_point
-
-
 def drive_ckpt(store: Path, cycles: int, elements: int, seed: int,
                max_retries: int = 3):
     """One driver incarnation over the single checkpoint-proof point."""
     options = SweepOptions(processes=1, cache_dir=store,
                            max_retries=max_retries, retry_backoff=0.05)
     return run_sweep_outcome(
-        _canonical_sim_point(),
+        simulation_point,
         [{"cycles": cycles, "elements": elements, "seed": seed}],
         options=options)
 
@@ -275,9 +249,8 @@ def run_proof(points: int = 200, fault_rate: float = 0.05, seed: int = 7,
     import tempfile
 
     plan = FaultPlan(rate=fault_rate, seed=seed)
-    point = _canonical_point()
     clean = run_sweep_outcome(
-        point, proof_params(points, spin, sleep=0.0),
+        checksum_point, proof_params(points, spin, sleep=0.0),
         options=SweepOptions(processes=1, cache_dir="", journal=False,
                              fault_plan=FaultPlan(rate=0.0)))
     assert clean.ok and len(clean.rows) == points
@@ -299,7 +272,7 @@ def run_proof(points: int = 200, fault_rate: float = 0.05, seed: int = 7,
         ledger_path = _ledger_file(store)
         leases = (ledger_module.lease_counts(ledger_path)
                   if ledger_path is not None else {})
-        tasks = [make_task(point, p)
+        tasks = [make_task(checksum_point, p)
                  for p in proof_params(points, spin, sleep)]
         keys = {t.cache_key() for t in tasks}
 
@@ -347,10 +320,9 @@ def run_ckpt_proof(cycles: int = 12000, elements: int = 1 << 12,
 
     from repro.snapshot import SnapshotError, read_snapshot, restore_system
 
-    point = _canonical_sim_point()
     # Direct call, no slot armed: the uninterrupted ground truth.
     _reset_sim_watermarks()
-    baseline = point(cycles=cycles, elements=elements, seed=seed)
+    baseline = simulation_point(cycles=cycles, elements=elements, seed=seed)
 
     with tempfile.TemporaryDirectory(prefix="repro-ckpt-proof-") as tmp:
         store = Path(store_dir) if store_dir is not None else Path(tmp)
@@ -466,7 +438,7 @@ def drive_shard(store: Path, host: str, points: int, cycles: int,
         cluster=ClusterOptions(host=host, heartbeat_interval=heartbeat,
                                staleness=staleness, steal_stagger=0.25,
                                poll_interval=poll))
-    return run_sweep_outcome(_canonical_sim_point(),
+    return run_sweep_outcome(simulation_point,
                              shard_params(points, cycles, elements, seed),
                              options=options)
 
@@ -490,10 +462,9 @@ def run_shard_proof(points: int = 4, cycles: int = 9000,
     plan = (FaultPlan(rate=fault_rate, seed=fault_seed,
                       kinds=("netsplit", "steal-race"))
             if fault_rate > 0 else FaultPlan(rate=0.0))
-    point = _canonical_sim_point()
     params = shard_params(points, cycles, elements, seed)
     clean = run_sweep_outcome(
-        point, params,
+        simulation_point, params,
         options=SweepOptions(processes=1, cache_dir="", journal=False,
                              fault_plan=FaultPlan(rate=0.0)))
     assert clean.ok and len(clean.rows) == points
@@ -557,7 +528,7 @@ def run_shard_proof(points: int = 4, cycles: int = 9000,
         # Verifier host: every row must come back from the federated store
         # without executing anything — cross-host results are first-class.
         verifier = run_sweep_outcome(
-            point, params,
+            simulation_point, params,
             options=SweepOptions(
                 processes=1, cache_dir=store, max_retries=max_retries,
                 retry_backoff=0.05,
@@ -571,7 +542,7 @@ def run_shard_proof(points: int = 4, cycles: int = 9000,
                                              ledger_module.lease_counts)
         migrated = ledger_module.merged_counts(ledger_dir,
                                                ledger_module.migrate_counts)
-        keys = {make_task(point, p).cache_key() for p in params}
+        keys = {make_task(simulation_point, p).cache_key() for p in params}
 
         report = {
             "points": points,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -99,8 +100,23 @@ class SweepTask:
 
 
 def make_task(fn: PointFn, params: Dict[str, Any]) -> SweepTask:
-    return SweepTask(module=fn.__module__, qualname=fn.__qualname__,
+    return SweepTask(module=_module_name(fn), qualname=fn.__qualname__,
                      params=dict(params))
+
+
+def _module_name(fn: PointFn) -> str:
+    """The module a point function is imported from.
+
+    ``python -m repro.experiments.figXX`` runs the figure module as
+    ``__main__``; its points key the store under the module's import name,
+    so the CLI and library callers (scripts, benchmarks) share cached rows.
+    """
+    module = fn.__module__
+    if module == "__main__":
+        spec = getattr(sys.modules.get("__main__"), "__spec__", None)
+        if spec is not None and spec.name:
+            module = spec.name
+    return module
 
 
 def sweep_id(tasks) -> str:

@@ -124,11 +124,14 @@ def _count_calls(monkeypatch, name):
 
 class TestSvrgComputeOnce:
     """The float64 design matrix and the reference optimum are invariants of
-    the dataset: one conversion per trainer, one solve per process."""
+    the dataset: one conversion per trainer, one solve per process.  A
+    training trajectory is an invariant of the numerics and the RNG state:
+    one run per process, whatever the timing model."""
 
     @pytest.fixture(autouse=True)
     def fresh_memo(self, monkeypatch):
         monkeypatch.setattr(svrg_module, "_OPTIMUM_MEMO", {})
+        monkeypatch.setattr(svrg_module, "_TRAJECTORY_MEMO", {})
 
     def test_one_float64_conversion_per_trainer(self, monkeypatch):
         dataset = make_dataset(256, 32, classes=4, seed=3)
@@ -193,6 +196,64 @@ class TestSvrgComputeOnce:
         SvrgTrainer(base.dataset, SvrgConfig(learning_rate=0.5, seed=1),
                     timing).optimum_loss(iterations=20)
         assert gradients[0] == 101
+
+
+    def test_trajectory_memo_key_covers_what_training_depends_on(self):
+        dataset = make_dataset(256, 32, classes=4, seed=3)
+
+        def trainer(nda_count=4, **config):
+            return SvrgTrainer(dataset, SvrgConfig(learning_rate=0.05,
+                                                   outer_iterations=2, **config),
+                               SvrgTimingModel.analytic(nda_count))
+
+        def trained():
+            return len(svrg_module._TRAJECTORY_MEMO)
+
+        base = trainer()
+        host = base.train(SvrgVariant.HOST_ONLY)
+        assert trained() == 1
+        # Timing is not in the key: another variant with the same numerics,
+        # or another NDA count, re-times the same trajectory.
+        acc = trainer().train(SvrgVariant.ACCELERATED)
+        acc_16 = trainer(16).train(SvrgVariant.ACCELERATED)
+        assert trained() == 1
+        assert [p.training_loss for p in acc] == [p.training_loss for p in host]
+        assert acc_16[-1].wall_clock_seconds < acc[-1].wall_clock_seconds
+        # Everything the numerics depend on misses: the RNG state, the
+        # learning rate, the epoch fraction, the outer count, l2_lambda,
+        # momentum and the dataset ...
+        base.train(SvrgVariant.HOST_ONLY)
+        trainer().train(SvrgVariant.HOST_ONLY, learning_rate=0.1)
+        trainer().train(SvrgVariant.HOST_ONLY, epoch_fraction=0.5)
+        trainer().train(SvrgVariant.HOST_ONLY, outer_iterations=3)
+        trainer(l2_lambda=1e-2).train(SvrgVariant.HOST_ONLY)
+        trainer(momentum=0.5).train(SvrgVariant.HOST_ONLY)
+        SvrgTrainer(make_dataset(256, 32, classes=4, seed=4),
+                    SvrgConfig(learning_rate=0.05, outer_iterations=2),
+                    SvrgTimingModel.analytic(4)).train(SvrgVariant.HOST_ONLY)
+        assert trained() == 8
+        # ... and so does the delayed variant's segment length, which the
+        # NDA count sets.
+        trainer(4).train(SvrgVariant.DELAYED_UPDATE)
+        trainer(16).train(SvrgVariant.DELAYED_UPDATE)
+        trainer(16).train(SvrgVariant.DELAYED_UPDATE)
+        assert trained() == 10
+
+    def test_hit_leaves_the_rng_where_a_cold_run_does(self, monkeypatch):
+        def two_runs():
+            trainer = SvrgTrainer(make_dataset(256, 32, classes=4, seed=3),
+                                  SvrgConfig(learning_rate=0.05, outer_iterations=2),
+                                  SvrgTimingModel.analytic(4))
+            trainer.train(SvrgVariant.HOST_ONLY)
+            return trainer.train(SvrgVariant.DELAYED_UPDATE)
+
+        cold = two_runs()
+        monkeypatch.setattr(svrg_module, "_TRAJECTORY_MEMO", {
+            key: value for key, value in svrg_module._TRAJECTORY_MEMO.items()
+            if not value.segments})
+        after_hit = two_runs()
+        assert len(svrg_module._TRAJECTORY_MEMO) == 2
+        assert after_hit == cold
 
 
 class TestSvrgVariants:

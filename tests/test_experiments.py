@@ -210,6 +210,19 @@ class TestFig13:
         assert by_size["small+async"]["nda_bw_utilization"] >= \
             by_size["small"]["nda_bw_utilization"] * 0.9
 
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="fig13 gemv size classes measure nothing: at DEFAULT_CYCLES "
+               "no GEMV instruction completes, so the small and medium rows "
+               "are equal except for size (ROADMAP item 2, step zero)")
+    def test_gemv_size_classes_differ(self):
+        rows = run_operation_size_sweep(operations=(NdaOpcode.GEMV,),
+                                        include_async_small=False,
+                                        processes=1, cache_dir="")
+        small, medium = ({k: v for k, v in row.items() if k != "size"}
+                         for row in rows)
+        assert small != medium
+
 
 class TestFig14:
     def test_chopim_beats_rank_partitioning(self):
@@ -230,7 +243,7 @@ class TestFig14:
         strict=True, raises=AssertionError,
         reason="fig14 svrg row differs from dot row: at DEFAULT_CYCLES the "
                "leading GEMV of svrg_kernel_sequence never completes, so the "
-               "svrg point is the dot point (ROADMAP item 5)")
+               "svrg point is the dot point (ROADMAP item 2, step zero)")
     @pytest.mark.parametrize("scheme,mode", fig14_scaling.SCHEMES)
     @pytest.mark.parametrize("channels,ranks", fig14_scaling.FULL_RANK_CONFIGS)
     def test_svrg_row_differs_from_dot_row(self, channels, ranks, scheme, mode):
@@ -294,6 +307,43 @@ class TestFig15:
         assert len(solve_gradients) == 300
         run_svrg_convergence(outer_iterations=1, epoch_fractions=(0.25,))
         assert len(solve_gradients) == 300
+
+    def test_reversed_nda_counts_give_reversed_rows(self, monkeypatch):
+        """Rows do not depend on which point trains a shared trajectory
+        first: here the 16-NDA point fills the memo."""
+        from repro.apps import svrg
+
+        monkeypatch.setattr(svrg, "_OPTIMUM_MEMO", {})
+        monkeypatch.setattr(svrg, "_TRAJECTORY_MEMO", {})
+        rows = run_svrg_scaling(nda_counts=(16, 8, 4), processes=1, cache_dir="")
+        assert rows == FIG15_DEFAULT_ROWS[::-1]
+
+    def test_work_counts(self, monkeypatch):
+        """Exact work of a fresh serial fig15b: full-data forward passes
+        (301 of them the optimum solve), mini-batch softmaxes (two per
+        inner step) and ``train`` calls."""
+        from repro.apps import svrg
+
+        monkeypatch.setattr(svrg, "_OPTIMUM_MEMO", {})
+        monkeypatch.setattr(svrg, "_TRAJECTORY_MEMO", {})
+        counts = {"full_data": 0, "mini_batch": 0, "train": 0}
+        softmax = svrg.SvrgTrainer._softmax
+        train = svrg.SvrgTrainer.train
+
+        def counted_softmax(z):
+            # 2048 rows: the default dataset, every sample at once.
+            counts["full_data" if len(z) == 2048 else "mini_batch"] += 1
+            return softmax(z)
+
+        def counted_train(self, *args, **kwargs):
+            counts["train"] += 1
+            return train(self, *args, **kwargs)
+
+        monkeypatch.setattr(svrg.SvrgTrainer, "_softmax",
+                            staticmethod(counted_softmax))
+        monkeypatch.setattr(svrg.SvrgTrainer, "train", counted_train)
+        assert run_svrg_scaling(processes=1, cache_dir="") == FIG15_DEFAULT_ROWS
+        assert counts == {"full_data": 745, "mini_batch": 18980, "train": 47}
 
     def test_default_rows_equal_committed_literals_on_two_workers(self):
         # spawn: the workers import numpy themselves, after claiming their

@@ -9,14 +9,16 @@ pending points with ``processes=2``.
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.experiments.sweeprunner import (
     CORRUPT_MARKER,
-    FaultPlan,
     RunLedger,
     SweepCache,
     SweepOptions,
@@ -372,6 +374,28 @@ class TestSpawnKeyDerivation:
             retargeted = pool.apply(describe_key_derivation, ({"value": 11},))
         assert retargeted["environment"] != baseline["environment"]
         assert retargeted["key"] != baseline["key"]
+
+
+class TestModuleIdentity:
+    """``python -m repro.experiments.figXX`` runs the figure module as
+    ``__main__``; its rows must key under the module's import name, or the
+    CLI and library callers would never replay each other's rows."""
+
+    def test_cli_rows_replay_in_library_callers(self, tmp_path):
+        from repro.experiments import fig15_svrg
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, REPRO_SWEEP_CACHE=str(tmp_path))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.experiments.fig15_svrg"],
+            env=env, text=True, capture_output=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        params = [{"num_ndas": num_ndas, "outer_iterations": 10,
+                   "measure": False, "dataset_kwargs": None, "platform": None}
+                  for num_ndas in (4, 8, 16)]
+        outcome = run_sweep_outcome(fig15_svrg._point, params, processes=1,
+                                    cache_dir=tmp_path)
+        assert (outcome.stats.cache_hits, outcome.stats.cache_misses) == (3, 0)
 
 
 class TestRecoveryProof:
