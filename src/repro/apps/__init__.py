@@ -14,7 +14,7 @@ figure pipeline").  numpy is needed by the functional models only
 (``svrg``, ``cg``, ``streamcluster``, ``datasets``; ``pip install .[apps]``).
 """
 
-import importlib
+from repro import export_lazily
 
 _EXPORTS = {
     "SyntheticClassificationDataset": "repro.apps.datasets",
@@ -34,13 +34,7 @@ _EXPORTS = {
 
 __all__ = list(_EXPORTS)
 
-
-def __getattr__(name: str):
-    if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(_EXPORTS[name]), name)
-    globals()[name] = value
-    return value
+__getattr__ = export_lazily(globals(), _EXPORTS)
 
 
 def require_numpy():

@@ -37,10 +37,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.apps import require_numpy
 from repro.apps.datasets import SyntheticClassificationDataset, make_dataset
-from repro.apps.workloads import svrg_kernel_sequence
 from repro.config import SystemConfig, default_config, scaled_config
-from repro.core.modes import AccessMode
-from repro.core.system import ChopimSystem
 
 np = require_numpy()
 
@@ -477,8 +474,13 @@ def measure_svrg_timing(channels: int = 2, ranks_per_channel: int = 2,
     bandwidth; a concurrent run with the SVRG summarization kernels on the
     NDAs measures the aggregate NDA bandwidth achieved alongside host
     traffic.  The result feeds :class:`SvrgTrainer` exactly as gem5+Ramulator
-    measurements feed the paper's Figure 15.
+    measurements feed the paper's Figure 15.  The simulator is imported
+    here, its only use in this module: analytic timing never loads it.
     """
+    from repro.apps.workloads import svrg_kernel_sequence
+    from repro.core.modes import AccessMode
+    from repro.core.system import ChopimSystem
+
     cfg = config or scaled_config(channels, ranks_per_channel)
     num_ndas = cfg.org.total_ranks
 

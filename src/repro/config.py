@@ -257,7 +257,8 @@ class NdaConfig:
     write_buffer_entries: int = 128
     access_granularity_bytes: int = 8
     scalar_registers: int = 5
-    # Write-throttling policy defaults (Section III-B).
+    # Write-throttling policy defaults (Section III-B): the issue probability
+    # of the stochastic throttle when no explicit one is passed.
     stochastic_issue_probability: float = 0.25
     # Granularity (cache blocks per NDA instruction) used when an operation
     # does not specify one; Figure 10 sweeps this value.
@@ -295,7 +296,6 @@ class SchedulerConfig:
     write_queue_entries: int = 32
     write_drain_high_watermark: float = 0.75
     write_drain_low_watermark: float = 0.25
-    row_policy: str = "open"  # "open" or "closed"
     refresh_enabled: bool = True
 
 

@@ -5,29 +5,28 @@ Every module exposes a ``run_*`` function that returns plain data structures
 ``format_table`` helper that renders them for the terminal.  The benchmark
 suite under ``benchmarks/`` regenerates every figure/table through these
 entry points.
+
+Importing this package loads nothing: the re-exports resolve on first
+access, so a figure CLI loads its own module's layers and no other
+figure's (see ARCHITECTURE.md, "Import layers").
 """
 
-from repro.experiments import common
-from repro.experiments.fig02_idle import run_idle_histogram
-from repro.experiments.fig10_coarse import run_coarse_grain_sweep
-from repro.experiments.fig11_bankpart import run_bank_partitioning
-from repro.experiments.fig12_throttle import run_write_throttling
-from repro.experiments.fig13_opsize import run_operation_size_sweep
-from repro.experiments.fig14_platforms import run_platform_comparison
-from repro.experiments.fig14_scaling import run_scalability_comparison
-from repro.experiments.fig15_svrg import run_svrg_convergence, run_svrg_scaling
-from repro.experiments.power_table import run_power_analysis
+from repro import export_lazily
 
-__all__ = [
-    "common",
-    "run_idle_histogram",
-    "run_coarse_grain_sweep",
-    "run_bank_partitioning",
-    "run_write_throttling",
-    "run_operation_size_sweep",
-    "run_scalability_comparison",
-    "run_platform_comparison",
-    "run_svrg_convergence",
-    "run_svrg_scaling",
-    "run_power_analysis",
-]
+_EXPORTS = {
+    "common": "repro.experiments.common",
+    "run_idle_histogram": "repro.experiments.fig02_idle",
+    "run_coarse_grain_sweep": "repro.experiments.fig10_coarse",
+    "run_bank_partitioning": "repro.experiments.fig11_bankpart",
+    "run_write_throttling": "repro.experiments.fig12_throttle",
+    "run_operation_size_sweep": "repro.experiments.fig13_opsize",
+    "run_scalability_comparison": "repro.experiments.fig14_scaling",
+    "run_platform_comparison": "repro.experiments.fig14_platforms",
+    "run_svrg_convergence": "repro.experiments.fig15_svrg",
+    "run_svrg_scaling": "repro.experiments.fig15_svrg",
+    "run_power_analysis": "repro.experiments.power_table",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = export_lazily(globals(), _EXPORTS)

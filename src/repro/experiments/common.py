@@ -1,24 +1,44 @@
-"""Shared experiment plumbing: default cycle budgets and table rendering.
+"""Simulation harness: default cycle budgets and system construction.
 
 Every experiment point is built through :func:`build_system`, which carries
 the **platform axis**: pass ``platform="lpddr4-3200"`` (or any name from
 :func:`repro.platform.platform_names`), or set the ``REPRO_PLATFORM``
 environment variable to retarget every figure sweep wholesale.  Unset, the
 paper's DDR4-2400 baseline is used, bit-exactly as before.
+
+Importing this module loads the simulator but not the sweep service: the
+platform resolution, table rendering and CLI harness live in
+:mod:`repro.experiments.cli` and are re-exported here.
 """
 
 from __future__ import annotations
 
-import os
-import sys
-from typing import Callable, Dict, Optional, Sequence
+from typing import Optional
 
-from repro.config import SystemConfig, scaled_config
+from repro.config import SystemConfig
 from repro.core.modes import AccessMode
 from repro.core.system import ChopimSystem
-from repro.experiments.sweeprunner import SweepPointsFailed
+from repro.experiments.cli import (
+    format_table,
+    resolve_config,
+    resolve_platform,
+    run_experiment_cli,
+)
 from repro.nda.isa import NdaOpcode
-from repro.platform import DEFAULT_PLATFORM, platform_config, platform_names
+
+__all__ = [
+    "DEFAULT_CYCLES",
+    "DEFAULT_ELEMENTS_PER_RANK",
+    "DEFAULT_WARMUP",
+    "QUICK_MIXES",
+    "build_system",
+    "format_table",
+    "opcode_by_name",
+    "resolve_config",
+    "resolve_platform",
+    "run_experiment_cli",
+    "run_point",
+]
 
 #: Default measured window per configuration point, in DRAM cycles.  Long
 #: enough for the memory system to reach steady state; short enough that a
@@ -37,56 +57,11 @@ QUICK_MIXES = ["mix1", "mix5", "mix8"]
 DEFAULT_ELEMENTS_PER_RANK = 1 << 14
 
 
-def resolve_config(platform: Optional[str] = None,
-                   channels: Optional[int] = None,
-                   ranks_per_channel: Optional[int] = None,
-                   cores: Optional[int] = None) -> SystemConfig:
-    """The :class:`SystemConfig` for one experiment point.
-
-    Platform resolution order: the explicit ``platform`` argument, then the
-    ``REPRO_PLATFORM`` environment variable (an empty value counts as
-    unset), then the paper's DDR4-2400 baseline (which goes through the
-    legacy :func:`scaled_config` path and is bit-exact with it — pinned by
-    ``tests/test_platform.py``).  ``channels``/``ranks_per_channel`` left
-    at ``None`` keep the preset's *native* geometry (HBM2's 8x1, the
-    paper's 2x2, ...); pass values only to deliberately rescale a sweep
-    point.
-    """
-    name = resolve_platform(platform)
-    if name == DEFAULT_PLATFORM:
-        return scaled_config(2 if channels is None else channels,
-                             2 if ranks_per_channel is None
-                             else ranks_per_channel, cores=cores)
-    return platform_config(name, channels=channels,
-                           ranks_per_channel=ranks_per_channel, cores=cores)
-
-
-def resolve_platform(platform: Optional[str] = None) -> str:
-    """The validated platform preset name for one experiment point.
-
-    Resolution order: the explicit ``platform`` argument, then the
-    ``REPRO_PLATFORM`` environment variable (an empty value counts as
-    unset), then the paper's DDR4-2400 baseline.  An unknown name — a typo
-    in a sweep script or a stale environment variable — fails here, at
-    resolution time, with the list of registered presets, instead of as a
-    ``KeyError`` from deep inside config construction on the first point.
-    """
-    name = platform or os.environ.get("REPRO_PLATFORM") or DEFAULT_PLATFORM
-    names = platform_names()
-    if name not in names:
-        source = ("platform argument" if platform
-                  else "REPRO_PLATFORM environment variable")
-        raise ValueError(
-            f"unknown platform {name!r} (from the {source}); "
-            f"valid choices: {', '.join(sorted(names))}")
-    return name
-
-
 def build_system(mode: AccessMode, mix: Optional[str],
                  channels: Optional[int] = None,
                  ranks_per_channel: Optional[int] = None,
                  throttle: str = "next_rank",
-                 stochastic_probability: float = 0.25,
+                 stochastic_probability: Optional[float] = None,
                  config: Optional[SystemConfig] = None,
                  cores: Optional[int] = None,
                  engine: str = "event",
@@ -99,7 +74,8 @@ def build_system(mode: AccessMode, mix: Optional[str],
     names a memory-platform preset (see :mod:`repro.platform`); it is
     ignored when an explicit ``config`` is supplied.  ``channels`` and
     ``ranks_per_channel`` default to the platform's native organization
-    (the paper's 2x2 on the baseline).
+    (the paper's 2x2 on the baseline).  ``stochastic_probability`` left at
+    ``None`` takes ``NdaConfig.stochastic_issue_probability``.
     """
     cfg = config or resolve_config(platform, channels, ranks_per_channel,
                                    cores=cores)
@@ -112,54 +88,6 @@ def run_point(system: ChopimSystem, cycles: int = DEFAULT_CYCLES,
               warmup: int = DEFAULT_WARMUP):
     """Run one configuration point and return its :class:`SimulationResult`."""
     return system.run(cycles=cycles, warmup=warmup)
-
-
-def format_table(rows: Sequence[Dict[str, object]],
-                 columns: Optional[Sequence[str]] = None,
-                 float_format: str = "{:.3f}") -> str:
-    """Render a list of row dicts as an aligned text table."""
-    if not rows:
-        return "(no data)"
-    columns = list(columns) if columns is not None else list(rows[0].keys())
-
-    def fmt(value: object) -> str:
-        if isinstance(value, float):
-            return float_format.format(value)
-        return str(value)
-
-    widths = {c: len(c) for c in columns}
-    rendered = []
-    for row in rows:
-        cells = {c: fmt(row.get(c, "")) for c in columns}
-        rendered.append(cells)
-        for c in columns:
-            widths[c] = max(widths[c], len(cells[c]))
-    header = "  ".join(c.ljust(widths[c]) for c in columns)
-    separator = "  ".join("-" * widths[c] for c in columns)
-    lines = [header, separator]
-    for cells in rendered:
-        lines.append("  ".join(cells[c].ljust(widths[c]) for c in columns))
-    return "\n".join(lines)
-
-
-def run_experiment_cli(main: Callable[[], None]) -> None:
-    """Figure-CLI harness around the sweep service's failure modes.
-
-    * ``Ctrl-C`` exits 130 with the resume hint the sweep driver already
-      printed (workers terminated, completed rows journaled) instead of a
-      raw traceback.
-    * A strict-mode sweep failure (:class:`SweepPointsFailed`) exits 2
-      with the structured failure report — the completed rows were
-      journaled, so fixing the failing points and re-running resumes
-      rather than recomputes.
-    """
-    try:
-        main()
-    except KeyboardInterrupt:
-        raise SystemExit(130) from None
-    except SweepPointsFailed as exc:
-        print(exc.outcome.failure_report(), file=sys.stderr)
-        raise SystemExit(2) from None
 
 
 def opcode_by_name(name: str) -> NdaOpcode:

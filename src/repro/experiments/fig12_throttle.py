@@ -41,7 +41,7 @@ def _point(mix: str, label: str, policy: str, probability: float,
     cores = 8 if mix == "mix0" else None
     system = build_system(AccessMode.BANK_PARTITIONED, mix,
                           throttle=policy,
-                          stochastic_probability=probability or 0.25,
+                          stochastic_probability=probability or None,
                           cores=cores)
     system.set_nda_workload(NdaOpcode(operation),
                             elements_per_rank=elements_per_rank)

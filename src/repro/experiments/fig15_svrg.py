@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.common import format_table, resolve_config, run_experiment_cli
+from repro.experiments.cli import format_table, resolve_config, run_experiment_cli
 from repro.experiments.sweep import SweepOptions, run_sweep
 
 if TYPE_CHECKING:

@@ -25,6 +25,11 @@ The ``die`` fault kind (see :mod:`.faults`) integrates here: an armed
 slot kills the worker with the standard crash exit code right after its
 first durable checkpoint save — the exact "crashed mid-point with a valid
 resume file" scenario the recovery path exists for.
+
+:mod:`repro.snapshot` (and with it the simulator) is imported inside the
+functions that read, write or restore a checkpoint: the sweep service
+itself loads without it.  A supervisor started with checkpointing on
+imports it before forking, so its workers inherit it.
 """
 
 from __future__ import annotations
@@ -34,13 +39,6 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Union
 
 from repro.experiments.sweeprunner.faults import CRASH_EXIT_CODE
-from repro.snapshot import (
-    SnapshotError,
-    read_snapshot,
-    restore_system,
-    snapshot_system,
-    write_snapshot,
-)
 
 #: Cycles between checkpoints of a preemptible point; unset/0 disables.
 CHECKPOINT_EVERY_ENV = "REPRO_CHECKPOINT_EVERY"
@@ -73,6 +71,8 @@ def peek_fraction(path: Union[str, Path]) -> float:
     anything unreadable or incompatible is worth zero credit — the point
     then just counts as fresh, which is always a safe estimate.
     """
+    from repro.snapshot import SnapshotError, read_snapshot
+
     try:
         payload = read_snapshot(Path(path))
     except (OSError, SnapshotError):
@@ -110,6 +110,8 @@ class CheckpointSlot:
     def load(self) -> Optional[Any]:
         """The last saved payload, or None (missing, corrupt, wrong schema —
         all of which mean "start fresh", never "fail the point")."""
+        from repro.snapshot import SnapshotError, read_snapshot
+
         path = self.path()
         if not path.exists():
             return None
@@ -119,6 +121,8 @@ class CheckpointSlot:
             return None
 
     def save(self, payload: Any) -> None:
+        from repro.snapshot import write_snapshot
+
         write_snapshot(self.path(), payload)
         self.saves += 1
         if self._die_armed:
@@ -128,6 +132,8 @@ class CheckpointSlot:
 
     def save_system(self, system: Any) -> None:
         """``checkpoint_hook`` form: snapshot a running system into the slot."""
+        from repro.snapshot import snapshot_system
+
         self.save(snapshot_system(system))
 
 
@@ -168,6 +174,8 @@ def run_with_checkpoint(build: Callable[[], Any], cycles: int,
         return build().run(cycles, warmup=warmup)
     payload = slot.load()
     if payload is not None:
+        from repro.snapshot import SnapshotError, restore_system
+
         try:
             system = restore_system(payload)
         except SnapshotError:

@@ -25,6 +25,7 @@ interrupt handling) and self-exit when their driver disappears, so a
 
 from __future__ import annotations
 
+import importlib
 import os
 import pickle
 import queue as queue_module
@@ -220,6 +221,11 @@ class Supervisor:
         self._next_ticket = 0
         self._live_tickets: Dict[int, _WorkerHandle] = {}
         self._workers = max(1, workers)
+        if checkpoint_dir is not None and checkpoint_module.checkpoint_every():
+            # Checkpointing points snapshot their systems: load the snapshot
+            # layer here, once, so forked workers inherit it instead of
+            # importing it on their first save.
+            importlib.import_module("repro.snapshot")
         self._handles: List[_WorkerHandle] = [
             _WorkerHandle(self._ctx, i, fn, self.outbox, fault_plan,
                           checkpoint_dir, self._workers)

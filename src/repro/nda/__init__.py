@@ -7,35 +7,31 @@ This package models the NDA ISA (Table I), the PE execution flow (Figure 9),
 the per-rank NDA memory controller with its write buffer, the write-throttle
 policies of Section III-B and the replicated-FSM state tracking of
 Section III-D.
+
+Importing this package loads nothing: the re-exports resolve on first
+access, so ``repro.nda.isa`` does not pull in the controllers.
 """
 
-from repro.nda.isa import NdaOpcode, NdaInstruction, OPCODE_TRAITS, OpcodeTraits
-from repro.nda.pe import ProcessingElement
-from repro.nda.write_buffer import NdaWriteBuffer
-from repro.nda.throttle import (
-    WriteThrottlePolicy,
-    IssueIfIdlePolicy,
-    StochasticIssuePolicy,
-    NextRankPredictionPolicy,
-)
-from repro.nda.fsm import NdaFsmState, ReplicatedFsm
-from repro.nda.controller import NdaRankController
-from repro.nda.launch import NdaPacket, NdaHostController
+from repro import export_lazily
 
-__all__ = [
-    "NdaOpcode",
-    "NdaInstruction",
-    "OPCODE_TRAITS",
-    "OpcodeTraits",
-    "ProcessingElement",
-    "NdaWriteBuffer",
-    "WriteThrottlePolicy",
-    "IssueIfIdlePolicy",
-    "StochasticIssuePolicy",
-    "NextRankPredictionPolicy",
-    "NdaFsmState",
-    "ReplicatedFsm",
-    "NdaRankController",
-    "NdaPacket",
-    "NdaHostController",
-]
+_EXPORTS = {
+    "NdaOpcode": "repro.nda.isa",
+    "NdaInstruction": "repro.nda.isa",
+    "OPCODE_TRAITS": "repro.nda.isa",
+    "OpcodeTraits": "repro.nda.isa",
+    "ProcessingElement": "repro.nda.pe",
+    "NdaWriteBuffer": "repro.nda.write_buffer",
+    "WriteThrottlePolicy": "repro.nda.throttle",
+    "IssueIfIdlePolicy": "repro.nda.throttle",
+    "StochasticIssuePolicy": "repro.nda.throttle",
+    "NextRankPredictionPolicy": "repro.nda.throttle",
+    "NdaFsmState": "repro.nda.fsm",
+    "ReplicatedFsm": "repro.nda.fsm",
+    "NdaRankController": "repro.nda.controller",
+    "NdaPacket": "repro.nda.launch",
+    "NdaHostController": "repro.nda.launch",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__ = export_lazily(globals(), _EXPORTS)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Protocol
 
+from repro.config import NdaConfig
 from repro.utils.rng import DeterministicRng
 
 
@@ -142,7 +143,7 @@ class NextRankPredictionPolicy(WriteThrottlePolicy):
 
 
 def make_policy(name: str, rng: Optional[DeterministicRng] = None,
-                probability: float = 0.25,
+                probability: float = NdaConfig.stochastic_issue_probability,
                 host_controllers: Optional[Dict[int, _HostQueueView]] = None,
                 ) -> WriteThrottlePolicy:
     """Factory used by experiments: ``issue_if_idle``, ``stochastic``, ``next_rank``."""

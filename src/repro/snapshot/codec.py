@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any, Union
 
 MAGIC = "repro-snapshot"
-SCHEMA_VERSION = 6  # v6: NDA rank controllers carry burst_row_commands
+SCHEMA_VERSION = 7  # v7: SchedulerConfig lost its unread row_policy
 
 _TAG = "__t"
 

@@ -81,10 +81,14 @@ def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
 
 class TestImportChain:
     """numpy loads where it is used: not with the figure modules, the sweep
-    driver or the sweep selftest (``pyproject.toml``: ``dependencies = []``)."""
+    driver or the sweep selftest (``pyproject.toml``: ``dependencies = []``).
 
-    IMPORTS = ("import repro.experiments, repro.experiments.fig15_svrg, "
-               "repro.experiments.sweeprunner.selftest\n")
+    ``repro.experiments`` exports lazily, so every module under it is
+    imported by name."""
+
+    IMPORTS = ("import importlib, pkgutil, repro.experiments as e\n"
+               "for m in pkgutil.walk_packages(e.__path__, e.__name__ + '.'):\n"
+               "    importlib.import_module(m.name)\n")
 
     def test_figure_imports_leave_numpy_unloaded(self):
         done = _fresh_interpreter(
