@@ -257,9 +257,6 @@ class NdaConfig:
     write_buffer_entries: int = 128
     access_granularity_bytes: int = 8
     scalar_registers: int = 5
-    # Write-throttling policy defaults (Section III-B): the issue probability
-    # of the stochastic throttle when no explicit one is passed.
-    stochastic_issue_probability: float = 0.25
     # Granularity (cache blocks per NDA instruction) used when an operation
     # does not specify one; Figure 10 sweeps this value.
     default_cache_blocks_per_instruction: int = 1024

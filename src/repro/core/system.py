@@ -52,7 +52,7 @@ from repro.memctrl.request import MemoryRequest
 from repro.nda.controller import NdaRankController
 from repro.nda.isa import NdaOpcode
 from repro.nda.launch import NdaHostController, NdaOperation
-from repro.nda.throttle import make_policy
+from repro.nda.throttle import DEFAULT_STOCHASTIC_PROBABILITY, make_policy
 from repro.utils.rng import DeterministicRng
 
 
@@ -93,7 +93,7 @@ class ChopimSystem:
                  mix: Optional[str] = "mix1",
                  profiles: Optional[Sequence[BenchmarkProfile]] = None,
                  throttle: str = "next_rank",
-                 stochastic_probability: Optional[float] = None,
+                 stochastic_probability: float = DEFAULT_STOCHASTIC_PROBABILITY,
                  launch_packets_use_channel: bool = True,
                  collect_energy: bool = True,
                  engine: str = "event") -> None:
@@ -124,8 +124,6 @@ class ChopimSystem:
         self.rank_controllers: Dict[Tuple[int, int], NdaRankController] = {}
         self.nda_host: Optional[NdaHostController] = None
         self._throttle_name = throttle
-        if stochastic_probability is None:
-            stochastic_probability = self.config.nda.stochastic_issue_probability
         self._stochastic_probability = stochastic_probability
         self._launch_packets_use_channel = launch_packets_use_channel
         if mode.has_nda_traffic:

@@ -25,6 +25,7 @@ from repro.experiments.cli import (
     run_experiment_cli,
 )
 from repro.nda.isa import NdaOpcode
+from repro.nda.throttle import DEFAULT_STOCHASTIC_PROBABILITY
 
 __all__ = [
     "DEFAULT_CYCLES",
@@ -61,7 +62,7 @@ def build_system(mode: AccessMode, mix: Optional[str],
                  channels: Optional[int] = None,
                  ranks_per_channel: Optional[int] = None,
                  throttle: str = "next_rank",
-                 stochastic_probability: Optional[float] = None,
+                 stochastic_probability: float = DEFAULT_STOCHASTIC_PROBABILITY,
                  config: Optional[SystemConfig] = None,
                  cores: Optional[int] = None,
                  engine: str = "event",
@@ -74,8 +75,7 @@ def build_system(mode: AccessMode, mix: Optional[str],
     names a memory-platform preset (see :mod:`repro.platform`); it is
     ignored when an explicit ``config`` is supplied.  ``channels`` and
     ``ranks_per_channel`` default to the platform's native organization
-    (the paper's 2x2 on the baseline).  ``stochastic_probability`` left at
-    ``None`` takes ``NdaConfig.stochastic_issue_probability``.
+    (the paper's 2x2 on the baseline).
     """
     cfg = config or resolve_config(platform, channels, ranks_per_channel,
                                    cores=cores)

@@ -25,6 +25,7 @@ from repro.experiments.common import (
 )
 from repro.experiments.sweep import SweepOptions, run_sweep
 from repro.nda.isa import NdaOpcode
+from repro.nda.throttle import DEFAULT_STOCHASTIC_PROBABILITY
 
 #: (label, throttle policy name, stochastic probability)
 POLICIES: Tuple[Tuple[str, str, float], ...] = (
@@ -41,7 +42,8 @@ def _point(mix: str, label: str, policy: str, probability: float,
     cores = 8 if mix == "mix0" else None
     system = build_system(AccessMode.BANK_PARTITIONED, mix,
                           throttle=policy,
-                          stochastic_probability=probability or None,
+                          stochastic_probability=(probability
+                                                  or DEFAULT_STOCHASTIC_PROBABILITY),
                           cores=cores)
     system.set_nda_workload(NdaOpcode(operation),
                             elements_per_rank=elements_per_rank)

@@ -174,6 +174,10 @@ def run_svrg_scaling(nda_counts: Sequence[int] = (4, 8, 16),
     ``outer_iterations`` epochs; the accelerated and delayed-update variants
     then train until they reach that same gap.
     """
+    if measure:
+        # Measured points run the simulator: load it before the sweep forks,
+        # so workers inherit it instead of importing it inside a point.
+        import repro.apps.workloads  # noqa: F401 - imports repro.core.system
     params = [
         {"num_ndas": num_ndas, "outer_iterations": outer_iterations,
          "measure": measure, "dataset_kwargs": dataset_kwargs,

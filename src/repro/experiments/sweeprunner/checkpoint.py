@@ -28,13 +28,16 @@ resume file" scenario the recovery path exists for.
 
 :mod:`repro.snapshot` (and with it the simulator) is imported inside the
 functions that read, write or restore a checkpoint: the sweep service
-itself loads without it.  A supervisor started with checkpointing on
-imports it before forking, so its workers inherit it.
+itself loads without it.  A checkpointing sweep loads it through
+:func:`preload_snapshot_layer` before its first point, in the driver (which
+forked workers inherit) and in each spawned worker, so no point pays the
+import inside its run.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Union
 
@@ -53,6 +56,17 @@ def checkpoint_every(environ: Optional[Mapping[str, str]] = None) -> int:
     except (TypeError, ValueError):
         return 0
     return max(0, value)
+
+
+def preload_snapshot_layer() -> None:
+    """Import :mod:`repro.snapshot` if this process's points may save.
+
+    Only a point that runs a simulator can snapshot it, so a process that
+    has not loaded ``repro.core.system`` (the analytic fig15 sweep) loads
+    nothing here, even with an interval set.
+    """
+    if checkpoint_every() and "repro.core.system" in sys.modules:
+        import repro.snapshot  # noqa: F401
 
 
 def checkpoint_file(directory: Union[str, Path], key: str) -> Path:
@@ -193,5 +207,5 @@ def run_with_checkpoint(build: Callable[[], Any], cycles: int,
 __all__ = [
     "CHECKPOINT_EVERY_ENV", "CheckpointSlot", "activate", "active_slot",
     "checkpoint_every", "checkpoint_file", "deactivate", "peek_fraction",
-    "run_with_checkpoint",
+    "preload_snapshot_layer", "run_with_checkpoint",
 ]

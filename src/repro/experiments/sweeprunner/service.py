@@ -711,6 +711,8 @@ class _SweepRun:
         try:
             pending = self._prefill()
             if pending:
+                if self.checkpoint_dir is not None:
+                    checkpoint_module.preload_snapshot_layer()
                 workers = (default_processes(len(pending))
                            if self.options.processes is None
                            else max(1, self.options.processes))

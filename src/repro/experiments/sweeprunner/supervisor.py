@@ -25,7 +25,6 @@ interrupt handling) and self-exit when their driver disappears, so a
 
 from __future__ import annotations
 
-import importlib
 import os
 import pickle
 import queue as queue_module
@@ -113,6 +112,10 @@ def _worker_main(worker_id, fn, inbox, outbox, fault_plan, parent_pid,
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _claim_thread_share(workers)
+    if checkpoint_dir is not None:
+        # A forked worker inherits the driver's preload; a spawned one
+        # loads the layer here, before its first point.
+        checkpoint_module.preload_snapshot_layer()
     while True:
         try:
             message = inbox.get(timeout=_ORPHAN_POLL)
@@ -221,11 +224,6 @@ class Supervisor:
         self._next_ticket = 0
         self._live_tickets: Dict[int, _WorkerHandle] = {}
         self._workers = max(1, workers)
-        if checkpoint_dir is not None and checkpoint_module.checkpoint_every():
-            # Checkpointing points snapshot their systems: load the snapshot
-            # layer here, once, so forked workers inherit it instead of
-            # importing it on their first save.
-            importlib.import_module("repro.snapshot")
         self._handles: List[_WorkerHandle] = [
             _WorkerHandle(self._ctx, i, fn, self.outbox, fault_plan,
                           checkpoint_dir, self._workers)

@@ -18,8 +18,11 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Protocol
 
-from repro.config import NdaConfig
 from repro.utils.rng import DeterministicRng
+
+#: Issue probability of the stochastic throttle when none is given (the
+#: paper's 1/4 operating point in Figure 12).
+DEFAULT_STOCHASTIC_PROBABILITY = 0.25
 
 
 class _HostQueueView(Protocol):
@@ -143,7 +146,7 @@ class NextRankPredictionPolicy(WriteThrottlePolicy):
 
 
 def make_policy(name: str, rng: Optional[DeterministicRng] = None,
-                probability: float = NdaConfig.stochastic_issue_probability,
+                probability: float = DEFAULT_STOCHASTIC_PROBABILITY,
                 host_controllers: Optional[Dict[int, _HostQueueView]] = None,
                 ) -> WriteThrottlePolicy:
     """Factory used by experiments: ``issue_if_idle``, ``stochastic``, ``next_rank``."""

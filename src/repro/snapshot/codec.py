@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any, Union
 
 MAGIC = "repro-snapshot"
-SCHEMA_VERSION = 7  # v7: SchedulerConfig lost its unread row_policy
+SCHEMA_VERSION = 7  # v7: unread row_policy, stochastic_issue_probability removed
 
 _TAG = "__t"
 

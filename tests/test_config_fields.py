@@ -8,8 +8,12 @@ checking a value is not using it.
 
 Fields that transcribe a Table II structure the model abstracts away are
 listed in :data:`UNMODELLED` with the reason.  Any other unread field fails,
-so a knob that silently does nothing cannot be added; a listed field that
-gains a reader fails too, so the list stays exact.
+and a listed field that gains a reader fails too, so the list stays exact.
+
+The check matches attribute *names* only, whatever object they are loaded
+from: a new dead field named like an attribute read elsewhere (``seed``,
+``channels``, ``enabled``) passes it; a knob with a name of its own
+(``row_policy``) does not.
 """
 
 import ast
@@ -112,23 +116,19 @@ def test_property_reads_count():
     assert ("DramTimingConfig", "tWR") not in _unread_fields()
 
 
-def test_stochastic_default_is_the_config_field():
+def test_stochastic_default_is_one_constant():
     from repro.core.modes import AccessMode
     from repro.core.system import ChopimSystem
-    from repro.nda.throttle import make_policy
+    from repro.experiments.common import build_system
+    from repro.nda.throttle import DEFAULT_STOCHASTIC_PROBABILITY, make_policy
     from repro.utils.rng import DeterministicRng
 
-    default = repro.config.NdaConfig().stochastic_issue_probability
+    default = DEFAULT_STOCHASTIC_PROBABILITY
     system = ChopimSystem(mode=AccessMode.BANK_PARTITIONED, mix="mix1",
                           throttle="stochastic")
-    assert system._stochastic_probability == default
     assert system.throttle_policy.probability == default
-    assert make_policy("stochastic", rng=DeterministicRng(1, "test")).probability == default
-
-    config = repro.config.default_config()
-    config.nda = dataclasses.replace(config.nda, stochastic_issue_probability=0.5)
-    assert ChopimSystem(config=config, mode=AccessMode.BANK_PARTITIONED,
-                        throttle="stochastic")._stochastic_probability == 0.5
-    explicit = ChopimSystem(config=config, mode=AccessMode.BANK_PARTITIONED,
-                            throttle="stochastic", stochastic_probability=0.125)
-    assert explicit._stochastic_probability == 0.125
+    built = build_system(AccessMode.BANK_PARTITIONED, "mix1",
+                         throttle="stochastic")
+    assert built.throttle_policy.probability == default
+    assert make_policy("stochastic",
+                       rng=DeterministicRng(1, "test")).probability == default

@@ -119,19 +119,49 @@ def test_fig15_point_loads_only_the_svrg_model():
         "repro.apps", "repro.apps.svrg", "repro.apps.datasets"}
 
 
-def test_checkpointing_supervisor_loads_snapshot_before_forking():
-    # Forked workers inherit what the sweep process has loaded; a
-    # checkpointing sweep must not leave each worker to import the snapshot
-    # layer on its first save, inside the timed point.
-    probe = _probe(
-        "import os, tempfile\n"
-        "os.environ['REPRO_CHECKPOINT_EVERY'] = '1000'\n"
-        "from repro.experiments.sweeprunner.supervisor import Supervisor",
-        "with tempfile.TemporaryDirectory() as directory:\n"
-        "    Supervisor(len, workers=1, checkpoint_dir=directory)"
-        ".shutdown(kill=True)")
+_CHECKPOINTING_SWEEP = """
+import os, sys, tempfile
+os.environ["REPRO_CHECKPOINT_EVERY"] = "1000"
+from repro.experiments.sweep import SweepOptions, run_sweep
+def point(i):
+    return {{"i": i, "preloaded": "repro.snapshot.state" in sys.modules}}
+with tempfile.TemporaryDirectory() as directory:
+    rows = run_sweep(point, [{{"i": 0}}, {{"i": 1}}], options=SweepOptions(
+        processes={processes}, start_method="fork", checkpoint_dir=directory))
+"""
+
+
+@pytest.mark.parametrize("processes", [1, 2], ids=["serial", "forked"])
+def test_checkpointing_sweep_loads_snapshot_before_its_points(processes):
+    # A point that snapshots its system must not import the snapshot layer
+    # on its first save, inside the timed run: the serial driver and forked
+    # workers alike find it loaded when the point starts.
+    probe = _probe("import repro.experiments.common",
+                   _CHECKPOINTING_SWEEP.format(processes=processes)
+                   + "assert all(row['preloaded'] for row in rows), rows")
     assert "repro.snapshot.state" not in probe.before
     assert "repro.snapshot.state" in probe.after
+
+
+def test_analytic_checkpointing_sweep_loads_no_snapshot():
+    # Without a simulator loaded no point can snapshot one: an interval
+    # set in the environment does not pull the layer into an analytic sweep
+    # such as fig15.
+    probe = _probe("import repro.experiments.sweep",
+                   _CHECKPOINTING_SWEEP.format(processes=2))
+    assert not _under(probe.after, "repro.core.system", "repro.snapshot")
+
+
+@pytest.mark.parametrize("module, absent", [
+    ("repro.core.modes", "repro.core.system"),
+    ("repro.nda.isa", "repro.nda.controller"),
+])
+def test_leaf_module_loads_no_package_siblings(module, absent):
+    # The lazy package inits of repro.core and repro.nda let a leaf module
+    # load alone; an eager re-export would pull the simulator in with it.
+    loaded = _probe(f"import {module}").before
+    assert loaded == {"repro", module.rpartition(".")[0], module}
+    assert absent not in loaded
 
 
 @pytest.mark.parametrize("package", ["repro", "repro.core", "repro.nda",
