@@ -18,6 +18,15 @@ from repro.memctrl.controller import ChannelController
 class ConcurrentAccessScheduler:
     """Decides, per cycle and per rank, whether NDA commands may issue."""
 
+    #: The host-issued set is this cycle's only; a safe point lies between
+    #: cycles, so it is never saved.
+    STATE = ()
+    COUNTERS = ("nda_issue_opportunities", "nda_blocked_cycles")
+    DERIVED = ("dram", "channel_controllers", "_rank_states",
+               "_ranks_per_channel", "_refresh_enabled",
+               "_host_issued_this_cycle", "_cycle", "_wake_hub",
+               "_rank_routes")
+
     def __init__(self, dram: DramSystem,
                  channel_controllers: Dict[int, ChannelController]) -> None:
         self.dram = dram

@@ -26,6 +26,9 @@ from repro.utils.stats import Counter
 class RankIdleTracker:
     """Tracks busy/idle periods of one rank from the host's perspective."""
 
+    STATE = ()
+    COUNTERS = ("histogram", "busy_cycles", "idle_cycles", "_idle_run")
+
     def __init__(self) -> None:
         self.histogram = BucketHistogram()
         self.busy_cycles = 0
@@ -120,6 +123,10 @@ class SimulationResult:
 class SimulationStats:
     """Accumulates per-cycle observations during a run."""
 
+    STATE = ("rank_trackers",)
+    COUNTERS = ("counters", "cycles_observed")
+    DERIVED = ("config", "nda_rank_keys")
+
     def __init__(self, config: SystemConfig, nda_rank_keys: List[Tuple[int, int]]) -> None:
         self.config = config
         self.counters = Counter()
@@ -134,27 +141,6 @@ class SimulationStats:
         self.cycles_observed += 1
         for key, tracker in self.rank_trackers.items():
             tracker.observe(rank_busy.get(key, False))
-
-    def observe_span(self, cycles: int,
-                     runs_by_rank: Dict[Tuple[int, int], List[Tuple[bool, int]]],
-                     ) -> None:
-        """Observe a multi-cycle window in one call.
-
-        ``runs_by_rank`` maps each rank to its (busy, cycle_count) runs over
-        the window (see ``TimingEngine.host_busy_runs``).  Equivalent to
-        ``cycles`` individual :meth:`observe_cycle` calls when the runs
-        describe the same per-cycle busy states.
-        """
-        if cycles <= 0:
-            return
-        self.cycles_observed += cycles
-        for key, tracker in self.rank_trackers.items():
-            runs = runs_by_rank.get(key)
-            if runs is None:
-                tracker.observe_run(False, cycles)
-                continue
-            for busy, count in runs:
-                tracker.observe_run(busy, count)
 
     # ------------------------------------------------------------------ #
 

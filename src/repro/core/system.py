@@ -54,11 +54,15 @@ from repro.nda.isa import NdaOpcode
 from repro.nda.launch import NdaHostController, NdaOperation
 from repro.nda.throttle import DEFAULT_STOCHASTIC_PROBABILITY, make_policy
 from repro.utils.rng import DeterministicRng
+from repro.utils.state import reset_counters
 
 
 @dataclasses.dataclass
 class _NdaWorkloadSpec:
     """A continuously re-launched NDA kernel (the paper's methodology)."""
+
+    STATE = ("opcode", "elements_per_rank", "cache_blocks", "async_launch",
+             "matrix_columns", "continuous", "launches")
 
     opcode: NdaOpcode
     elements_per_rank: int
@@ -78,6 +82,9 @@ class NdaKernelSpec:
     through the sequence, re-launching it for as long as the simulation runs.
     """
 
+    STATE = ("opcode", "elements_per_rank", "matrix_columns", "cache_blocks",
+             "async_launch")
+
     opcode: NdaOpcode
     elements_per_rank: int
     matrix_columns: int = 0
@@ -87,6 +94,20 @@ class NdaKernelSpec:
 
 class ChopimSystem:
     """The simulated multi-core host + NDA-enabled DDR4 memory system."""
+
+    STATE = ("now", "_measure_start", "_run_end", "_run_cycles", "rng",
+             "dram", "channel_controllers", "scheduler", "cores",
+             "_core_backlog", "_host_component", "rank_controllers",
+             "nda_host", "throttle_policy", "stats", "_stats_component",
+             "_nda_workload", "_nda_sequence", "_nda_sequence_index",
+             "_nda_sequence_continuous")
+    #: The build spec (the checkpoint's ``build`` record) and what the
+    #: constructor derives from it; the engine's calendar is rebuilt by
+    #: ``invalidate_wakes``.
+    DERIVED = ("config", "mode", "mix", "collect_energy", "mapping",
+               "energy_model", "_throttle_name", "_stochastic_probability",
+               "_launch_packets_use_channel", "engine_kind", "engine",
+               "burst_enabled")
 
     def __init__(self, config: Optional[SystemConfig] = None,
                  mode: AccessMode = AccessMode.SHARED,
@@ -123,6 +144,7 @@ class ChopimSystem:
         # ---- NDA controllers ----------------------------------------------
         self.rank_controllers: Dict[Tuple[int, int], NdaRankController] = {}
         self.nda_host: Optional[NdaHostController] = None
+        self.throttle_policy = None
         self._throttle_name = throttle
         self._stochastic_probability = stochastic_probability
         self._launch_packets_use_channel = launch_packets_use_channel
@@ -426,11 +448,11 @@ class ChopimSystem:
             )
             spec.launches += 1
             return
-        sequence = getattr(self, "_nda_sequence", None)
+        sequence = self._nda_sequence
         if not sequence:
             return
         if (self._nda_sequence_index >= len(sequence)
-                and not getattr(self, "_nda_sequence_continuous", True)):
+                and not self._nda_sequence_continuous):
             return
         kernel = sequence[self._nda_sequence_index % len(sequence)]
         self._nda_sequence_index += 1
@@ -455,16 +477,19 @@ class ChopimSystem:
                 self.config.org.ranks_per_channel
             )
             addr = addr._replace(rank=host_ranks[addr.rank % len(host_ranks)])
-        on_complete = None
-        if not is_write:
-            # Route through the host unit so the core's deferred fixed-point
-            # arithmetic is settled up to the delivery cycle before the
-            # completion mutates its state (lazy core sync, see
-            # HostComponent.deliver_completion).
-            on_complete = (lambda cycle, h=self._host_component,
-                           i=core.core_id, p=phys: h.deliver_completion(i, p, cycle))
+        on_complete = (None if is_write
+                       else self._demand_read_hook(core.core_id, phys))
         return MemoryRequest(addr=addr, is_write=is_write, phys=phys,
                              core_id=core.core_id, on_complete=on_complete)
+
+    def _demand_read_hook(self, core_id: int, phys: int):
+        """A demand read's completion hook (also rebuilt by checkpoint
+        restore): it routes through the host unit so the core's deferred
+        fixed-point arithmetic is settled up to the delivery cycle before
+        the completion mutates its state (lazy core sync, see
+        HostComponent.deliver_completion)."""
+        return (lambda cycle, h=self._host_component, i=core_id, p=phys:
+                h.deliver_completion(i, p, cycle))
 
     def _relaunch_pending(self) -> bool:
         """Whether :meth:`_maybe_relaunch_workload` would launch right now."""
@@ -539,29 +564,40 @@ class ChopimSystem:
     def _reset_measurement(self) -> None:
         """Reset *all* measurement state at the warmup boundary.
 
-        Warmup activity must not leak into the measured window: DRAM event
-        counts (host/NDA columns, row hits/conflicts), per-bank counters,
-        per-channel counters and read-latency accumulators, per-core
-        retirement counters, NDA byte/instruction counters and PE operation
-        counts are all zeroed.  Protocol, timing and queue state carry over.
+        Warmup activity must not leak into the measured window: every
+        declared ``COUNTERS`` field of every component is zeroed (see
+        :mod:`repro.utils.state`); protocol, timing and queue state carry
+        over.
         """
-        self.stats = SimulationStats(self.config, list(self.rank_controllers.keys()))
-        self._stats_component.reset(self.now)
-        self.dram.reset_counts()
-        for core in self.cores:
-            core.reset_measurement()
-        for controller in self.channel_controllers.values():
-            controller.reset_measurement()
-        for controller in self.rank_controllers.values():
-            controller.reset_measurement()
-        if self.nda_host is not None:
-            self.nda_host.reset_measurement()
-        self.scheduler.nda_issue_opportunities = 0
-        self.scheduler.nda_blocked_cycles = 0
+        reset_counters(self, self.now)
         # Resets change wake-relevant state (core event counters, re-anchored
         # outstanding-miss ages); force a re-poll of every unit.
         self.engine.invalidate_wakes()
         self._measure_start = self.now
+
+    def save_refs(self, refs) -> Dict[str, object]:
+        sequence = self._nda_sequence
+        return {
+            "_core_backlog": [[refs.request(r) for r in backlog]
+                              for backlog in self._core_backlog],
+            "_nda_workload": refs.capture(self._nda_workload),
+            "_nda_sequence": (None if sequence is None
+                              else [refs.capture(k) for k in sequence]),
+        }
+
+    def load_refs(self, saved: Dict[str, object], refs) -> None:
+        for backlog, ids in zip(self._core_backlog,
+                                saved.pop("_core_backlog")):
+            backlog.extend(refs.requests[request_id] for request_id in ids)
+        spec = saved.pop("_nda_workload")
+        if spec is not None:
+            self._nda_workload = refs.rebuild(
+                _NdaWorkloadSpec, spec, opcode=NdaOpcode(spec["opcode"]))
+        sequence = saved.pop("_nda_sequence")
+        if sequence is not None:
+            self._nda_sequence = [
+                refs.rebuild(NdaKernelSpec, k, opcode=NdaOpcode(k["opcode"]))
+                for k in sequence]
 
     # ------------------------------------------------------------------ #
     # Results

@@ -25,6 +25,11 @@ class Bank:
     designed to reduce.
     """
 
+    STATE = ("state", "open_row")
+    COUNTERS = ("row_hits", "row_misses", "row_conflicts", "activates",
+                "precharges", "reads", "writes", "nda_reads", "nda_writes")
+    DERIVED = ("channel", "rank", "bank_group", "bank")
+
     channel: int
     rank: int
     bank_group: int
@@ -95,18 +100,6 @@ class Bank:
                 self.nda_reads += 1
             else:
                 self.reads += 1
-
-    def reset_counters(self) -> None:
-        """Zero the access statistics; row-buffer state is preserved."""
-        self.row_hits = 0
-        self.row_misses = 0
-        self.row_conflicts = 0
-        self.activates = 0
-        self.precharges = 0
-        self.reads = 0
-        self.writes = 0
-        self.nda_reads = 0
-        self.nda_writes = 0
 
     @property
     def total_accesses(self) -> int:

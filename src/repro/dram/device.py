@@ -22,6 +22,10 @@ from repro.utils.stats import Counter
 class DramEventCounts:
     """Aggregate DRAM event counts used by the energy and stats models."""
 
+    STATE = ("activates", "precharges", "refreshes", "host_reads",
+             "host_writes", "nda_reads", "nda_writes", "host_row_hits",
+             "host_row_conflicts", "nda_row_hits", "nda_row_conflicts")
+
     activates: int = 0
     precharges: int = 0
     refreshes: int = 0
@@ -45,6 +49,11 @@ class DramEventCounts:
 
 class DramSystem:
     """All banks of the memory system plus the timing engine."""
+
+    STATE = ("timing", "channel_issue_version", "_banks")
+    COUNTERS = ("counts",)
+    DERIVED = ("org", "timing_config", "_ranks_per_channel",
+               "_banks_per_group", "_banks_per_rank")
 
     def __init__(self, org: DramOrgConfig, timing: DramTimingConfig) -> None:
         org.validate()
@@ -258,25 +267,12 @@ class DramSystem:
     def refresh_due(self, channel: int, rank: int, now: int) -> bool:
         return self.timing.refresh_due(channel, rank, now)
 
-    def rank_host_busy(self, channel: int, rank: int, now: int) -> bool:
-        return self.timing.rank_host_busy(channel, rank, now)
-
     def next_host_free_cycle(self, channel: int, rank: int, now: int) -> int:
         return self.timing.next_host_free_cycle(channel, rank, now)
 
     def host_busy_runs(self, channel: int, rank: int, start: int,
                        stop: int) -> List[Tuple[bool, int]]:
         return self.timing.host_busy_runs(channel, rank, start, stop)
-
-    def reset_counts(self) -> None:
-        """Zero all measurement counters (warmup boundary).
-
-        Timing and bank protocol state are untouched; only the event counts
-        feeding the statistics and energy models are cleared.
-        """
-        self.counts = DramEventCounts()
-        for bank in self._banks:
-            bank.reset_counters()
 
     def read_latency(self) -> int:
         return self.timing.read_latency()

@@ -44,6 +44,7 @@ class _RankTiming:
         "busy_until", "data_busy_from", "data_busy_until",
         "nda_bus_free", "refresh_due", "refreshing_until",
     )
+    STATE = __slots__
 
     def __init__(self, bank_groups: int, tREFI: int) -> None:
         self.act_allowed = 0
@@ -67,6 +68,7 @@ class _BankTiming:
     """Mutable timing state of one bank."""
 
     __slots__ = ("act_allowed", "pre_allowed", "rd_allowed", "wr_allowed")
+    STATE = __slots__
 
     def __init__(self) -> None:
         self.act_allowed = 0
@@ -80,6 +82,7 @@ class _ChannelTiming:
 
     __slots__ = ("data_bus_free", "last_col_rank", "last_data_end",
                  "last_col_was_write", "last_col_cycle")
+    STATE = __slots__
 
     def __init__(self) -> None:
         self.data_bus_free = 0
@@ -91,6 +94,14 @@ class _ChannelTiming:
 
 class TimingEngine:
     """Tracks and enforces DDR4 timing constraints for every command."""
+
+    STATE = ("_ranks", "_banks", "_channels", "_channel_refresh_due",
+             "_issue_versions", "_row_versions")
+    DERIVED = ("org", "timing", "_read_to_write", "_write_to_precharge",
+               "_tCL", "_tCWL", "_tBL", "_tCCDS", "_tCCDL", "_tWTRS", "_tWTRL",
+               "_tRTRS", "_wr_to_rd", "_ranks_per_channel", "_banks_per_group",
+               "_banks_per_rank", "_act_cache", "_pre_cache", "_nda_rd_cache",
+               "_nda_wr_cache", "busy_observer")
 
     def __init__(self, org: DramOrgConfig, timing: DramTimingConfig) -> None:
         self.org = org

@@ -126,6 +126,10 @@ class HostComponent:
     needs_advance = False
     needs_flush = True
     unit_label = "host"
+    STATE = ("_cursors", "_completions", "_completion_seq",
+             "completion_bound", "backlog_requests")
+    DERIVED = ("system", "_wake_cache", "_hub", "_slot", "_published_wake",
+               "_published_core_min", "_delivered_cores")
 
     def __init__(self, system: "ChopimSystem") -> None:
         self.system = system
@@ -159,6 +163,18 @@ class HostComponent:
     def register(self, hub: WakeHub, slot: int) -> None:
         self._hub = hub
         self._slot = slot
+
+    def save_refs(self, refs) -> Dict[str, object]:
+        # The heap list as is: its order is the delivery order's tie-break.
+        return {"_completions": [
+            (cycle, seq, refs.request(request), controller.channel)
+            for cycle, seq, request, controller in self._completions]}
+
+    def load_refs(self, saved: Dict[str, object], refs) -> None:
+        controllers = self.system.channel_controllers
+        self._completions = [
+            (cycle, seq, refs.requests[request_id], controllers[channel])
+            for cycle, seq, request_id, channel in saved.pop("_completions")]
 
     def schedule_completion(self, cycle: int, request, controller) -> None:
         """Schedule a timed request completion (a controller's sink hook).
@@ -490,6 +506,8 @@ class StatsComponent:
     """
 
     unit_label = "stats"
+    STATE = ("_cursor", "_rank_cursors")
+    DERIVED = ("system",)
     #: The global cycle count is cursor-based and idempotent, so the
     #: selective engine defers it to flush time; the broadcast engines keep
     #: the per-cycle advance (the ``step()``-driven runtime never flushes).
@@ -544,11 +562,11 @@ class StatsComponent:
                     tracker.observe_run(busy, count)
             self._rank_cursors[key] = stop
 
-    def reset(self, cycle: int) -> None:
-        """Re-anchor all observation cursors (measurement reset)."""
-        self._cursor = cycle
+    def on_measurement_reset(self, now: int) -> None:
+        """Re-anchor all observation cursors at the warm-up boundary."""
+        self._cursor = now
         for key in self._rank_cursors:
-            self._rank_cursors[key] = cycle
+            self._rank_cursors[key] = now
 
 
 __all__ = [

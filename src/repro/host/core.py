@@ -38,6 +38,8 @@ _FP_ONE = 1 << 32
 
 @dataclass
 class _OutstandingMiss:
+    STATE = ("phys", "issued_at_instruction_fp", "is_blocking")
+
     phys: int
     issued_at_instruction_fp: int
     is_blocking: bool = False
@@ -45,6 +47,13 @@ class _OutstandingMiss:
 
 class CoreModel:
     """One host core running one benchmark profile."""
+
+    STATE = ("traffic", "rng", "_budget_fp", "_gap_fp", "_outstanding",
+             "_pending_requests", "event_count", "reads_issued",
+             "writes_issued", "misses_completed")
+    COUNTERS = ("_retired_fp", "_cpu_cycles_fp", "_stall_cycles")
+    DERIVED = ("core_id", "profile", "host_config", "_cpd_fp",
+               "_rob_limit_fp", "_max_ipc_fp")
 
     def __init__(self, core_id: int, profile: BenchmarkProfile,
                  traffic: AddressStreamGenerator, host_config: HostConfig,
@@ -251,16 +260,20 @@ class CoreModel:
     def stall_cycles(self) -> float:
         return float(self._stall_cycles)
 
-    def reset_measurement(self) -> None:
-        """Zero the measurement counters at the warmup boundary."""
+    def on_measurement_reset(self, now: int) -> None:
+        """After the counters are zeroed: re-anchor outstanding-miss ages so
+        ROB accounting stays consistent with the zeroed retirement counter,
+        and mark the core's event-relevant state as changed."""
         self.event_count += 1
-        self._retired_fp = 0
-        self._cpu_cycles_fp = 0
-        self._stall_cycles = 0
-        # Re-anchor outstanding-miss ages so ROB accounting stays consistent
-        # with the zeroed retirement counter.
         for miss in self._outstanding:
             miss.issued_at_instruction_fp = 0
+
+    def save_refs(self, refs) -> Dict[str, object]:
+        return {"_outstanding": [refs.capture(m) for m in self._outstanding]}
+
+    def load_refs(self, saved: Dict[str, object], refs) -> None:
+        self._outstanding = [refs.rebuild(_OutstandingMiss, m)
+                             for m in saved.pop("_outstanding")]
 
     @property
     def ipc(self) -> float:

@@ -30,6 +30,11 @@ class AddressStreamGenerator:
         Deterministic random stream.
     """
 
+    STATE = ("rng", "_current_line", "_recent_lines", "generated_reads",
+             "generated_writes")
+    DERIVED = ("profile", "region_base", "cacheline_bytes", "footprint_bytes",
+               "footprint_lines")
+
     def __init__(self, profile: BenchmarkProfile, region_base: int,
                  region_bytes: int, rng: DeterministicRng,
                  cacheline_bytes: int = 64) -> None:

@@ -22,6 +22,8 @@ from repro.utils.stats import Counter, WindowedStat
 
 @dataclass
 class _PendingCompletion:
+    STATE = ("cycle", "request")
+
     cycle: int
     request: MemoryRequest
 
@@ -33,6 +35,16 @@ _CMD_COUNTER_LABELS = {kind: f"cmd_{kind.name.lower()}" for kind in CommandType}
 
 class ChannelController:
     """FR-FCFS memory controller for one channel."""
+
+    STATE = ("read_queue", "write_queue", "_completions", "_completions_min",
+             "inflight_completions", "_draining_writes",
+             "_last_issue_was_write", "last_issue_cycle", "last_issue_rank",
+             "last_tick_cycle", "published_wake", "_issue_hint")
+    COUNTERS = ("counters", "read_latency")
+    DERIVED = ("channel", "dram", "config", "scheduler", "_drain_high_len",
+               "_drain_low_len", "completion_sink", "_scan_cache_read",
+               "_scan_cache_write", "wake_listener", "burst_settler",
+               "read_queue_listener", "bank_demand_listener")
 
     def __init__(self, channel: int, dram: DramSystem,
                  config: Optional[SchedulerConfig] = None) -> None:
@@ -83,11 +95,16 @@ class ChannelController:
         self.last_tick_cycle: int = -1
         self.published_wake: int = NO_EVENT
         #: Lower bound on the next cycle a *queued request* could issue.
-        #: Never late: set to "next cycle" on any enqueue or issue, and to
-        #: the exact scan-derived horizon when a full FR-FCFS scan finds
-        #: nothing issuable.  External DRAM activity (NDA commands, refresh)
-        #: only pushes timing constraints later, so a stale hint can only be
-        #: early — which costs a no-op wake, never a missed event.
+        #: Set to "next cycle" on any enqueue or issue, and to the exact
+        #: scan-derived horizon when a full FR-FCFS scan finds nothing
+        #: issuable.  External DRAM activity (NDA commands, refresh) pushes
+        #: timing constraints later, so a stale hint is early — which costs
+        #: a no-op wake, never a missed event — with one exception: an NDA
+        #: WR to another bank group replaces the rank's last write and pulls
+        #: a host RD's turnaround from tWTR_L to tWTR_S (the tWTR_L hole,
+        #: pinned as xfails in tests/test_dram_timing.py), so a hint taken
+        #: before it can be late.  Both engines keep the same hint, so they
+        #: still agree.
         self._issue_hint: int = 0
         # Memoized FR-FCFS scans, one slot per queue: (cycle, queue version,
         # channel DRAM version, choice, horizon, choice_at_horizon).  A scan
@@ -216,11 +233,12 @@ class ChannelController:
             return completed
         self._update_drain_mode()
         if self._issue_hint > now:
-            # The hint is never late: no queued request can issue before it
-            # (enqueues and issues reset it to "next cycle"; external DRAM
-            # activity only pushes constraints later), so the FR-FCFS scan
-            # would provably come up empty — skip it.  Keeping the possibly
-            # conservative hint costs at most a future no-op scan.
+            # No queued request can issue before the hint (enqueues and
+            # issues reset it to "next cycle"; external DRAM activity pushes
+            # constraints later, except across the tWTR_L hole noted at
+            # _issue_hint), so the FR-FCFS scan would come up empty — skip
+            # it.  Keeping the possibly conservative hint costs at most a
+            # future no-op scan.
             return completed
         request_cmd, horizon = self._pick(now)
         if request_cmd is not None:
@@ -487,10 +505,13 @@ class ChannelController:
         self._issue_hint = max(now + 1, min(read_horizon, write_horizon))
         return self._issue_hint
 
-    def reset_measurement(self) -> None:
-        """Zero measurement counters at the warmup boundary."""
-        self.counters.reset()
-        self.read_latency = WindowedStat()
+    def save_refs(self, refs) -> Dict[str, object]:
+        return {"_completions": [(p.cycle, refs.request(p.request))
+                                 for p in self._completions]}
+
+    def load_refs(self, saved: Dict[str, object], refs) -> None:
+        self._completions = [_PendingCompletion(cycle, refs.requests[rid])
+                             for cycle, rid in saved.pop("_completions")]
 
     # ------------------------------------------------------------------ #
     # Introspection

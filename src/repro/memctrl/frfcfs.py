@@ -65,7 +65,8 @@ class FrFcfsScheduler:
         ``earliest_issue`` over every queued request's required command — a
         lower bound on the next cycle this queue could issue anything,
         assuming no intervening enqueue or DRAM state change that hastens a
-        request (timing state only ever moves constraints later).
+        request (timing state moves constraints later, apart from the
+        tWTR_L hole noted at ``ChannelController._issue_hint``).
 
         The scan is allocation-free: every candidate is probed value-based
         through ``required_command``/``earliest_issue_at`` and exactly one

@@ -47,6 +47,12 @@ class MemoryRequest:
     __slots__ = ("addr", "is_write", "phys", "core_id", "arrival_cycle",
                  "request_id", "on_complete", "outcome_recorded",
                  "issued_cycle", "completed_cycle", "queue_seq")
+    STATE = ("addr", "is_write", "phys", "core_id", "arrival_cycle",
+             "request_id", "outcome_recorded", "issued_cycle",
+             "completed_cycle", "queue_seq")
+    #: Rebuilt at restore: demand reads from ``core_id``, launch-packet
+    #: writes from the NDA host's in-flight map.
+    DERIVED = ("on_complete",)
 
     def __init__(self, addr: DramAddress, is_write: bool, phys: int = 0,
                  core_id: int = -1, arrival_cycle: int = 0,
@@ -103,6 +109,9 @@ class RequestQueue:
     scan's ``bank_buckets`` — without scanning the whole queue.
     """
 
+    STATE = ("_entries", "_next_seq", "version")
+    DERIVED = ("capacity", "_by_bank")
+
     def __init__(self, capacity: int) -> None:
         if capacity <= 0:
             raise ValueError("queue capacity must be positive")
@@ -112,6 +121,17 @@ class RequestQueue:
         self._next_seq = 0
         #: Bumped on every push/remove; scan results memoized against it.
         self.version = 0
+
+    def save_refs(self, refs) -> Dict[str, object]:
+        return {"_entries": [refs.request(request) for request in self]}
+
+    def load_refs(self, saved: Dict[str, object], refs) -> None:
+        for request_id in saved.pop("_entries"):
+            request = refs.requests[request_id]
+            # push stamps queue_seq from _next_seq; seeding it per request
+            # reproduces the original stamps.
+            self._next_seq = request.queue_seq
+            self.push(request)
 
     def __len__(self) -> int:
         return len(self._entries)

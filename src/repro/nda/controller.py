@@ -58,6 +58,12 @@ class RankWorkItem:
     ``on_complete`` is invoked with the completion cycle.
     """
 
+    STATE = ("instruction", "operand_banks", "operand_base_rows",
+             "output_bank", "output_base_row", "launched_cycle",
+             "completed_cycle", "operation_id")
+    #: Rebuilt at restore from ``operation_id``.
+    DERIVED = ("on_complete",)
+
     instruction: NdaInstruction
     operand_banks: List[int]
     operand_base_rows: List[int]
@@ -74,6 +80,11 @@ class RankWorkItem:
 
 class _ExecutionState:
     """Progress of the work item currently executing on a rank."""
+
+    STATE = ("work", "reads_issued", "writes_staged", "writes_drained",
+             "read_classified_idx", "write_classified_idx")
+    DERIVED = ("columns_per_row", "total_read_columns", "total_write_columns",
+               "num_operands", "read_memo", "drain_memo")
 
     def __init__(self, work: RankWorkItem, columns_per_row: int) -> None:
         self.work = work
@@ -154,6 +165,24 @@ class _ExecutionState:
 
 class NdaRankController:
     """NDA memory controller and PE group of one rank."""
+
+    #: Burst diagnostics stay cumulative across the warm-up boundary.  A
+    #: live burst plan (``_plan`` and its mirrors) is settled and dropped
+    #: before a checkpoint, so it is never saved.
+    STATE = ("write_buffer", "fsm", "pes", "_queue", "_active",
+             "bursts_planned", "burst_commands_planned",
+             "burst_commands_settled", "burst_row_commands",
+             "bursts_completed", "burst_truncations", "burst_commands_by_class")
+    COUNTERS = ("bytes_read", "bytes_written", "commands_issued",
+                "cycles_blocked_by_host", "cycles_blocked_by_throttle",
+                "instructions_completed")
+    DERIVED = ("channel", "rank", "dram", "_rank_index", "_bank_index_base",
+               "_timing_earliest_issue_at", "_banks", "_timing_versions",
+               "_timing_row_versions", "_act_cache", "_pre_cache",
+               "_nda_rd_cache", "_nda_wr_cache", "config", "allowed_banks",
+               "throttle", "_host_pending_to_bank", "_rank_timing",
+               "refresh_enabled", "wake_listener", "_plan", "burst_class",
+               "burst_due", "_replan_cycle", "_planner", "gate_stats")
 
     def __init__(self, channel: int, rank: int, dram: DramSystem,
                  config: Optional[NdaConfig] = None,
@@ -771,16 +800,25 @@ class NdaRankController:
                 wake = at
         return wake
 
-    def reset_measurement(self) -> None:
-        """Zero measurement counters at the warmup boundary."""
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.commands_issued = 0
-        self.cycles_blocked_by_host = 0
-        self.cycles_blocked_by_throttle = 0
-        self.instructions_completed = 0
-        for pe in self.pes:
-            pe.stats = type(pe.stats)()
+    def save_refs(self, refs) -> Dict[str, object]:
+        active = self._active
+        if active is not None:
+            active = refs.capture(active, {"work": refs.work(active.work)})
+        return {"_queue": [refs.work(work) for work in self._queue],
+                "_active": active}
+
+    def load_refs(self, saved: Dict[str, object], refs) -> None:
+        # Direct appends: enqueue would overwrite launched_cycle and fire
+        # the wake listener.
+        self._queue = deque(refs.load_work(work)
+                            for work in saved.pop("_queue"))
+        active = saved.pop("_active")
+        if active is not None:
+            active = dict(active)
+            state = _ExecutionState(refs.load_work(active.pop("work")),
+                                    self.dram.org.columns_per_row)
+            refs.restore(state, active)
+            self._active = state
 
     # ------------------------------------------------------------------ #
     # Statistics

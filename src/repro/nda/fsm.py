@@ -61,6 +61,7 @@ class _FsmCopy:
 
     __slots__ = ("current_instruction", "reads_remaining", "writes_remaining",
                  "write_buffer_occupancy", "draining", "instructions_completed")
+    STATE = __slots__
 
     def __init__(self) -> None:
         self.current_instruction: Optional[int] = None
@@ -115,6 +116,9 @@ class FsmDivergenceError(Exception):
 
 class ReplicatedFsm:
     """Two synchronized copies of one rank's NDA controller FSM."""
+
+    STATE = ("_device", "_host", "events_applied", "_log")
+    DERIVED = ("channel", "rank", "check_every_event")
 
     def __init__(self, channel: int, rank: int, check_every_event: bool = True) -> None:
         self.channel = channel

@@ -102,6 +102,9 @@ class NdaInstruction:
     of *each operand* processed by this single instruction.
     """
 
+    STATE = ("opcode", "num_elements", "element_bytes", "cache_blocks",
+             "scalars", "matrix_columns", "instruction_id")
+
     opcode: NdaOpcode
     num_elements: int
     element_bytes: int = 4

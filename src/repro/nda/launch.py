@@ -50,6 +50,8 @@ def set_operation_id_watermark(value: int) -> None:
 class NdaPacket:
     """A launch packet written to a rank's NDA control registers."""
 
+    STATE = ("channel", "rank", "work", "control_address", "enqueued")
+
     channel: int
     rank: int
     work: RankWorkItem
@@ -67,6 +69,12 @@ class NdaOperation:
     operations that do not block subsequent launches (Section V,
     "Optimization for Load-Imbalance").
     """
+
+    STATE = ("opcode", "total_elements", "cache_blocks", "element_bytes",
+             "scalars", "matrix_columns", "async_launch", "operation_id",
+             "launched_cycle", "completed_cycle", "outstanding_instructions")
+    #: A runtime callback: checkpoints refuse operations that carry one.
+    DERIVED = ("on_complete",)
 
     opcode: NdaOpcode
     total_elements: int
@@ -91,6 +99,9 @@ class _OperandPlacer:
     sequential shared-region allocation performed by the runtime.
     """
 
+    STATE = ("_row_cursor", "_next_bank")
+    DERIVED = ("allowed_banks", "rows_per_bank")
+
     def __init__(self, allowed_banks: List[int], rows_per_bank: int) -> None:
         self.allowed_banks = allowed_banks
         self.rows_per_bank = rows_per_bank
@@ -108,6 +119,12 @@ class _OperandPlacer:
 
 class NdaHostController:
     """Accepts NDA operations, launches them to ranks and tracks completion."""
+
+    STATE = ("_operation_queue", "_pending_packets", "_active_blocking",
+             "_placers", "_control_column", "_inflight")
+    COUNTERS = ("operations_launched", "operations_completed", "packets_sent")
+    DERIVED = ("dram", "channel_controllers", "rank_controllers", "config",
+               "launch_packets_use_channel", "wake_listener")
 
     def __init__(self, dram: DramSystem,
                  channel_controllers: Dict[int, ChannelController],
@@ -349,11 +366,37 @@ class NdaHostController:
                 return now
         return 1 << 62
 
-    def reset_measurement(self) -> None:
-        """Zero measurement counters at the warmup boundary."""
-        self.operations_launched = 0
-        self.operations_completed = 0
-        self.packets_sent = 0
+    def save_refs(self, refs) -> Dict[str, object]:
+        def packet(p: NdaPacket) -> Dict[str, object]:
+            return refs.capture(p, {"work": refs.work(p.work)})
+
+        return {
+            "_operation_queue": [refs.operation(op)
+                                 for op in self._operation_queue],
+            "_active_blocking": refs.operation(self._active_blocking),
+            "_pending_packets": [packet(p) for p in self._pending_packets],
+            "_inflight": [(request_id, packet(p))
+                          for request_id, p in self._inflight.items()],
+        }
+
+    def load_refs(self, saved: Dict[str, object], refs) -> None:
+        def packet(state: Dict[str, object]) -> NdaPacket:
+            return refs.rebuild(
+                NdaPacket, state, work=refs.load_work(state["work"]),
+                control_address=DramAddress._make(state["control_address"]))
+
+        operations = refs.operations
+        self._operation_queue = deque(
+            operations[oid] for oid in saved.pop("_operation_queue"))
+        self._active_blocking = operations.get(saved.pop("_active_blocking"))
+        self._pending_packets = deque(
+            packet(state) for state in saved.pop("_pending_packets"))
+        for request_id, state in saved.pop("_inflight"):
+            inflight = self._inflight[request_id] = packet(state)
+            # The in-flight control write delivers this exact packet object
+            # on completion (_deliver pops the map by identity).
+            refs.requests[request_id].on_complete = (
+                lambda cycle, p=inflight: self._deliver(p, cycle))
 
     # ------------------------------------------------------------------ #
     # Statistics

@@ -21,6 +21,10 @@ from repro.nda.isa import NdaInstruction, NdaOpcode
 class PeStatistics:
     """Operation counts accumulated by one PE."""
 
+    STATE = ("instructions_executed", "elements_processed", "fma_operations",
+             "buffer_accesses", "scratchpad_accesses", "bytes_read",
+             "bytes_written", "busy_cycles")
+
     instructions_executed: int = 0
     elements_processed: int = 0
     fma_operations: float = 0.0
@@ -33,6 +37,10 @@ class PeStatistics:
 
 class ProcessingElement:
     """One PE on the logic die of a DRAM chip stack."""
+
+    STATE = ("_current",)
+    COUNTERS = ("stats",)
+    DERIVED = ("chip_id", "config")
 
     def __init__(self, chip_id: int, config: Optional[NdaConfig] = None) -> None:
         self.chip_id = chip_id
@@ -78,6 +86,12 @@ class ProcessingElement:
             )
 
     # ------------------------------------------------------------------ #
+
+    def save_refs(self, refs) -> Dict[str, object]:
+        return {"_current": refs.instruction(self._current)}
+
+    def load_refs(self, saved: Dict[str, object], refs) -> None:
+        self._current = refs.instructions.get(saved.pop("_current"))
 
     def batch_count(self, instruction: NdaInstruction) -> int:
         """Number of 1 KiB batches the instruction is processed in (Figure 9)."""

@@ -35,6 +35,7 @@ class WriteThrottlePolicy:
     """Base class: decides whether an NDA write may issue this cycle."""
 
     name = "base"
+    STATE = ()
     #: Whether the decision is a pure function of observable state (no RNG
     #: consumption).  Deterministic policies can be peeked by the event
     #: engine via :meth:`would_allow` without perturbing the simulation;
@@ -86,6 +87,8 @@ class StochasticIssuePolicy(WriteThrottlePolicy):
 
     name = "stochastic_issue"
     deterministic = False
+    STATE = ("rng", "attempts", "allowed")
+    DERIVED = ("probability",)
 
     def __init__(self, probability: float, rng: DeterministicRng) -> None:
         if not 0.0 < probability <= 1.0:
@@ -117,6 +120,8 @@ class NextRankPredictionPolicy(WriteThrottlePolicy):
     """
 
     name = "next_rank_prediction"
+    STATE = ("inhibits", "checks")
+    DERIVED = ("host_controllers",)
 
     def __init__(self, host_controllers: Dict[int, _HostQueueView]) -> None:
         self.host_controllers = host_controllers

@@ -21,6 +21,10 @@ from typing import Tuple
 class NdaWriteBuffer:
     """Occupancy and drain phase of one rank's FIFO of pending NDA writes."""
 
+    STATE = ("length", "_draining", "total_enqueued", "total_drained")
+    DERIVED = ("capacity", "drain_high_watermark", "drain_low_watermark",
+               "drain_high_len", "drain_low_len")
+
     def __init__(self, capacity: int = 128,
                  drain_high_watermark: float = 0.5,
                  drain_low_watermark: float = 0.0) -> None:

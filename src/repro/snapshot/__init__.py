@@ -18,7 +18,7 @@ Public API::
     system = restore_system(read_snapshot(path))
 
 See ARCHITECTURE.md "Checkpointing" for the safe-point definition and
-the add-a-component recipe.
+how components declare the state a snapshot carries.
 """
 
 from repro.snapshot.codec import (

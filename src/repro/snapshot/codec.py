@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any, Union
 
 MAGIC = "repro-snapshot"
-SCHEMA_VERSION = 7  # v7: unread row_policy, stochastic_issue_probability removed
+SCHEMA_VERSION = 8  # v8: payload is the walk over declared component state
 
 _TAG = "__t"
 

@@ -25,6 +25,9 @@ IDLE_BUCKET_LABELS: Tuple[str, ...] = (
 class BucketHistogram:
     """Histogram over configurable value buckets with weighted samples."""
 
+    STATE = ("weights", "counts")
+    DERIVED = ("bounds", "labels")
+
     def __init__(self, bounds: Sequence[int] = IDLE_BUCKETS,
                  labels: Sequence[str] = IDLE_BUCKET_LABELS) -> None:
         if len(labels) != len(bounds) + 1:

@@ -32,6 +32,10 @@ class DeterministicRng:
         A label identifying the consumer, e.g. ``"traffic.core0"``.
     """
 
+    #: ``_rng`` is a ``random.Random``: checkpointed as its ``getstate()``.
+    STATE = ("_rng",)
+    DERIVED = ("base_seed", "stream")
+
     def __init__(self, base_seed: int, stream: str) -> None:
         self.base_seed = base_seed
         self.stream = stream

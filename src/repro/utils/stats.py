@@ -8,6 +8,8 @@ from typing import Dict, Optional
 class Counter:
     """A named group of monotonically increasing event counters."""
 
+    STATE = ("_counts",)
+
     def __init__(self) -> None:
         self._counts: Dict[str, int] = {}
 
@@ -20,9 +22,6 @@ class Counter:
     def as_dict(self) -> Dict[str, int]:
         return dict(self._counts)
 
-    def reset(self) -> None:
-        self._counts.clear()
-
     def __getitem__(self, name: str) -> int:
         return self.get(name)
 
@@ -32,6 +31,8 @@ class Counter:
 
 class WindowedStat:
     """Accumulates samples and reports simple summary statistics."""
+
+    STATE = ("count", "total", "minimum", "maximum")
 
     def __init__(self) -> None:
         self.count = 0

@@ -319,3 +319,39 @@ class TestDramSystemFacade:
         dram.record_access_outcome(a, False, is_nda=False)
         totals = dram.conflict_counts()
         assert totals["row_misses"] == 1
+
+
+class TestWriteToReadLongTurnaround:
+    """tWTR_L must hold from *every* earlier write to the read's bank group.
+
+    ``_RankTiming`` remembers only the last write's cycle and bank group, so
+    a later write to another bank group replaces the same-group write the
+    long turnaround counts from: the read is allowed up to tWTR_L - tWTR_S -
+    tCCD_S cycles early (an NDA write does this to a host read, so NDA
+    activity can move a host constraint *earlier*).  Pinned per preset,
+    built explicitly so the ``REPRO_PLATFORM`` matrix does not collapse it.
+    """
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="the rank keeps one last write: tWTR_L from an "
+                       "earlier same-group write is lost")
+    @pytest.mark.parametrize("name", [
+        "ddr4-2400", "ddr4-3200", "ddr5-4800", "hbm2",
+        pytest.param("lpddr4-3200", marks=pytest.mark.skip(
+            reason="one bank group: every write is same-group")),
+    ])
+    def test_read_waits_for_earlier_same_group_write(self, name):
+        from repro.platform import platform_config
+
+        config = platform_config(name)
+        t = config.timing
+        dram = DramSystem(config.org, t)
+        group0, group1 = addr(bg=0), addr(bg=1)
+        dram.issue(host(CommandType.ACT, group0), 0)
+        dram.issue(nda(CommandType.ACT, group1), t.tRRDS)
+        first = 200
+        dram.issue(host(CommandType.WR, group0), first)
+        dram.issue(nda(CommandType.WR, group1), first + t.tCCDS)
+        earliest = dram.earliest_issue_at(CommandType.RD, group0,
+                                          RequestSource.HOST, first + t.tCCDS)
+        assert earliest >= first + t.tCWL + t.tBL + t.tWTRL
