@@ -17,10 +17,12 @@ implementation lives in :mod:`repro.experiments.sweeprunner`:
   of the simulator source, then stored as JSON in a content-addressed
   store; re-running a figure with unchanged parameters replays instantly.
   Set ``REPRO_SWEEP_CACHE`` (or pass ``cache_dir``) to enable it.
-* **Durability** — with a cache directory configured, every sweep journals
-  to an append-only run ledger (fsynced at lease and completion), so a
-  ``kill -9`` of driver or worker resumes exactly where it left off and no
-  point ever executes more than ``1 + max_retries`` times.
+* **Durability** — with a cache directory configured, every execution is
+  an epoch claim in that directory and a record in an append-only run
+  ledger (fsynced at lease and completion), so a ``kill -9`` of driver or
+  worker resumes exactly where it left off, and no point ever executes
+  more than ``1 + max_retries`` times, whether one host or several share
+  the directory.
 * **Graceful degradation** — points that exhaust their retries surface in
   a structured failure report; strict mode (the default, or
   ``REPRO_SWEEP_STRICT=1`` in CI) raises :class:`SweepPointsFailed`
@@ -30,7 +32,8 @@ Point functions must be module-level callables taking keyword arguments
 and returning a JSON-serializable dict; the fig modules define one
 ``_point`` function each and build their rows with :func:`run_sweep`.
 Pass a :class:`SweepOptions` for the full service surface (retries,
-timeouts, journaling, deterministic fault injection, progress/ETA lines).
+timeouts, host identity, deterministic fault injection, progress/ETA
+lines).
 """
 
 from __future__ import annotations

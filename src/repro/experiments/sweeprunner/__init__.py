@@ -9,18 +9,21 @@ facade).  Layering:
   cache); validates entries before counting hits and quarantines corrupt
   files.
 * :mod:`.ledger` — append-only JSONL run journal (queued/leased/done/
-  failed), fsynced at lease and completion; replays after any crash.
+  failed), one file per host, fsynced at lease and completion.
 * :mod:`.faults` — deterministic crash/hang/corrupt-row injection
-  (``REPRO_SWEEP_FAULT_RATE``/``_SEED``/``_KINDS``).
-* :mod:`.supervisor` — async-submit worker processes with crash detection,
-  SIGKILL-on-timeout and respawn.
+  (``REPRO_SWEEP_FAULT_RATE``/``_SEED``/``_KINDS``) and the table of the
+  failure each fault ends in.
+* :mod:`.supervisor` — the two executors the run loop drives: async-submit
+  worker processes with crash detection, SIGKILL-on-timeout and respawn,
+  and the inline executor for serial sweeps.
 * :mod:`.report` — sweep outcomes: rows + structured failure report.
 * :mod:`.progress` — live done/leased/failed, rows/sec, ETA lines.
-* :mod:`.cluster` — multi-host sharding: fenced epoch-file leases,
-  heartbeat liveness, lease stealing with checkpoint migration, and the
-  per-host store shards merged on read (``SweepOptions.cluster``).
+* :mod:`.cluster` — the claim path every sweep with a directory takes, on
+  one host or many: fenced epoch-file leases (the attempt counter),
+  heartbeat liveness and lease stealing (``SweepOptions.cluster``).
 * :mod:`.service` — the orchestrator: ``run_sweep`` /
-  ``run_sweep_outcome`` with retries, backoff, resume and strict mode.
+  ``run_sweep_outcome``, one run loop with retries, backoff, resume and
+  strict mode.
 * :mod:`.selftest` — the end-to-end crash/fault/resume proofs
   (``python -m repro.experiments.sweeprunner.selftest proof`` /
   ``ckpt-proof`` / ``shard-proof``).
@@ -29,7 +32,6 @@ facade).  Layering:
 from repro.experiments.sweeprunner.cluster import (
     HOST_ENV,
     ClusterOptions,
-    FederatedStore,
     ShardCoordinator,
     resolve_host,
 )
@@ -44,8 +46,6 @@ from repro.experiments.sweeprunner.ledger import (
     RunLedger,
     lease_counts,
     merged_counts,
-    migrate_counts,
-    resume_counts,
     sweep_ledger_paths,
 )
 from repro.experiments.sweeprunner.progress import PROGRESS_ENV
@@ -91,7 +91,6 @@ __all__ = [
     "STRICT_ENV",
     "ClusterOptions",
     "FaultPlan",
-    "FederatedStore",
     "RunLedger",
     "ShardCoordinator",
     "Supervisor",
@@ -110,10 +109,8 @@ __all__ = [
     "lease_counts",
     "make_task",
     "merged_counts",
-    "migrate_counts",
     "resolve_host",
     "resolve_strict",
-    "resume_counts",
     "run_sweep",
     "run_sweep_outcome",
     "sweep_id",

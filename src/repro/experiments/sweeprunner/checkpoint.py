@@ -7,7 +7,7 @@ that gap with per-key checkpoint files (``<checkpoint_dir>/<key>.ckpt``,
 written through :mod:`repro.snapshot`'s atomic, digest-checked envelope):
 
 * the driver arms a :class:`CheckpointSlot` around each point execution
-  (supervised workers and the serial path alike);
+  (supervised workers and the inline executor alike);
 * a point function opts in by running its system through
   :func:`run_with_checkpoint` instead of calling ``system.run`` directly —
   with ``REPRO_CHECKPOINT_EVERY`` set, the measured window then snapshots
@@ -152,7 +152,7 @@ class CheckpointSlot:
 
 
 #: The slot armed for the currently executing point, if any.  Worker
-#: processes and the serial path set this around each ``fn(**params)``
+#: processes and the inline executor set this around each ``fn(**params)``
 #: call; :func:`run_with_checkpoint` picks it up without the point
 #: function having to thread sweep plumbing through its signature.
 _active: Optional[CheckpointSlot] = None

@@ -1,37 +1,36 @@
-"""Multi-host sharded sweep execution: fenced leases, liveness, stealing.
+"""Claim-based sweep execution: fenced leases, liveness, stealing.
 
-N driver processes — each with its own **host identity** — cooperate on
-one sweep over a shared cache directory.  The directory is the entire
-coordination medium; there is no server, no lock manager, and no RPC,
-only four primitives with crash-safe semantics:
+Every sweep with a directory runs through this module, on one host or
+many.  Driver processes — each with its own **host identity** — cooperate
+on one sweep over a shared cache directory, and a single-host sweep is
+simply the one-host case.  The directory is the entire coordination
+medium; there is no server, no lock manager, and no RPC, only three
+primitives with crash-safe semantics:
 
 * **Fenced leases** (``claims/<key>.epoch-<N>``).  Claiming attempt N of
   a key means winning the ``O_CREAT|O_EXCL`` creation of its epoch-N
   file — exactly one host can, every loser gets ``FileExistsError`` and
-  walks away clean.  The epoch is the fencing token *and* the global
+  walks away clean.  The epoch is the fencing token *and* the only
   attempt counter: epochs only grow, so "no key executes more than
-  ``1 + max_retries`` times across all hosts" is enforced by refusing to
-  mint epochs past the budget, and "a stale host cannot clobber a newer
-  attempt" is the O(1) check "does ``epoch-<mine+1>`` exist?" performed
-  before any done/failed record or store write lands.
+  ``1 + max_retries`` times across all hosts and driver incarnations" is
+  enforced by refusing to mint epochs past the budget, and "a stale host
+  cannot clobber a newer attempt" is the O(1) check "does
+  ``epoch-<mine+1>`` exist?" performed before any done/failed record or
+  store write lands.
 * **Heartbeat liveness** (``hosts/<host>.hb``).  Each driver rewrites its
   heartbeat file (atomic temp + rename) from a daemon thread every
   ``heartbeat_interval`` seconds; a peer whose file mtime is older than
   ``staleness`` is declared dead and its leases become stealable.  The
   ``netsplit`` fault freezes the thread while the host keeps computing —
   the split host's late writes then die on the fencing check.
-* **Lease stealing with checkpoint migration**.  Stealing mints the next
-  epoch (after a deterministic per-(host, key) stagger that the
-  ``steal-race`` fault removes, forcing contenders through the ``O_EXCL``
-  race on purpose).  The thief ships the dead host's last durable
-  ``.ckpt`` into its own checkpoint shard first, so the resumed execution
-  is bit-identical to a same-host resume; the lease journals
-  ``checkpoint="migrated"``.  The interrupted attempt is already counted
-  — its epoch file exists — exactly as an interrupted one-box lease is.
-* **Store federation** (``shards/<host>/``).  Every host writes rows only
-  to its own shard; reads merge all shards (plus the flat one-box layout)
-  last-writer-wins over *validated* rows, with corrupt entries
-  quarantined per shard by the store's standard discipline.
+* **Lease stealing**.  Stealing mints the next epoch (after a
+  deterministic per-(host, key) stagger that the ``steal-race`` fault
+  removes, forcing contenders through the ``O_EXCL`` race on purpose).
+  Rows and checkpoints live in one layout every host shares
+  (``<key>.json``, ``checkpoints/<key>.ckpt``), so the thief resumes from
+  the dead host's last durable checkpoint in place, bit-identically to a
+  same-host resume; the lease journals ``checkpoint="migrated"``.  The
+  interrupted attempt is already counted — its epoch file exists.
 
 Failed (as opposed to crashed) attempts are *released*, not stolen: the
 failing host drops a ``claims/<key>.failed-<N>`` marker, after which any
@@ -42,6 +41,9 @@ marker (or a dead holder) is exhausted everywhere.
 One driver per host identity: a host never races itself, so a claim held
 by one's own host name is treated as a dead predecessor (the previous
 incarnation crashed) and re-claimed through the normal steal path.
+
+A sweep with no directory has nothing to share: :class:`LocalClaims`
+counts its attempts in memory behind the same interface.
 """
 
 from __future__ import annotations
@@ -58,8 +60,6 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.experiments.sweeprunner import checkpoint as checkpoint_module
 from repro.experiments.sweeprunner.faults import FaultPlan
-from repro.experiments.sweeprunner.store import SweepCache
-from repro.experiments.sweeprunner.tasks import SweepTask
 
 #: Host identity override; defaults to ``<hostname>`` (one driver per box).
 HOST_ENV = "REPRO_SWEEP_HOST"
@@ -100,49 +100,6 @@ class Lease:
     provenance: str  # fresh | resume | migrated
 
 
-class FederatedStore(SweepCache):
-    """Per-host store shard under a shared root, merged on read.
-
-    Writes land only in ``<root>/shards/<host>/`` (single writer per
-    shard, same atomic temp-rename discipline as ever); loads probe every
-    shard plus the flat one-box layout, newest file first, and return the
-    first entry that survives validation — last-writer-wins restricted to
-    validated rows, with corrupt candidates quarantined in place.
-    """
-
-    def __init__(self, root: Path, host: str, fsync: bool = False) -> None:
-        root = Path(root)
-        super().__init__(root / "shards" / host, fsync=fsync)
-        self.root = root
-
-    def _candidates(self, name: str):
-        paths = [self.directory / name, self.root / name]
-        shards = self.root / "shards"
-        try:
-            for shard in shards.iterdir():
-                if shard != self.directory:
-                    paths.append(shard / name)
-        except OSError:
-            pass
-        stamped = []
-        for path in paths:
-            try:
-                stamped.append((path.stat().st_mtime, path))
-            except OSError:
-                continue
-        stamped.sort(key=lambda item: item[0], reverse=True)
-        return [path for _, path in stamped]
-
-    def load(self, task: SweepTask) -> Optional[Dict[str, Any]]:
-        for path in self._candidates(f"{task.cache_key()}.json"):
-            row = self._read_validated(path)
-            if row is not None:
-                self.hits += 1
-                return row
-        self.misses += 1
-        return None
-
-
 class ShardCoordinator:
     """One host's handle on the shared claim/heartbeat/checkpoint state."""
 
@@ -156,6 +113,7 @@ class ShardCoordinator:
         self.fault_plan = fault_plan
         self.claims_dir = self.root / "claims"
         self.hosts_dir = self.root / "hosts"
+        self.checkpoints = self.root / "checkpoints"
         self.claims_dir.mkdir(parents=True, exist_ok=True)
         self.hosts_dir.mkdir(parents=True, exist_ok=True)
         self.steals = 0
@@ -166,11 +124,6 @@ class ShardCoordinator:
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
-
-    # -- checkpoint shards ------------------------------------------------
-
-    def checkpoint_dir(self, host: Optional[str] = None) -> Path:
-        return self.root / "checkpoints" / (host or self.host)
 
     # -- heartbeats -------------------------------------------------------
 
@@ -325,42 +278,16 @@ class ShardCoordinator:
         unit = int.from_bytes(digest[:8], "big") / 2.0 ** 64
         return self.options.steal_stagger * unit
 
-    def _migrate_checkpoint(self, key: str, from_host: str) -> bool:
-        """Ship the dead host's last durable ``.ckpt`` into our shard.
-
-        A plain byte copy: the snapshot envelope is digest-checked at
-        restore time, so a torn source just means "fresh start" later,
-        never a wrong row.  Returns True when a checkpoint was migrated.
-        """
-        if from_host == self.host:
-            return False  # our own shard already holds it: a plain resume
-        source = checkpoint_module.checkpoint_file(
-            self.checkpoint_dir(from_host), key)
-        try:
-            body = source.read_bytes()
-        except OSError:
-            return False
-        target_dir = self.checkpoint_dir()
-        target = checkpoint_module.checkpoint_file(target_dir, key)
-        tmp = target.with_name(f"{target.name}.{os.getpid()}.migrate.tmp")
-        try:
-            target_dir.mkdir(parents=True, exist_ok=True)
-            tmp.write_bytes(body)
-            os.replace(tmp, target)
-        except OSError:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
-            return False
-        self.migrations += 1
-        return True
-
-    def _provenance(self, key: str, migrated: bool) -> str:
-        if migrated:
-            return "migrated"
-        own = checkpoint_module.checkpoint_file(self.checkpoint_dir(), key)
-        return "resume" if own.exists() else "fresh"
+    def _lease(self, key: str, epoch: int, stolen: bool = False) -> Lease:
+        """The won claim, with its provenance: a checkpoint the dead host
+        of a steal left behind makes it a migrated resume."""
+        ckpt = checkpoint_module.checkpoint_file(self.checkpoints, key)
+        if not ckpt.exists():
+            return Lease(key, epoch, "fresh")
+        if stolen:
+            self.migrations += 1
+            return Lease(key, epoch, "migrated")
+        return Lease(key, epoch, "resume")
 
     # -- the acquire protocol --------------------------------------------
 
@@ -370,9 +297,7 @@ class ShardCoordinator:
         (the attempt budget is spent across all hosts)."""
         epoch = self.current_epoch(key)
         if epoch == 0:
-            if self._try_claim(key, 1):
-                return Lease(key, 1, self._provenance(key, migrated=False))
-            return BUSY
+            return self._lease(key, 1) if self._try_claim(key, 1) else BUSY
         released = self._failed_path(key, epoch).exists()
         holder_host: Optional[str] = None
         if not released:
@@ -407,19 +332,54 @@ class ShardCoordinator:
         if not self._try_claim(key, epoch + 1):
             return BUSY  # the clean loser of a contended steal
         self._dead_since.pop((key, epoch), None)
-        if released:
-            # A released (failed) lease is re-claimed, not stolen; any
-            # checkpoint in our own shard still counts as a resume.
-            return Lease(key, epoch + 1,
-                         self._provenance(key, migrated=False))
-        if holder_host and holder_host != self.host:
-            self.steals += 1
-        migrated = bool(holder_host) and self._migrate_checkpoint(
-            key, holder_host)
-        return Lease(key, epoch + 1, self._provenance(key, migrated))
+        if released or not holder_host or holder_host == self.host:
+            # A released (failed) lease is re-claimed, not stolen, and so
+            # is our own dead predecessor's or an anonymous holder's.
+            return self._lease(key, epoch + 1)
+        self.steals += 1
+        return self._lease(key, epoch + 1, stolen=True)
+
+
+class LocalClaims:
+    """The attempt counter of a sweep with no directory: epochs in memory.
+
+    Nothing is shared, so no lease is ever fenced, busy or stolen.
+    """
+
+    steals = 0
+    migrations = 0
+
+    def __init__(self, max_leases: int) -> None:
+        self.max_leases = max(1, max_leases)
+        self._epochs: Dict[str, int] = {}
+
+    def start(self) -> None:
+        pass
+
+    stop = suppress_heartbeats = resume_heartbeats = start
+
+    def acquire(self, key: str):
+        epoch = self._epochs.get(key, 0) + 1
+        if epoch > self.max_leases:
+            return EXHAUSTED
+        self._epochs[key] = epoch
+        return Lease(key, epoch, "fresh")
+
+    def still_holds(self, key: str, epoch: int) -> bool:
+        return True
+
+    def mark_failed(self, key: str, epoch: int, kind: str,
+                    error_type: str = "", message: str = "") -> None:
+        pass
+
+    def current_epoch(self, key: str) -> int:
+        return self._epochs.get(key, 0)
+
+    def failure_info(self, key: str, epoch: int) -> Optional[Dict[str, Any]]:
+        return None
 
 
 __all__ = [
-    "BUSY", "EXHAUSTED", "ClusterOptions", "FederatedStore", "HOST_ENV",
-    "Lease", "ShardCoordinator", "resolve_host",
+    "BUSY", "EXHAUSTED", "ClusterOptions", "HOST_ENV", "Lease",
+    "LocalClaims", "ShardCoordinator", "resolve_host",
 ]

@@ -14,22 +14,24 @@ Environment knobs (all optional; no faults when the rate is unset/zero)::
     REPRO_SWEEP_FAULT_SEED    integer seed (default 0)
     REPRO_SWEEP_FAULT_KINDS   csv subset of "crash,hang,corrupt,die"
 
-Fault kinds:
+Fault kinds (:data:`FAULT_OUTCOMES` maps each to the failure it ends in;
+the supervised worker and the inline executor both act on that table):
 
 * ``crash`` — the worker process dies with ``os._exit(137)`` (an OOM-kill
-  lookalike); in the serial in-process path it raises
-  :class:`InjectedCrash` instead, since killing the driver is the one
-  thing fault injection must not do.
+  lookalike).
 * ``hang`` — the worker spins forever (in chunks, so an orphaned worker
   still notices its driver died); the supervisor's wall-clock timeout
-  kills and replaces it.  Serially it raises :class:`InjectedHang`.
+  kills and replaces it.
 * ``corrupt`` — the row is replaced with a poisoned payload that row
   validation must catch before it reaches the store.
 * ``die`` — the worker dies *mid-point*, right after its first durable
   checkpoint save (see :mod:`.checkpoint`), exercising the
   resume-from-checkpoint path; a point that never checkpoints dies at
-  completion instead, degenerating to a plain crash.  Serially it is
-  reported as an injected crash, like ``crash``.
+  completion instead, degenerating to a plain crash.
+
+The inline executor runs points in the driver process, which no injected
+fault may kill or hang: it reports the crash or timeout the worker would
+have produced without running the point.
 
 Cluster fault kinds (see :mod:`.cluster`) are host-level rather than
 worker-level, are **not** part of the default schedule (naming them in
@@ -57,7 +59,14 @@ FAULT_RATE_ENV = "REPRO_SWEEP_FAULT_RATE"
 FAULT_SEED_ENV = "REPRO_SWEEP_FAULT_SEED"
 FAULT_KINDS_ENV = "REPRO_SWEEP_FAULT_KINDS"
 
-FAULT_KINDS: Tuple[str, ...] = ("crash", "hang", "corrupt", "die")
+#: Each worker-level fault kind and the failure kind it ends in.  The order
+#: is the default schedule's (:meth:`FaultPlan.decide` indexes into it).
+FAULT_OUTCOMES: Dict[str, str] = {
+    "crash": "crash", "hang": "timeout", "corrupt": "corrupt-row",
+    "die": "crash",
+}
+
+FAULT_KINDS: Tuple[str, ...] = tuple(FAULT_OUTCOMES)
 
 #: Host-level fault kinds understood by the shard coordinator.  Kept out of
 #: :data:`FAULT_KINDS` (the default schedule) so existing single-host fault
@@ -77,14 +86,6 @@ CRASH_EXIT_CODE = 137
 #: Timeout applied when hangs are being injected but the caller set none —
 #: an untimed hang would otherwise stall the sweep forever.
 DEFAULT_HANG_TIMEOUT = 30.0
-
-
-class InjectedCrash(RuntimeError):
-    """Serial-path stand-in for a worker process crash."""
-
-
-class InjectedHang(RuntimeError):
-    """Serial-path stand-in for a worker hang (reported as a timeout)."""
 
 
 @dataclass(frozen=True)
@@ -161,7 +162,7 @@ def hang_forever(parent_pid: int, poll_seconds: float = 0.2) -> None:
 __all__ = [
     "ALL_FAULT_KINDS", "CLUSTER_FAULT_KINDS", "CORRUPT_MARKER",
     "CRASH_EXIT_CODE", "DEFAULT_HANG_TIMEOUT",
-    "FAULT_KINDS", "FAULT_KINDS_ENV", "FAULT_RATE_ENV", "FAULT_SEED_ENV",
-    "FaultPlan", "InjectedCrash", "InjectedHang", "corrupt_row",
+    "FAULT_KINDS", "FAULT_KINDS_ENV", "FAULT_OUTCOMES", "FAULT_RATE_ENV",
+    "FAULT_SEED_ENV", "FaultPlan", "corrupt_row",
     "hang_forever",
 ]

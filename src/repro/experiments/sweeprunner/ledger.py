@@ -1,7 +1,7 @@
 """Append-only JSONL run ledger: the sweep's durable state machine.
 
-One ledger file per sweep identity (see :func:`tasks.sweep_id`), holding one
-JSON object per line.  The task-level state machine is::
+One ledger file per sweep identity (see :func:`tasks.sweep_id`) and host,
+holding one JSON object per line.  The task-level state machine is::
 
     queued -> leased -> done
                   \\-> failed -> (leased again, while attempts remain)
@@ -10,10 +10,9 @@ JSON object per line.  The task-level state machine is::
 * ``queued`` records are written once, when the ledger is created, and
   carry the sweep metadata (total points, point function).
 * ``leased`` is appended **and fsynced before** the task is handed to a
-  worker: every execution is journaled first, so after a ``kill -9`` of
-  driver or worker the replay sees the interrupted lease, counts it as a
-  used attempt, and never executes any point more than ``1 + max_retries``
-  times in total across all driver incarnations.
+  worker, right after the epoch claim that counts the attempt (see
+  :mod:`.cluster`): the journal shows every execution, including one a
+  ``kill -9`` of driver or worker interrupted.
 * ``done`` is appended (and fsynced) after the row has been written to the
   content-addressed store — the record points into the store by key, it
   does not carry the row.
@@ -24,12 +23,12 @@ JSON object per line.  The task-level state machine is::
 Replay is tolerant of a torn final line (the driver can die mid-append);
 any line that does not parse is counted and skipped.
 
-Cluster sweeps (see :mod:`.cluster`) give each host its **own** ledger
-file (``sweep-<id>.<host>.jsonl``) — append-only JSONL has exactly one
-writer per file, always — and audits merge every host's journal:
-:func:`merged_counts` sums a per-file counter (e.g. :func:`lease_counts`)
-over all ``sweep-*.jsonl`` files in a directory, which is how the shard
-proof asserts the global lease bound across hosts.
+Each host keeps its **own** ledger file (``sweep-<id>.<host>.jsonl``,
+see :mod:`.cluster`) — append-only JSONL has exactly one writer per file,
+always — and audits merge every host's journal: :func:`merged_counts` sums
+a per-file counter (e.g. :func:`lease_counts`) over all ``sweep-*.jsonl``
+files in a directory, which is how the shard proof asserts the global
+lease bound across hosts.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 
 @dataclass
@@ -52,14 +51,16 @@ class TaskRecord:
     failures: List[Dict[str, Any]] = field(default_factory=list)
     #: Leases that resumed from a mid-point checkpoint (see .checkpoint).
     resumed: int = 0
-    #: Resumed leases whose checkpoint was migrated from another host's
-    #: shard after a lease steal (see .cluster; counted in ``resumed`` too).
+    #: Resumed leases whose checkpoint another host left behind, taken
+    #: over by a lease steal (see .cluster; counted in ``resumed`` too).
     migrated: int = 0
 
-    @property
-    def interrupted(self) -> bool:
-        """A lease with neither a done nor a failed record: a crashed run."""
-        return not self.done and self.leases > len(self.failures)
+    def count_lease(self, checkpoint: Any) -> None:
+        self.leases += 1
+        if checkpoint in ("resume", "migrated"):
+            self.resumed += 1
+        if checkpoint == "migrated":
+            self.migrated += 1
 
 
 class RunLedger:
@@ -76,43 +77,26 @@ class RunLedger:
 
     def _replay(self) -> Dict[str, TaskRecord]:
         records: Dict[str, TaskRecord] = {}
-        try:
-            lines = self.path.read_text(encoding="utf-8").splitlines()
-        except OSError:
-            return records
-        for line in lines:
-            try:
-                event = json.loads(line)
-            except ValueError:
-                self.torn_lines += 1
-                continue
-            if not isinstance(event, dict):
-                self.torn_lines += 1
-                continue
+        events, self.torn_lines = _read_events(self.path)
+        for event in events:
             kind = event.get("event")
             if kind == "snapshot":
                 # A compacted journal: one record carrying the replay state
                 # of every key (see :meth:`compact`).
-                tasks = event.get("tasks")
-                if isinstance(tasks, dict):
-                    for key, state in tasks.items():
-                        records[key] = TaskRecord(
-                            leases=int(state.get("leases", 0)),
-                            done=bool(state.get("done", False)),
-                            failures=list(state.get("failures", [])),
-                            resumed=int(state.get("resumed", 0)),
-                            migrated=int(state.get("migrated", 0)))
+                for key, state in _snapshot_tasks(event):
+                    records[key] = TaskRecord(
+                        leases=int(state.get("leases", 0)),
+                        done=bool(state.get("done", False)),
+                        failures=list(state.get("failures", [])),
+                        resumed=int(state.get("resumed", 0)),
+                        migrated=int(state.get("migrated", 0)))
                 continue
             key = event.get("key")
             if not key or kind not in ("queued", "leased", "done", "failed"):
                 continue
             record = records.setdefault(key, TaskRecord())
             if kind == "leased":
-                record.leases += 1
-                if event.get("checkpoint") in ("resume", "migrated"):
-                    record.resumed += 1
-                if event.get("checkpoint") == "migrated":
-                    record.migrated += 1
+                record.count_lease(event.get("checkpoint"))
             elif kind == "done":
                 record.done = True
             elif kind == "failed":
@@ -131,9 +115,6 @@ class RunLedger:
 
     def record(self, key: str) -> TaskRecord:
         return self._records.setdefault(key, TaskRecord())
-
-    def records(self) -> Dict[str, TaskRecord]:
-        return self._records
 
     # -- appends ---------------------------------------------------------
 
@@ -156,13 +137,8 @@ class RunLedger:
         """Journal a lease; ``checkpoint`` records the execution's provenance:
         ``"fresh"`` (from cycle zero), ``"resume"`` (from a checkpoint left
         by an earlier, interrupted attempt), or ``"migrated"`` (from a
-        checkpoint shipped from another host's shard after a lease steal)."""
-        record = self.record(key)
-        record.leases += 1
-        if checkpoint in ("resume", "migrated"):
-            record.resumed += 1
-        if checkpoint == "migrated":
-            record.migrated += 1
+        checkpoint a dead host left behind, after a lease steal)."""
+        self.record(key).count_lease(checkpoint)
         self._append({"event": "leased", "key": key, "attempt": attempt,
                       "worker": worker, "checkpoint": checkpoint,
                       "t": time.time()})
@@ -240,14 +216,11 @@ class RunLedger:
             pass
 
 
-def ledger_path(directory: Path, sweep_identity: str,
-                host: Optional[str] = None) -> Path:
-    """The journal file for one sweep — per-host in cluster mode, so every
-    append-only file has exactly one writer."""
-    if host:
-        safe = re.sub(r"[^A-Za-z0-9_.-]+", "-", host)
-        return Path(directory) / f"sweep-{sweep_identity}.{safe}.jsonl"
-    return Path(directory) / f"sweep-{sweep_identity}.jsonl"
+def ledger_path(directory: Path, sweep_identity: str, host: str) -> Path:
+    """One host's journal file for one sweep: every append-only file has
+    exactly one writer."""
+    safe = re.sub(r"[^A-Za-z0-9_.-]+", "-", host)
+    return Path(directory) / f"sweep-{sweep_identity}.{safe}.jsonl"
 
 
 def sweep_ledger_paths(directory: Path) -> List[Path]:
@@ -258,7 +231,67 @@ def sweep_ledger_paths(directory: Path) -> List[Path]:
         return []
 
 
-def merged_counts(directory: Path, counter) -> Dict[str, int]:
+def _read_events(path: Path) -> Tuple[List[Dict[str, Any]], int]:
+    """The JSON-object lines of a ledger file, plus the count of lines that
+    did not parse (a torn final append); a missing file has none."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except OSError:
+        return [], 0
+    events: List[Dict[str, Any]] = []
+    torn = 0
+    for line in lines:
+        try:
+            event = json.loads(line)
+        except ValueError:
+            event = None
+        if isinstance(event, dict):
+            events.append(event)
+        else:
+            torn += 1
+    return events, torn
+
+
+def _snapshot_tasks(event: Dict[str, Any]):
+    tasks = event.get("tasks")
+    return tasks.items() if isinstance(tasks, dict) else ()
+
+
+#: ``lease_counts`` filters: provenance -> (compacted snapshot field,
+#: admitted ``checkpoint`` values of live ``leased`` records; None = all).
+#: A migrated lease is a resume too.
+_PROVENANCE_FILTERS = {
+    None: ("leases", None),
+    "resume": ("resumed", ("resume", "migrated")),
+    "migrated": ("migrated", ("migrated",)),
+}
+
+
+def lease_counts(path: Path, provenance: Optional[str] = None
+                 ) -> Dict[str, int]:
+    """Leases per key, read straight from a ledger file (snapshot-aware).
+
+    With ``provenance="resume"`` only leases that resumed from a checkpoint
+    count, with ``"migrated"`` only those whose checkpoint another host
+    wrote.  Tests and the selftest proofs assert the retry bound (no key
+    leased more than ``1 + max_retries`` times) and the resume/migration
+    evidence with it, before and after compaction.
+    """
+    field, admitted = _PROVENANCE_FILTERS[provenance]
+    counts: Dict[str, int] = {}
+    for event in _read_events(path)[0]:
+        if event.get("event") == "snapshot":
+            for key, state in _snapshot_tasks(event):
+                count = int(state.get(field, 0))
+                if count:  # parity with replay: no zero-count keys
+                    counts[key] = counts.get(key, 0) + count
+        elif event.get("event") == "leased" and (
+                admitted is None or event.get("checkpoint") in admitted):
+            counts[event["key"]] = counts.get(event["key"], 0) + 1
+    return counts
+
+
+def merged_counts(directory: Path, counter=lease_counts) -> Dict[str, int]:
     """Sum a per-file counter (e.g. :func:`lease_counts`) across every
     ledger file in ``directory`` — the cross-host audit primitive."""
     totals: Dict[str, int] = {}
@@ -268,110 +301,11 @@ def merged_counts(directory: Path, counter) -> Dict[str, int]:
     return totals
 
 
-def lease_counts(path: Path) -> Dict[str, int]:
-    """Executions per key, read straight from a ledger file.
-
-    Used by tests and the recovery proof to assert the retry bound: no key
-    may ever show more than ``1 + max_retries`` leases, across every driver
-    incarnation that touched the ledger.
-    """
-    counts: Dict[str, int] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        try:
-            event = json.loads(line)
-        except ValueError:
-            continue
-        if not isinstance(event, dict):
-            continue
-        if event.get("event") == "snapshot":
-            # Compacted journal: the snapshot carries the summed leases.
-            tasks = event.get("tasks")
-            if isinstance(tasks, dict):
-                for key, state in tasks.items():
-                    leased = int(state.get("leases", 0))
-                    if leased:  # parity with replay: no zero-count keys
-                        counts[key] = counts.get(key, 0) + leased
-            continue
-        if event.get("event") == "leased":
-            counts[event["key"]] = counts.get(event["key"], 0) + 1
-    return counts
-
-
-def resume_counts(path: Path) -> Dict[str, int]:
-    """Resumed-from-checkpoint leases per key (snapshot-aware).
-
-    Used by the checkpoint recovery proof: a killed-mid-point key must show
-    at least one ``checkpoint="resume"`` lease, and the count must survive
-    ledger compaction.
-    """
-    counts: Dict[str, int] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        try:
-            event = json.loads(line)
-        except ValueError:
-            continue
-        if not isinstance(event, dict):
-            continue
-        if event.get("event") == "snapshot":
-            tasks = event.get("tasks")
-            if isinstance(tasks, dict):
-                for key, state in tasks.items():
-                    resumed = int(state.get("resumed", 0))
-                    if resumed:  # parity with replay: no zero-count keys
-                        counts[key] = counts.get(key, 0) + resumed
-            continue
-        if event.get("event") == "leased" \
-                and event.get("checkpoint") in ("resume", "migrated"):
-            counts[event["key"]] = counts.get(event["key"], 0) + 1
-    return counts
-
-
-def migrate_counts(path: Path) -> Dict[str, int]:
-    """Migrated-checkpoint leases per key (snapshot-aware).
-
-    Used by the shard proof: a key stolen from a SIGKILLed host with a
-    durable checkpoint must show a ``checkpoint="migrated"`` lease in the
-    stealing host's ledger.
-    """
-    counts: Dict[str, int] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        try:
-            event = json.loads(line)
-        except ValueError:
-            continue
-        if not isinstance(event, dict):
-            continue
-        if event.get("event") == "snapshot":
-            tasks = event.get("tasks")
-            if isinstance(tasks, dict):
-                for key, state in tasks.items():
-                    migrated = int(state.get("migrated", 0))
-                    if migrated:  # parity with replay: no zero-count keys
-                        counts[key] = counts.get(key, 0) + migrated
-            continue
-        if event.get("event") == "leased" \
-                and event.get("checkpoint") == "migrated":
-            counts[event["key"]] = counts.get(event["key"], 0) + 1
-    return counts
-
-
 def count_events(path: Path, kind: str) -> int:
     """Number of ``kind`` events in a ledger file (tolerant of torn lines)."""
-    total = 0
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError:
-        return 0
-    for line in lines:
-        try:
-            event = json.loads(line)
-        except ValueError:
-            continue
-        if isinstance(event, dict) and event.get("event") == kind:
-            total += 1
-    return total
+    return sum(1 for event in _read_events(path)[0]
+               if event.get("event") == kind)
 
 
 __all__ = ["RunLedger", "TaskRecord", "count_events", "lease_counts",
-           "ledger_path", "merged_counts", "migrate_counts",
-           "resume_counts", "sweep_ledger_paths"]
+           "ledger_path", "merged_counts", "sweep_ledger_paths"]

@@ -34,17 +34,18 @@ pinning the bit-exactness of the very snapshot the kill interrupted.
 ``shard-proof`` is the multi-host variant (see :mod:`.cluster`): three
 driver processes with distinct host identities share one sweep directory
 over real simulator points; the parent SIGKILLs one host right after its
-first mid-point checkpoint lands, the survivors steal its lease (shipping
-the orphaned checkpoint across shards), and the verdict demands rows
-bit-identical to a clean single-host run, the global lease bound held
-across every host's ledger, at least one ``checkpoint="migrated"`` lease,
-and a final in-process verifier pass that executes nothing (every row
-served by the federated store).
+first mid-point checkpoint lands, the survivors steal its lease (resuming
+the orphaned checkpoint it left in the shared store), and the verdict
+demands rows bit-identical to a clean single-host run, the global lease
+bound held across every host's ledger, at least one
+``checkpoint="migrated"`` lease, and a final in-process verifier pass that
+executes nothing (every row served by the store).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import signal
@@ -199,6 +200,16 @@ def _ledger_file(store: Path) -> Optional[Path]:
     return candidates[0] if candidates else None
 
 
+def _claim_holder(store: Path, key: str) -> Optional[str]:
+    """The host holding ``key``'s newest epoch claim (None while unreadable)."""
+    claims = sorted((store / "claims").glob(f"{key}.epoch-*"),
+                    key=lambda path: int(path.name.rsplit("-", 1)[1]))
+    try:
+        return json.loads(claims[-1].read_text(encoding="utf-8"))["host"]
+    except (IndexError, OSError, ValueError, KeyError, TypeError):
+        return None
+
+
 def _spawn_child_driver(store: Path, args, env_plan: FaultPlan
                         ) -> subprocess.Popen:
     env = dict(os.environ)
@@ -251,7 +262,7 @@ def run_proof(points: int = 200, fault_rate: float = 0.05, seed: int = 7,
     plan = FaultPlan(rate=fault_rate, seed=seed)
     clean = run_sweep_outcome(
         checksum_point, proof_params(points, spin, sleep=0.0),
-        options=SweepOptions(processes=1, cache_dir="", journal=False,
+        options=SweepOptions(processes=1, cache_dir="",
                              fault_plan=FaultPlan(rate=0.0)))
     assert clean.ok and len(clean.rows) == points
     # sleep only pads the faulty run's wall clock; rows don't include it.
@@ -381,7 +392,7 @@ def run_ckpt_proof(cycles: int = 12000, elements: int = 1 << 12,
         ledger_path = _ledger_file(store)
         leases = (ledger_module.lease_counts(ledger_path)
                   if ledger_path is not None else {})
-        resumes = (ledger_module.resume_counts(ledger_path)
+        resumes = (ledger_module.lease_counts(ledger_path, "resume")
                    if ledger_path is not None else {})
 
         report = {
@@ -465,7 +476,7 @@ def run_shard_proof(points: int = 4, cycles: int = 9000,
     params = shard_params(points, cycles, elements, seed)
     clean = run_sweep_outcome(
         simulation_point, params,
-        options=SweepOptions(processes=1, cache_dir="", journal=False,
+        options=SweepOptions(processes=1, cache_dir="",
                              fault_plan=FaultPlan(rate=0.0)))
     assert clean.ok and len(clean.rows) == points
     expected = _normalized(clean.rows)
@@ -493,18 +504,18 @@ def run_shard_proof(points: int = 4, cycles: int = 9000,
                 env=env, stdout=subprocess.DEVNULL,
                 stderr=subprocess.DEVNULL)
 
-        # SIGKILL the first host whose mid-point checkpoint lands: its
-        # claim outlives it, and a survivor must steal + migrate.
+        # SIGKILL the first live host holding a key whose mid-point
+        # checkpoint landed: its claim outlives it, and a survivor must
+        # steal the lease and resume the checkpoint.
         victim: Optional[str] = None
 
         def checkpoint_seen() -> bool:
             nonlocal victim
             if all(c.poll() is not None for c in children.values()):
                 return True  # everyone finished before any checkpoint
-            for host, child in children.items():
-                shard = ckpt_root / host
-                if child.poll() is None and shard.is_dir() \
-                        and any(shard.glob("*.ckpt")):
+            for ckpt in ckpt_root.glob("*.ckpt"):
+                host = _claim_holder(store, ckpt.stem)
+                if host in children and children[host].poll() is None:
                     victim = host
                     return True
             return False
@@ -525,8 +536,8 @@ def run_shard_proof(points: int = 4, cycles: int = 9000,
                 child.wait(timeout=30)
             survivors_ok = survivors_ok and child.returncode == 0
 
-        # Verifier host: every row must come back from the federated store
-        # without executing anything — cross-host results are first-class.
+        # Verifier host: every row must come back from the store without
+        # executing anything — cross-host results are first-class.
         verifier = run_sweep_outcome(
             simulation_point, params,
             options=SweepOptions(
@@ -540,8 +551,9 @@ def run_shard_proof(points: int = 4, cycles: int = 9000,
         ledger_dir = store / "ledger"
         leases = ledger_module.merged_counts(ledger_dir,
                                              ledger_module.lease_counts)
-        migrated = ledger_module.merged_counts(ledger_dir,
-                                               ledger_module.migrate_counts)
+        migrated = ledger_module.merged_counts(
+            ledger_dir, functools.partial(ledger_module.lease_counts,
+                                          provenance="migrated"))
         keys = {make_task(simulation_point, p).cache_key() for p in params}
 
         report = {
@@ -623,7 +635,7 @@ def main(argv=None) -> int:
     ckpt_driver.add_argument("--max-retries", type=int, default=3)
 
     shard = sub.add_parser(
-        "shard-proof", help="multi-host steal/migrate/federation proof")
+        "shard-proof", help="multi-host steal/migrate proof")
     shard.add_argument("--points", type=int, default=4)
     shard.add_argument("--cycles", type=int, default=9000)
     shard.add_argument("--elements", type=int, default=1 << 11)

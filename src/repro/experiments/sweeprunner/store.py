@@ -14,8 +14,13 @@ cannot fail every future load of the same key.
 :func:`collect_garbage` is the retention side of the same discipline:
 quarantined ``*.corrupt`` files are kept for a forensics window and then
 deleted, and orphaned ``.ckpt`` checkpoint files whose rows already landed
-in the store (any shard) are deleted immediately — both previously
-accumulated forever in long-lived cache directories.
+in the store are deleted immediately — both previously accumulated forever
+in long-lived cache directories.
+
+Every host of a sweep reads and writes this one layout.  Fencing leaves one
+writer per attempt epoch, rows are a deterministic function of their key,
+and a torn entry fails validation and is recomputed, so concurrent writers
+of one key can only land the same row.
 """
 
 from __future__ import annotations
@@ -45,11 +50,6 @@ class SweepCache:
     def __init__(self, directory: Path, fsync: bool = False) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        #: The cache base directory sibling artifacts (ledger, checkpoints,
-        #: claims) hang off.  Equal to ``directory`` for the flat one-box
-        #: layout; the federated store overrides it (rows go to a per-host
-        #: shard below the shared root).
-        self.root = self.directory
         self.fsync = fsync
         self.hits = 0
         self.misses = 0
@@ -69,10 +69,12 @@ class SweepCache:
             except OSError:
                 pass
 
-    def _read_validated(self, path: Path) -> Optional[Dict[str, Any]]:
-        """The validated row at ``path``, or None (missing entries are
-        silent; corrupt ones are quarantined).  Counter-free, so merged
-        multi-shard reads can probe several candidates per logical load."""
+    def peek(self, task: SweepTask) -> Optional[Dict[str, Any]]:
+        """The validated row for ``task``, or None (missing entries are
+        silent; corrupt ones are quarantined).  Leaves the hit and miss
+        counters alone: the driver re-probes a pending key for a peer's row
+        before every lease, and that probe is no cache lookup."""
+        path = self._path(task)
         try:
             with path.open("r", encoding="utf-8") as handle:
                 entry = json.load(handle)
@@ -88,7 +90,7 @@ class SweepCache:
         return row
 
     def load(self, task: SweepTask) -> Optional[Dict[str, Any]]:
-        row = self._read_validated(self._path(task))
+        row = self.peek(task)
         if row is None:
             self.misses += 1
             return None
@@ -120,29 +122,17 @@ class SweepCache:
             return False
 
 
-def _row_landed(root: Path, key: str) -> bool:
-    """Whether any store layout under ``root`` holds a row for ``key``."""
-    if (root / f"{key}.json").exists():
-        return True
-    shards = root / "shards"
-    if shards.is_dir():
-        for shard in shards.iterdir():
-            if (shard / f"{key}.json").exists():
-                return True
-    return False
-
-
 def collect_garbage(root: Path,
                     corrupt_retention: float = DEFAULT_CORRUPT_RETENTION,
                     now: Optional[float] = None) -> Dict[str, int]:
     """Retention sweep over a cache directory; returns removal counts.
 
-    * ``*.corrupt`` quarantine files (flat layout and per-host shards)
-      older than ``corrupt_retention`` seconds are deleted.
-    * Orphaned ``checkpoints/**/*.ckpt`` files whose row already landed in
-      the store (any shard) are deleted — the row is durable, so the
-      resume file is dead weight; a checkpoint whose row has *not* landed
-      is live recovery state and is always kept.
+    * ``*.corrupt`` quarantine files older than ``corrupt_retention``
+      seconds are deleted.
+    * Orphaned ``checkpoints/*.ckpt`` files whose row already landed in
+      the store are deleted — the row is durable, so the resume file is
+      dead weight; a checkpoint whose row has *not* landed is live
+      recovery state and is always kept.
 
     Purely best-effort: every failure is skipped, never raised, and a
     concurrent sweep deleting the same file is harmless.
@@ -151,22 +141,20 @@ def collect_garbage(root: Path,
     now = time.time() if now is None else now
     removed = {"corrupt": 0, "checkpoints": 0}
     try:
-        for path in root.rglob("*.corrupt"):
+        for path in root.glob("*.corrupt"):
             try:
                 if now - path.stat().st_mtime > corrupt_retention:
                     path.unlink()
                     removed["corrupt"] += 1
             except OSError:
                 continue
-        checkpoints = root / "checkpoints"
-        if checkpoints.is_dir():
-            for path in checkpoints.rglob("*.ckpt"):
-                try:
-                    if _row_landed(root, path.name[:-len(".ckpt")]):
-                        path.unlink()
-                        removed["checkpoints"] += 1
-                except OSError:
-                    continue
+        for path in (root / "checkpoints").glob("*.ckpt"):
+            try:
+                if (root / f"{path.stem}.json").exists():
+                    path.unlink()
+                    removed["checkpoints"] += 1
+            except OSError:
+                continue
     except OSError:
         pass
     return removed

@@ -21,6 +21,10 @@ its own SIGKILL by a microsecond cannot resurrect an assignment the
 supervisor already wrote off.  Workers ignore SIGINT (the driver owns
 interrupt handling) and self-exit when their driver disappears, so a
 ``kill -9`` of the driver leaks no processes.
+
+:class:`InlineExecutor` has the same ``idle_count``/``submit``/``poll``
+surface for a single slot in the driver process, so the service runs
+serial and supervised sweeps through one loop.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from multiprocessing import get_context
 from repro.experiments.sweeprunner import checkpoint as checkpoint_module
 from repro.experiments.sweeprunner.faults import (
     CRASH_EXIT_CODE,
+    FAULT_OUTCOMES,
     FaultPlan,
     corrupt_row,
     hang_forever,
@@ -107,8 +112,8 @@ def _worker_main(worker_id, fn, inbox, outbox, fault_plan, parent_pid,
     """Worker loop: lease → (maybe fault) → run → report.
 
     Runs in a child process.  Fault decisions replay the deterministic
-    plan, so a resumed driver and a spawned worker agree with the serial
-    path on exactly which (key, attempt) executions misbehave.
+    plan, so a resumed driver and a spawned worker agree with the inline
+    executor on exactly which (key, attempt) executions misbehave.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _claim_thread_share(workers)
@@ -127,10 +132,11 @@ def _worker_main(worker_id, fn, inbox, outbox, fault_plan, parent_pid,
             return
         ticket, index, key, attempt, params = message
         fault = fault_plan.decide(key, attempt) if fault_plan else None
-        if fault == "crash":
-            os._exit(CRASH_EXIT_CODE)
-        if fault == "hang":
+        outcome = FAULT_OUTCOMES.get(fault)
+        if outcome == "timeout":
             hang_forever(parent_pid)
+        if outcome == "crash" and (fault == "crash" or checkpoint_dir is None):
+            os._exit(CRASH_EXIT_CODE)  # without checkpointing a die is a crash
         slot = None
         if checkpoint_dir is not None:
             slot = checkpoint_module.CheckpointSlot(checkpoint_dir, key,
@@ -138,8 +144,6 @@ def _worker_main(worker_id, fn, inbox, outbox, fault_plan, parent_pid,
             if fault == "die":
                 slot.arm_die()
             checkpoint_module.activate(slot)
-        elif fault == "die":
-            os._exit(CRASH_EXIT_CODE)  # no checkpointing: die is a crash
         try:
             row = fn(**params)
             if slot is not None:
@@ -149,7 +153,7 @@ def _worker_main(worker_id, fn, inbox, outbox, fault_plan, parent_pid,
                 # exited already); die at completion so the fault still
                 # costs this attempt.
                 os._exit(CRASH_EXIT_CODE)
-            if fault == "corrupt":
+            if outcome == "corrupt-row":
                 row = corrupt_row(row)
             # The queue's feeder thread pickles asynchronously — an
             # unpicklable row would vanish there and hang the assignment,
@@ -330,4 +334,64 @@ class Supervisor:
             pass
 
 
-__all__ = ["Assignment", "Supervisor", "TaskEvent", "default_start_method"]
+class InlineExecutor:
+    """The one-slot executor that runs each point in the driver process.
+
+    ``submit`` runs the point with its checkpoint slot armed and ``poll``
+    hands back the :class:`TaskEvent` a worker would have reported, so the
+    service drives it with the same loop as a :class:`Supervisor`.  No
+    injected fault may kill or hang the driver: a crash, die or hang is
+    reported as the event it would have caused (see
+    :data:`.faults.FAULT_OUTCOMES`), without running the point.  Nothing
+    here can preempt a running point, so ``task_timeout`` does not apply.
+    """
+
+    respawns = 0
+
+    def __init__(self, fn, fault_plan: Optional[FaultPlan] = None,
+                 checkpoint_dir=None) -> None:
+        self._fn = fn
+        self._fault_plan = fault_plan
+        self._checkpoint_dir = checkpoint_dir
+        self._events: List[TaskEvent] = []
+
+    def idle_count(self) -> int:
+        return 0 if self._events else 1
+
+    def submit(self, index: int, key: str, attempt: int,
+               params: Dict[str, Any]) -> int:
+        assignment = Assignment(ticket=0, index=index, key=key,
+                                attempt=attempt, params=params,
+                                deadline=None)
+        fault = (self._fault_plan.decide(key, attempt)
+                 if self._fault_plan is not None else None)
+        outcome = FAULT_OUTCOMES.get(fault)
+        if outcome in ("crash", "timeout"):
+            self._events.append(TaskEvent(outcome, assignment,
+                                          CRASH_EXIT_CODE))
+            return 0
+        if self._checkpoint_dir is not None:
+            checkpoint_module.activate(checkpoint_module.CheckpointSlot(
+                self._checkpoint_dir, key, attempt))
+        try:
+            row = self._fn(**params)
+            if outcome == "corrupt-row":
+                row = corrupt_row(row)
+            event = TaskEvent("row", assignment, row)
+        except Exception as exc:  # noqa: BLE001 - report, like a worker
+            event = TaskEvent("error", assignment, _describe_error(exc))
+        finally:
+            checkpoint_module.deactivate()
+        self._events.append(event)
+        return 0
+
+    def poll(self, timeout: float = 0.05) -> List[TaskEvent]:
+        events, self._events = self._events, []
+        return events
+
+    def shutdown(self, kill: bool = False) -> None:
+        pass
+
+
+__all__ = ["Assignment", "InlineExecutor", "Supervisor", "TaskEvent",
+           "default_start_method"]

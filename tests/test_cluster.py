@@ -1,7 +1,6 @@
 """Tests for multi-host sweep sharding (repro.experiments.sweeprunner.cluster).
 
-Most tests drive ShardCoordinator / FederatedStore directly against a tmp
-directory; the end-to-end ones race real in-process drivers (threads with
+Most tests drive ShardCoordinator directly against a tmp directory; the end-to-end ones race real in-process drivers (threads with
 distinct host identities) over one shared sweep directory, which is exactly
 the deployment model — the coordination medium is the filesystem, not the
 process.
@@ -23,7 +22,6 @@ from repro.experiments.sweeprunner import (
     collect_garbage,
     lease_counts,
     merged_counts,
-    migrate_counts,
     run_sweep_outcome,
 )
 from repro.experiments.sweeprunner import ledger as ledger_module
@@ -34,7 +32,6 @@ from repro.experiments.sweeprunner.checkpoint import (
 from repro.experiments.sweeprunner.cluster import (
     BUSY,
     EXHAUSTED,
-    FederatedStore,
     HOST_ENV,
     Lease,
     ShardCoordinator,
@@ -47,7 +44,6 @@ from repro.experiments.sweeprunner.faults import (
     FAULT_RATE_ENV,
 )
 from repro.experiments.sweeprunner.progress import ProgressReporter
-from repro.experiments.sweeprunner.store import SweepCache
 from repro.experiments.sweeprunner.tasks import make_task
 from repro.snapshot import write_snapshot
 
@@ -193,20 +189,20 @@ class TestStealing:
         a = _coord(tmp_path, "a", staleness=0.5)
         b = _coord(tmp_path, "b", staleness=0.5)
         a.acquire("k1")
-        ckpt = checkpoint_file(a.checkpoint_dir(), "k1")
+        ckpt = checkpoint_file(tmp_path / "checkpoints", "k1")
         ckpt.parent.mkdir(parents=True, exist_ok=True)
         ckpt.write_bytes(b"snapshot-bytes")
         _age_file(tmp_path / "hosts" / "a.hb", 5.0)
         lease = b.acquire("k1")
         assert lease.provenance == "migrated"
         assert b.migrations == 1
-        migrated = checkpoint_file(b.checkpoint_dir(), "k1")
-        assert migrated.read_bytes() == b"snapshot-bytes"
+        # One shared layout: the thief resumes the dead host's file in place.
+        assert ckpt.read_bytes() == b"snapshot-bytes"
 
     def test_own_prior_incarnation_resumes_without_staleness(self, tmp_path):
         old = _coord(tmp_path, "a")
         old.acquire("k1")
-        ckpt = checkpoint_file(old.checkpoint_dir(), "k1")
+        ckpt = checkpoint_file(tmp_path / "checkpoints", "k1")
         ckpt.parent.mkdir(parents=True, exist_ok=True)
         ckpt.write_bytes(b"own-snapshot")
         # A restarted driver with the same host identity: its heartbeat is
@@ -234,47 +230,6 @@ class TestStealing:
         assert first is BUSY or isinstance(first, Lease)
 
 
-class TestFederatedStore:
-    def test_merge_across_shards(self, tmp_path):
-        def point(x):
-            return {"x": x}
-
-        task = make_task(point, {"x": 1})
-        writer = FederatedStore(tmp_path, "a")
-        writer.store(task, {"x": 1, "y": 2})
-        reader = FederatedStore(tmp_path, "b")
-        assert reader.load(task) == {"x": 1, "y": 2}
-        assert reader.hits == 1
-        assert (tmp_path / "shards" / "a").is_dir()
-
-    def test_flat_single_host_layout_still_read(self, tmp_path):
-        def point(x):
-            return {"x": x}
-
-        task = make_task(point, {"x": 1})
-        SweepCache(tmp_path).store(task, {"x": 1, "y": 9})
-        reader = FederatedStore(tmp_path, "b")
-        assert reader.load(task) == {"x": 1, "y": 9}
-
-    def test_corrupt_shard_quarantined_valid_peer_wins(self, tmp_path):
-        def point(x):
-            return {"x": x}
-
-        task = make_task(point, {"x": 1})
-        good = FederatedStore(tmp_path, "a")
-        good.store(task, {"x": 1, "y": 2})
-        bad_path = tmp_path / "shards" / "b" / f"{task.cache_key()}.json"
-        bad_path.parent.mkdir(parents=True, exist_ok=True)
-        bad_path.write_text("{ torn", encoding="utf-8")
-        # Make the corrupt entry the newest so naive LWW would pick it.
-        future = time.time() + 60
-        os.utime(bad_path, (future, future))
-        reader = FederatedStore(tmp_path, "c")
-        assert reader.load(task) == {"x": 1, "y": 2}
-        assert reader.quarantined == 1
-        assert bad_path.with_suffix(".corrupt").exists()
-
-
 class TestMergedAudits:
     def test_merged_lease_and_migrate_counts(self, tmp_path):
         path_a = ledger_module.ledger_path(tmp_path, "deadbeef", host="a")
@@ -288,7 +243,11 @@ class TestMergedAudits:
         lb.append_leased("k2", 1, checkpoint="resume")
         lb.close()
         assert merged_counts(tmp_path, lease_counts) == {"k1": 2, "k2": 1}
-        assert merged_counts(tmp_path, migrate_counts) == {"k1": 1}
+        assert merged_counts(
+            tmp_path, lambda path: lease_counts(path, "migrated")) == {"k1": 1}
+        assert merged_counts(
+            tmp_path, lambda path: lease_counts(path, "resume")) == {
+                "k1": 1, "k2": 1}
 
     def test_migrate_counts_survive_compaction(self, tmp_path):
         path = ledger_module.ledger_path(tmp_path, "deadbeef", host="a")
@@ -297,7 +256,7 @@ class TestMergedAudits:
         journal.append_done("k1", 1)
         assert journal.compact()
         journal.close()
-        assert migrate_counts(path) == {"k1": 1}
+        assert lease_counts(path, "migrated") == {"k1": 1}
 
 
 class TestClusterFaultKinds:
@@ -328,15 +287,13 @@ class TestGarbageCollection:
         assert not stale.exists() and fresh.exists()
 
     def test_orphan_checkpoints_with_landed_rows_removed(self, tmp_path):
-        ckpts = tmp_path / "checkpoints" / "h1"
+        ckpts = tmp_path / "checkpoints"
         ckpts.mkdir(parents=True)
         landed = ckpts / "k1.ckpt"
         live = ckpts / "k2.ckpt"
         landed.write_bytes(b"x")
         live.write_bytes(b"x")
-        shard = tmp_path / "shards" / "h1"
-        shard.mkdir(parents=True)
-        (shard / "k1.json").write_text("{}")
+        (tmp_path / "k1.json").write_text("{}")
         removed = collect_garbage(tmp_path)
         assert removed["checkpoints"] == 1
         assert not landed.exists()
@@ -449,6 +406,19 @@ class TestClusterService:
         assert second.stats.executed == 0  # budget spent by host a
         assert failure.kind == "error"
         assert "broken" in failure.message
+
+    def test_peer_probe_counts_no_cache_miss(self, tmp_path):
+        """Each executed point is one cache miss: the store probe before
+        every lease looks for a peer's row and leaves the counters alone."""
+        outcome = run_sweep_outcome(
+            _slow_tally,
+            [{"value": v, "tally": str(tmp_path / "t.txt")}
+             for v in range(3)],
+            options=SweepOptions(processes=1, cache_dir=tmp_path / "store",
+                                 cluster=ClusterOptions(host="h1")))
+        assert outcome.stats.executed == 3
+        assert (outcome.stats.cache_hits, outcome.stats.cache_misses) == (0, 3)
+        assert outcome.stats.peer_rows == 0
 
     def test_netsplit_harmless_single_host(self, tmp_path):
         plan = FaultPlan(rate=1.0, seed=3, kinds=("netsplit",))

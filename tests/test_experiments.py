@@ -353,7 +353,7 @@ class TestFig15:
         # spawn: the workers import numpy themselves, after claiming their
         # BLAS share; forked from pytest they would inherit its loaded pools.
         rows = run_svrg_scaling(
-            processes=2, options=SweepOptions(cache_dir="", journal=False,
+            processes=2, options=SweepOptions(cache_dir="",
                                               start_method="spawn"))
         assert rows == FIG15_DEFAULT_ROWS
 

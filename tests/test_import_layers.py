@@ -127,7 +127,7 @@ def point(i):
     return {{"i": i, "preloaded": "repro.snapshot.state" in sys.modules}}
 with tempfile.TemporaryDirectory() as directory:
     rows = run_sweep(point, [{{"i": 0}}, {{"i": 1}}], options=SweepOptions(
-        processes={processes}, start_method="fork", checkpoint_dir=directory))
+        processes={processes}, start_method="fork", cache_dir=directory))
 """
 
 

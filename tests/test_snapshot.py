@@ -534,7 +534,7 @@ class TestLedgerCompaction:
         ledger.append_done("b", 1)
 
         before_leases = lm.lease_counts(path)
-        before_resumes = lm.resume_counts(path)
+        before_resumes = lm.lease_counts(path, "resume")
         assert ledger.compact()
         ledger.close()
 
@@ -543,7 +543,7 @@ class TestLedgerCompaction:
         assert lm.count_events(path, "leased") == 0
         assert not path.with_name(path.name + ".bak").exists()
         assert lm.lease_counts(path) == before_leases
-        assert lm.resume_counts(path) == before_resumes
+        assert lm.lease_counts(path, "resume") == before_resumes
 
         reopened = lm.RunLedger(path)
         assert reopened.record("a").done
@@ -565,4 +565,4 @@ class TestLedgerCompaction:
         ledger.append_leased("k", 2, checkpoint="resume")
         ledger.close()
         assert lm.RunLedger(path).record("k").resumed == 1
-        assert lm.resume_counts(path) == {"k": 1}
+        assert lm.lease_counts(path, "resume") == {"k": 1}

@@ -19,21 +19,19 @@ import pytest
 import repro
 from repro.experiments.sweeprunner import (
     CORRUPT_MARKER,
+    FaultPlan,
     RunLedger,
     SweepCache,
     SweepOptions,
     SweepPointsFailed,
     lease_counts,
     make_task,
+    resolve_host,
     run_sweep,
     run_sweep_outcome,
 )
-from repro.experiments.sweeprunner import ledger as ledger_module
 from repro.experiments.sweeprunner import selftest
-from repro.experiments.sweeprunner.tasks import (
-    describe_key_derivation,
-    sweep_id,
-)
+from repro.experiments.sweeprunner.tasks import describe_key_derivation
 
 
 def _ok(value: int) -> dict:
@@ -136,8 +134,6 @@ class TestLedger:
         assert replayed.record("k1").done
         assert replayed.record("k2").leases == 2
         assert replayed.record("k2").failures[0]["kind"] == "crash"
-        # One lease beyond the recorded failures: an interrupted run.
-        assert replayed.record("k2").interrupted
         replayed.close()
         assert lease_counts(path) == {"k1": 1, "k2": 2}
 
@@ -162,7 +158,7 @@ class TestSupervisedRecovery:
                   {"value": 1, "marker": str(marker)}]
         outcome = run_sweep_outcome(
             _crash_once, params,
-            options=SweepOptions(processes=2, cache_dir="", journal=False,
+            options=SweepOptions(processes=2, cache_dir="",
                                  max_retries=2, retry_backoff=0.01))
         assert outcome.ok, outcome.failure_report()
         assert len(outcome.rows) == 2
@@ -176,7 +172,7 @@ class TestSupervisedRecovery:
                   {"value": 1, "marker": str(marker)}]
         outcome = run_sweep_outcome(
             _hang_once, params,
-            options=SweepOptions(processes=2, cache_dir="", journal=False,
+            options=SweepOptions(processes=2, cache_dir="",
                                  max_retries=2, task_timeout=1.0,
                                  retry_backoff=0.01))
         assert outcome.ok, outcome.failure_report()
@@ -187,7 +183,7 @@ class TestSupervisedRecovery:
         marker = tmp_path / "corrupt.marker"
         outcome = run_sweep_outcome(
             _corrupt_once, [{"value": 0, "marker": str(marker)}],
-            options=SweepOptions(processes=1, cache_dir="", journal=False,
+            options=SweepOptions(processes=1, cache_dir="",
                                  max_retries=2, retry_backoff=0.01))
         assert outcome.ok, outcome.failure_report()
         assert outcome.stats.corrupt_rows >= 1
@@ -206,7 +202,7 @@ class TestWorkerThreadShare:
     """Workers default their BLAS pools to cpu_count // workers, so that a
     point function importing numpy in the worker does not oversubscribe."""
 
-    OPTIONS = dict(processes=2, cache_dir="", journal=False)
+    OPTIONS = dict(processes=2, cache_dir="")
 
     def test_unset_variables_default_to_the_share(self, monkeypatch):
         for name in THREAD_ENV:
@@ -244,7 +240,7 @@ class TestGracefulDegradation:
         params = [{"value": 0}, {"value": 1}]
         rows = run_sweep(
             _always_fails, params,
-            options=SweepOptions(processes=1, cache_dir="", journal=False,
+            options=SweepOptions(processes=1, cache_dir="",
                                  max_retries=1, retry_backoff=0.0,
                                  strict=False))
         assert rows == []
@@ -255,7 +251,7 @@ class TestGracefulDegradation:
         with pytest.raises(SweepPointsFailed) as excinfo:
             run_sweep(_always_fails, [{"value": 3}],
                       options=SweepOptions(processes=1, cache_dir="",
-                                           journal=False, max_retries=1,
+                                           max_retries=1,
                                            retry_backoff=0.0, strict=True))
         outcome = excinfo.value.outcome
         assert not outcome.ok
@@ -267,7 +263,7 @@ class TestGracefulDegradation:
         monkeypatch.setenv("REPRO_SWEEP_STRICT", "0")
         rows = run_sweep(_always_fails, [{"value": 4}],
                          options=SweepOptions(processes=1, cache_dir="",
-                                              journal=False, max_retries=0))
+                                              max_retries=0))
         assert rows == []
         assert "sweep degraded" in capsys.readouterr().err
 
@@ -276,7 +272,7 @@ class TestGracefulDegradation:
         params = [{"value": 0, "tally": str(tally)}]
         rows = run_sweep(_tally, params,
                          options=SweepOptions(processes=1, cache_dir="",
-                                              journal=False, strict=False))
+                                              strict=False))
         assert rows == [{"value": 0}]
 
 
@@ -285,46 +281,72 @@ class TestDedupe:
         tally = tmp_path / "tally.txt"
         params = [{"value": 7, "tally": str(tally)}] * 3
         rows = run_sweep(_tally, params,
-                         options=SweepOptions(processes=1, cache_dir="",
-                                              journal=False))
+                         options=SweepOptions(processes=1, cache_dir=""))
         assert rows == [{"value": 7}] * 3
         assert tally.read_text().splitlines() == ["7"]
 
 
 class TestDurability:
-    def test_ledger_dir_without_cache_still_durable(self, tmp_path,
-                                                    monkeypatch):
-        monkeypatch.delenv("REPRO_SWEEP_CACHE", raising=False)
-        options = SweepOptions(processes=1, ledger_dir=tmp_path / "journal")
-        first = run_sweep_outcome(_ok, [{"value": 5}], options=options)
-        assert first.ok and first.stats.cache_hits == 0
-        assert first.ledger_path is not None and first.ledger_path.exists()
-        assert list((tmp_path / "journal" / "store").glob("*.json"))
-        second = run_sweep_outcome(_ok, [{"value": 5}], options=options)
-        assert second.rows == first.rows
-        assert second.stats.cache_hits == 1
-        assert second.stats.executed == 0
-
     def test_interrupted_lease_counts_against_budget(self, tmp_path):
-        # Simulate a driver that died right after journaling two leases:
-        # the replayed attempts count toward 1 + max_retries.
+        # Simulate a driver that died right after claiming two attempts:
+        # its epoch claims count toward 1 + max_retries.
         task = make_task(_always_fails, {"value": 9})
-        options = SweepOptions(processes=1, ledger_dir=tmp_path,
+        claims = tmp_path / "claims"
+        claims.mkdir()
+        for epoch in (1, 2):
+            (claims / f"{task.cache_key()}.epoch-{epoch}").write_text(
+                json.dumps({"host": resolve_host()}))
+        options = SweepOptions(processes=1, cache_dir=tmp_path,
                                max_retries=2, retry_backoff=0.0,
                                strict=False)
-        ledger_file = ledger_module.ledger_path(tmp_path, sweep_id([task]))
-        journal = RunLedger(ledger_file)
-        journal.append_queued([task.cache_key()], {"points": 1})
-        journal.append_leased(task.cache_key(), 1)
-        journal.append_leased(task.cache_key(), 2)
-        journal.close()
 
         outcome = run_sweep_outcome(_always_fails, [{"value": 9}],
                                     options=options)
         assert not outcome.ok
-        assert outcome.stats.resumed
-        # Two interrupted leases replayed + one live execution == 3 == budget.
-        assert lease_counts(outcome.ledger_path)[task.cache_key()] == 3
+        # Two interrupted claims + one live execution == 3 == budget.
+        assert outcome.failures[0].attempts == 3
+        assert outcome.stats.executed == 1
+        assert lease_counts(outcome.ledger_path)[task.cache_key()] == 1
+
+    def test_unwritable_cache_degrades_to_memory_only(self, tmp_path,
+                                                      capsys):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        outcome = run_sweep_outcome(
+            _ok, [{"value": 1}, {"value": 2}],
+            options=SweepOptions(processes=1, cache_dir=blocker / "cache"))
+        assert outcome.ok
+        assert outcome.rows == [_ok(1), _ok(2)]
+        assert outcome.ledger_path is None
+        assert outcome.stats.executed == 2
+        err = capsys.readouterr().err
+        assert f"sweep cache disabled ({blocker / 'cache'}: " in err
+
+    def test_serial_and_supervised_faults_journal_alike(self, tmp_path):
+        # One fault table drives both executors: the same faulty sweep run
+        # inline and on two workers fails the same (attempt, kind) pairs
+        # per key and lands the same rows.
+        plan = FaultPlan(rate=0.3, seed=8, kinds=("crash", "corrupt", "die"))
+        params = [{"value": v} for v in range(8)]
+        runs = {}
+        for processes in (1, 2):
+            outcome = run_sweep_outcome(
+                _ok, params, options=SweepOptions(
+                    processes=processes, cache_dir=tmp_path / str(processes),
+                    max_retries=4, retry_backoff=0.01, fault_plan=plan,
+                    strict=False))
+            journal = RunLedger(outcome.ledger_path)
+            failed = {key: [(f["attempt"], f["kind"])
+                            for f in journal.record(key).failures]
+                      for key in (make_task(_ok, p).cache_key()
+                                  for p in params)}
+            journal.close()
+            runs[processes] = (outcome.rows, failed)
+        assert runs[1] == runs[2]
+        rows, failed = runs[1]
+        assert rows == [_ok(p["value"]) for p in params]
+        kinds = {kind for pairs in failed.values() for _, kind in pairs}
+        assert kinds == {"crash", "corrupt-row"}
 
 
 class TestKeyboardInterrupt:
@@ -344,8 +366,7 @@ class TestKeyboardInterrupt:
     def test_interrupt_without_journal_names_the_knob(self, capsys):
         with pytest.raises(KeyboardInterrupt):
             run_sweep(_interrupt_on, [{"value": 1}],
-                      options=SweepOptions(processes=1, cache_dir="",
-                                           journal=False))
+                      options=SweepOptions(processes=1, cache_dir=""))
         err = capsys.readouterr().err
         assert "REPRO_SWEEP_CACHE" in err
 
