@@ -1,15 +1,16 @@
-"""Physical-address to DRAM-address mapping, bank partitioning and layout.
+"""Physical-address to DRAM-address mapping and bank partitioning.
 
-This package implements the three addressing-related pieces of Chopim:
+This package implements the two addressing-related pieces of Chopim:
 
 * :mod:`repro.addressing.mapping` — the baseline Skylake-style XOR-hashed
   interleaving (paper Figure 4a) plus simple linear mappings.
 * :mod:`repro.addressing.bank_partition` — the proposed bank-partitioning
   remap that reserves banks for the shared host/NDA region while remaining
   compatible with huge pages and hashed interleaving (Figure 4b).
-* :mod:`repro.addressing.layout` — the NDA operand-locality layout: checks
-  and helpers that guarantee all operands of an NDA instruction stay aligned
-  to the same rank (Figure 3).
+
+Figure 3's operand alignment (equal indices of system-row-aligned shared
+operands land in one rank) is a property of these mappings, checked through
+``to_dram`` by ``tests/test_addressing.py``.
 """
 
 from repro.addressing.mapping import (
@@ -21,13 +22,6 @@ from repro.addressing.mapping import (
     partition_friendly_mapping,
 )
 from repro.addressing.bank_partition import BankPartitionMapping
-from repro.addressing.layout import (
-    OperandPlacement,
-    RowSegment,
-    check_operand_alignment,
-    element_location,
-    rank_of_element,
-)
 
 __all__ = [
     "AddressMapping",
@@ -37,9 +31,4 @@ __all__ = [
     "linear_mapping",
     "partition_friendly_mapping",
     "BankPartitionMapping",
-    "OperandPlacement",
-    "RowSegment",
-    "check_operand_alignment",
-    "element_location",
-    "rank_of_element",
 ]

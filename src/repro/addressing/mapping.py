@@ -153,9 +153,6 @@ class AddressMapping:
                 f"physical address {phys:#x} outside capacity {self.capacity_bytes:#x}"
             )
 
-    def cacheline_of(self, phys: int) -> int:
-        return phys >> self.offset_bits
-
     def frame_color(self, phys_or_pfn: int, page_bits: int = 21,
                     is_pfn: bool = False) -> Tuple[int, int]:
         """(channel, rank) contribution of the frame bits of an address.

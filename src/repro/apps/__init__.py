@@ -1,17 +1,18 @@
-"""Application workloads: SVRG logistic regression, CG and streamcluster.
+"""Application workloads: SVRG logistic regression and the Figure 14 kernels.
 
 The SVRG case study (paper Section IV, Figures 15a/15b) is implemented in
 full: host-only, NDA-accelerated (serialized) and delayed-update (parallel)
 variants, with convergence computed functionally (numpy) and wall-clock time
-derived from simulator-measured host/NDA throughput.  Conjugate gradient and
-streamcluster provide the additional NDA workload points of Figure 14.
+derived from simulator-measured host/NDA throughput.  Figure 14's SVRG,
+conjugate-gradient and streamcluster points run the kernel sequences of
+:mod:`repro.apps.workloads`, transcribed from each application's NDA work.
 
 Importing this package loads nothing: the re-exports below resolve on first
 access (PEP 562), so the figure modules that only need the kernel sequences
 of :mod:`repro.apps.workloads` never import numpy, and sweep workers import
 it after their BLAS thread share is set (see ARCHITECTURE.md, "Apps and
 figure pipeline").  numpy is needed by the functional models only
-(``svrg``, ``cg``, ``streamcluster``, ``datasets``; ``pip install .[apps]``).
+(``svrg`` and ``datasets``; ``pip install .[apps]``).
 """
 
 from repro import export_lazily
@@ -24,9 +25,7 @@ _EXPORTS = {
     "SvrgTrainer": "repro.apps.svrg",
     "SvrgVariant": "repro.apps.svrg",
     "measure_svrg_timing": "repro.apps.svrg",
-    "ConjugateGradientSolver": "repro.apps.cg",
     "cg_kernel_sequence": "repro.apps.workloads",
-    "StreamClusterer": "repro.apps.streamcluster",
     "streamcluster_kernel_sequence": "repro.apps.workloads",
     "application_kernel_sequence": "repro.apps.workloads",
     "svrg_kernel_sequence": "repro.apps.workloads",
@@ -43,7 +42,7 @@ def require_numpy():
         import numpy
     except ImportError as exc:
         raise ImportError(
-            "repro.apps.svrg, .cg, .streamcluster and .datasets compute with "
+            "repro.apps.svrg and repro.apps.datasets compute with "
             f"numpy, which is unavailable: {exc}. Install it with `pip "
             "install numpy` (or `pip install .[apps]`); the simulator, the "
             "figure sweeps other than fig15 and repro.apps.workloads run "

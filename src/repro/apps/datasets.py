@@ -4,9 +4,8 @@ The paper trains 10-class ℓ2-regularized logistic regression on CIFAR-10
 (50000 x 3072).  CIFAR-10 itself is not redistributable here, so experiments
 use a synthetic multi-class dataset with the same structural properties
 (dense float features, class-dependent means, configurable dimensions);
-convergence behaviour of SVRG depends only on that structure.  The full
-50000 x 3072 size is available but the defaults are smaller so the test and
-benchmark suites stay fast.
+convergence behaviour of SVRG depends only on that structure.  The defaults
+are smaller than CIFAR-10 so the test and benchmark suites stay fast.
 """
 
 from __future__ import annotations
@@ -79,8 +78,3 @@ def make_dataset(num_samples: int = 2048, num_features: int = 256,
     features /= np.maximum(features.std(axis=0, keepdims=True), 1e-6)
     return SyntheticClassificationDataset(features.astype(np.float32),
                                           labels.astype(np.int64), classes)
-
-
-def cifar10_like_dataset(seed: int = 7) -> SyntheticClassificationDataset:
-    """A dataset with CIFAR-10's exact dimensions (50000 x 3072, 10 classes)."""
-    return make_dataset(num_samples=50_000, num_features=3072, classes=10, seed=seed)

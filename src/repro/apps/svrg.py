@@ -476,6 +476,7 @@ def measure_svrg_timing(channels: int = 2, ranks_per_channel: int = 2,
     traffic.  The result feeds :class:`SvrgTrainer` exactly as gem5+Ramulator
     measurements feed the paper's Figure 15.  The simulator is imported
     here, its only use in this module: analytic timing never loads it.
+    A run that measures no bandwidth raises ``ValueError``.
     """
     from repro.apps.workloads import svrg_kernel_sequence
     from repro.core.modes import AccessMode
@@ -488,12 +489,16 @@ def measure_svrg_timing(channels: int = 2, ranks_per_channel: int = 2,
     host_result = host_system.run(cycles=cycles)
     seconds = cycles / (cfg.org.dram_clock_ghz * 1e9)
     host_bytes = (host_result.host_reads + host_result.host_writes) * cfg.org.cacheline_bytes
-    host_gbs = max(host_bytes / seconds / 1e9, 1.0)
+    host_gbs = host_bytes / seconds / 1e9
 
     nda_system = ChopimSystem(config=cfg, mode=AccessMode.BANK_PARTITIONED, mix=mix)
     nda_system.set_nda_workload_sequence(svrg_kernel_sequence())
     nda_result = nda_system.run(cycles=cycles)
-    nda_gbs = max(nda_result.nda_bandwidth_gbs, 1.0)
+    nda_gbs = nda_result.nda_bandwidth_gbs
+    for run, gbs in (("host-only", host_gbs), ("colocated NDA", nda_gbs)):
+        if gbs <= 0:
+            raise ValueError(f"the {run} run measured 0 GB/s in {cycles} "
+                             "cycles; measure over more cycles")
 
     return SvrgTimingModel(
         host_stream_gbs=host_gbs,

@@ -3,8 +3,8 @@
 Figure 14 compares Chopim against rank partitioning on DOT, COPY and three
 applications (SVRG's average gradient, conjugate gradient, streamcluster).
 For the simulator, an application is characterized by the repeating sequence
-of Table I operations it launches; these sequences are derived from each
-application's implementation in this package.
+of Table I operations it launches; these sequences are transcribed from the
+NDA work of one iteration of each application, not traced from a solver.
 """
 
 from __future__ import annotations

@@ -222,15 +222,6 @@ class HostConfig:
     cpu_clock_ghz: float = 4.0
     fetch_width: int = 8
     rob_entries: int = 224
-    lsq_entries: int = 64
-    max_outstanding_misses: int = 12  # LLC MSHRs per core path
-    l1_kib: int = 32
-    l1_assoc: int = 8
-    l2_kib: int = 256
-    l2_assoc: int = 4
-    llc_mib: int = 8
-    llc_assoc: int = 16
-    llc_mshrs: int = 48
     read_queue_entries: int = 32
     write_queue_entries: int = 32
     #: DRAM command-clock frequency the host is paired with.  Kept in sync
@@ -250,10 +241,8 @@ class NdaConfig:
     """Near-data accelerator configuration (Table II and Section V)."""
 
     pes_per_chip: int = 1
-    pe_clock_ghz: float = 1.2
     fpfma_per_pe: int = 2
     buffer_bytes: int = 1024
-    scratchpad_bytes: int = 1024
     write_buffer_entries: int = 128
     access_granularity_bytes: int = 8
     scalar_registers: int = 5

@@ -51,7 +51,7 @@ from repro.memctrl.controller import ChannelController
 from repro.memctrl.request import MemoryRequest
 from repro.nda.controller import NdaRankController
 from repro.nda.isa import NdaOpcode
-from repro.nda.launch import NdaHostController, NdaOperation
+from repro.nda.launch import NdaHostController
 from repro.nda.throttle import DEFAULT_STOCHASTIC_PROBABILITY, make_policy
 from repro.utils.rng import DeterministicRng
 from repro.utils.state import reset_counters
@@ -105,9 +105,9 @@ class ChopimSystem:
     #: constructor derives from it; the engine's calendar is rebuilt by
     #: ``invalidate_wakes``.
     DERIVED = ("config", "mode", "mix", "collect_energy", "mapping",
-               "energy_model", "_throttle_name", "_stochastic_probability",
-               "_launch_packets_use_channel", "engine_kind", "engine",
-               "burst_enabled")
+               "_host_capacity", "energy_model", "_throttle_name",
+               "_stochastic_probability", "_launch_packets_use_channel",
+               "engine_kind", "engine", "burst_enabled")
 
     def __init__(self, config: Optional[SystemConfig] = None,
                  mode: AccessMode = AccessMode.SHARED,
@@ -128,6 +128,9 @@ class ChopimSystem:
         org = self.config.org
         self.dram = DramSystem(org, self.config.timing)
         self.mapping = self._build_mapping()
+        self._host_capacity = (self.mapping.host_capacity_bytes
+                               if isinstance(self.mapping, BankPartitionMapping)
+                               else self.mapping.capacity_bytes)
         self.channel_controllers: Dict[int, ChannelController] = {
             ch: ChannelController(ch, self.dram, self.config.scheduler)
             for ch in range(org.channels)
@@ -315,14 +318,8 @@ class ChopimSystem:
             )
         return skylake_mapping(self.config.org)
 
-    def _host_capacity(self) -> int:
-        if isinstance(self.mapping, BankPartitionMapping):
-            return self.mapping.host_capacity_bytes
-        return self.mapping.capacity_bytes
-
     def _build_cores(self, profiles: Sequence[BenchmarkProfile]) -> None:
-        host_capacity = self._host_capacity()
-        region_bytes = host_capacity // max(1, len(profiles))
+        region_bytes = self._host_capacity // max(1, len(profiles))
         align = self.config.org.system_row_bytes
         region_bytes = (region_bytes // align) * align
         for core_id, profile in enumerate(profiles):
@@ -426,12 +423,6 @@ class ChopimSystem:
         self._nda_sequence_index = 0
         self.engine.invalidate_wakes()
 
-    def submit_nda_operation(self, operation: NdaOperation) -> NdaOperation:
-        """Submit a one-off NDA operation (used by the runtime API)."""
-        if self.nda_host is None:
-            raise RuntimeError("this system has no NDA controllers")
-        return self.nda_host.submit(operation)
-
     def _maybe_relaunch_workload(self) -> None:
         if self.nda_host is None or not self.nda_host.idle:
             return
@@ -470,7 +461,7 @@ class ChopimSystem:
 
     def _make_host_request(self, core: CoreModel, phys: int,
                            is_write: bool) -> MemoryRequest:
-        phys %= self._host_capacity()
+        phys %= self._host_capacity
         addr = self.mapping.to_dram(phys)
         if self.mode is AccessMode.RANK_PARTITIONED:
             host_ranks, _ = split_ranks_for_partitioning(
@@ -653,13 +644,6 @@ class ChopimSystem:
     # ------------------------------------------------------------------ #
     # Convenience accessors used by experiments
     # ------------------------------------------------------------------ #
-
-    @property
-    def total_nda_bytes(self) -> int:
-        return sum(c.total_bytes for c in self.rank_controllers.values())
-
-    def aggregate_host_ipc(self) -> float:
-        return sum(core.ipc for core in self.cores)
 
     def verify_fsm_sync(self) -> bool:
         """Check every rank's replicated FSM copies agree (Section III-D)."""

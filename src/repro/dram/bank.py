@@ -56,14 +56,6 @@ class Bank:
             return True
         return self.open_row == row
 
-    def classify_access(self, row: int) -> str:
-        """Classify a pending column access as ``hit``/``miss``/``conflict``."""
-        if self.state is BankState.CLOSED:
-            return "miss"
-        if self.open_row == row:
-            return "hit"
-        return "conflict"
-
     def activate(self, row: int) -> None:
         if self.state is BankState.OPEN:
             raise ValueError(
@@ -78,33 +70,3 @@ class Bank:
         self.state = BankState.CLOSED
         self.open_row = None
         self.precharges += 1
-
-    def record_column(self, row: int, is_write: bool, is_nda: bool,
-                      outcome: str) -> None:
-        """Record a column access (read or write) and its locality outcome."""
-        if outcome == "hit":
-            self.row_hits += 1
-        elif outcome == "miss":
-            self.row_misses += 1
-        elif outcome == "conflict":
-            self.row_conflicts += 1
-        else:
-            raise ValueError(f"unknown access outcome {outcome!r}")
-        if is_write:
-            if is_nda:
-                self.nda_writes += 1
-            else:
-                self.writes += 1
-        else:
-            if is_nda:
-                self.nda_reads += 1
-            else:
-                self.reads += 1
-
-    @property
-    def total_accesses(self) -> int:
-        return self.reads + self.writes + self.nda_reads + self.nda_writes
-
-    def row_hit_rate(self) -> float:
-        total = self.row_hits + self.row_misses + self.row_conflicts
-        return self.row_hits / total if total else 0.0

@@ -224,9 +224,7 @@ class DramSystem:
         """
         index = addr.bank_index
         bank = self._banks[index] if index >= 0 else self.bank(addr)
-        # Inline classify + record (one access-classification per column
-        # access; the classify/record call pair and its outcome-string
-        # dispatch were measurable at that rate).
+        # Classify and record inline: this runs once per column access.
         counts = self.counts
         if bank.state is BankState.CLOSED:
             outcome = "miss"

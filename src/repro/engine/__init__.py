@@ -4,7 +4,7 @@ The engine decomposes a cycle-accurate simulation into :class:`Component`
 objects that expose two operations: ``next_event_cycle(now)`` (the earliest
 cycle at which the component could act) and ``on_wake(now)`` (process one
 cycle).  The :class:`EventEngine` keeps each component's cached wake in an
-:class:`IndexedCalendar` (one slot per unit, O(1) minimum), advances
+:class:`IndexedCalendar` (one slot per unit), advances
 directly to the earliest entry, and on processed cycles wakes only units
 that are due or were dirtied through the :class:`WakeHub` push-notification
 channel; lazily-advanced components (host cores, windowed statistics) are
@@ -24,13 +24,12 @@ from repro.engine.core import (
     WakeHub,
     make_engine,
 )
-from repro.engine.queue import EventQueue, IndexedCalendar
+from repro.engine.queue import IndexedCalendar
 
 __all__ = [
     "Component",
     "CycleEngine",
     "EventEngine",
-    "EventQueue",
     "INFINITY",
     "IndexedCalendar",
     "SimulationEngine",

@@ -16,7 +16,7 @@ cycle engine.
 **Selective wake.**  The event engine does not re-poll components: each
 registered component owns one slot in an :class:`IndexedCalendar` holding
 its cached absolute wake cycle, and the per-iteration scheduling decision is
-the calendar's O(1) minimum.  A cached wake is recomputed only when the
+the calendar's minimum.  A cached wake is recomputed only when the
 unit's slot is *dirty*: the engine marks a unit dirty after it runs (its own
 actions moved its state), and cross-component interactions push dirty
 notifications through the :class:`WakeHub` a component receives at
@@ -203,7 +203,7 @@ class EventEngine(SimulationEngine):
     """Selective-wake driver: consults the wake calendar, not the components.
 
     Per iteration: drain the hub (re-poll only units whose wake may have
-    changed), read the calendar minimum in O(1), and either fast-forward to
+    changed), read the calendar minimum, and either fast-forward to
     it or process the cycle — waking only due-or-dirty units.
     """
 

@@ -1,190 +1,44 @@
-"""Wake-up ordering structures for the simulation engines.
+"""The event engine's wake calendar.
 
-Two structures live here:
-
-* :class:`IndexedCalendar` — the event engine's wake calendar: one cached
-  absolute wake cycle per schedulable unit (components are assigned dense
-  slot indices at registration), with an O(1) minimum and O(log n) updates.
-  Unlike a lazy heap there is exactly one live entry per slot, so the
-  engine can also read any unit's cached wake by slot in O(1) — which is
-  what makes the per-processed-cycle "due or dirty" check a flat array
-  scan instead of a re-poll of every component.
-* :class:`EventQueue` — a general (cycle, item) priority queue with lazy
-  invalidation, retained as a standalone utility for setups that schedule
-  many more items than slots (e.g. sharded multi-system drivers).
+:class:`IndexedCalendar` holds one cached absolute wake cycle per
+schedulable unit (components are assigned dense slot indices at
+registration).  There is exactly one live entry per slot, so the engine can
+read any unit's cached wake by slot in O(1) — which is what makes the
+per-processed-cycle "due or dirty" check a flat array scan instead of a
+re-poll of every component.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List
 
 #: Wake-up value meaning "this component needs no wake-up".
 INFINITY = 1 << 62
 
 
 class IndexedCalendar:
-    """Indexed min-structure of absolute wake cycles, one entry per slot.
+    """Absolute wake cycles, one entry per slot, in a flat list.
 
     ``values[slot]`` is the slot's current wake cycle (``INFINITY`` =
     never).  All slots are always present; "unscheduled" simply means a
-    value of ``INFINITY``.
-
-    Two representations behind one interface, chosen by slot count:
-
-    * **flat** (``slots <= _FLAT_LIMIT``): updates are a plain list store
-      and the minimum is a C-speed ``min()`` over the value list.  For the
-      handful of units a single system registers, this beats maintaining
-      heap invariants (measured: calendar updates outnumber minimum reads
-      ~4:1 on dense workloads).
-    * **heap** (larger): a classic indexed binary min-heap — ``_heap``
-      orders the slots, ``_pos`` maps a slot to its heap position so an
-      update re-heapifies only the affected path.  O(1) minimum, O(log n)
-      updates, for sharded/multi-system setups with many units.
+    value of ``INFINITY``.  An update is a plain list store and the minimum
+    is a C-speed ``min()`` over the list: for the few dozen units one system
+    registers this beats maintaining heap invariants (calendar updates
+    outnumber minimum reads ~4:1 on dense workloads).
     """
 
-    __slots__ = ("values", "_heap", "_pos")
-
-    #: Largest slot count for which the flat representation is used.
-    _FLAT_LIMIT = 64
+    __slots__ = ("values",)
 
     def __init__(self, slots: int) -> None:
         self.values: List[int] = [INFINITY] * slots
-        if slots <= self._FLAT_LIMIT:
-            self._heap: Optional[List[int]] = None
-            self._pos: Optional[List[int]] = None
-        else:
-            self._heap = list(range(slots))
-            self._pos = list(range(slots))
 
     def __len__(self) -> int:
         return len(self.values)
 
     def min_cycle(self) -> int:
         """The earliest wake cycle over all slots (``INFINITY`` when none)."""
-        heap = self._heap
-        if heap is None:
-            return min(self.values) if self.values else INFINITY
-        return self.values[heap[0]] if heap else INFINITY
-
-    def min_slot(self) -> int:
-        """The slot holding the earliest wake (-1 for an empty calendar)."""
-        if self._heap is None:
-            if not self.values:
-                return -1
-            return self.values.index(min(self.values))
-        return self._heap[0] if self._heap else -1
+        return min(self.values) if self.values else INFINITY
 
     def set(self, slot: int, cycle: int) -> None:
-        """Update ``slot``'s wake cycle (no-op if unchanged)."""
-        values = self.values
-        old = values[slot]
-        if cycle == old:
-            return
-        values[slot] = cycle
-        if self._heap is None:
-            return
-        if cycle < old:
-            self._sift_up(self._pos[slot])
-        else:
-            self._sift_down(self._pos[slot])
-
-    # -- heap internals ---------------------------------------------------- #
-
-    def _sift_up(self, index: int) -> None:
-        heap, pos, values = self._heap, self._pos, self.values
-        slot = heap[index]
-        value = values[slot]
-        while index > 0:
-            parent = (index - 1) >> 1
-            parent_slot = heap[parent]
-            if values[parent_slot] <= value:
-                break
-            heap[index] = parent_slot
-            pos[parent_slot] = index
-            index = parent
-        heap[index] = slot
-        pos[slot] = index
-
-    def _sift_down(self, index: int) -> None:
-        heap, pos, values = self._heap, self._pos, self.values
-        size = len(heap)
-        slot = heap[index]
-        value = values[slot]
-        while True:
-            child = 2 * index + 1
-            if child >= size:
-                break
-            right = child + 1
-            if right < size and values[heap[right]] < values[heap[child]]:
-                child = right
-            child_slot = heap[child]
-            if values[child_slot] >= value:
-                break
-            heap[index] = child_slot
-            pos[child_slot] = index
-            index = child
-        heap[index] = slot
-        pos[slot] = index
-
-
-class EventQueue:
-    """Priority queue of (cycle, item) wake-ups with lazy invalidation.
-
-    Re-scheduling an item simply pushes a new entry; stale entries are
-    discarded on pop.  Not used by the engines (the event engine keeps one
-    entry per unit in :class:`IndexedCalendar` instead) — retained as a
-    standalone utility for many-items-few-slots schedulers.
-    """
-
-    def __init__(self) -> None:
-        self._heap: List[Tuple[int, int, Any]] = []
-        self._scheduled: Dict[int, int] = {}
-        self._counter = itertools.count()
-
-    def __len__(self) -> int:
-        return len(self._scheduled)
-
-    def schedule(self, cycle: int, item: Any) -> None:
-        """Schedule (or re-schedule) ``item`` to wake at ``cycle``.
-
-        ``INFINITY`` cancels any outstanding wake-up for the item.
-        """
-        key = id(item)
-        if cycle >= INFINITY:
-            self._scheduled.pop(key, None)
-            return
-        current = self._scheduled.get(key)
-        if current == cycle:
-            return
-        self._scheduled[key] = cycle
-        heapq.heappush(self._heap, (cycle, next(self._counter), item))
-
-    def earliest_cycle(self) -> int:
-        """The earliest scheduled wake-up cycle (``INFINITY`` when empty)."""
-        self._discard_stale()
-        if not self._heap:
-            return INFINITY
-        return self._heap[0][0]
-
-    def pop_due(self, now: int) -> Optional[Any]:
-        """Pop one item scheduled at or before ``now`` (None when there is none)."""
-        self._discard_stale()
-        if not self._heap or self._heap[0][0] > now:
-            return None
-        _, _, item = heapq.heappop(self._heap)
-        self._scheduled.pop(id(item), None)
-        return item
-
-    def _discard_stale(self) -> None:
-        heap = self._heap
-        while heap:
-            cycle, _, item = heap[0]
-            if self._scheduled.get(id(item)) == cycle:
-                return
-            heapq.heappop(heap)
-
-    def clear(self) -> None:
-        self._heap.clear()
-        self._scheduled.clear()
+        """Update ``slot``'s wake cycle."""
+        self.values[slot] = cycle

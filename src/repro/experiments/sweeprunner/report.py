@@ -48,12 +48,6 @@ class SweepStats:
     fenced_writes: int = 0     # stale done/failed/store writes discarded
     peer_rows: int = 0         # points another host completed for us
 
-    @property
-    def rows_per_second(self) -> float:
-        if self.duration_seconds <= 0:
-            return 0.0
-        return self.completed / self.duration_seconds
-
 
 @dataclass
 class SweepOutcome:

@@ -137,10 +137,6 @@ class CoreModel:
     def _mlp_blocked(self) -> bool:
         return len(self._outstanding) >= self.profile.mlp
 
-    @property
-    def stalled(self) -> bool:
-        return self._rob_blocked()
-
     # ------------------------------------------------------------------ #
     # Cycle advance
     # ------------------------------------------------------------------ #

@@ -35,9 +35,6 @@ class BenchmarkProfile:
     #: Maximum outstanding LLC misses the core sustains (MSHR/MLP limit).
     mlp: int
 
-    def misses_per_instruction(self) -> float:
-        return self.mpki / 1000.0
-
     def instructions_per_miss(self) -> float:
         if self.mpki <= 0:
             return float("inf")

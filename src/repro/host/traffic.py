@@ -80,9 +80,3 @@ class AddressStreamGenerator:
         if self.rng.coin(1.0 - self.profile.read_fraction):
             return self.next_writeback_address(), True
         return self.next_read_address(), False
-
-    # ------------------------------------------------------------------ #
-
-    @property
-    def total_generated(self) -> int:
-        return self.generated_reads + self.generated_writes

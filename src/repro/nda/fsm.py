@@ -203,14 +203,6 @@ class ReplicatedFsm:
         return self._device.snapshot() == self._host.snapshot()
 
     @property
-    def device_state(self) -> NdaFsmState:
-        return self._device.snapshot()
-
-    @property
-    def host_state(self) -> NdaFsmState:
-        return self._host.snapshot()
-
-    @property
     def state(self) -> NdaFsmState:
         """The (verified) shared state."""
         return self._device.snapshot()

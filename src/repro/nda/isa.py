@@ -45,14 +45,6 @@ class OpcodeTraits:
     is_matrix: bool = False
 
     @property
-    def reads_per_element(self) -> int:
-        return self.input_vectors
-
-    @property
-    def writes_per_element(self) -> int:
-        return self.output_vectors
-
-    @property
     def write_intensity(self) -> float:
         """Fraction of DRAM traffic that is writes (used by Figures 11-13)."""
         total = self.input_vectors + self.output_vectors

@@ -192,13 +192,6 @@ class NdaHostController:
                 and self._active_blocking is None
                 and all(not rc.busy for rc in self.rank_controllers.values()))
 
-    @property
-    def outstanding_operations(self) -> int:
-        count = len(self._operation_queue) + len(self._pending_packets)
-        if self._active_blocking is not None:
-            count += 1
-        return count
-
     # ------------------------------------------------------------------ #
     # Cycle advance
     # ------------------------------------------------------------------ #

@@ -109,14 +109,3 @@ class ProcessingElement:
         """
         fma_per_cycle = self.config.fpfma_per_pe
         return int(instruction.fma_operations / 8.0 / max(1, fma_per_cycle)) + 1
-
-    def stats_dict(self) -> Dict[str, float]:
-        return {
-            "instructions": self.stats.instructions_executed,
-            "elements": self.stats.elements_processed,
-            "fmas": self.stats.fma_operations,
-            "buffer_accesses": self.stats.buffer_accesses,
-            "scratchpad_accesses": self.stats.scratchpad_accesses,
-            "bytes_read": self.stats.bytes_read,
-            "bytes_written": self.stats.bytes_written,
-        }

@@ -62,10 +62,6 @@ class WriteThrottlePolicy:
         decisions override this; only deterministic policies are planned.
         """
 
-    def observe_host_issue(self, channel: int, rank: int, is_read: bool,
-                           now: int) -> None:
-        """Hook for policies that adapt to observed host traffic."""
-
     def describe(self) -> str:
         return self.name
 

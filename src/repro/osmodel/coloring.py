@@ -13,9 +13,12 @@ from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
 from repro.addressing.mapping import AddressMapping
-from repro.osmodel.buddy import OutOfMemoryError
 
 Color = Tuple[int, int]
+
+
+class OutOfMemoryError(Exception):
+    """Raised when an allocation cannot be satisfied."""
 
 
 class ColoredFrameAllocator:

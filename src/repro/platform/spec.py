@@ -12,8 +12,6 @@ does — a per-pin data rate, a geometry, and analog timing parameters in
   transfers, the DDR convention every supported class follows);
 * :class:`~repro.config.HostConfig` — the host core parameters with the
   fixed-point DRAM tick ratio derived from the platform clock;
-* :class:`~repro.config.NdaConfig` — PEs clocked at the DRAM command clock
-  (the paper's design point, preserved across platforms);
 * :class:`~repro.config.EnergyConfig` — per-event energy representative of
   the device class.
 
@@ -35,7 +33,6 @@ from repro.config import (
     DramTimingConfig,
     EnergyConfig,
     HostConfig,
-    NdaConfig,
     SystemConfig,
 )
 
@@ -181,12 +178,6 @@ class PlatformSpec:
             kwargs["cores"] = cores
         return HostConfig(**kwargs)
 
-    def nda_config(self) -> NdaConfig:
-        # PEs run at the DRAM command clock on every platform (the paper's
-        # design point: the PE datapath is sized to the per-chip burst
-        # rate, so it scales with the interface).
-        return NdaConfig(pe_clock_ghz=self.dram_clock_ghz)
-
     def energy_config(self) -> EnergyConfig:
         return EnergyConfig(
             activate_nj=self.activate_nj,
@@ -208,7 +199,6 @@ class PlatformSpec:
             timing=self.timing_config(),
             org=self.org_config(channels, ranks_per_channel),
             host=self.host_config(cores),
-            nda=self.nda_config(),
             energy=self.energy_config(),
             platform=self.name,
         )

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any, Union
 
 MAGIC = "repro-snapshot"
-SCHEMA_VERSION = 8  # v8: payload is the walk over declared component state
+SCHEMA_VERSION = 9  # v9: HostConfig/NdaConfig lost eleven unmodelled fields
 
 _TAG = "__t"
 

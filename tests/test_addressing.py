@@ -1,18 +1,10 @@
-"""Tests for address mapping, bank partitioning and NDA operand layout."""
+"""Tests for address mapping, bank partitioning and NDA operand alignment."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.addressing.bank_partition import BankPartitionMapping
-from repro.addressing.layout import (
-    OperandPlacement,
-    check_operand_alignment,
-    element_location,
-    partition_elements_per_rank,
-    rank_of_element,
-)
 from repro.addressing.mapping import (
-    SkylakeMapping,
     linear_mapping,
     partition_friendly_mapping,
     skylake_mapping,
@@ -193,6 +185,15 @@ class TestBankPartitionMapping:
         assert set(m.host_banks()).isdisjoint(m.reserved_banks)
 
 
+def _misaligned(mapping, bases, num_elements, sample_stride, elem_bytes=4):
+    """Sampled element indices whose operands do not share one (channel, rank)."""
+    def rank_of(base, index):
+        addr = mapping.to_dram(base + index * elem_bytes)
+        return addr.channel, addr.rank
+    return [index for index in range(0, num_elements, sample_stride)
+            if len({rank_of(base, index) for base in bases}) > 1]
+
+
 class TestOperandLayout:
     def test_shared_region_operands_stay_aligned(self):
         """Figure 3: equal indices of system-row-aligned operands co-locate."""
@@ -200,9 +201,8 @@ class TestOperandLayout:
         stride = m.shared_stride_bytes()
         base_a = m.shared_base()
         base_b = m.shared_base() + 4 * stride
-        misaligned = check_operand_alignment(m, [base_a, base_b],
-                                             num_elements=2048, sample_stride=17)
-        assert misaligned == []
+        assert _misaligned(m, [base_a, base_b], num_elements=2048,
+                           sample_stride=17) == []
 
     def test_naive_layout_misaligns_under_hashing(self):
         """With the hashed host mapping and arbitrary bases, operands shuffle
@@ -210,35 +210,8 @@ class TestOperandLayout:
         m = skylake_mapping(ORG)
         base_a = 0
         base_b = 3 * (1 << 20) + 4096  # not system-row aligned, different color
-        misaligned = check_operand_alignment(m, [base_a, base_b],
-                                             num_elements=4096, sample_stride=13)
-        assert misaligned != []
-
-    def test_element_location_and_rank(self):
-        m = linear_mapping(ORG)
-        loc = element_location(m, 0, 16, elem_bytes=4)
-        assert loc == m.to_dram(64)
-        assert rank_of_element(m, 0, 0) == (loc.channel, loc.rank) or True
-
-    def test_operand_placement_balance_in_shared_region(self):
-        m = BankPartitionMapping(ORG, reserved_banks_per_rank=1)
-        placement = OperandPlacement(m, m.shared_base(),
-                                     num_bytes=m.shared_stride_bytes() * 2)
-        assert placement.is_balanced()
-        per_rank = placement.bytes_per_rank()
-        assert len(per_rank) == ORG.total_ranks
-
-    def test_operand_placement_run_length(self):
-        m = BankPartitionMapping(ORG, reserved_banks_per_rank=1)
-        placement = OperandPlacement(m, m.shared_base(), num_bytes=ORG.row_bytes * 4)
-        # Whole rows are contiguous in the shared layout.
-        assert placement.average_run_length() == pytest.approx(ORG.cachelines_per_row)
-
-    def test_partition_elements_per_rank(self):
-        assert partition_elements_per_rank(10, 4) == [3, 3, 2, 2]
-        assert sum(partition_elements_per_rank(1023, 8)) == 1023
-        with pytest.raises(ValueError):
-            partition_elements_per_rank(4, 0)
+        assert _misaligned(m, [base_a, base_b], num_elements=4096,
+                           sample_stride=13) != []
 
 
 # --------------------------------------------------------------------------- #

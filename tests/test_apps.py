@@ -1,12 +1,10 @@
-"""Tests for the application workloads: datasets, SVRG, CG, streamcluster."""
+"""Tests for the application workloads: datasets, SVRG and the kernel sequences."""
 
 import numpy as np
 import pytest
 
 from repro.apps import svrg as svrg_module
-from repro.apps.cg import ConjugateGradientSolver
 from repro.apps.datasets import make_dataset
-from repro.apps.streamcluster import StreamClusterer
 from repro.apps.svrg import SvrgConfig, SvrgTimingModel, SvrgTrainer, SvrgVariant
 from repro.apps.workloads import (
     application_kernel_sequence,
@@ -287,79 +285,17 @@ class TestSvrgVariants:
         history = small_trainer.train(SvrgVariant.HOST_ONLY, outer_iterations=1)
         assert SvrgTrainer.time_to_converge(history, 1e-12) is None
 
+    def test_measured_timing_rejects_a_zero_bandwidth(self):
+        # One cycle moves no data: the host-only run, measured first, is
+        # named instead of being floored to a made-up bandwidth.
+        with pytest.raises(ValueError, match="host-only run measured 0 GB/s"):
+            svrg_module.measure_svrg_timing(cycles=1)
+
     def test_timing_model_summarize_scales_with_bandwidth(self):
         model = SvrgTimingModel(host_stream_gbs=10.0, nda_stream_gbs=40.0)
         host = model.summarize_seconds(1 << 20, on_nda=False)
         nda = model.summarize_seconds(1 << 20, on_nda=True)
         assert nda == pytest.approx(host / 4)
-
-
-class TestConjugateGradient:
-    def test_solves_spd_system(self):
-        solver = ConjugateGradientSolver.random_spd(96, seed=1)
-        x, converged = solver.solve()
-        assert converged
-        assert solver.residual_norm(x) < 1e-6
-
-    def test_residual_monotonically_reported(self):
-        solver = ConjugateGradientSolver.random_spd(64)
-        solver.solve()
-        assert solver.history[0].residual_norm > solver.history[-1].residual_norm
-
-    def test_operation_counts_per_iteration(self):
-        solver = ConjugateGradientSolver.random_spd(64)
-        solver.solve()
-        iterations = len(solver.history) - 1
-        assert solver.operation_counts["gemv"] == iterations + 1
-        assert solver.operation_counts["dot"] >= 2 * iterations
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            ConjugateGradientSolver(np.ones((3, 4)), np.ones(3))
-        with pytest.raises(ValueError):
-            ConjugateGradientSolver(np.ones((3, 3)), np.ones(4))
-        nonsym = np.array([[1.0, 2.0], [0.0, 1.0]])
-        with pytest.raises(ValueError):
-            ConjugateGradientSolver(nonsym, np.ones(2))
-
-    def test_write_intensity_between_dot_and_copy(self):
-        solver = ConjugateGradientSolver.random_spd(64)
-        wi = solver.write_intensity()
-        assert OPCODE_TRAITS[NdaOpcode.DOT].write_intensity < wi
-        assert wi < OPCODE_TRAITS[NdaOpcode.COPY].write_intensity
-
-
-class TestStreamCluster:
-    def test_clusters_synthetic_stream(self):
-        sc = StreamClusterer(num_features=16, max_centers=16, seed=2)
-        results = sc.run_stream(num_points=1024, chunk=256, num_clusters=4)
-        assert len(results) == 4
-        assert 1 <= results[-1].centers.shape[0] <= 16
-        assert sc.points_processed == 1024
-
-    def test_assignment_cost_reasonable(self):
-        sc = StreamClusterer(num_features=8, max_centers=8, facility_cost=2.0, seed=1)
-        stream = sc.make_stream(512, num_clusters=4, spread=0.1)
-        result = sc.process_chunk(stream)
-        # Tight clusters and enough centers: average assignment cost is small.
-        assert result.cost / 512 < sc.facility_cost
-
-    def test_center_count_respects_capacity(self):
-        sc = StreamClusterer(num_features=8, max_centers=3, facility_cost=0.01)
-        sc.run_stream(num_points=256, chunk=64, num_clusters=8)
-        assert sc.centers.shape[0] <= 3
-
-    def test_rejects_bad_dimensions(self):
-        sc = StreamClusterer(num_features=8)
-        with pytest.raises(ValueError):
-            sc.process_chunk(np.ones((4, 5)))
-        with pytest.raises(ValueError):
-            StreamClusterer(num_features=0)
-
-    def test_distance_evaluations_counted(self):
-        sc = StreamClusterer(num_features=8)
-        sc.run_stream(num_points=128, chunk=64)
-        assert sc.distance_evaluations > 0
 
 
 class TestWorkloadSequences:
@@ -373,11 +309,22 @@ class TestWorkloadSequences:
         opcodes = {spec.opcode for spec in svrg_kernel_sequence()}
         assert NdaOpcode.GEMV in opcodes and NdaOpcode.AXPY in opcodes
 
-    def test_streamcluster_is_read_heavy(self):
-        seq = streamcluster_kernel_sequence()
+    @staticmethod
+    def _reads_and_writes(seq):
         reads = sum(OPCODE_TRAITS[s.opcode].input_vectors * s.elements_per_rank for s in seq)
         writes = sum(OPCODE_TRAITS[s.opcode].output_vectors * s.elements_per_rank for s in seq)
+        return reads, writes
+
+    def test_streamcluster_is_read_heavy(self):
+        reads, writes = self._reads_and_writes(streamcluster_kernel_sequence())
         assert writes < reads * 0.3
+
+    def test_cg_sequence_write_intensity_between_dot_and_copy(self):
+        reads, writes = self._reads_and_writes(cg_kernel_sequence())
+        wi = writes / (reads + writes)
+        assert wi == pytest.approx(0.229, abs=5e-4)
+        assert OPCODE_TRAITS[NdaOpcode.DOT].write_intensity < wi
+        assert wi < OPCODE_TRAITS[NdaOpcode.COPY].write_intensity
 
     def test_lookup_by_name(self):
         assert application_kernel_sequence("svrg")

@@ -102,7 +102,6 @@ class TestHostAndNdaConfig:
         assert host.cores == 4
         assert host.cpu_clock_ghz == 4.0
         assert host.rob_entries == 224
-        assert host.lsq_entries == 64
         assert host.fetch_width == 8
 
     def test_clock_ratio(self):
@@ -120,11 +119,9 @@ class TestHostAndNdaConfig:
 
     def test_nda_defaults_match_table_ii(self):
         nda = NdaConfig()
-        assert nda.pe_clock_ghz == 1.2
         assert nda.write_buffer_entries == 128
         assert nda.fpfma_per_pe == 2
         assert nda.buffer_bytes == 1024
-        assert nda.scratchpad_bytes == 1024
 
     def test_energy_defaults_match_table_ii(self):
         e = EnergyConfig()

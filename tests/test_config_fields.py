@@ -21,7 +21,7 @@ import dataclasses
 import inspect
 import textwrap
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Tuple
 
 import repro.config
 
@@ -35,27 +35,10 @@ class Unmodelled(NamedTuple):
     reason: str
 
 
-_CACHES = ("traffic generators emit LLC-miss streams directly; "
-           "host.cache.CacheHierarchy takes its own sizes")
-
-UNMODELLED = (
-    Unmodelled("HostConfig", "lsq_entries",
-               "no load/store queue: a core's memory parallelism is its "
-               "profile's mlp"),
-    Unmodelled("HostConfig", "max_outstanding_misses",
-               "outstanding misses per core are bounded by profile.mlp"),
-    Unmodelled("HostConfig", "l1_kib", _CACHES),
-    Unmodelled("HostConfig", "l1_assoc", _CACHES),
-    Unmodelled("HostConfig", "l2_kib", _CACHES),
-    Unmodelled("HostConfig", "l2_assoc", _CACHES),
-    Unmodelled("HostConfig", "llc_mib", _CACHES),
-    Unmodelled("HostConfig", "llc_assoc", _CACHES),
-    Unmodelled("HostConfig", "llc_mshrs", _CACHES),
-    Unmodelled("NdaConfig", "pe_clock_ghz",
-               "PEs step in the DRAM command clock; PlatformSpec records it"),
-    Unmodelled("NdaConfig", "scratchpad_bytes",
-               "the PE model tracks its operand buffer (buffer_bytes) only"),
-)
+#: Empty: the Table II fields the model abstracts away were deleted, and
+#: their values are kept in ARCHITECTURE.md ("Table II values the model
+#: abstracts away").  A new entry needs a reason.
+UNMODELLED: Tuple[Unmodelled, ...] = ()
 
 
 def _attribute_loads():

@@ -151,8 +151,9 @@ class TestScheduler:
         system = ChopimSystem(mode=AccessMode.SHARED, mix="mix8")
         scheduler = system.scheduler
         scheduler.note_host_issue(0, 0, now=10)
-        assert scheduler.nda_may_issue(0, 0, now=11) or True  # may be data-busy
-        assert (0, 0) not in scheduler._host_issued_this_cycle or True
+        # A fresh system's rank is not data-busy at cycle 11.
+        assert scheduler.nda_may_issue(0, 0, now=11)
+        assert (0, 0) not in scheduler._host_issued_this_cycle
 
     def test_host_pending_to_bank(self):
         system = ChopimSystem(mode=AccessMode.SHARED, mix="mix1")

@@ -66,28 +66,6 @@ class TestBankStateMachine:
         with pytest.raises(ValueError):
             bank.activate(2)
 
-    def test_classify_access(self):
-        bank = Bank(0, 0, 0, 0)
-        assert bank.classify_access(5) == "miss"
-        bank.activate(5)
-        assert bank.classify_access(5) == "hit"
-        assert bank.classify_access(6) == "conflict"
-
-    def test_record_column_counts(self):
-        bank = Bank(0, 0, 0, 0)
-        bank.activate(1)
-        bank.record_column(1, is_write=False, is_nda=False, outcome="hit")
-        bank.record_column(1, is_write=True, is_nda=True, outcome="conflict")
-        assert bank.row_hits == 1 and bank.row_conflicts == 1
-        assert bank.reads == 1 and bank.nda_writes == 1
-        assert bank.total_accesses == 2
-        assert bank.row_hit_rate() == pytest.approx(0.5)
-
-    def test_record_column_rejects_bad_outcome(self):
-        bank = Bank(0, 0, 0, 0)
-        with pytest.raises(ValueError):
-            bank.record_column(1, False, False, "bogus")
-
 
 class TestActivationTiming:
     def test_trcd_enforced(self, engine):

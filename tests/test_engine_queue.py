@@ -1,77 +1,14 @@
-"""Unit tests for the engine's wake-ordering structures."""
+"""Unit tests for the engine's wake calendar."""
 
 import random
 
 import pytest
 
-from repro.engine.queue import INFINITY, EventQueue, IndexedCalendar
-
-
-class _Item:
-    def __init__(self, name):
-        self.name = name
-
-
-class TestEventQueue:
-    def test_earliest_of_scheduled_items(self):
-        queue = EventQueue()
-        a, b = _Item("a"), _Item("b")
-        queue.schedule(10, a)
-        queue.schedule(5, b)
-        assert queue.earliest_cycle() == 5
-        assert len(queue) == 2
-
-    def test_empty_queue_is_infinity(self):
-        queue = EventQueue()
-        assert queue.earliest_cycle() == INFINITY
-        assert queue.pop_due(100) is None
-
-    def test_reschedule_moves_item(self):
-        queue = EventQueue()
-        item = _Item("a")
-        queue.schedule(10, item)
-        queue.schedule(3, item)
-        assert queue.earliest_cycle() == 3
-        queue.schedule(20, item)
-        assert queue.earliest_cycle() == 20  # stale entries are discarded
-        assert len(queue) == 1
-
-    def test_infinity_cancels(self):
-        queue = EventQueue()
-        item = _Item("a")
-        queue.schedule(7, item)
-        queue.schedule(INFINITY, item)
-        assert queue.earliest_cycle() == INFINITY
-        assert len(queue) == 0
-
-    def test_pop_due_respects_cycle(self):
-        queue = EventQueue()
-        a, b = _Item("a"), _Item("b")
-        queue.schedule(5, a)
-        queue.schedule(9, b)
-        assert queue.pop_due(4) is None
-        assert queue.pop_due(5) is a
-        assert queue.pop_due(5) is None  # b not due yet
-        assert queue.pop_due(9) is b
-        assert len(queue) == 0
-
-    def test_fifo_order_for_ties(self):
-        queue = EventQueue()
-        a, b = _Item("a"), _Item("b")
-        queue.schedule(4, a)
-        queue.schedule(4, b)
-        assert queue.pop_due(4) is a
-        assert queue.pop_due(4) is b
-
-    def test_clear(self):
-        queue = EventQueue()
-        queue.schedule(2, _Item("a"))
-        queue.clear()
-        assert queue.earliest_cycle() == INFINITY
+from repro.engine.queue import INFINITY, IndexedCalendar
 
 
 class TestIndexedCalendar:
-    """Both representations (flat and heap) must agree with a naive oracle."""
+    """The calendar must agree with a naive oracle."""
 
     def test_initially_unscheduled(self):
         cal = IndexedCalendar(4)
@@ -84,13 +21,10 @@ class TestIndexedCalendar:
         cal.set(1, 20)
         cal.set(2, 90)
         assert cal.min_cycle() == 20
-        assert cal.min_slot() == 1
         cal.set(1, 200)  # increase past the others
         assert cal.min_cycle() == 50
-        assert cal.min_slot() == 0
         cal.set(2, 5)    # decrease below everything
         assert cal.min_cycle() == 5
-        assert cal.min_slot() == 2
 
     def test_unschedule_via_infinity(self):
         cal = IndexedCalendar(2)
@@ -98,7 +32,7 @@ class TestIndexedCalendar:
         cal.set(0, INFINITY)
         assert cal.min_cycle() == INFINITY
 
-    @pytest.mark.parametrize("slots", [8, 100])  # flat mode and heap mode
+    @pytest.mark.parametrize("slots", [8, 100])
     def test_randomized_against_oracle(self, slots):
         rng = random.Random(42 + slots)
         cal = IndexedCalendar(slots)
@@ -110,6 +44,3 @@ class TestIndexedCalendar:
             oracle[slot] = cycle
             assert cal.min_cycle() == min(oracle)
             assert cal.values[slot] == oracle[slot]
-        # min_slot must name a slot holding the minimum value.
-        if min(oracle) != INFINITY:
-            assert oracle[cal.min_slot()] == min(oracle)

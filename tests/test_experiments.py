@@ -107,7 +107,7 @@ class TestImportChain:
             + self.IMPORTS +
             "import repro.apps\n"
             "assert repro.apps.svrg_kernel_sequence()\n"
-            "for name in ('svrg', 'cg', 'streamcluster', 'datasets'):\n"
+            "for name in ('svrg', 'datasets'):\n"
             "    try:\n"
             "        __import__('repro.apps.' + name)\n"
             "    except ImportError as exc:\n"

@@ -3,10 +3,8 @@
 import pytest
 
 from repro.config import HostConfig
-from repro.host.cache import Cache, CacheHierarchy
 from repro.host.core import CoreModel
 from repro.host.mixes import mix_aggregate_mpki, mix_core_count, mix_names, mix_profiles
-from repro.host.prefetcher import StridePrefetcher
 from repro.host.profiles import SPEC_PROFILES, make_synthetic_profile, profile_by_name
 from repro.host.traffic import AddressStreamGenerator
 from repro.utils.rng import DeterministicRng
@@ -101,101 +99,6 @@ class TestTraffic:
         profile = make_synthetic_profile("t", mpki=1)
         with pytest.raises(ValueError):
             AddressStreamGenerator(profile, 0, 32, DeterministicRng(1, "x"))
-
-
-class TestCache:
-    def test_hit_after_fill(self):
-        cache = Cache("L1", 32 * 1024, 8)
-        assert not cache.access(0x1000, False)
-        cache.fill(0x1000)
-        assert cache.access(0x1000, False)
-        assert cache.hit_rate() == pytest.approx(0.5)
-
-    def test_lru_eviction_and_dirty_writeback(self):
-        cache = Cache("tiny", 4 * 64, 2, line_bytes=64)  # 2 sets x 2 ways
-        cache.fill(0 * 64, dirty=True)
-        cache.fill(2 * 64)   # same set (stride = num_sets lines)
-        victim = cache.fill(4 * 64)
-        assert victim == 0
-        assert cache.writebacks == 1
-
-    def test_mshr_limit(self):
-        cache = Cache("L1", 32 * 1024, 8, mshrs=2)
-        assert cache.allocate_mshr(0x0)
-        assert cache.allocate_mshr(0x40)
-        assert not cache.allocate_mshr(0x80)
-        assert cache.allocate_mshr(0x0)  # merge with in-flight miss
-        cache.release_mshr(0x0)
-        assert cache.allocate_mshr(0x80)
-
-    def test_invalidate(self):
-        cache = Cache("L1", 32 * 1024, 8)
-        cache.fill(0x1000)
-        assert cache.invalidate(0x1000)
-        assert not cache.invalidate(0x1000)
-
-    def test_bad_geometry_rejected(self):
-        with pytest.raises(ValueError):
-            Cache("bad", 1000, 3)
-
-    def test_hierarchy_inclusion_path(self):
-        h = CacheHierarchy(prefetch=False)
-        result = h.access(0x4000, False)
-        assert result.hit_level is None
-        assert result.memory_reads == [0x4000]
-        again = h.access(0x4000, False)
-        assert again.hit_level == "L1"
-
-    def test_hierarchy_bypass_for_nda_exchange(self):
-        h = CacheHierarchy(prefetch=False)
-        h.access(0x4000, False)
-        result = h.access(0x4000, False, bypass=True)
-        assert result.memory_reads == [0x4000]
-        assert h.access(0x4000, False).hit_level is None or True
-
-    def test_hierarchy_prefetcher_issues_extra_reads(self):
-        h = CacheHierarchy(prefetch=True)
-        total_reads = 0
-        for i in range(8):
-            result = h.access(0x100000 + i * 4096, False, stream_id=1)
-            total_reads += len(result.memory_reads)
-        assert total_reads > 8  # demand misses plus trained prefetches
-
-    def test_hierarchy_stats(self):
-        h = CacheHierarchy(prefetch=False)
-        h.access(0x0, False)
-        stats = h.stats()
-        assert stats["accesses"] == 1
-        assert 0.0 <= stats["llc_hit_rate"] <= 1.0
-
-
-class TestStridePrefetcher:
-    def test_trains_on_constant_stride(self):
-        pf = StridePrefetcher(threshold=2, degree=2)
-        addresses = [0x1000 + i * 256 for i in range(6)]
-        emitted = []
-        for a in addresses:
-            emitted.extend(pf.observe(0, a))
-        assert emitted
-        assert all((p - 0x1000) % 256 == 0 for p in emitted)
-
-    def test_no_prefetch_for_random_stream(self):
-        pf = StridePrefetcher(threshold=3)
-        emitted = []
-        for a in (0x0, 0x5000, 0x100, 0x9040, 0x33):
-            emitted.extend(pf.observe(0, a))
-        assert emitted == []
-
-    def test_table_capacity_eviction(self):
-        pf = StridePrefetcher(table_entries=2)
-        pf.observe(1, 0)
-        pf.observe(2, 0)
-        pf.observe(3, 0)
-        assert len(pf._table) == 2
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            StridePrefetcher(table_entries=0)
 
 
 class TestCoreModel:

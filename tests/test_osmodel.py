@@ -1,77 +1,13 @@
-"""Tests for the OS model: buddy allocator, frame coloring, virtual memory."""
+"""Tests for the OS model: frame coloring and virtual memory."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.addressing.mapping import skylake_mapping
 from repro.config import DramOrgConfig
-from repro.osmodel.buddy import BuddyAllocator, OutOfMemoryError
-from repro.osmodel.coloring import ColoredFrameAllocator
+from repro.osmodel.coloring import ColoredFrameAllocator, OutOfMemoryError
 from repro.osmodel.vm import PageTable, TranslationError, VirtualMemory
 
 MIB = 1 << 20
-
-
-class TestBuddyAllocator:
-    def test_allocate_and_free_roundtrip(self):
-        pool = BuddyAllocator(0, 16 * MIB, min_block=4096)
-        a = pool.allocate(8192)
-        b = pool.allocate(4096)
-        assert a % 8192 == 0
-        assert a != b
-        pool.free(a)
-        pool.free(b)
-        assert pool.allocated_bytes == 0
-        assert pool.free_bytes == 16 * MIB
-
-    def test_blocks_are_naturally_aligned(self):
-        pool = BuddyAllocator(0, 16 * MIB, min_block=4096)
-        addr = pool.allocate(2 * MIB)
-        assert addr % (2 * MIB) == 0
-
-    def test_out_of_memory(self):
-        pool = BuddyAllocator(0, 1 * MIB, min_block=4096)
-        with pytest.raises(OutOfMemoryError):
-            pool.allocate(2 * MIB)
-
-    def test_exhaustion_and_coalescing(self):
-        pool = BuddyAllocator(0, 1 * MIB, min_block=4096)
-        blocks = [pool.allocate(4096) for _ in range(256)]
-        with pytest.raises(OutOfMemoryError):
-            pool.allocate(4096)
-        for b in blocks:
-            pool.free(b)
-        # Everything coalesced back into one max-order block.
-        assert pool.fragmentation() == 0.0
-        assert pool.allocate(1 * MIB) == 0
-
-    def test_double_free_rejected(self):
-        pool = BuddyAllocator(0, 1 * MIB, min_block=4096)
-        a = pool.allocate(4096)
-        pool.free(a)
-        with pytest.raises(ValueError):
-            pool.free(a)
-
-    def test_misaligned_construction_rejected(self):
-        with pytest.raises(ValueError):
-            BuddyAllocator(100, 1 * MIB, min_block=4096)
-        with pytest.raises(ValueError):
-            BuddyAllocator(0, 1 * MIB, min_block=1000)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.integers(min_value=1, max_value=64 * 1024),
-                    min_size=1, max_size=30))
-    def test_allocations_never_overlap(self, sizes):
-        pool = BuddyAllocator(0, 32 * MIB, min_block=4096)
-        spans = []
-        for size in sizes:
-            addr = pool.allocate(size)
-            rounded = 4096
-            while rounded < size:
-                rounded *= 2
-            for other_start, other_end in spans:
-                assert addr >= other_end or addr + rounded <= other_start
-            spans.append((addr, addr + rounded))
 
 
 class TestColoredFrameAllocator:

@@ -149,10 +149,11 @@ class TestEnvelope:
             loads(json.dumps(envelope))
 
     def test_rejects_unknown_version(self):
-        # 4 is the last format that listed the NDA write buffer's entries;
-        # it is refused like any other foreign version, and the error names
-        # both the file's version and the expected one.
-        for version in (4, SCHEMA_VERSION + 1):
+        # 4 is the last format that listed the NDA write buffer's entries,
+        # and the previous version's configs name fields that no longer
+        # exist; both are refused like any other foreign version, and the
+        # error names both the file's version and the expected one.
+        for version in (4, SCHEMA_VERSION - 1, SCHEMA_VERSION + 1):
             envelope = json.loads(dumps(self.PAYLOAD))
             envelope["version"] = version
             with pytest.raises(SnapshotVersionError,
