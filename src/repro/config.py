@@ -222,8 +222,6 @@ class HostConfig:
     cpu_clock_ghz: float = 4.0
     fetch_width: int = 8
     rob_entries: int = 224
-    read_queue_entries: int = 32
-    write_queue_entries: int = 32
     #: DRAM command-clock frequency the host is paired with.  Kept in sync
     #: with ``DramOrgConfig.dram_clock_ghz`` by ``SystemConfig`` so the
     #: fixed-point host tick ratio is derived, never hand-entered (the

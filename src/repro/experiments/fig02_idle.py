@@ -19,7 +19,7 @@ from repro.experiments.common import (
     format_table,
     run_experiment_cli,
 )
-from repro.experiments.sweep import SweepOptions, run_sweep
+from repro.experiments.sweeprunner import SweepOptions, run_sweep
 from repro.host.mixes import mix_names
 from repro.utils.histogram import IDLE_BUCKET_LABELS
 

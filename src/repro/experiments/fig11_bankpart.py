@@ -23,7 +23,7 @@ from repro.experiments.common import (
     format_table,
     run_experiment_cli,
 )
-from repro.experiments.sweep import SweepOptions, run_sweep
+from repro.experiments.sweeprunner import SweepOptions, run_sweep
 from repro.nda.isa import NdaOpcode
 
 CONFIGURATIONS = (

@@ -28,7 +28,7 @@ from repro.experiments.common import (
     run_experiment_cli,
 )
 from repro.experiments.fig14_scaling import SCHEMES
-from repro.experiments.sweep import SweepOptions, run_sweep
+from repro.experiments.sweeprunner import SweepOptions, run_sweep
 from repro.nda.isa import NdaOpcode
 from repro.platform import platform_names
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.cli import format_table, resolve_config, run_experiment_cli
-from repro.experiments.sweep import SweepOptions, run_sweep
+from repro.experiments.sweeprunner import SweepOptions, run_sweep
 
 if TYPE_CHECKING:
     from repro.apps.svrg import SvrgHistoryPoint, SvrgTrainer

@@ -23,7 +23,7 @@ from repro.experiments.common import (
     resolve_config,
     run_experiment_cli,
 )
-from repro.experiments.sweep import SweepOptions, run_sweep
+from repro.experiments.sweeprunner import SweepOptions, run_sweep
 
 
 def _point(scenario: str, mix: str, cycles: int,

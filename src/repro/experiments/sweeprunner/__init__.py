@@ -1,7 +1,37 @@
-"""Fault-tolerant, resumable sweep service.
+"""Parallel, cached, fault-tolerant sweeps: the service every figure runs on.
 
-The package behind :mod:`repro.experiments.sweep` (kept as the compatible
-facade).  Layering:
+Every ``experiments/fig*.py`` entry point is a sweep over configuration
+points (mode x mix x rank count x workload x ...), and each point is an
+independent simulation.  The figure modules define one ``_point`` function
+each and build their rows with :func:`run_sweep`:
+
+* **Parallelism** — points run on supervised worker processes (one per CPU
+  by default).  A worker crash, OOM-kill or hang does not abort the sweep:
+  the worker is respawned and the point retried (bounded, with exponential
+  backoff), with wall-clock timeouts cutting hung points.
+* **Caching** — each point's result row is keyed by the point function,
+  its parameters, the simulation environment (``REPRO_PLATFORM`` /
+  ``REPRO_DISABLE_BURST``) and a content fingerprint of the simulator
+  source, then stored as JSON in a content-addressed store; re-running a
+  figure with unchanged parameters replays instantly.  Set
+  ``REPRO_SWEEP_CACHE`` (or pass ``cache_dir``) to enable it.
+* **Durability** — with a cache directory configured, every execution is
+  an epoch claim in that directory and a record in an append-only run
+  ledger (fsynced at lease and completion), so a ``kill -9`` of driver or
+  worker resumes exactly where it left off, and no point ever executes
+  more than ``1 + max_retries`` times, whether one host or several share
+  the directory.
+* **Graceful degradation** — points that exhaust their retries surface in
+  a structured failure report; strict mode (``SweepOptions.strict``, the
+  default) raises :class:`SweepPointsFailed` instead of returning partial
+  rows.
+
+Point functions must be module-level callables taking keyword arguments
+and returning a JSON-serializable dict.  Pass a :class:`SweepOptions` for
+the full service surface (retries, timeouts, host identity, fault
+injection, progress/ETA lines).
+
+Layering:
 
 * :mod:`.tasks` — task identity: content-addressed keys over
   (function, params, environment axes, code fingerprint).
@@ -10,9 +40,10 @@ facade).  Layering:
   files.
 * :mod:`.ledger` — append-only JSONL run journal (queued/leased/done/
   failed), one file per host, fsynced at lease and completion.
-* :mod:`.faults` — deterministic crash/hang/corrupt-row injection
-  (``REPRO_SWEEP_FAULT_RATE``/``_SEED``/``_KINDS``) and the table of the
-  failure each fault ends in.
+* :mod:`.faults` — deterministic crash/hang/corrupt-row injection and the
+  table of the failure each fault ends in.  A :class:`FaultPlan` reaches a
+  sweep only as ``SweepOptions.fault_plan``; nothing reads one from the
+  environment.
 * :mod:`.supervisor` — the two executors the run loop drives: async-submit
   worker processes with crash detection, SIGKILL-on-timeout and respawn,
   and the inline executor for serial sweeps.
@@ -24,9 +55,10 @@ facade).  Layering:
 * :mod:`.service` — the orchestrator: ``run_sweep`` /
   ``run_sweep_outcome``, one run loop with retries, backoff, resume and
   strict mode.
-* :mod:`.selftest` — the end-to-end crash/fault/resume proofs
-  (``python -m repro.experiments.sweeprunner.selftest proof`` /
-  ``ckpt-proof`` / ``shard-proof``).
+
+The end-to-end crash/fault/resume proofs live outside the package, in
+``tests/sweep_proofs/`` (``PYTHONPATH=src:tests python -m sweep_proofs
+proof`` / ``ckpt-proof`` / ``shard-proof``).
 """
 
 from repro.experiments.sweeprunner.cluster import (
@@ -37,9 +69,6 @@ from repro.experiments.sweeprunner.cluster import (
 )
 from repro.experiments.sweeprunner.faults import (
     CORRUPT_MARKER,
-    FAULT_KINDS_ENV,
-    FAULT_RATE_ENV,
-    FAULT_SEED_ENV,
     FaultPlan,
 )
 from repro.experiments.sweeprunner.ledger import (
@@ -56,10 +85,8 @@ from repro.experiments.sweeprunner.report import (
     TaskFailure,
 )
 from repro.experiments.sweeprunner.service import (
-    STRICT_ENV,
     SweepOptions,
     default_processes,
-    resolve_strict,
     run_sweep,
     run_sweep_outcome,
 )
@@ -83,12 +110,8 @@ __all__ = [
     "CACHE_ENV_VAR",
     "CACHE_VERSION",
     "CORRUPT_MARKER",
-    "FAULT_KINDS_ENV",
-    "FAULT_RATE_ENV",
-    "FAULT_SEED_ENV",
     "HOST_ENV",
     "PROGRESS_ENV",
-    "STRICT_ENV",
     "ClusterOptions",
     "FaultPlan",
     "RunLedger",
@@ -110,7 +133,6 @@ __all__ = [
     "make_task",
     "merged_counts",
     "resolve_host",
-    "resolve_strict",
     "run_sweep",
     "run_sweep_outcome",
     "sweep_id",

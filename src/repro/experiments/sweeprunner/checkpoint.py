@@ -19,7 +19,7 @@ written through :mod:`repro.snapshot`'s atomic, digest-checked envelope):
 
 Checkpointing changes when work happens, never what it computes: the
 resumed row is bit-identical to an uninterrupted run (the equivalence is
-pinned by tests/test_snapshot.py and ``selftest ckpt-proof``).
+pinned by tests/test_snapshot.py and the ``ckpt-proof`` sweep proof).
 
 The ``die`` fault kind (see :mod:`.faults`) integrates here: an armed
 slot kills the worker with the standard crash exit code right after its

@@ -8,11 +8,11 @@ point that crashed on attempt 1 normally runs clean on attempt 2 (unless
 the rate says otherwise), which is exactly the transient-fault model the
 recovery paths are built for.
 
-Environment knobs (all optional; no faults when the rate is unset/zero)::
-
-    REPRO_SWEEP_FAULT_RATE    probability per execution, e.g. "0.05"
-    REPRO_SWEEP_FAULT_SEED    integer seed (default 0)
-    REPRO_SWEEP_FAULT_KINDS   csv subset of "crash,hang,corrupt,die"
+A plan reaches a sweep only as ``SweepOptions.fault_plan`` (None, the
+default, injects nothing); no environment variable turns faults on, so a
+figure regeneration never runs with an injected schedule.  The sweep
+proofs under ``tests/sweep_proofs/`` pass their plans explicitly, and hand
+them to their child drivers on the command line.
 
 Fault kinds (:data:`FAULT_OUTCOMES` maps each to the failure it ends in;
 the supervised worker and the inline executor both act on that table):
@@ -35,8 +35,7 @@ have produced without running the point.
 
 Cluster fault kinds (see :mod:`.cluster`) are host-level rather than
 worker-level, are **not** part of the default schedule (naming them in
-``REPRO_SWEEP_FAULT_KINDS`` or ``FaultPlan(kinds=...)`` opts in), and are
-no-ops on single-host sweeps:
+``FaultPlan(kinds=...)`` opts in), and are no-ops on single-host sweeps:
 
 * ``netsplit`` — the executing host freezes its heartbeats for the
   duration of the point while it keeps computing; peers declare it dead,
@@ -53,11 +52,7 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
-
-FAULT_RATE_ENV = "REPRO_SWEEP_FAULT_RATE"
-FAULT_SEED_ENV = "REPRO_SWEEP_FAULT_SEED"
-FAULT_KINDS_ENV = "REPRO_SWEEP_FAULT_KINDS"
+from typing import Any, Dict, Optional, Tuple
 
 #: Each worker-level fault kind and the failure kind it ends in.  The order
 #: is the default schedule's (:meth:`FaultPlan.decide` indexes into it).
@@ -111,36 +106,6 @@ class FaultPlan:
             return None
         return self.kinds[int.from_bytes(digest[8:12], "big") % len(self.kinds)]
 
-    def to_env(self) -> Dict[str, str]:
-        """The environment variables reproducing this plan in a subprocess."""
-        return {
-            FAULT_RATE_ENV: repr(self.rate),
-            FAULT_SEED_ENV: str(self.seed),
-            FAULT_KINDS_ENV: ",".join(self.kinds),
-        }
-
-    @classmethod
-    def from_env(cls, environ: Optional[Mapping[str, str]] = None
-                 ) -> Optional["FaultPlan"]:
-        environ = os.environ if environ is None else environ
-        raw = environ.get(FAULT_RATE_ENV)
-        if not raw:
-            return None
-        try:
-            rate = float(raw)
-        except ValueError:
-            return None
-        if rate <= 0.0:
-            return None
-        try:
-            seed = int(environ.get(FAULT_SEED_ENV) or 0)
-        except ValueError:
-            seed = 0
-        kinds_raw = environ.get(FAULT_KINDS_ENV) or ""
-        kinds = tuple(k.strip() for k in kinds_raw.split(",")
-                      if k.strip() in ALL_FAULT_KINDS) or FAULT_KINDS
-        return cls(rate=min(rate, 1.0), seed=seed, kinds=kinds)
-
 
 def corrupt_row(row: Any) -> Dict[str, Any]:
     """The poisoned payload a corrupt-row fault substitutes for the row."""
@@ -162,7 +127,6 @@ def hang_forever(parent_pid: int, poll_seconds: float = 0.2) -> None:
 __all__ = [
     "ALL_FAULT_KINDS", "CLUSTER_FAULT_KINDS", "CORRUPT_MARKER",
     "CRASH_EXIT_CODE", "DEFAULT_HANG_TIMEOUT",
-    "FAULT_KINDS", "FAULT_KINDS_ENV", "FAULT_OUTCOMES", "FAULT_RATE_ENV",
-    "FAULT_SEED_ENV", "FaultPlan", "corrupt_row",
+    "FAULT_KINDS", "FAULT_OUTCOMES", "FaultPlan", "corrupt_row",
     "hang_forever",
 ]

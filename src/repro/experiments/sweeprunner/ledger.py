@@ -273,7 +273,7 @@ def lease_counts(path: Path, provenance: Optional[str] = None
 
     With ``provenance="resume"`` only leases that resumed from a checkpoint
     count, with ``"migrated"`` only those whose checkpoint another host
-    wrote.  Tests and the selftest proofs assert the retry bound (no key
+    wrote.  Tests and the sweep proofs assert the retry bound (no key
     leased more than ``1 + max_retries`` times) and the resume/migration
     evidence with it, before and after compaction.
     """

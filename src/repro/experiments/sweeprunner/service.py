@@ -1,8 +1,8 @@
 """The sweep service: durable, supervised, resumable sweep execution.
 
-:func:`run_sweep` keeps the facade contract every ``experiments/fig*.py``
-entry point has always used (rows in parameter order), on top of a very
-different execution core:
+:func:`run_sweep` returns the rows every ``experiments/fig*.py`` entry
+point builds its figure from, in parameter order, on top of this
+execution core:
 
 * every execution is one epoch claim (see :mod:`.cluster`) journaled to
   the run ledger (``leased`` fsynced before dispatch, ``done``/``failed``
@@ -17,8 +17,10 @@ different execution core:
 * retries back off exponentially with deterministic jitter;
 * a sweep whose points exhaust their retries **degrades gracefully**: the
   completed rows come back plus a structured failure report.  Strict mode
-  (``strict=True``, the library default, or ``REPRO_SWEEP_STRICT=1``)
-  raises :class:`SweepPointsFailed` instead — the mode CI runs in.
+  (``strict=True``, the default) raises :class:`SweepPointsFailed`
+  instead;
+* fault injection is an argument, ``SweepOptions.fault_plan``: no
+  environment variable injects faults or changes strict mode.
 
 Durability requires a directory: claims, journal and checkpoints live
 next to the result store (``<cache_dir>/claims/``, ``ledger/``,
@@ -81,12 +83,6 @@ from repro.experiments.sweeprunner.tasks import (
     sweep_id,
 )
 
-#: Strict-mode default for library callers; ``REPRO_SWEEP_STRICT`` flips the
-#: default for whole processes (CI sets it to 1 explicitly, figure CLIs may
-#: set it to 0 for graceful regeneration).
-STRICT_ENV = "REPRO_SWEEP_STRICT"
-
-
 #: Fractional jitter on top of the retry backoff (deterministic per key).
 RETRY_JITTER = 0.25
 
@@ -107,13 +103,13 @@ class SweepOptions:
     task_timeout: Optional[float] = None
     #: Exponential-backoff base delay between retries, seconds.
     retry_backoff: float = 0.25
-    #: None resolves via REPRO_SWEEP_STRICT, then True.
-    strict: Optional[bool] = None
+    #: Raise SweepPointsFailed when a point exhausts its retries; False
+    #: returns the completed rows and prints the failure report.
+    strict: bool = True
     #: Progress-line interval in seconds; None resolves REPRO_SWEEP_PROGRESS.
     progress: Optional[float] = None
     start_method: Optional[str] = None
-    #: None resolves from REPRO_SWEEP_FAULT_RATE / REPRO_SWEEP_FAULT_SEED /
-    #: REPRO_SWEEP_FAULT_KINDS.
+    #: Deterministic fault injection (see :mod:`.faults`); None injects none.
     fault_plan: Optional[FaultPlan] = None
     #: Host identity and lease timing (see :mod:`.cluster`); None means
     #: ``ClusterOptions()``.  Setting it requires a cache directory.
@@ -124,15 +120,6 @@ def default_processes(task_count: int) -> int:
     """Worker count: one per CPU, capped by the number of points."""
     cpus = os.cpu_count() or 1
     return max(1, min(cpus, task_count))
-
-
-def resolve_strict(explicit: Optional[bool]) -> bool:
-    if explicit is not None:
-        return bool(explicit)
-    raw = os.environ.get(STRICT_ENV, "").strip().lower()
-    if raw:
-        return raw not in ("0", "false", "no", "off")
-    return True
 
 
 def _validate_row(fn_label: str, row: Any) -> Optional[Tuple[str, str]]:
@@ -183,8 +170,7 @@ class _SweepRun:
         self.param_sets = [dict(p) for p in param_sets]
         self.tasks = [make_task(fn, p) for p in self.param_sets]
         self.stats = SweepStats(total_points=len(self.tasks))
-        self.fault_plan = (options.fault_plan if options.fault_plan is not None
-                           else FaultPlan.from_env())
+        self.fault_plan = options.fault_plan
         self.task_timeout = options.task_timeout
         if (self.task_timeout is None and self.fault_plan is not None
                 and self.fault_plan.active and "hang" in self.fault_plan.kinds):
@@ -657,17 +643,17 @@ def run_sweep(fn: PointFn, param_sets: Sequence[Dict[str, Any]],
 
     In strict mode (the default) a point that exhausts its retries raises
     :class:`SweepPointsFailed` carrying the full outcome; with
-    ``strict=False`` (or ``REPRO_SWEEP_STRICT=0``) the completed rows are
-    returned and the failure report is printed to stderr.
+    ``strict=False`` the completed rows are returned and the failure report
+    is printed to stderr.
     """
     merged = _merged_options(processes, cache_dir, options)
     outcome = run_sweep_outcome(fn, param_sets, options=merged)
     if outcome.failures:
-        if resolve_strict(merged.strict):
+        if merged.strict:
             raise SweepPointsFailed(outcome)
         print(outcome.failure_report(), file=sys.stderr, flush=True)
     return outcome.rows
 
 
-__all__ = ["STRICT_ENV", "SweepOptions", "default_processes",
-           "resolve_strict", "run_sweep", "run_sweep_outcome"]
+__all__ = ["SweepOptions", "default_processes", "run_sweep",
+           "run_sweep_outcome"]

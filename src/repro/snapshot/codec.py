@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any, Union
 
 MAGIC = "repro-snapshot"
-SCHEMA_VERSION = 9  # v9: HostConfig/NdaConfig lost eleven unmodelled fields
+SCHEMA_VERSION = 10  # v10: HostConfig lost its unread queue-depth fields
 
 _TAG = "__t"
 

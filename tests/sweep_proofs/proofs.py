@@ -1,9 +1,11 @@
-"""End-to-end recovery proof for the sweep service.
+"""End-to-end recovery proofs for the sweep service.
 
-The proof the ISSUE/CI demand, runnable as one command::
+Run from the repository root with ``src`` and ``tests`` on the path (the
+proof's point functions are imported by module name, by the child drivers
+and by spawned workers alike)::
 
-    python -m repro.experiments.sweeprunner.selftest proof \
-        --points 200 --fault-rate 0.05 --kill-after 25
+    PYTHONPATH=src:tests python -m sweep_proofs proof \
+        --points 200 --kill-after 25 --fault-rate 0.05 --seed 7
 
 1. A clean **serial** run of a deterministic point function produces the
    expected rows (no faults, no cache — the ground truth).
@@ -22,24 +24,29 @@ experiments); ``proof`` orchestrates the whole thing and exits non-zero on
 any violated property.  The point function is pure integer math so the
 proof runs anywhere in seconds, including the no-numpy CI legs.
 
+Fault plans are arguments: the parent builds a :class:`FaultPlan` and
+hands it to each child driver on the command line (``--fault-rate``,
+``--seed`` / ``--fault-seed``, ``--fault-kinds``); the sweep service reads
+none from the environment.
+
 ``ckpt-proof`` is the checkpoint-recovery variant: one *real simulator*
-point (a ChopimSystem run made preemptible via
-:func:`..checkpoint.run_with_checkpoint`), a child driver that is
-SIGKILL'd as soon as its first mid-point checkpoint lands on disk, and a
-resume that must (a) journal a ``checkpoint="resume"`` lease and (b)
-produce a row bit-identical to an uninterrupted run.  The parent also
+point (a ChopimSystem run made preemptible via ``run_with_checkpoint``), a
+child driver that is SIGKILL'd as soon as its first mid-point checkpoint
+lands on disk, and a resume that must (a) journal a ``checkpoint="resume"``
+lease and (b) produce a row bit-identical to an uninterrupted run.  The parent also
 restores the orphaned checkpoint file directly and finishes it in-process,
 pinning the bit-exactness of the very snapshot the kill interrupted.
 
-``shard-proof`` is the multi-host variant (see :mod:`.cluster`): three
-driver processes with distinct host identities share one sweep directory
-over real simulator points; the parent SIGKILLs one host right after its
-first mid-point checkpoint lands, the survivors steal its lease (resuming
-the orphaned checkpoint it left in the shared store), and the verdict
-demands rows bit-identical to a clean single-host run, the global lease
-bound held across every host's ledger, at least one
-``checkpoint="migrated"`` lease, and a final in-process verifier pass that
-executes nothing (every row served by the store).
+``shard-proof`` is the multi-host variant (see
+:mod:`repro.experiments.sweeprunner.cluster`): three driver processes with
+distinct host identities share one sweep directory over real simulator
+points; the parent SIGKILLs one host right after its first mid-point
+checkpoint lands, the survivors steal its lease (resuming the orphaned
+checkpoint it left in the shared store), and the verdict demands rows
+bit-identical to a clean single-host run, the global lease bound held
+across every host's ledger, at least one ``checkpoint="migrated"`` lease,
+and a final in-process verifier pass that executes nothing (every row
+served by the store).
 """
 
 from __future__ import annotations
@@ -53,21 +60,19 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.experiments.sweeprunner import ledger as ledger_module
-from repro.experiments.sweeprunner.checkpoint import CHECKPOINT_EVERY_ENV
-from repro.experiments.sweeprunner.cluster import ClusterOptions
-from repro.experiments.sweeprunner.faults import (
-    FAULT_RATE_ENV,
-    FAULT_SEED_ENV,
+import repro
+from repro.experiments.sweeprunner import (
+    ClusterOptions,
     FaultPlan,
-)
-from repro.experiments.sweeprunner.service import (
     SweepOptions,
+    make_task,
     run_sweep_outcome,
 )
-from repro.experiments.sweeprunner.tasks import make_task
+from repro.experiments.sweeprunner import ledger as ledger_module
+from repro.experiments.sweeprunner.checkpoint import CHECKPOINT_EVERY_ENV
+from repro.experiments.sweeprunner.faults import ALL_FAULT_KINDS, FAULT_KINDS
 
 
 def wait_until(condition, timeout: float, initial: float = 0.005,
@@ -210,22 +215,32 @@ def _claim_holder(store: Path, key: str) -> Optional[str]:
         return None
 
 
-def _spawn_child_driver(store: Path, args, env_plan: FaultPlan
-                        ) -> subprocess.Popen:
-    env = dict(os.environ)
-    env.update(env_plan.to_env())
-    src_root = str(Path(__file__).resolve().parents[3])
-    env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
-    command = [
-        sys.executable, "-m", "repro.experiments.sweeprunner.selftest",
-        "drive", "--store", str(store), "--points", str(args.points),
-        "--spin", str(args.spin), "--sleep", str(args.sleep),
-        "--workers", str(args.workers),
-        "--max-retries", str(args.max_retries),
-        "--task-timeout", str(args.task_timeout),
-    ]
-    return subprocess.Popen(command, env=env,
-                            stdout=subprocess.DEVNULL,
+def make_plan(rate: float, seed: int,
+              kinds: Sequence[str] = FAULT_KINDS) -> Optional[FaultPlan]:
+    """The plan a driver runs under; None (no faults) at rate 0."""
+    return FaultPlan(rate=rate, seed=seed, kinds=tuple(kinds)) \
+        if rate > 0 else None
+
+
+def plan_argv(plan: Optional[FaultPlan], seed_flag: str) -> List[str]:
+    """The driver arguments :func:`make_plan` rebuilds ``plan`` from."""
+    if plan is None:
+        return []
+    return ["--fault-rate", repr(plan.rate), seed_flag, str(plan.seed),
+            "--fault-kinds", *plan.kinds]
+
+
+def _spawn_driver(command: Sequence[str], **env: str) -> subprocess.Popen:
+    """Start ``python -m sweep_proofs <command>`` with ``src`` and
+    ``tests`` on its path, plus the extra environment ``env``."""
+    child_env = dict(os.environ, **env)
+    roots = [str(Path(repro.__file__).resolve().parents[1]),
+             str(Path(__file__).resolve().parents[1])]
+    if child_env.get("PYTHONPATH"):
+        roots.append(child_env["PYTHONPATH"])
+    child_env["PYTHONPATH"] = os.pathsep.join(roots)
+    return subprocess.Popen([sys.executable, "-m", "sweep_proofs", *command],
+                            env=child_env, stdout=subprocess.DEVNULL,
                             stderr=subprocess.DEVNULL)
 
 
@@ -259,21 +274,22 @@ def run_proof(points: int = 200, fault_rate: float = 0.05, seed: int = 7,
     """The full crash/fault/resume proof; returns a verdict report dict."""
     import tempfile
 
-    plan = FaultPlan(rate=fault_rate, seed=seed)
+    plan = make_plan(fault_rate, seed)
     clean = run_sweep_outcome(
         checksum_point, proof_params(points, spin, sleep=0.0),
-        options=SweepOptions(processes=1, cache_dir="",
-                             fault_plan=FaultPlan(rate=0.0)))
+        options=SweepOptions(processes=1, cache_dir=""))
     assert clean.ok and len(clean.rows) == points
     # sleep only pads the faulty run's wall clock; rows don't include it.
     expected = _normalized(clean.rows)
 
     with tempfile.TemporaryDirectory(prefix="repro-sweep-proof-") as tmp:
         store = Path(store_dir) if store_dir is not None else Path(tmp)
-        args = argparse.Namespace(points=points, spin=spin, sleep=sleep,
-                                  workers=workers, max_retries=max_retries,
-                                  task_timeout=task_timeout)
-        child = _spawn_child_driver(store, args, plan)
+        child = _spawn_driver([
+            "drive", "--store", str(store), "--points", str(points),
+            "--spin", str(spin), "--sleep", str(sleep),
+            "--workers", str(workers), "--max-retries", str(max_retries),
+            "--task-timeout", str(task_timeout),
+            *plan_argv(plan, "--seed")])
         done_at_kill = _kill_mid_run(child, store, kill_after)
         child_finished = child.returncode == 0
 
@@ -339,17 +355,11 @@ def run_ckpt_proof(cycles: int = 12000, elements: int = 1 << 12,
         store = Path(store_dir) if store_dir is not None else Path(tmp)
         ckpt_dir = store / "checkpoints"
 
-        env = dict(os.environ)
-        env[CHECKPOINT_EVERY_ENV] = str(every)
-        src_root = str(Path(__file__).resolve().parents[3])
-        env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
-        child = subprocess.Popen(
-            [sys.executable, "-m",
-             "repro.experiments.sweeprunner.selftest", "drive-ckpt",
-             "--store", str(store), "--cycles", str(cycles),
+        child = _spawn_driver(
+            ["drive-ckpt", "--store", str(store), "--cycles", str(cycles),
              "--elements", str(elements), "--seed", str(seed),
              "--max-retries", str(max_retries)],
-            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+            **{CHECKPOINT_EVERY_ENV: str(every)})
 
         # Kill the driver the moment its first mid-point checkpoint is
         # durable — the sharpest possible "crashed mid-point" cut.
@@ -470,14 +480,11 @@ def run_shard_proof(points: int = 4, cycles: int = 9000,
     """
     import tempfile
 
-    plan = (FaultPlan(rate=fault_rate, seed=fault_seed,
-                      kinds=("netsplit", "steal-race"))
-            if fault_rate > 0 else FaultPlan(rate=0.0))
+    plan = make_plan(fault_rate, fault_seed, kinds=("netsplit", "steal-race"))
     params = shard_params(points, cycles, elements, seed)
     clean = run_sweep_outcome(
         simulation_point, params,
-        options=SweepOptions(processes=1, cache_dir="",
-                             fault_plan=FaultPlan(rate=0.0)))
+        options=SweepOptions(processes=1, cache_dir=""))
     assert clean.ok and len(clean.rows) == points
     expected = _normalized(clean.rows)
 
@@ -485,24 +492,17 @@ def run_shard_proof(points: int = 4, cycles: int = 9000,
         store = Path(store_dir) if store_dir is not None else Path(tmp)
         ckpt_root = store / "checkpoints"
 
-        env = dict(os.environ)
-        env.update(plan.to_env())
-        env[CHECKPOINT_EVERY_ENV] = str(every)
-        src_root = str(Path(__file__).resolve().parents[3])
-        env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
         children: Dict[str, subprocess.Popen] = {}
         for n in range(hosts):
             host = f"shard{n}"
-            children[host] = subprocess.Popen(
-                [sys.executable, "-m",
-                 "repro.experiments.sweeprunner.selftest", "drive-shard",
-                 "--store", str(store), "--host", host,
+            children[host] = _spawn_driver(
+                ["drive-shard", "--store", str(store), "--host", host,
                  "--points", str(points), "--cycles", str(cycles),
                  "--elements", str(elements), "--seed", str(seed),
                  "--max-retries", str(max_retries),
-                 "--staleness", str(staleness)],
-                env=env, stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL)
+                 "--staleness", str(staleness),
+                 *plan_argv(plan, "--fault-seed")],
+                **{CHECKPOINT_EVERY_ENV: str(every)})
 
         # SIGKILL the first live host holding a key whose mid-point
         # checkpoint landed: its claim outlives it, and a survivor must
@@ -589,16 +589,16 @@ def run_shard_proof(points: int = 4, cycles: int = 9000,
     return report
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m sweep_proofs", description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     proof = sub.add_parser("proof", help="full crash/fault/resume proof")
     proof.add_argument("--points", type=int, default=200)
-    proof.add_argument("--fault-rate", type=float,
-                       default=float(os.environ.get(FAULT_RATE_ENV) or 0.05))
-    proof.add_argument("--seed", type=int,
-                       default=int(os.environ.get(FAULT_SEED_ENV) or 7))
+    proof.add_argument("--fault-rate", type=float, default=0.05)
+    proof.add_argument("--seed", type=int, default=7, help="fault seed")
     proof.add_argument("--kill-after", type=int, default=25,
                        help="done rows in the ledger before the driver "
                             "is SIGKILLed")
@@ -616,6 +616,10 @@ def main(argv=None) -> int:
     driver.add_argument("--workers", type=int, default=4)
     driver.add_argument("--max-retries", type=int, default=3)
     driver.add_argument("--task-timeout", type=float, default=2.0)
+    driver.add_argument("--fault-rate", type=float, default=0.0)
+    driver.add_argument("--seed", type=int, default=0, help="fault seed")
+    driver.add_argument("--fault-kinds", nargs="+", choices=ALL_FAULT_KINDS,
+                        default=FAULT_KINDS)
 
     ckpt = sub.add_parser("ckpt-proof",
                           help="kill-mid-point checkpoint/resume proof")
@@ -660,8 +664,16 @@ def main(argv=None) -> int:
     shard_driver.add_argument("--seed", type=int, default=12345)
     shard_driver.add_argument("--max-retries", type=int, default=3)
     shard_driver.add_argument("--staleness", type=float, default=1.0)
+    shard_driver.add_argument("--fault-rate", type=float, default=0.0)
+    shard_driver.add_argument("--fault-seed", type=int, default=0)
+    shard_driver.add_argument("--fault-kinds", nargs="+",
+                              choices=ALL_FAULT_KINDS, default=FAULT_KINDS)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "proof":
             report = run_proof(
@@ -694,7 +706,9 @@ def main(argv=None) -> int:
             outcome = drive_shard(args.store, args.host, args.points,
                                   args.cycles, args.elements, args.seed,
                                   args.max_retries, args.staleness,
-                                  fault_plan=FaultPlan.from_env())
+                                  fault_plan=make_plan(args.fault_rate,
+                                                       args.fault_seed,
+                                                       args.fault_kinds))
             print(f"drive-shard[{args.host}]: "
                   f"{outcome.stats.completed} completed, "
                   f"{outcome.stats.executed} executed, "
@@ -702,15 +716,12 @@ def main(argv=None) -> int:
                   f"{len(outcome.failures)} failed")
             return 0 if outcome.ok else 1
         outcome = drive(args.store, args.points, args.spin, args.sleep,
-                        FaultPlan.from_env(), args.workers, args.max_retries,
-                        args.task_timeout, progress=1.0)
+                        make_plan(args.fault_rate, args.seed, args.fault_kinds),
+                        args.workers, args.max_retries, args.task_timeout,
+                        progress=1.0)
         print(f"drive: {outcome.stats.completed} completed, "
               f"{len(outcome.failures)} failed")
         return 0 if outcome.ok else 1
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return 130
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI
-    sys.exit(main())

@@ -39,9 +39,8 @@ from repro.experiments.sweeprunner.cluster import (
 )
 from repro.experiments.sweeprunner.faults import (
     ALL_FAULT_KINDS,
+    CLUSTER_FAULT_KINDS,
     FAULT_KINDS,
-    FAULT_KINDS_ENV,
-    FAULT_RATE_ENV,
 )
 from repro.experiments.sweeprunner.progress import ProgressReporter
 from repro.experiments.sweeprunner.tasks import make_task
@@ -159,7 +158,7 @@ class TestLiveness:
         assert a.host_alive("a")
 
     def test_heartbeat_thread_beats(self, tmp_path):
-        from repro.experiments.sweeprunner.selftest import wait_until
+        from sweep_proofs.proofs import wait_until
 
         a = _coord(tmp_path, "a", staleness=10.0)
         hb = tmp_path / "hosts" / "a.hb"
@@ -260,18 +259,24 @@ class TestMergedAudits:
 
 
 class TestClusterFaultKinds:
-    def test_env_accepts_cluster_kinds(self, monkeypatch):
-        monkeypatch.setenv(FAULT_RATE_ENV, "0.5")
-        monkeypatch.setenv(FAULT_KINDS_ENV, "netsplit,steal-race")
-        plan = FaultPlan.from_env()
-        assert plan.kinds == ("netsplit", "steal-race")
+    def test_child_driver_argv_rebuilds_cluster_plan(self):
+        # The shard proof hands its cluster-kind plan to each host on argv.
+        from sweep_proofs import proofs
 
-    def test_default_schedule_excludes_cluster_kinds(self, monkeypatch):
-        monkeypatch.setenv(FAULT_RATE_ENV, "0.5")
-        monkeypatch.delenv(FAULT_KINDS_ENV, raising=False)
-        plan = FaultPlan.from_env()
-        assert plan.kinds == FAULT_KINDS
-        assert "netsplit" not in FAULT_KINDS
+        plan = FaultPlan(rate=0.1, seed=7, kinds=CLUSTER_FAULT_KINDS)
+        args = proofs.build_parser().parse_args(
+            ["drive-shard", "--store", "s", "--host", "h",
+             *proofs.plan_argv(plan, "--fault-seed")])
+        assert proofs.make_plan(args.fault_rate, args.fault_seed,
+                                args.fault_kinds) == plan
+        args = proofs.build_parser().parse_args(["drive-shard", "--store",
+                                                 "s", "--host", "h"])
+        assert proofs.make_plan(args.fault_rate, args.fault_seed,
+                                args.fault_kinds) is None
+
+    def test_default_schedule_excludes_cluster_kinds(self):
+        assert FaultPlan().kinds == FAULT_KINDS
+        assert not set(FaultPlan().kinds) & set(CLUSTER_FAULT_KINDS)
         assert set(FAULT_KINDS) < set(ALL_FAULT_KINDS)
 
 
@@ -473,9 +478,9 @@ class TestHostIdentity:
 class TestShardProofSmoke:
     def test_small_shard_proof(self, tmp_path):
         """The full multi-host proof, scaled down for the test suite."""
-        from repro.experiments.sweeprunner import selftest
+        from sweep_proofs import proofs
 
-        report = selftest.run_shard_proof(
+        report = proofs.run_shard_proof(
             points=2, cycles=4000, elements=1 << 10, every=200, hosts=2,
             staleness=0.6, fault_rate=0.0, verbose=False)
         assert report["ok"], report

@@ -36,7 +36,7 @@ from repro.experiments.fig14_scaling import (
 )
 from repro.experiments.fig15_svrg import run_svrg_convergence, run_svrg_scaling
 from repro.experiments.power_table import concurrent_below_host_max, run_power_analysis
-from repro.experiments.sweep import SweepOptions
+from repro.experiments.sweeprunner import SweepOptions
 from repro.nda.isa import NdaOpcode
 
 CYCLES = 2500
@@ -80,8 +80,8 @@ def _fresh_interpreter(code: str) -> subprocess.CompletedProcess:
 
 
 class TestImportChain:
-    """numpy loads where it is used: not with the figure modules, the sweep
-    driver or the sweep selftest (``pyproject.toml``: ``dependencies = []``).
+    """numpy loads where it is used: not with the figure modules or the
+    sweep service (``pyproject.toml``: ``dependencies = []``).
 
     ``repro.experiments`` exports lazily, so every module under it is
     imported by name."""

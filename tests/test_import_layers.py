@@ -122,7 +122,7 @@ def test_fig15_point_loads_only_the_svrg_model():
 _CHECKPOINTING_SWEEP = """
 import os, sys, tempfile
 os.environ["REPRO_CHECKPOINT_EVERY"] = "1000"
-from repro.experiments.sweep import SweepOptions, run_sweep
+from repro.experiments.sweeprunner import SweepOptions, run_sweep
 def point(i):
     return {{"i": i, "preloaded": "repro.snapshot.state" in sys.modules}}
 with tempfile.TemporaryDirectory() as directory:
@@ -147,7 +147,7 @@ def test_analytic_checkpointing_sweep_loads_no_snapshot():
     # Without a simulator loaded no point can snapshot one: an interval
     # set in the environment does not pull the layer into an analytic sweep
     # such as fig15.
-    probe = _probe("import repro.experiments.sweep",
+    probe = _probe("import repro.experiments.sweeprunner",
                    _CHECKPOINTING_SWEEP.format(processes=2))
     assert not _under(probe.after, "repro.core.system", "repro.snapshot")
 

@@ -16,11 +16,7 @@ KNOBS = {
     "REPRO_PLATFORM",
     "REPRO_DISABLE_BURST",
     "REPRO_SWEEP_CACHE",
-    "REPRO_SWEEP_STRICT",
     "REPRO_CHECKPOINT_EVERY",
-    "REPRO_SWEEP_FAULT_RATE",
-    "REPRO_SWEEP_FAULT_SEED",
-    "REPRO_SWEEP_FAULT_KINDS",
     "REPRO_SWEEP_PROGRESS",
     "REPRO_SWEEP_HOST",
 }
@@ -39,5 +35,5 @@ def test_source_names_exactly_the_knob_table():
 def test_architecture_table_matches():
     text = (ROOT / "ARCHITECTURE.md").read_text(encoding="utf-8")
     rows = re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", text, flags=re.MULTILINE)
-    assert len(rows) == len(set(rows)) == 10
+    assert len(rows) == len(set(rows)) == 6
     assert set(rows) == KNOBS

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from repro.experiments import sweep
-from repro.experiments.sweep import SweepCache, SweepTask, run_sweep
+from repro.experiments import sweeprunner
+from repro.experiments.sweeprunner import SweepCache, SweepTask, run_sweep
 
 
 def _double(value: int, offset: int = 0) -> dict:
@@ -28,9 +28,9 @@ class TestRunSweep:
     def test_non_dict_row_rejected(self):
         # Strict mode (the default) surfaces the bad row as a sweep failure
         # carrying the original TypeError diagnosis.
-        with pytest.raises(sweep.SweepPointsFailed) as excinfo:
+        with pytest.raises(sweeprunner.SweepPointsFailed) as excinfo:
             run_sweep(_bad_point, [{"value": 1}],
-                      options=sweep.SweepOptions(max_retries=0))
+                      options=sweeprunner.SweepOptions(max_retries=0))
         failure = excinfo.value.outcome.failures[0]
         assert failure.error_type == "TypeError"
         assert "must return a dict row" in failure.message
@@ -96,7 +96,7 @@ class TestSweepCache:
         edited = SweepTask("m", "f", {"value": 1},
                            code="different-fingerprint")
         assert base.cache_key() != edited.cache_key()
-        assert base.code == sweep.code_fingerprint()
+        assert base.code == sweeprunner.code_fingerprint()
 
     def test_stale_rows_not_replayed_across_environment(self, tmp_path,
                                                         monkeypatch):
@@ -120,13 +120,13 @@ class TestSweepCache:
         assert rows[0]["result"] == 6
 
     def test_env_var_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv(sweep.CACHE_ENV_VAR, raising=False)
-        assert sweep.default_cache_dir() is None
-        monkeypatch.setenv(sweep.CACHE_ENV_VAR, "")
-        assert sweep.default_cache_dir() is None
+        monkeypatch.delenv(sweeprunner.CACHE_ENV_VAR, raising=False)
+        assert sweeprunner.default_cache_dir() is None
+        monkeypatch.setenv(sweeprunner.CACHE_ENV_VAR, "")
+        assert sweeprunner.default_cache_dir() is None
 
     def test_env_var_enables_cache(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(sweep.CACHE_ENV_VAR, str(tmp_path))
+        monkeypatch.setenv(sweeprunner.CACHE_ENV_VAR, str(tmp_path))
         run_sweep(_double, [{"value": 5}])
         assert len(list(tmp_path.glob("*.json"))) == 1
 

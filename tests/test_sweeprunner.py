@@ -1,4 +1,4 @@
-"""Tests for the fault-tolerant sweep service behind the sweep facade.
+"""Tests for the fault-tolerant sweep service.
 
 The crash/hang points below MUST only run on the supervised path (two or
 more workers): on the serial in-process path an ``os._exit`` would kill
@@ -30,8 +30,8 @@ from repro.experiments.sweeprunner import (
     run_sweep,
     run_sweep_outcome,
 )
-from repro.experiments.sweeprunner import selftest
 from repro.experiments.sweeprunner.tasks import describe_key_derivation
+from sweep_proofs import proofs
 
 
 def _ok(value: int) -> dict:
@@ -67,6 +67,12 @@ def _corrupt_once(value: int, marker: str) -> dict:
 
 def _always_fails(value: int) -> dict:
     raise ValueError(f"point {value} is broken")
+
+
+def _fails_on_three(value: int) -> dict:
+    if value == 3:
+        raise ValueError("point 3 is broken")
+    return {"value": value}
 
 
 def _tally(value: int, tally: str) -> dict:
@@ -259,11 +265,10 @@ class TestGracefulDegradation:
         assert failure.error_type == "ValueError"
         assert failure.attempts == 2  # 1 + max_retries executions, no more
 
-    def test_strict_env_flips_default(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_SWEEP_STRICT", "0")
+    def test_non_strict_prints_degraded_report(self, capsys):
         rows = run_sweep(_always_fails, [{"value": 4}],
                          options=SweepOptions(processes=1, cache_dir="",
-                                              max_retries=0))
+                                              max_retries=0, strict=False))
         assert rows == []
         assert "sweep degraded" in capsys.readouterr().err
 
@@ -274,6 +279,41 @@ class TestGracefulDegradation:
                          options=SweepOptions(processes=1, cache_dir="",
                                               strict=False))
         assert rows == [{"value": 0}]
+
+
+class TestFaultPlansAreArguments:
+    """Faults and strict mode come from ``SweepOptions`` only: variables
+    left exported in a shell change nothing about an ordinary sweep."""
+
+    def test_exported_fault_and_strict_variables_are_ignored(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_SWEEP_FAULT_RATE", "1")
+        monkeypatch.setenv("REPRO_SWEEP_STRICT", "0")
+        params = [{"value": v} for v in range(6)]
+        with pytest.raises(SweepPointsFailed) as excinfo:
+            run_sweep(_fails_on_three, params,
+                      options=SweepOptions(processes=1, cache_dir=tmp_path,
+                                           max_retries=1, retry_backoff=0.0))
+        outcome = excinfo.value.outcome
+        assert [f.params for f in outcome.failures] == [{"value": 3}]
+        leases = lease_counts(outcome.ledger_path)
+        for point in params:
+            key = make_task(_fails_on_three, point).cache_key()
+            assert leases[key] == (2 if point["value"] == 3 else 1), point
+
+    def test_decide_schedule_is_pinned(self):
+        # The CI proofs' plans on fixed keys: decisions computed before the
+        # proofs left src/, so the same seed still injects the same faults
+        # at the same (key, attempt) pairs.
+        plan = FaultPlan(rate=0.05, seed=7)
+        assert [plan.decide(key, attempt) for key, attempt in (
+            ("point-0", 1), ("point-5", 1), ("point-5", 2), ("point-19", 1),
+            ("point-61", 1), ("point-64", 1), ("point-64", 3))] == [
+            None, None, "hang", "die", "corrupt", None, "crash"]
+        cluster = FaultPlan(rate=0.1, seed=7, kinds=("netsplit", "steal-race"))
+        assert [cluster.decide(key, 1)
+                for key in ("point-0", "point-12", "point-61")] == [
+            None, "steal-race", "netsplit"]
 
 
 class TestDedupe:
@@ -326,8 +366,18 @@ class TestDurability:
         # One fault table drives both executors: the same faulty sweep run
         # inline and on two workers fails the same (attempt, kind) pairs
         # per key and lands the same rows.
-        plan = FaultPlan(rate=0.3, seed=8, kinds=("crash", "corrupt", "die"))
         params = [{"value": v} for v in range(8)]
+        keys = [make_task(_ok, p).cache_key() for p in params]
+        # Keys carry the source fingerprint, so a fixed seed's schedule
+        # moves with every edit under src/: take the first seed whose
+        # schedule crashes and corrupts some first attempt and leaves every
+        # key a clean attempt within its budget of five.
+        plan = next(plan for plan in (
+            FaultPlan(rate=0.3, seed=seed, kinds=("crash", "corrupt", "die"))
+            for seed in range(1000))
+            if {"crash", "corrupt"} <= {plan.decide(key, 1) for key in keys}
+            and all(None in {plan.decide(key, attempt)
+                             for attempt in range(1, 6)} for key in keys))
         runs = {}
         for processes in (1, 2):
             outcome = run_sweep_outcome(
@@ -338,8 +388,7 @@ class TestDurability:
             journal = RunLedger(outcome.ledger_path)
             failed = {key: [(f["attempt"], f["kind"])
                             for f in journal.record(key).failures]
-                      for key in (make_task(_ok, p).cache_key()
-                                  for p in params)}
+                      for key in keys}
             journal.close()
             runs[processes] = (outcome.rows, failed)
         assert runs[1] == runs[2]
@@ -424,7 +473,7 @@ class TestRecoveryProof:
     hard driver kill, bit-identical resume, lease bound held."""
 
     def test_crash_fault_resume_proof(self, tmp_path):
-        report = selftest.run_proof(
+        report = proofs.run_proof(
             points=200, fault_rate=0.05, seed=7, kill_after=15, workers=4,
             max_retries=3, task_timeout=1.5, spin=500, sleep=0.004,
             store_dir=tmp_path, verbose=False)
