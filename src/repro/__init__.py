@@ -9,8 +9,8 @@ The public API is intentionally small; most users interact with:
 
 * :class:`repro.config.SystemConfig` — system/DRAM/NDA configuration (Table II).
 * :class:`repro.core.system.ChopimSystem` — the full-system simulator.
-* :mod:`repro.runtime.api` — the NDA vector/matrix runtime API used by
-  example applications.
+* :mod:`repro.runtime` — the Table I NDA operations over numpy arrays
+  (the Figure 8 runtime API), used by the example applications.
 * :mod:`repro.experiments` — one module per paper figure/table.
 * :mod:`repro.platform` — named memory-platform presets (DDR4/DDR5/LPDDR4/
   HBM2-class) whose clocks and cycle counts are derived from raw

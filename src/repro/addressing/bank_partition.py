@@ -65,11 +65,6 @@ class BankPartitionMapping(AddressMapping):
     # Region predicates
     # ------------------------------------------------------------------ #
 
-    def is_shared_address(self, phys: int) -> bool:
-        """Whether ``phys`` falls in the shared (NDA-accessible) region."""
-        self.check_range(phys)
-        return phys >= self.host_capacity_bytes
-
     def is_reserved_bank(self, bank_group: int, bank: int) -> bool:
         flat = bank_group * self.org.banks_per_group + bank
         return flat in self.reserved_banks

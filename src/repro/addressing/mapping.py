@@ -122,7 +122,6 @@ class AddressMapping:
         # Memoization: mappings are immutable after construction, so frame
         # colors (derived purely from to_dram) can be cached per frame base.
         self._frame_color_cache: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        self._num_colors_cache: Dict[int, int] = {}
 
     def stamp_indices(self, channel: int, rank: int, bank_group: int, bank: int,
                       row: int, column: int) -> DramAddress:
@@ -171,18 +170,6 @@ class AddressMapping:
         color = (base.channel, base.rank)
         self._frame_color_cache[(masked, page_bits)] = color
         return color
-
-    def num_colors(self, page_bits: int = 21) -> int:
-        """Number of distinct frame colors for the given page size (memoized)."""
-        cached = self._num_colors_cache.get(page_bits)
-        if cached is not None:
-            return cached
-        seen = set()
-        frame = 1 << page_bits
-        for pfn in range(min(self.capacity_bytes // frame, 4096)):
-            seen.add(self.frame_color(pfn, page_bits, is_pfn=True))
-        self._num_colors_cache[page_bits] = len(seen)
-        return len(seen)
 
     def round_trip_ok(self, phys: int) -> bool:
         """Whether the mapping inverts at cache-line granularity.

@@ -3,7 +3,8 @@
 Every simulator component is configured from one of the dataclasses in this
 module.  The defaults reproduce the evaluation configuration of the paper:
 
-* 4-core out-of-order x86 host at 4 GHz (8 cores for mix0),
+* out-of-order x86 host at 4 GHz, one core per benchmark of the mix (4;
+  8 for mix0),
 * DDR4-2400 (1.2 GHz command clock), 8 Gb x8 devices, 2 channels x 2 ranks,
 * FR-FCFS host memory controller with 32-entry read/write queues, open-page
   policy and the Intel Skylake address mapping,
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -216,9 +216,12 @@ class DramOrgConfig:
 
 @dataclass(frozen=True)
 class HostConfig:
-    """Host processor configuration (Table II)."""
+    """Host processor configuration (Table II).
 
-    cores: int = 4
+    The core count is not a field: the host runs one core per benchmark of
+    its mix (:mod:`repro.host.mixes`).
+    """
+
     cpu_clock_ghz: float = 4.0
     fetch_width: int = 8
     rob_entries: int = 224
@@ -297,8 +300,10 @@ class SystemConfig:
     # bank partitioning is enabled.  The paper reserves one bank per rank.
     shared_banks_per_rank: int = 1
     seed: int = 12345
-    #: Name of the platform preset this configuration was derived from
-    #: (bookkeeping only; "ddr4-2400" is the paper's Table II baseline).
+    #: Name of the platform preset this configuration was derived from.
+    #: The model never reads it: it is the preset's identity, which
+    #: ``tests/test_platform.py`` uses to check platform resolution
+    #: ("ddr4-2400" is the paper's Table II baseline).
     platform: str = "ddr4-2400"
 
     def __post_init__(self) -> None:
@@ -326,11 +331,6 @@ class SystemConfig:
         )
         return dataclasses.replace(self, org=new_org)
 
-    def with_cores(self, cores: int) -> "SystemConfig":
-        return dataclasses.replace(
-            self, host=dataclasses.replace(self.host, cores=cores)
-        )
-
 
 def default_config() -> SystemConfig:
     """The paper's baseline system configuration (Table II)."""
@@ -339,14 +339,11 @@ def default_config() -> SystemConfig:
     return cfg
 
 
-def scaled_config(channels: int = 2, ranks_per_channel: int = 2,
-                  cores: Optional[int] = None) -> SystemConfig:
-    """A baseline configuration scaled to a different rank count / core count.
+def scaled_config(channels: int = 2, ranks_per_channel: int = 2) -> SystemConfig:
+    """A baseline configuration scaled to a different rank count.
 
     Used by the scalability experiments (Figures 10, 14, 15b).
     """
     cfg = default_config().with_ranks(channels, ranks_per_channel)
-    if cores is not None:
-        cfg = cfg.with_cores(cores)
     cfg.validate()
     return cfg

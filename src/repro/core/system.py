@@ -58,28 +58,13 @@ from repro.utils.state import reset_counters
 
 
 @dataclasses.dataclass
-class _NdaWorkloadSpec:
-    """A continuously re-launched NDA kernel (the paper's methodology)."""
-
-    STATE = ("opcode", "elements_per_rank", "cache_blocks", "async_launch",
-             "matrix_columns", "continuous", "launches")
-
-    opcode: NdaOpcode
-    elements_per_rank: int
-    cache_blocks: Optional[int]
-    async_launch: bool
-    matrix_columns: int = 0
-    continuous: bool = True
-    launches: int = 0
-
-
-@dataclasses.dataclass
 class NdaKernelSpec:
-    """One step of a composite NDA workload (application kernels).
+    """One step of an NDA workload.
 
-    Application workloads such as SVRG's average gradient, conjugate gradient
-    or streamcluster are sequences of Table I operations; the system cycles
-    through the sequence, re-launching it for as long as the simulation runs.
+    A microbenchmark workload is one kernel; application workloads such as
+    SVRG's average gradient, conjugate gradient or streamcluster are
+    sequences of Table I operations.  The system cycles through the
+    sequence, re-launching it for as long as the simulation runs.
     """
 
     STATE = ("opcode", "elements_per_rank", "matrix_columns", "cache_blocks",
@@ -99,8 +84,7 @@ class ChopimSystem:
              "dram", "channel_controllers", "scheduler", "cores",
              "_core_backlog", "_host_component", "rank_controllers",
              "nda_host", "throttle_policy", "stats", "_stats_component",
-             "_nda_workload", "_nda_sequence", "_nda_sequence_index",
-             "_nda_sequence_continuous")
+             "_nda_sequence", "_nda_sequence_index")
     #: The build spec (the checkpoint's ``build`` record) and what the
     #: constructor derives from it; the engine's calendar is rebuilt by
     #: ``invalidate_wakes``.
@@ -157,10 +141,8 @@ class ChopimSystem:
         self.stats = SimulationStats(self.config, list(self.rank_controllers.keys()))
         self.energy_model = EnergyModel(org, self.config.energy,
                                         timing=self.config.timing)
-        self._nda_workload: Optional[_NdaWorkloadSpec] = None
         self._nda_sequence: Optional[List[NdaKernelSpec]] = None
         self._nda_sequence_index = 0
-        self._nda_sequence_continuous = True
         self.now = 0
         self._measure_start = 0
         self._run_end: Optional[int] = None
@@ -381,33 +363,21 @@ class ChopimSystem:
     def set_nda_workload(self, opcode: NdaOpcode, elements_per_rank: int,
                          cache_blocks: Optional[int] = None,
                          async_launch: bool = False,
-                         matrix_columns: int = 0,
-                         continuous: bool = True) -> None:
+                         matrix_columns: int = 0) -> None:
         """Configure an NDA kernel that is (re-)launched whenever the NDAs idle.
 
         This matches the paper's methodology: "If an NDA workload completes
         while the simulation is still running, it is relaunched so that
-        concurrent access occurs throughout the simulation time."
+        concurrent access occurs throughout the simulation time."  It is the
+        one-kernel case of :meth:`set_nda_workload_sequence`.
         """
-        if not self.mode.has_nda_traffic:
-            raise RuntimeError(f"mode {self.mode} does not run NDA traffic")
-        self._nda_workload = _NdaWorkloadSpec(
-            opcode=opcode,
-            elements_per_rank=elements_per_rank,
-            cache_blocks=cache_blocks,
-            async_launch=async_launch,
-            matrix_columns=matrix_columns,
-            continuous=continuous,
-        )
-        self._nda_sequence = None
-        self._nda_sequence_index = 0
-        # A new workload can make the NDA host (and transitively the ranks)
-        # eligible immediately; cached wakes must be recomputed.
-        self.engine.invalidate_wakes()
+        self.set_nda_workload_sequence([NdaKernelSpec(
+            opcode, elements_per_rank, matrix_columns=matrix_columns,
+            cache_blocks=cache_blocks, async_launch=async_launch)])
 
-    def set_nda_workload_sequence(self, kernels: Sequence["NdaKernelSpec"],
-                                  continuous: bool = True) -> None:
-        """Configure a composite NDA workload (a repeating kernel sequence).
+    def set_nda_workload_sequence(self, kernels: Sequence["NdaKernelSpec"]) -> None:
+        """Configure an NDA workload: a kernel sequence launched in order,
+        one kernel whenever the NDAs idle, repeating for the whole run.
 
         Used for the application workloads of Figure 14 (SVRG average
         gradient, CG, streamcluster), which mix read- and write-intensive
@@ -417,34 +387,16 @@ class ChopimSystem:
             raise RuntimeError(f"mode {self.mode} does not run NDA traffic")
         if not kernels:
             raise ValueError("kernel sequence must not be empty")
-        self._nda_workload = None
         self._nda_sequence = list(kernels)
-        self._nda_sequence_continuous = continuous
         self._nda_sequence_index = 0
+        # A new workload can make the NDA host (and transitively the ranks)
+        # eligible immediately; cached wakes must be recomputed.
         self.engine.invalidate_wakes()
 
     def _maybe_relaunch_workload(self) -> None:
-        if self.nda_host is None or not self.nda_host.idle:
-            return
-        spec = self._nda_workload
-        if spec is not None:
-            if spec.launches > 0 and not spec.continuous:
-                return
-            total_elements = spec.elements_per_rank * max(1, len(self.rank_controllers))
-            self.nda_host.submit_kernel(
-                spec.opcode, total_elements,
-                cache_blocks=spec.cache_blocks,
-                async_launch=spec.async_launch,
-                matrix_columns=spec.matrix_columns,
-            )
-            spec.launches += 1
+        if not self._relaunch_pending():
             return
         sequence = self._nda_sequence
-        if not sequence:
-            return
-        if (self._nda_sequence_index >= len(sequence)
-                and not self._nda_sequence_continuous):
-            return
         kernel = sequence[self._nda_sequence_index % len(sequence)]
         self._nda_sequence_index += 1
         total_elements = kernel.elements_per_rank * max(1, len(self.rank_controllers))
@@ -484,16 +436,8 @@ class ChopimSystem:
 
     def _relaunch_pending(self) -> bool:
         """Whether :meth:`_maybe_relaunch_workload` would launch right now."""
-        if self.nda_host is None or not self.nda_host.idle:
-            return False
-        spec = self._nda_workload
-        if spec is not None:
-            return spec.continuous or spec.launches == 0
-        sequence = self._nda_sequence
-        if not sequence:
-            return False
-        return (self._nda_sequence_continuous
-                or self._nda_sequence_index < len(sequence))
+        return (bool(self._nda_sequence) and self.nda_host is not None
+                and self.nda_host.idle)
 
     def step(self) -> None:
         """Advance the whole system by one DRAM cycle."""
@@ -571,7 +515,6 @@ class ChopimSystem:
         return {
             "_core_backlog": [[refs.request(r) for r in backlog]
                               for backlog in self._core_backlog],
-            "_nda_workload": refs.capture(self._nda_workload),
             "_nda_sequence": (None if sequence is None
                               else [refs.capture(k) for k in sequence]),
         }
@@ -580,10 +523,6 @@ class ChopimSystem:
         for backlog, ids in zip(self._core_backlog,
                                 saved.pop("_core_backlog")):
             backlog.extend(refs.requests[request_id] for request_id in ids)
-        spec = saved.pop("_nda_workload")
-        if spec is not None:
-            self._nda_workload = refs.rebuild(
-                _NdaWorkloadSpec, spec, opcode=NdaOpcode(spec["opcode"]))
         sequence = saved.pop("_nda_sequence")
         if sequence is not None:
             self._nda_sequence = [

@@ -19,8 +19,7 @@ from repro.platform import DEFAULT_PLATFORM, platform_config, platform_names
 
 def resolve_config(platform: Optional[str] = None,
                    channels: Optional[int] = None,
-                   ranks_per_channel: Optional[int] = None,
-                   cores: Optional[int] = None) -> SystemConfig:
+                   ranks_per_channel: Optional[int] = None) -> SystemConfig:
     """The :class:`SystemConfig` for one experiment point.
 
     Platform resolution order: the explicit ``platform`` argument, then the
@@ -36,9 +35,9 @@ def resolve_config(platform: Optional[str] = None,
     if name == DEFAULT_PLATFORM:
         return scaled_config(2 if channels is None else channels,
                              2 if ranks_per_channel is None
-                             else ranks_per_channel, cores=cores)
+                             else ranks_per_channel)
     return platform_config(name, channels=channels,
-                           ranks_per_channel=ranks_per_channel, cores=cores)
+                           ranks_per_channel=ranks_per_channel)
 
 
 def resolve_platform(platform: Optional[str] = None) -> str:

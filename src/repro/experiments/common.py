@@ -64,7 +64,6 @@ def build_system(mode: AccessMode, mix: Optional[str],
                  throttle: str = "next_rank",
                  stochastic_probability: float = DEFAULT_STOCHASTIC_PROBABILITY,
                  config: Optional[SystemConfig] = None,
-                 cores: Optional[int] = None,
                  engine: str = "event",
                  platform: Optional[str] = None) -> ChopimSystem:
     """Construct a system for one experiment point.
@@ -77,8 +76,7 @@ def build_system(mode: AccessMode, mix: Optional[str],
     ``ranks_per_channel`` default to the platform's native organization
     (the paper's 2x2 on the baseline).
     """
-    cfg = config or resolve_config(platform, channels, ranks_per_channel,
-                                   cores=cores)
+    cfg = config or resolve_config(platform, channels, ranks_per_channel)
     return ChopimSystem(config=cfg, mode=mode, mix=mix, throttle=throttle,
                         stochastic_probability=stochastic_probability,
                         engine=engine)

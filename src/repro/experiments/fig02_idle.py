@@ -26,8 +26,7 @@ from repro.utils.histogram import IDLE_BUCKET_LABELS
 
 def _point(mix: str, cycles: int, warmup: int) -> Dict[str, object]:
     """One sweep point: a host-only run of one mix, reduced to its figure row."""
-    cores = 8 if mix == "mix0" else None
-    system = build_system(AccessMode.HOST_ONLY, mix, cores=cores)
+    system = build_system(AccessMode.HOST_ONLY, mix)
     result = system.run(cycles=cycles, warmup=warmup)
     # Average the per-rank breakdowns (the paper plots one bar per mix).
     buckets = {"Busy": 0.0, **{label: 0.0 for label in IDLE_BUCKET_LABELS}}

@@ -36,8 +36,7 @@ OPERATIONS = (NdaOpcode.DOT, NdaOpcode.COPY)
 def _point(mix: str, configuration: str, mode: str, operation: str,
            throttle: str, cycles: int, warmup: int,
            elements_per_rank: int) -> Dict[str, object]:
-    cores = 8 if mix == "mix0" else None
-    system = build_system(AccessMode(mode), mix, throttle=throttle, cores=cores)
+    system = build_system(AccessMode(mode), mix, throttle=throttle)
     system.set_nda_workload(NdaOpcode(operation),
                             elements_per_rank=elements_per_rank)
     result = system.run(cycles=cycles, warmup=warmup)

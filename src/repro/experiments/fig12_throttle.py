@@ -39,12 +39,10 @@ POLICIES: Tuple[Tuple[str, str, float], ...] = (
 def _point(mix: str, label: str, policy: str, probability: float,
            operation: str, cycles: int, warmup: int,
            elements_per_rank: int) -> Dict[str, object]:
-    cores = 8 if mix == "mix0" else None
     system = build_system(AccessMode.BANK_PARTITIONED, mix,
                           throttle=policy,
                           stochastic_probability=(probability
-                                                  or DEFAULT_STOCHASTIC_PROBABILITY),
-                          cores=cores)
+                                                  or DEFAULT_STOCHASTIC_PROBABILITY))
     system.set_nda_workload(NdaOpcode(operation),
                             elements_per_rank=elements_per_rank)
     result = system.run(cycles=cycles, warmup=warmup)

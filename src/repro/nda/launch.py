@@ -95,8 +95,11 @@ class _OperandPlacer:
     """Assigns banks and base rows for synthetic NDA operand placement.
 
     Operands of one operation rotate over the allowed banks of the rank and
-    occupy consecutive rows starting at a per-bank cursor, mirroring the
-    sequential shared-region allocation performed by the runtime.
+    occupy consecutive rows starting at a per-bank cursor.  Placement is in
+    DRAM coordinates, one rank per instruction: the rank-aligned layout that
+    the paper's OS frame coloring provides (Section III-A, pinned on the
+    address mappings by ``TestColoringProperty``).  No physical address is
+    allocated or translated.
     """
 
     STATE = ("_row_cursor", "_next_bank")

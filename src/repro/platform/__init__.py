@@ -51,14 +51,13 @@ __all__ = [
 
 def platform_config(name: str = DEFAULT_PLATFORM,
                     channels: Optional[int] = None,
-                    ranks_per_channel: Optional[int] = None,
-                    cores: Optional[int] = None) -> SystemConfig:
+                    ranks_per_channel: Optional[int] = None) -> SystemConfig:
     """A validated :class:`SystemConfig` for the named preset.
 
     The platform-parameterized counterpart of
     :func:`repro.config.scaled_config`: ``channels`` / ``ranks_per_channel``
-    / ``cores`` rescale the preset's organization, everything else is
-    derived from the preset's raw parameters.
+    rescale the preset's organization, everything else is derived from the
+    preset's raw parameters.
     """
     return get_platform(name).system_config(
-        channels=channels, ranks_per_channel=ranks_per_channel, cores=cores)
+        channels=channels, ranks_per_channel=ranks_per_channel)

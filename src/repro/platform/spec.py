@@ -171,12 +171,9 @@ class PlatformSpec:
             dram_clock_ghz=self.dram_clock_ghz,
         )
 
-    def host_config(self, cores: Optional[int] = None) -> HostConfig:
-        kwargs = {"cpu_clock_ghz": self.cpu_clock_ghz,
-                  "dram_clock_ghz": self.dram_clock_ghz}
-        if cores is not None:
-            kwargs["cores"] = cores
-        return HostConfig(**kwargs)
+    def host_config(self) -> HostConfig:
+        return HostConfig(cpu_clock_ghz=self.cpu_clock_ghz,
+                          dram_clock_ghz=self.dram_clock_ghz)
 
     def energy_config(self) -> EnergyConfig:
         return EnergyConfig(
@@ -187,18 +184,17 @@ class PlatformSpec:
         )
 
     def system_config(self, channels: Optional[int] = None,
-                      ranks_per_channel: Optional[int] = None,
-                      cores: Optional[int] = None) -> SystemConfig:
+                      ranks_per_channel: Optional[int] = None) -> SystemConfig:
         """A validated :class:`SystemConfig` for this platform.
 
-        ``channels``/``ranks_per_channel``/``cores`` rescale the system the
+        ``channels``/``ranks_per_channel`` rescale the system the
         way :func:`repro.config.scaled_config` does for the baseline, so
         every scaling experiment has a platform axis for free.
         """
         cfg = SystemConfig(
             timing=self.timing_config(),
             org=self.org_config(channels, ranks_per_channel),
-            host=self.host_config(cores),
+            host=self.host_config(),
             energy=self.energy_config(),
             platform=self.name,
         )

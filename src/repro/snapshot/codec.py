@@ -28,7 +28,9 @@ from pathlib import Path
 from typing import Any, Union
 
 MAGIC = "repro-snapshot"
-SCHEMA_VERSION = 10  # v10: HostConfig lost its unread queue-depth fields
+#: v11: a one-kernel NDA workload is saved as a kernel sequence (the separate
+#: single-kernel record is gone), and HostConfig lost its unread ``cores``.
+SCHEMA_VERSION = 11
 
 _TAG = "__t"
 

@@ -115,7 +115,12 @@ def run_examples() -> None:
         for name in EXAMPLES:
             path = ROOT / "examples" / name
             sys.argv = [str(path)]
-            runpy.run_path(str(path), run_name="__main__")
+            try:
+                runpy.run_path(str(path), run_name="__main__")
+            except SystemExit as exit_:
+                # An example that checks its result exits through sys.exit.
+                if exit_.code:
+                    raise SystemExit(f"example {name} exited {exit_.code}")
     finally:
         sys.argv = argv
 

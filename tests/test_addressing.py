@@ -15,6 +15,12 @@ ORG = DramOrgConfig()
 SMALL = DramOrgConfig(rows_per_bank=256)
 
 
+def _frame_colors(mapping, page_bits=21, max_frames=4096):
+    """The distinct frame colors over the first ``max_frames`` frames."""
+    frames = min(mapping.capacity_bytes >> page_bits, max_frames)
+    return {mapping.frame_color(pfn, page_bits, is_pfn=True) for pfn in range(frames)}
+
+
 class TestSkylakeMapping:
     def test_covers_all_fields_within_bounds(self):
         m = skylake_mapping(SMALL)
@@ -88,7 +94,7 @@ class TestSkylakeMapping:
 
     def test_num_colors_bounded_by_channel_rank_product(self):
         m = skylake_mapping(ORG)
-        assert 1 <= m.num_colors() <= ORG.channels * ORG.ranks_per_channel
+        assert 1 <= len(_frame_colors(m)) <= ORG.channels * ORG.ranks_per_channel
 
     def test_partition_friendly_avoids_top_row_bits(self):
         m = partition_friendly_mapping(ORG)
@@ -324,6 +330,6 @@ class TestMaskDecodeEquivalence:
 
     def test_num_colors_memoized_and_stable(self):
         m = skylake_mapping(ORG)
-        first = m.num_colors()
-        assert m.num_colors() == first
-        assert m._num_colors_cache[21] == first
+        first = _frame_colors(m)
+        assert _frame_colors(m) == first
+        assert m._frame_color_cache[(1 << 21, 21)] == m.frame_color(1, is_pfn=True)

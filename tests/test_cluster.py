@@ -6,7 +6,6 @@ the deployment model — the coordination medium is the filesystem, not the
 process.
 """
 
-import json
 import os
 import threading
 import time

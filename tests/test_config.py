@@ -99,7 +99,6 @@ class TestDramOrgConfig:
 class TestHostAndNdaConfig:
     def test_host_defaults_match_table_ii(self):
         host = HostConfig()
-        assert host.cores == 4
         assert host.cpu_clock_ghz == 4.0
         assert host.rob_entries == 224
         assert host.fetch_width == 8
@@ -147,14 +146,15 @@ class TestSystemConfig:
         assert scaled.org.ranks_per_channel == 8
         assert cfg.org.ranks_per_channel == 2  # original untouched
 
-    def test_with_cores(self):
-        cfg = default_config().with_cores(8)
-        assert cfg.host.cores == 8
-
     def test_scaled_config(self):
-        cfg = scaled_config(2, 4, cores=8)
+        cfg = scaled_config(2, 4)
         assert cfg.org.ranks_per_channel == 4
-        assert cfg.host.cores == 8
+
+    def test_core_count_is_not_a_config_field(self):
+        # The host model takes its core count from the benchmark mix.
+        assert "cores" not in {f.name for f in dataclasses.fields(HostConfig)}
+        with pytest.raises(TypeError):
+            scaled_config(2, 4, cores=8)
 
     def test_invalid_shared_banks_rejected(self):
         cfg = default_config()

@@ -246,6 +246,28 @@ class TestChopimSystem:
         assert system.dram.counts.nda_writes > 0   # COPY ran
         assert system.dram.counts.nda_reads > 0
 
+    @pytest.mark.parametrize("kernel", [
+        NdaKernelSpec(NdaOpcode.SCAL, 256),
+        NdaKernelSpec(NdaOpcode.DOT, 512, cache_blocks=2),
+        NdaKernelSpec(NdaOpcode.AXPY, 256, async_launch=True),
+        NdaKernelSpec(NdaOpcode.GEMV, 64, matrix_columns=32),
+    ], ids=lambda k: k.opcode.name)
+    def test_single_workload_is_the_one_kernel_sequence(self, kernel):
+        single = ChopimSystem(mode=AccessMode.NDA_ONLY)
+        single.set_nda_workload(kernel.opcode, kernel.elements_per_rank,
+                                cache_blocks=kernel.cache_blocks,
+                                async_launch=kernel.async_launch,
+                                matrix_columns=kernel.matrix_columns)
+        sequence = ChopimSystem(mode=AccessMode.NDA_ONLY)
+        sequence.set_nda_workload_sequence([kernel])
+        a = single.run(cycles=RUN_CYCLES)
+        b = sequence.run(cycles=RUN_CYCLES)
+        assert single.nda_host.operations_completed > 1
+        assert (single.nda_host.operations_completed
+                == sequence.nda_host.operations_completed)
+        assert single.dram.counts == sequence.dram.counts
+        assert a == b
+
     def test_mode_without_nda_rejects_workload(self):
         system = ChopimSystem(mode=AccessMode.HOST_ONLY, mix="mix8")
         with pytest.raises(RuntimeError):

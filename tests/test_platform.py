@@ -130,12 +130,10 @@ class TestDerivation:
     @pytest.mark.parametrize("name", platform_names())
     def test_scaling_overrides_only_touch_shape(self, name):
         base = platform_config(name)
-        scaled = platform_config(name, channels=1, ranks_per_channel=4,
-                                 cores=8)
+        scaled = platform_config(name, channels=1, ranks_per_channel=4)
         assert scaled.timing == base.timing
         assert scaled.org.channels == 1
         assert scaled.org.ranks_per_channel == 4
-        assert scaled.host.cores == 8
         assert scaled.org.dram_clock_ghz == base.org.dram_clock_ghz
 
     def test_burst_length_drives_tbl_and_cadence(self):
