@@ -178,9 +178,10 @@ class DramOrgConfig:
     def system_row_bytes(self) -> int:
         """A "system row": one DRAM row from every bank in the system.
 
-        This is the coarse-allocation granularity used by the Chopim runtime
-        (Section III-A); 2 MiB for the paper's 1 TiB reference system, and
-        computed from the geometry here.
+        Section III-A's coarse-allocation granularity (2 MiB for the paper's
+        1 TiB reference system, computed from the geometry here).  The
+        simulator aligns each host core's traffic region to it
+        (``ChopimSystem._build_cores``); nothing allocates at run time.
         """
         return self.row_bytes * self.banks_per_rank * self.total_ranks
 
@@ -317,7 +318,7 @@ class SystemConfig:
     def validate(self) -> None:
         self.timing.validate()
         self.org.validate()
-        if not 0 < self.shared_banks_per_rank <= self.org.banks_per_rank:
+        if not 0 < self.shared_banks_per_rank < self.org.banks_per_rank:
             raise ValueError("shared_banks_per_rank out of range")
         if self.host.dram_clock_ghz != self.org.dram_clock_ghz:
             raise ValueError(

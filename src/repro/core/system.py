@@ -112,9 +112,7 @@ class ChopimSystem:
         org = self.config.org
         self.dram = DramSystem(org, self.config.timing)
         self.mapping = self._build_mapping()
-        self._host_capacity = (self.mapping.host_capacity_bytes
-                               if isinstance(self.mapping, BankPartitionMapping)
-                               else self.mapping.capacity_bytes)
+        self._host_capacity = self.mapping.host_capacity_bytes
         self.channel_controllers: Dict[int, ChannelController] = {
             ch: ChannelController(ch, self.dram, self.config.scheduler)
             for ch in range(org.channels)
@@ -327,9 +325,8 @@ class ChopimSystem:
                 for rk in range(org.ranks_per_channel)]
 
     def _nda_allowed_banks(self) -> List[int]:
-        if isinstance(self.mapping, BankPartitionMapping):
-            return list(self.mapping.reserved_banks)
-        return list(range(self.config.org.banks_per_rank))
+        return list(self.mapping.reserved_banks
+                    or range(self.config.org.banks_per_rank))
 
     def _build_nda(self, throttle: str, probability: float,
                    launch_packets_use_channel: bool) -> None:

@@ -13,7 +13,7 @@ import os
 import sys
 from typing import Callable, Dict, Optional, Sequence
 
-from repro.config import SystemConfig, scaled_config
+from repro.config import SystemConfig
 from repro.platform import DEFAULT_PLATFORM, platform_config, platform_names
 
 
@@ -22,26 +22,20 @@ def resolve_config(platform: Optional[str] = None,
                    ranks_per_channel: Optional[int] = None) -> SystemConfig:
     """The :class:`SystemConfig` for one experiment point.
 
-    Platform resolution order: the explicit ``platform`` argument, then the
-    ``REPRO_PLATFORM`` environment variable (an empty value counts as
-    unset), then the paper's DDR4-2400 baseline (which goes through the
-    legacy :func:`scaled_config` path and is bit-exact with it — pinned by
-    ``tests/test_platform.py``).  ``channels``/``ranks_per_channel`` left
-    at ``None`` keep the preset's *native* geometry (HBM2's 8x1, the
-    paper's 2x2, ...); pass values only to deliberately rescale a sweep
-    point.
+    The platform is resolved by :func:`resolve_platform` and built by
+    :func:`repro.platform.platform_config`, the one path for every preset
+    (the DDR4-2400 baseline gives the same config as
+    :func:`repro.config.scaled_config`, pinned by ``tests/test_platform.py``).
+    ``channels``/``ranks_per_channel`` left at ``None`` keep the preset's
+    *native* geometry (HBM2's 8x1, the paper's 2x2, ...); pass values only
+    to deliberately rescale a sweep point.
     """
-    name = resolve_platform(platform)
-    if name == DEFAULT_PLATFORM:
-        return scaled_config(2 if channels is None else channels,
-                             2 if ranks_per_channel is None
-                             else ranks_per_channel)
-    return platform_config(name, channels=channels,
-                           ranks_per_channel=ranks_per_channel)
+    return platform_config(resolve_platform(platform), channels,
+                           ranks_per_channel)
 
 
 def resolve_platform(platform: Optional[str] = None) -> str:
-    """The validated platform preset name for one experiment point.
+    """The validated preset name that :func:`resolve_config` builds.
 
     Resolution order: the explicit ``platform`` argument, then the
     ``REPRO_PLATFORM`` environment variable (an empty value counts as

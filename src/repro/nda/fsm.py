@@ -16,13 +16,8 @@ paper relies on, checked by our tests every cycle in debug mode).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Tuple
-
-#: Events retained for post-mortem debugging; bounded so multi-billion-cycle
-#: runs do not grow memory without limit.
-_EVENT_LOG_LIMIT = 64
+from typing import Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -117,7 +112,7 @@ class FsmDivergenceError(Exception):
 class ReplicatedFsm:
     """Two synchronized copies of one rank's NDA controller FSM."""
 
-    STATE = ("_device", "_host", "events_applied", "_log")
+    STATE = ("_device", "_host", "events_applied")
     DERIVED = ("channel", "rank", "check_every_event")
 
     def __init__(self, channel: int, rank: int, check_every_event: bool = True) -> None:
@@ -127,7 +122,6 @@ class ReplicatedFsm:
         self._device = _FsmCopy()
         self._host = _FsmCopy()
         self.events_applied = 0
-        self._log: Deque[str] = deque(maxlen=_EVENT_LOG_LIMIT)
 
     # ------------------------------------------------------------------ #
 
@@ -137,7 +131,6 @@ class ReplicatedFsm:
         _apply_to(self._device, event, instruction_id, reads, writes)
         _apply_to(self._host, event, instruction_id, reads, writes)
         self.events_applied += 1
-        self._log.append(event)
         if self.check_every_event:
             self.verify()
 
@@ -149,9 +142,7 @@ class ReplicatedFsm:
         transition functions are monotone counter updates, so ``count``
         single applications and one closed-form application reach the same
         state on both copies.  The burst-issue fast path uses this to settle
-        a whole command burst without one transition call per command; the
-        bounded event log keeps its per-event tail (only the last
-        ``_EVENT_LOG_LIMIT`` entries are retained either way).
+        a whole command burst without one transition call per command.
         """
         if count <= 0:
             return
@@ -171,7 +162,6 @@ class ReplicatedFsm:
             else:
                 raise ValueError(f"event {event!r} is not bulk-applicable")
         self.events_applied += count
-        self._log.extend((event,) * min(count, _EVENT_LOG_LIMIT))
         if self.check_every_event:
             self.verify()
 
@@ -206,10 +196,6 @@ class ReplicatedFsm:
     def state(self) -> NdaFsmState:
         """The (verified) shared state."""
         return self._device.snapshot()
-
-    def recent_events(self, count: int = 16) -> List[str]:
-        events = list(self._log)
-        return events[-count:]
 
     @staticmethod
     def storage_overhead_bytes() -> Tuple[int, int]:

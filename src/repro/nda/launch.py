@@ -94,11 +94,14 @@ class NdaOperation:
 class _OperandPlacer:
     """Assigns banks and base rows for synthetic NDA operand placement.
 
-    Operands of one operation rotate over the allowed banks of the rank and
+    Operands of one operation rotate over the allowed banks of the rank (the
+    reserved banks under bank partitioning, every bank otherwise) and
     occupy consecutive rows starting at a per-bank cursor.  Placement is in
-    DRAM coordinates, one rank per instruction: the rank-aligned layout that
-    the paper's OS frame coloring provides (Section III-A, pinned on the
-    address mappings by ``TestColoringProperty``).  No physical address is
+    DRAM coordinates, one rank per instruction, so equal indices of all
+    operands land in one rank: Figure 3's alignment, which the paper gets
+    from OS frame coloring of system-row-aligned operands (Section III-A;
+    ``TestColoringProperty`` checks that property of the host mapping).
+    This is the only place operands are laid out: no physical address is
     allocated or translated.
     """
 

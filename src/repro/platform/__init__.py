@@ -54,10 +54,11 @@ def platform_config(name: str = DEFAULT_PLATFORM,
                     ranks_per_channel: Optional[int] = None) -> SystemConfig:
     """A validated :class:`SystemConfig` for the named preset.
 
-    The platform-parameterized counterpart of
-    :func:`repro.config.scaled_config`: ``channels`` / ``ranks_per_channel``
-    rescale the preset's organization, everything else is derived from the
-    preset's raw parameters.
+    ``channels`` / ``ranks_per_channel`` rescale the preset's organization
+    (``None`` keeps its native geometry); everything else is derived from
+    the preset's raw parameters.  Every experiment point is built here, the
+    DDR4-2400 baseline included: for it this equals
+    :func:`repro.config.scaled_config` at the same geometry.
     """
     return get_platform(name).system_config(
         channels=channels, ranks_per_channel=ranks_per_channel)

@@ -28,9 +28,9 @@ from pathlib import Path
 from typing import Any, Union
 
 MAGIC = "repro-snapshot"
-#: v11: a one-kernel NDA workload is saved as a kernel sequence (the separate
-#: single-kernel record is gone), and HostConfig lost its unread ``cores``.
-SCHEMA_VERSION = 11
+#: v12: ReplicatedFsm no longer keeps (or checkpoints) a log of its recent
+#: events; nothing in the model read it.
+SCHEMA_VERSION = 12
 
 _TAG = "__t"
 

@@ -773,7 +773,6 @@ class TestBulkPrimitives:
         bulk.apply_bulk("write_drained", 5)
         assert bulk.state == loop.state
         assert bulk.events_applied == loop.events_applied
-        assert bulk.recent_events(64) == loop.recent_events(64)
         assert bulk.in_sync and loop.in_sync
 
     def test_fsm_apply_bulk_rejects_non_streaming_events(self):

@@ -161,3 +161,13 @@ class TestSystemConfig:
         cfg.shared_banks_per_rank = 99
         with pytest.raises(ValueError):
             cfg.validate()
+
+    def test_shared_banks_must_leave_a_host_bank(self):
+        # Bank partitioning needs at least one bank for host traffic, so
+        # validation rejects the value BankPartitionMapping would reject.
+        cfg = default_config()
+        for bad in (0, cfg.org.banks_per_rank):
+            with pytest.raises(ValueError):
+                dataclasses.replace(cfg, shared_banks_per_rank=bad).validate()
+        dataclasses.replace(
+            cfg, shared_banks_per_rank=cfg.org.banks_per_rank - 1).validate()
