@@ -23,7 +23,6 @@ Typical usage::
 from __future__ import annotations
 
 import dataclasses
-import os
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
@@ -91,7 +90,7 @@ class ChopimSystem:
     DERIVED = ("config", "mode", "mix", "collect_energy", "mapping",
                "_host_capacity", "energy_model", "_throttle_name",
                "_stochastic_probability", "_launch_packets_use_channel",
-               "engine_kind", "engine", "burst_enabled")
+               "engine_kind", "engine", "burst", "burst_enabled")
 
     def __init__(self, config: Optional[SystemConfig] = None,
                  mode: AccessMode = AccessMode.SHARED,
@@ -101,7 +100,8 @@ class ChopimSystem:
                  stochastic_probability: float = DEFAULT_STOCHASTIC_PROBABILITY,
                  launch_packets_use_channel: bool = True,
                  collect_energy: bool = True,
-                 engine: str = "event") -> None:
+                 engine: str = "event",
+                 burst: bool = True) -> None:
         self.config = config or default_config()
         self.config.validate()
         self.mode = mode
@@ -173,14 +173,12 @@ class ChopimSystem:
         self._wire_wake_hub(components, channel_components, host_slot,
                             nda_host_component, rank_components)
         # Burst-issue fast path: event engine only (the cycle engine is the
-        # per-cycle oracle), with REPRO_DISABLE_BURST=1 as the bit-exactness
-        # escape hatch.  The hooks are only wired when active, so disabling
+        # per-cycle oracle); ``burst=False`` is the bit-exactness escape
+        # hatch.  The hooks are only wired when active, so disabling
         # bursting restores the exact pre-burst hot paths.
-        self.burst_enabled = (
-            engine == "event"
-            and bool(self.rank_controllers)
-            and os.environ.get("REPRO_DISABLE_BURST", "") not in ("1", "true", "yes")
-        )
+        self.burst = burst
+        self.burst_enabled = (burst and engine == "event"
+                              and bool(self.rank_controllers))
         if self.burst_enabled:
             self._wire_burst(rank_components)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import collections
 import enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
 class CommandType(enum.Enum):
@@ -152,3 +152,31 @@ class Command:
         return (f"Command({self.kind.name}, ch{self.addr.channel} rk{self.addr.rank} "
                 f"bg{self.addr.bank_group} bk{self.addr.bank} row{self.addr.row} "
                 f"col{self.addr.column}, {self.source.value})")
+
+
+class CommandRecord(NamedTuple):
+    """One issued command, as :attr:`DramSystem.observer` receives it.
+
+    ``kind`` is the command's name (``"RD"``), ``source`` ``"host"`` or
+    ``"nda"``, and ``plan`` the class name of the burst plan that carried
+    the command (``None``: issued on the per-cycle path).
+    """
+
+    cycle: int
+    channel: int
+    rank: int
+    bank_group: int
+    bank: int
+    row: int
+    column: int
+    kind: str
+    source: str
+    plan: Optional[str] = None
+
+    @classmethod
+    def of(cls, cycle: int, cmd: Command,
+           plan: Optional[str] = None) -> "CommandRecord":
+        addr = cmd.addr
+        return cls(cycle, addr.channel, addr.rank, addr.bank_group, addr.bank,
+                   addr.row, addr.column, cmd.kind.name, cmd.source.value,
+                   plan)

@@ -9,11 +9,11 @@ and energy models consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.config import DramOrgConfig, DramTimingConfig
 from repro.dram.bank import Bank, BankState
-from repro.dram.commands import Command, CommandType, DramAddress, RequestSource
+from repro.dram.commands import Command, CommandRecord, CommandType, DramAddress, RequestSource
 from repro.dram.timing import TimingEngine
 from repro.utils.stats import Counter
 
@@ -53,7 +53,7 @@ class DramSystem:
     STATE = ("timing", "channel_issue_version", "_banks")
     COUNTERS = ("counts",)
     DERIVED = ("org", "timing_config", "_ranks_per_channel",
-               "_banks_per_group", "_banks_per_rank")
+               "_banks_per_group", "_banks_per_rank", "observer")
 
     def __init__(self, org: DramOrgConfig, timing: DramTimingConfig) -> None:
         org.validate()
@@ -62,6 +62,10 @@ class DramSystem:
         self.timing_config = timing
         self.timing = TimingEngine(org, timing)
         self.counts = DramEventCounts()
+        #: The command observer: called with a :class:`CommandRecord` for
+        #: every command, exactly once — per-cycle issues from
+        #: :meth:`issue_trusted`, a burst plan's commands as they settle.
+        self.observer: Optional[Callable[[CommandRecord], None]] = None
         self._ranks_per_channel = org.ranks_per_channel
         self._banks_per_group = org.banks_per_group
         self._banks_per_rank = org.banks_per_rank
@@ -165,13 +169,15 @@ class DramSystem:
             raise ValueError(f"illegal command at cycle {now}: {cmd}")
         self.issue_trusted(cmd, now)
 
-    def issue_trusted(self, cmd: Command, now: int) -> None:
+    def issue_trusted(self, cmd: Command, now: int,
+                      plan: Optional[str] = None) -> None:
         """Issue a command the caller has just proven legal.
 
         The scheduler hot paths (FR-FCFS pick, NDA issue) probe protocol
         state and timing immediately before issuing, with no intervening
         DRAM mutation, so the :meth:`issue` re-validation would repeat the
         exact same checks.  State effects are identical to :meth:`issue`.
+        ``plan`` names the burst plan class of an absorbed row command.
         """
         addr = cmd.addr
         self.channel_issue_version[addr.channel] += 1
@@ -200,6 +206,8 @@ class DramSystem:
         else:  # REF
             self.counts.refreshes += 1
         self.timing.issue(cmd, now)
+        if self.observer is not None:
+            self.observer(CommandRecord.of(now, cmd, plan))
 
     def issue_nda_run(self, kind: CommandType, addr: DramAddress,
                       last: int) -> None:

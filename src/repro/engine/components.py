@@ -165,10 +165,12 @@ class HostComponent:
         self._slot = slot
 
     def save_refs(self, refs) -> Dict[str, object]:
-        # The heap list as is: its order is the delivery order's tie-break.
+        # Sorted, which is a heap too: (cycle, seq) is unique and decides
+        # the delivery order, and the saved list no longer depends on the
+        # push/pop history that laid the heap out.
         return {"_completions": [
             (cycle, seq, refs.request(request), controller.channel)
-            for cycle, seq, request, controller in self._completions]}
+            for cycle, seq, request, controller in sorted(self._completions)]}
 
     def load_refs(self, saved: Dict[str, object], refs) -> None:
         controllers = self.system.channel_controllers
@@ -422,10 +424,10 @@ class NdaRankComponent:
     unit through the controller's ``wake_listener`` so freshly delivered
     instructions can start on their delivery cycle.
 
-    With bursting enabled (event engine, ``REPRO_DISABLE_BURST`` unset), a
-    processed wake ends by planning the controller's next steady-state
-    command streak; the unit then parks its calendar entry at the burst
-    horizon and its commands are settled lazily (see ``nda/controller.py``).
+    With bursting enabled (event engine, ``burst=True``), a processed wake
+    ends by planning the controller's next steady-state command streak; the
+    unit then parks its calendar entry at the burst horizon and its
+    commands are settled lazily (see ``nda/controller.py``).
     A wake that arrives while a plan is live (the horizon itself, or an
     early dirty re-poll such as the broadcast ``step`` path) first settles
     the elapsed prefix and drops the rest, so per-cycle processing always

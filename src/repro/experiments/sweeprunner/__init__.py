@@ -10,11 +10,11 @@ each and build their rows with :func:`run_sweep`:
   the worker is respawned and the point retried (bounded, with exponential
   backoff), with wall-clock timeouts cutting hung points.
 * **Caching** — each point's result row is keyed by the point function,
-  its parameters, the simulation environment (``REPRO_PLATFORM`` /
-  ``REPRO_DISABLE_BURST``) and a content fingerprint of the simulator
-  source, then stored as JSON in a content-addressed store; re-running a
-  figure with unchanged parameters replays instantly.  Set
-  ``REPRO_SWEEP_CACHE`` (or pass ``cache_dir``) to enable it.
+  its parameters, the simulation environment (``REPRO_PLATFORM``) and a
+  content fingerprint of the simulator source, then stored as JSON in a
+  content-addressed store; re-running a figure with unchanged parameters
+  replays instantly.  Set ``REPRO_SWEEP_CACHE`` (or pass ``cache_dir``)
+  to enable it.
 * **Durability** — with a cache directory configured, every execution is
   an epoch claim in that directory and a record in an append-only run
   ledger (fsynced at lease and completion), so a ``kill -9`` of driver or

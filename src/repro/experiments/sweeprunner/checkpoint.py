@@ -193,8 +193,8 @@ def run_with_checkpoint(build: Callable[[], Any], cycles: int,
         try:
             system = restore_system(payload)
         except SnapshotError:
-            # Incompatible or stale checkpoint (e.g. a burst-config flip
-            # between attempts): recompute from scratch rather than fail.
+            # Not a system snapshot: recompute from scratch rather than
+            # fail.
             system = None
         if system is not None:
             return system.finish_run(checkpoint_hook=slot.save_system,

@@ -57,16 +57,9 @@ def environment_axes() -> Dict[str, str]:
     """The ``REPRO_*`` settings a sweep row depends on.
 
     ``platform`` retargets every point wholesale without appearing in its
-    parameters, so it must key the cache; the burst escape hatch is
-    included because a row computed with the fast path off should never
-    masquerade as a default-path row (results are equivalent by contract,
-    but a cache hit must not silently hide a divergence the equivalence
-    suites would catch).
+    parameters, so it must key the cache.
     """
-    return {
-        "platform": os.environ.get("REPRO_PLATFORM") or "",
-        "disable_burst": os.environ.get("REPRO_DISABLE_BURST") or "",
-    }
+    return {"platform": os.environ.get("REPRO_PLATFORM") or ""}
 
 
 @dataclass(frozen=True)

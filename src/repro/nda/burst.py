@@ -174,15 +174,19 @@ class BurstPlan:
         self.due = due
         return last
 
+    def columns(self, first: int, stop: int) -> Iterator[Tuple[int, Command]]:
+        """Column commands ``first`` to ``stop`` as ``(cycle, Command)``."""
+        addr = self.addr
+        kind = self.kind
+        for j in range(first, stop):
+            yield (self.command_at(j),
+                   Command(kind, addr.with_column(addr.column + j), _NDA))
+
     def commands(self) -> Iterator[Tuple[int, Command]]:
         """Every planned command — column commands and absorbed row
         commands — as ``(cycle, Command)``, in cycle order."""
-        addr = self.addr
-        kind = self.kind
-        columns = ((self.command_at(j),
-                    Command(kind, addr.with_column(addr.column + j), _NDA))
-                   for j in range(self.count))
-        return heapq.merge(columns, self.rows, key=lambda item: item[0])
+        return heapq.merge(self.columns(0, self.count), self.rows,
+                           key=lambda item: item[0])
 
 
 class StreakPlanner(NamedTuple):

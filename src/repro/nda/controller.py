@@ -19,7 +19,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.config import NdaConfig
 from repro.dram.bank import BankState
-from repro.dram.commands import Command, CommandType, DramAddress, RequestSource
+from repro.dram.commands import Command, CommandRecord, CommandType, DramAddress, RequestSource
 from repro.dram.device import DramSystem
 from repro.nda.burst import (
     NO_EVENT,
@@ -402,9 +402,14 @@ class NdaRankController:
             cycle, cmd = rows[plan.row_idx]
             plan.row_idx += 1
             self._settle_row(cycle, cmd, plan.kind is _RD)
+        settled = plan.idx
         last = plan.advance(upto)
         if last >= 0:
-            self.dram.issue_nda_run(plan.kind, plan.addr, last)
+            dram = self.dram
+            dram.issue_nda_run(plan.kind, plan.addr, last)
+            if dram.observer is not None:
+                for cycle, cmd in plan.columns(settled, plan.idx):
+                    dram.observer(CommandRecord.of(cycle, cmd, plan.cls.name))
         self.burst_due = plan.due
 
     def _settle_row(self, cycle: int, cmd: Command, is_write: bool) -> None:
@@ -415,7 +420,7 @@ class NdaRankController:
         permissive, since only plans under a permissive pending drain
         absorb."""
         self._classify(self._active, cmd.addr, is_write)
-        self.dram.issue_trusted(cmd, cycle)
+        self.dram.issue_trusted(cmd, cycle, self.burst_class.name)
         self.commands_issued += 1
         self.burst_row_commands += 1
         self.throttle.note_decisions(1, 0)

@@ -16,6 +16,7 @@ Public API::
     payload = snapshot_system(system)          # at a safe point
     write_snapshot(path, payload)              # atomic, fsynced
     system = restore_system(read_snapshot(path))
+    diff(payload, snapshot_system(other))      # the dotted paths that differ
 
 See ARCHITECTURE.md "Checkpointing" for the safe-point definition and
 how components declare the state a snapshot carries.
@@ -33,6 +34,7 @@ from repro.snapshot.codec import (
     read_snapshot,
     write_snapshot,
 )
+from repro.snapshot.compare import diff
 from repro.snapshot.state import restore_system, snapshot_system
 
 __all__ = [
@@ -48,4 +50,5 @@ __all__ = [
     "read_snapshot",
     "snapshot_system",
     "restore_system",
+    "diff",
 ]

@@ -28,9 +28,9 @@ from pathlib import Path
 from typing import Any, Union
 
 MAGIC = "repro-snapshot"
-#: v12: ReplicatedFsm no longer keeps (or checkpoints) a log of its recent
-#: events; nothing in the model read it.
-SCHEMA_VERSION = 12
+#: v13: the build spec records the ``burst`` constructor argument (which a
+#: restore rebuilds with) instead of the resolved ``burst_enabled`` flag.
+SCHEMA_VERSION = 13
 
 _TAG = "__t"
 

@@ -74,6 +74,7 @@ _BUILD = {
     "stochastic_probability": "_stochastic_probability",
     "launch_packets_use_channel": "_launch_packets_use_channel",
     "collect_energy": "collect_energy", "engine": "engine_kind",
+    "burst": "burst",
 }
 
 
@@ -285,7 +286,7 @@ def snapshot_system(system) -> Dict[str, Any]:
     state = refs.capture(system)
     build = {key: getattr(system, name) for key, name in _BUILD.items()}
     build.update(config=dataclasses.asdict(system.config),
-                 mode=system.mode.value, burst_enabled=system.burst_enabled)
+                 mode=system.mode.value)
     payload = {
         "kind": "chopim-system",
         "build": build,
@@ -327,12 +328,6 @@ def restore_system(payload: Dict[str, Any]):
     system = ChopimSystem(config=_load_config(build["config"]),
                           mode=AccessMode(build["mode"]),
                           **{key: build[key] for key in _BUILD})
-    if system.burst_enabled != build["burst_enabled"]:
-        raise SnapshotError(
-            f"burst-issue mismatch: snapshot taken with burst_enabled="
-            f"{build['burst_enabled']}, this process resolves it to "
-            f"{system.burst_enabled} (check REPRO_DISABLE_BURST); resumes "
-            "must run under the same burst configuration to stay bit-exact")
     for kind, value in payload["watermarks"].items():
         _WATERMARKS[kind][1](value)
     refs = _Refs(system)

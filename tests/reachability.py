@@ -41,6 +41,9 @@ ALLOWLIST: Dict[str, str] = {
         "fault injection: no entry point injects faults; a FaultPlan reaches "
         "a sweep only as SweepOptions.fault_plan, which the sweep proofs "
         "(tests/sweep_proofs/) and the sweep tests pass",
+    "snapshot/compare.py":
+        "state diff: no entry point compares two systems; the oracle tests "
+        "and the first-divergence bisector (tests/bisector/) do",
     "kernel/__init__.py":
         "shim read only by benchmarks/ledger/run.py; it goes with the next "
         "change to the ledger",

@@ -1,28 +1,24 @@
 """Burst-issue fast-path oracle: bursts must be invisible in final state.
 
-``REPRO_DISABLE_BURST=1`` is the escape hatch that turns the event engine's
-burst-issue fast path off (every command then goes through the per-cycle
-path).  The oracle here replays each burst-heavy scenario with bursting
-disabled and diffs the *complete* observable state — the SimulationResult
-(stats + energy), every DRAM event and bank counter, the timing engine's
-rank/bank horizons, the replicated FSM registers, the per-rank NDA
-counters (futile-attempt counters included) and the throttle's decision
-counts — against the bursting run.  Each scenario is also replayed on the
-cycle engine, the per-cycle oracle, with the same diff minus the futile-
-attempt counters that count wake cadence.  Every replay also diffs the
-sequence of NDA commands (cycle, channel, rank, bank, row, column, kind)
-per rank and names the first divergent record — planned commands expand
-from their closed form as they settle, so every cycle a plan claims is
+``ChopimSystem(burst=False)`` turns the event engine's burst-issue fast
+path off (every command then goes through the per-cycle path).  The oracle
+here replays each burst-heavy scenario with bursting off and diffs the
+complete end-of-run state — every member a snapshot carries, through
+``repro.snapshot.diff`` — against the bursting run, minus the burst-plan
+diagnostics and issue versions (``BURST_OFF_IGNORE``).  Each scenario is
+also replayed on the cycle engine, the per-cycle oracle, minus what counts
+attempts or wake cadence as well (``CYCLE_IGNORE``).  Every replay also
+compares the command streams the ``DramSystem`` observer sees, rank by
+rank in cycle order, and names the first divergent record — planned
+commands are reported as they settle, so every cycle a plan claims is
 checked directly, not only through the final state.  Unit tests for the
 closed-form pieces (bulk FSM transitions, bulk write-buffer drains) ride
 along.
 """
 
-import contextlib
 import dataclasses
 import hashlib
 import json
-import os
 
 import pytest
 from hypothesis import given, settings
@@ -31,24 +27,31 @@ from hypothesis import strategies as st
 from repro.config import scaled_config
 from repro.core.modes import AccessMode
 from repro.core.system import ChopimSystem
-from repro.dram.timing import _BankTiming, _ChannelTiming, _RankTiming
-from repro.experiments.common import build_system, resolve_config
+from repro.dram.commands import CommandRecord
+from repro.experiments.common import resolve_config
 from repro.nda.burst import PLAN_CLASSES
 from repro.nda.fsm import ReplicatedFsm
 from repro.nda.isa import NdaOpcode
 from repro.nda.write_buffer import NdaWriteBuffer
 from repro.platform import platform_config
+from repro.snapshot import diff, snapshot_system
+from bisector.divergence import (
+    BURST_OFF_IGNORE,
+    CYCLE_IGNORE,
+    first_divergent_command,
+)
 
 
 def _build_and_run(mode, opcode, *, mix=None, throttle="issue_if_idle",
                    channels=2, ranks=2, elements=1 << 13, cycles=1500,
-                   warmup=150, config=None, engine="event",
+                   warmup=150, config=None, engine="event", burst=True,
                    write_buffer=None, seed=None, prepare=None):
+    """Run one scenario: (system, result, every command it issued)."""
     cfg = config or scaled_config(channels, ranks)
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
-    system = ChopimSystem(config=cfg, mode=mode,
-                          mix=mix, throttle=throttle, engine=engine)
+    system = ChopimSystem(config=cfg, mode=mode, mix=mix, throttle=throttle,
+                          engine=engine, burst=burst)
     if write_buffer is not None:
         # (capacity, drain-high watermark, drain-low watermark): the
         # geometry is not a configuration option, so swap the buffers in.
@@ -56,69 +59,11 @@ def _build_and_run(mode, opcode, *, mix=None, throttle="issue_if_idle",
             rc.write_buffer = NdaWriteBuffer(*write_buffer)
     if prepare is not None:
         prepare(system)
+    log = []
+    system.dram.observer = log.append
     system.set_nda_workload(opcode, elements_per_rank=elements)
     result = system.run(cycles=cycles, warmup=warmup)
-    return system, result
-
-
-def _timing_state(system):
-    timing = system.dram.timing
-    return {
-        tier: [{slot: getattr(state, slot) for slot in cls.__slots__}
-               for state in states]
-        for tier, cls, states in (
-            ("ranks", _RankTiming, timing._ranks),
-            ("banks", _BankTiming, timing._banks),
-            ("channels", _ChannelTiming, timing._channels))
-    }
-
-
-def _full_state(system, result):
-    return {
-        "result": dataclasses.asdict(result),
-        "dram_counts": dataclasses.asdict(system.dram.counts),
-        "bank_counters": [
-            (b.state.value, b.open_row, b.row_hits, b.row_misses,
-             b.row_conflicts, b.reads, b.writes, b.nda_reads, b.nda_writes)
-            for b in system.dram.banks()
-        ],
-        "timing": _timing_state(system),
-        "rank_controllers": {
-            # Instruction ids come from a process-global counter, so the
-            # FSM's current_instruction register is normalized to presence.
-            # The blocked_by_* counters count futile issue *attempts*; the
-            # cycle==event guarantee excludes them, but a burst plan ends
-            # on a cycle the burst-off event engine processes too and
-            # accounts one drain attempt per planned cycle, so here they
-            # must match (see "Burst issue" in ARCHITECTURE.md).
-            key: rc.stats() | {
-                "fsm": (rc.fsm.state.current_instruction is not None,)
-                + rc.fsm.state.as_tuple()[1:],
-                "fsm_events": rc.fsm.events_applied,
-                "write_buffer": rc.write_buffer.state_tuple(),
-            }
-            for key, rc in system.rank_controllers.items()
-        },
-        "channel_stats": {
-            # drain_entries counts write-drain hysteresis *evaluations* that
-            # entered drain mode; in pick-insensitive oscillating states
-            # (see _update_drain_mode) its value depends on tick cadence,
-            # which legitimately differs across wake patterns (per-cycle
-            # replay vs selective wakes).
-            # Mode trajectory at every decision point is pinned by the rest
-            # of the state compared here (issue order, bank counters,
-            # timing horizons), so the oscillation count is excluded.
-            ch: {k: v for k, v in mc.stats().items() if k != "drain_entries"}
-            for ch, mc in system.channel_controllers.items()
-        },
-        # Throttle decisions are attempts too: one per drain attempt, in
-        # plans as on the per-cycle path; so are the gate's issue
-        # opportunities, one per processed NDA wake.
-        "throttle": (getattr(system.throttle_policy, "checks", None),
-                     getattr(system.throttle_policy, "inhibits", None),
-                     system.scheduler.nda_issue_opportunities),
-        "now": system.now,
-    }
+    return system, result, log
 
 
 def _planned_by_class(system):
@@ -129,147 +74,30 @@ def _planned_by_class(system):
     return totals
 
 
-@contextlib.contextmanager
-def _burst_env(disabled):
-    """Pin ``REPRO_DISABLE_BURST`` for one system build (hypothesis-safe:
-    no function-scoped fixture involved)."""
-    saved = os.environ.pop("REPRO_DISABLE_BURST", None)
-    if disabled:
-        os.environ["REPRO_DISABLE_BURST"] = "1"
-    try:
-        yield
-    finally:
-        os.environ.pop("REPRO_DISABLE_BURST", None)
-        if saved is not None:
-            os.environ["REPRO_DISABLE_BURST"] = saved
-
-
-#: The per-cycle oracles a bursting run is diffed against: the event engine
-#: with ``REPRO_DISABLE_BURST=1`` (full state, attempt counters included)
-#: and the cycle engine, which never plans (full state minus the futile-
-#: attempt counters, see :func:`_without_attempts`).
-_ORACLES = ("burst_off", "cycle")
-
-
-def _without_attempts(state):
-    """``state`` minus the counters of futile issue *attempts*.
-
-    ``blocked_by_*`` and the throttle's decision counts grow once per
-    attempt, and the cycle engine attempts on every cycle where the event
-    engine sleeps; the cycle == event guarantee therefore excludes them.
-    Everything an attempt decides (issue order, timing horizons, FSM and
-    buffer state) is still compared.
-    """
-    attempts = ("blocked_by_host", "blocked_by_throttle")
-    return state | {
-        "rank_controllers": {
-            key: {k: v for k, v in stats.items() if k not in attempts}
-            for key, stats in state["rank_controllers"].items()
-        },
-        "throttle": None,
-    }
-
-
-def _record_commands(system):
-    """Log every NDA command as (cycle, channel, rank, bank_index, row,
-    column, kind): per-cycle ones through ``DramSystem.issue_trusted``,
-    planned ones from ``BurstPlan.commands()`` as ``settle_burst`` settles
-    them (the plan's settle cursors say which).  Returns the (live) log."""
-    log = []
-    settling = []  # absorbed row commands reach issue_trusted too
-
-    def record(cycle, cmd):
-        addr = cmd.addr
-        log.append((cycle, addr.channel, addr.rank, addr.bank_index,
-                    addr.row, addr.column, cmd.kind.name))
-
-    issue = system.dram.issue_trusted
-
-    def recording_issue(cmd, now):
-        if cmd.is_nda and not settling:
-            record(now, cmd)
-        issue(cmd, now)
-
-    system.dram.issue_trusted = recording_issue
-    for rc in system.rank_controllers.values():
-        def recording_settle(upto, rc=rc, settle=rc.settle_burst):
-            plan = rc._plan
-            idx, row_idx = plan.idx, plan.row_idx
-            settling.append(plan)
-            try:
-                settle(upto)
-            finally:
-                settling.pop()
-            commands = list(plan.commands())
-            columns = [item for item in commands if item[1].kind.is_column]
-            rows = [item for item in commands if item[1].kind.is_row]
-            for cycle, cmd in (columns[idx:plan.idx]
-                               + rows[row_idx:plan.row_idx]):
-                record(cycle, cmd)
-
-        rc.settle_burst = recording_settle
-    return log
-
-
-def _first_divergence(burst_log, plain_log):
-    """The first differing record of two command logs, each sorted per rank
-    by cycle (plans settle lazily, so ranks interleave differently), or None
-    when they agree."""
-    def per_rank(log):
-        return sorted(log, key=lambda record: (record[1], record[2],
-                                               record[0]))
-
-    burst, plain = per_rank(burst_log), per_rank(plain_log)
-    for index, (got, want) in enumerate(zip(burst, plain)):
-        if got != want:
-            return f"record {index}: burst {got} != per-cycle {want}"
-    if len(burst) != len(plain):
-        index = min(len(burst), len(plain))
-        longer = burst if len(burst) > len(plain) else plain
-        side = "burst" if longer is burst else "per-cycle"
-        return f"record {index}: only the {side} run has {longer[index]}"
-    return None
+#: The per-cycle oracles a bursting run is diffed against: what each
+#: changes in the build, and the paths it may differ in.
+_ORACLES = {"burst_off": (dict(burst=False), BURST_OFF_IGNORE),
+            "cycle": (dict(engine="cycle"), CYCLE_IGNORE)}
 
 
 def _replay_mismatches(config=None, oracle="burst_off", prepare=None,
                        **spec):
     """Run ``spec`` with bursting on and on the per-cycle ``oracle``;
-    returns (burst system, keys of the full state that differ).  The NDA
-    command sequences are diffed too, reported by their first divergent
-    record."""
-    logs = []
-
-    def recording(system):
-        logs.append(_record_commands(system))
-        if prepare is not None:
-            prepare(system)
-
-    with _burst_env(disabled=False):
-        burst_system, burst_result = _build_and_run(
-            config=config() if config else None, prepare=recording, **spec)
-    assert burst_system.burst_enabled
-    if oracle == "cycle":
-        with _burst_env(disabled=False):
-            plain_system, plain_result = _build_and_run(
-                config=config() if config else None, engine="cycle",
-                prepare=recording, **spec)
-    else:
-        with _burst_env(disabled=True):
-            plain_system, plain_result = _build_and_run(
-                config=config() if config else None, prepare=recording,
-                **spec)
-    assert not plain_system.burst_enabled
-    burst_state = _full_state(burst_system, burst_result)
-    plain_state = _full_state(plain_system, plain_result)
-    if oracle == "cycle":
-        burst_state = _without_attempts(burst_state)
-        plain_state = _without_attempts(plain_state)
-    mismatched = [key for key in plain_state
-                  if plain_state[key] != burst_state[key]]
-    divergence = _first_divergence(*logs)
-    if divergence is not None:
-        mismatched.append(f"commands ({divergence})")
-    return burst_system, mismatched
+    returns (burst system, the state paths that differ at the end, plus
+    the first divergent command record if the command streams differ)."""
+    variant, ignore = _ORACLES[oracle]
+    runs = [_build_and_run(config=config() if config else None,
+                           prepare=prepare, **spec, **extra)
+            for extra in ({}, variant)]
+    (system, _, log), (plain, _, plain_log) = runs
+    assert system.burst_enabled and not plain.burst_enabled
+    mismatched = diff(snapshot_system(system), snapshot_system(plain),
+                      ignore)
+    command = first_divergent_command(log, plain_log)
+    if command is not None:
+        mismatched.append("commands: burst {} != per-cycle {}".format(
+            *command))
+    return system, mismatched
 
 
 _SCENARIOS = [
@@ -287,7 +115,7 @@ _SCENARIOS = [
 class TestBurstOracle:
     """Burst-on vs each per-cycle oracle must match state-for-state."""
 
-    @pytest.mark.parametrize("oracle", _ORACLES)
+    @pytest.mark.parametrize("oracle", list(_ORACLES))
     @pytest.mark.parametrize("name,spec", _SCENARIOS)
     def test_replay_matches(self, name, spec, oracle):
         _, mismatched = _replay_mismatches(oracle=oracle, **spec)
@@ -295,9 +123,8 @@ class TestBurstOracle:
             f"burst path diverged from the {oracle} replay on {mismatched}"
         )
 
-    def test_bursts_actually_planned(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DISABLE_BURST", raising=False)
-        system, _ = _build_and_run(mode=AccessMode.NDA_ONLY,
+    def test_bursts_actually_planned(self):
+        system, _, _ = _build_and_run(mode=AccessMode.NDA_ONLY,
                                    opcode=NdaOpcode.DOT, ranks=4,
                                    elements=1 << 14)
         settled = sum(rc.burst_commands_settled
@@ -308,10 +135,9 @@ class TestBurstOracle:
         # fast path (only row transitions and streak heads go per-cycle).
         assert settled > commands * 0.8
 
-    def test_escape_hatch_disables_planning(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DISABLE_BURST", "1")
-        system, _ = _build_and_run(mode=AccessMode.NDA_ONLY,
-                                   opcode=NdaOpcode.DOT)
+    def test_escape_hatch_disables_planning(self):
+        system, _, _ = _build_and_run(mode=AccessMode.NDA_ONLY,
+                                      opcode=NdaOpcode.DOT, burst=False)
         assert all(rc.bursts_planned == 0
                    for rc in system.rank_controllers.values())
 
@@ -332,8 +158,8 @@ class TestBurstRefreshPressure:
     A refresh-heavy timing config (small tREFI) forces refresh precharges
     and REF commands into the middle of the NDA's steady-state streaks.
     Each scenario is checked two ways: the burst run against the
-    ``REPRO_DISABLE_BURST=1`` per-cycle replay (full-state diff), and the
-    event engine against the cycle engine (result diff) — if a REF fails
+    ``burst=False`` per-cycle replay (full-state diff), and the event
+    engine against the cycle engine (result diff) — if a REF fails
     to truncate a live ``BurstPlan``, the settled stream runs through the
     refresh window and both diffs light up.
     """
@@ -354,7 +180,7 @@ class TestBurstRefreshPressure:
     #: exercised at cadences other than DDR4's 4 (hbm2: 2, ddr5-4800: 8).
     _PLATFORMS = [None, "hbm2", "ddr5-4800"]
 
-    @pytest.mark.parametrize("oracle", _ORACLES)
+    @pytest.mark.parametrize("oracle", list(_ORACLES))
     @pytest.mark.parametrize("platform", _PLATFORMS)
     @pytest.mark.parametrize("name,spec", _SCENARIOS)
     def test_burst_replay_matches_under_refresh_pressure(self, name, spec,
@@ -372,17 +198,16 @@ class TestBurstRefreshPressure:
     def test_engines_agree_under_refresh_pressure(self, name, spec):
         results = {}
         for engine in ("cycle", "event"):
-            _, result = _build_and_run(config=_refresh_heavy_config(),
-                                       engine=engine, **spec)
+            _, result, _ = _build_and_run(config=_refresh_heavy_config(),
+                                          engine=engine, **spec)
             results[engine] = dataclasses.asdict(result)
         assert results["cycle"] == results["event"]
 
-    def test_bursts_still_planned_between_refreshes(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DISABLE_BURST", raising=False)
-        system, _ = _build_and_run(mode=AccessMode.NDA_ONLY,
-                                   opcode=NdaOpcode.DOT, ranks=2,
-                                   elements=1 << 13,
-                                   config=_refresh_heavy_config())
+    def test_bursts_still_planned_between_refreshes(self):
+        system, _, _ = _build_and_run(mode=AccessMode.NDA_ONLY,
+                                      opcode=NdaOpcode.DOT, ranks=2,
+                                      elements=1 << 13,
+                                      config=_refresh_heavy_config())
         planned = sum(rc.bursts_planned
                       for rc in system.rank_controllers.values())
         assert planned > 0, "refresh pressure must not disable bursting"
@@ -403,7 +228,7 @@ class TestBurstPlatforms:
                                         elements=1 << 13)),
     ]
 
-    @pytest.mark.parametrize("oracle", _ORACLES)
+    @pytest.mark.parametrize("oracle", list(_ORACLES))
     @pytest.mark.parametrize("name,platform,spec", _SCENARIOS)
     def test_replay_matches(self, name, platform, spec, oracle):
         _, mismatched = _replay_mismatches(
@@ -476,7 +301,7 @@ _DRAIN_PHASE_SCENARIOS = [
 class TestDrainPhasePlans:
     """The two mid-instruction plan classes (drain_run, read_under_drain)."""
 
-    @pytest.mark.parametrize("oracle", _ORACLES)
+    @pytest.mark.parametrize("oracle", list(_ORACLES))
     @pytest.mark.parametrize("name,spec", _DRAIN_PHASE_SCENARIOS)
     def test_replay_matches(self, name, spec, oracle):
         system, mismatched = _replay_mismatches(oracle=oracle, **spec)
@@ -527,13 +352,10 @@ class TestDrainPhasePlans:
         another, so the other bank's PRE/ACT falls inside each column run:
         plans absorb it and report it as ``row_commands`` — NDA commands
         issued, but not column commands settled in closed form."""
-        logs = []
-        with _burst_env(disabled=False):
-            system, _ = _build_and_run(
-                mode=AccessMode.NDA_ONLY, opcode=NdaOpcode.COPY,
-                config=platform_config("hbm2"), cycles=2000,
-                prepare=lambda system: logs.append(_record_commands(system)))
-        issued = sum(record[-1] in ("ACT", "PRE") for record in logs[0])
+        system, _, log = _build_and_run(
+            mode=AccessMode.NDA_ONLY, opcode=NdaOpcode.COPY,
+            config=platform_config("hbm2"), cycles=2000)
+        rows = [record for record in log if record.kind in ("ACT", "PRE")]
         absorbed = 0
         for rc in system.rank_controllers.values():
             stats = rc.burst_stats()
@@ -541,20 +363,22 @@ class TestDrainPhasePlans:
             assert (sum(stats["planned_by_class"].values())
                     == stats["commands_planned"])
             absorbed += stats["row_commands"]
+        # The observer names the plan of each absorbed row command, once.
+        assert absorbed == sum(record.plan is not None for record in rows)
         # Most row transitions of the COPY stream ride inside plans.
-        assert 0.5 * issued < absorbed <= issued, (absorbed, issued)
+        assert 0.5 * len(rows) < absorbed <= len(rows), (absorbed, len(rows))
 
     def test_row_command_diff_names_the_first_divergent_record(self):
-        plain = [(10, 0, 0, 1, 5, 0, "PRE"), (24, 0, 0, 1, 6, 0, "ACT"),
-                 (12, 0, 1, 3, 5, 9, "RD")]
-        # Ranks may interleave differently; per rank, order is by cycle.
-        assert _first_divergence(plain[::-1], plain) is None
-        late = [(11,) + plain[0][1:]] + plain[1:]
-        assert _first_divergence(late, plain) == (
-            "record 0: burst (11, 0, 0, 1, 5, 0, 'PRE') != per-cycle "
-            "(10, 0, 0, 1, 5, 0, 'PRE')")
-        assert _first_divergence(plain[:2], plain) == (
-            "record 2: only the per-cycle run has (12, 0, 1, 3, 5, 9, 'RD')")
+        plain = [CommandRecord(10, 0, 0, 0, 1, 5, 0, "PRE", "nda"),
+                 CommandRecord(24, 0, 0, 0, 1, 6, 0, "ACT", "nda"),
+                 CommandRecord(12, 0, 1, 0, 3, 5, 9, "RD", "nda")]
+        # Ranks may interleave differently; per rank, order is by cycle,
+        # and the plan class that carried a command is no part of it.
+        planned = [plain[2]._replace(plan="read_streak")] + plain[1::-1]
+        assert first_divergent_command(planned, plain) is None
+        late = [plain[0]._replace(cycle=11)] + plain[1:]
+        assert first_divergent_command(late, plain) == (late[0], plain[0])
+        assert first_divergent_command(plain[:2], plain) == (None, plain[2])
 
     @settings(max_examples=12, deadline=None, derandomize=True)
     @given(opcode=st.sampled_from([NdaOpcode.COPY, NdaOpcode.AXPY,
@@ -659,10 +483,10 @@ def _work_counters(shape, variant="default"):
     platform, channels, ranks, mode, mix, opcode = shape
     config = dataclasses.replace(resolve_config(platform, channels, ranks),
                                  seed=1)
-    engine = "cycle" if variant == "cycle" else "event"
-    with _burst_env(disabled=variant == "burst_off"):
-        system = build_system(mode, mix, config=config, throttle="next_rank",
-                              engine=engine)
+    system = ChopimSystem(config=config, mode=mode, mix=mix,
+                          throttle="next_rank",
+                          engine="cycle" if variant == "cycle" else "event",
+                          burst=variant != "burst_off")
     if opcode is not None:
         system.set_nda_workload(opcode, elements_per_rank=1 << 14)
     result = system.run(cycles=2000, warmup=500)
@@ -714,37 +538,29 @@ class TestBurstWorkCounters:
 
     @staticmethod
     def _run(**spec):
-        trusted = {"nda": 0}
-
-        def count_issues(system):
-            issue = system.dram.issue_trusted
-
-            def counting(cmd, now):
-                if cmd.is_nda:
-                    trusted["nda"] += 1
-                issue(cmd, now)
-
-            system.dram.issue_trusted = counting
-
-        with _burst_env(disabled=False):
-            system, _ = _build_and_run(prepare=count_issues, warmup=0,
-                                       cycles=3000, **spec)
+        """(NDA commands issued, settled from plans, observed, observed as
+        planned column commands)."""
+        system, _, log = _build_and_run(warmup=0, cycles=3000, **spec)
         controllers = system.rank_controllers.values()
-        commands = sum(rc.commands_issued for rc in controllers)
-        settled = sum(rc.burst_commands_settled for rc in controllers)
-        return commands, settled, trusted["nda"]
+        nda = [record for record in log if record.source == "nda"]
+        planned = sum(record.plan is not None and record.kind in ("RD", "WR")
+                      for record in nda)
+        return (sum(rc.commands_issued for rc in controllers),
+                sum(rc.burst_commands_settled for rc in controllers),
+                len(nda), planned)
 
     def test_nda_only_hbm2_copy(self):
-        commands, settled, issued = self._run(
+        commands, settled, observed, planned = self._run(
             mode=AccessMode.NDA_ONLY, opcode=NdaOpcode.COPY,
             throttle="next_rank", config=platform_config("hbm2"),
             elements=1 << 14)
-        assert commands == settled + issued
+        # The observer sees every command once, a plan's as they settle.
+        assert commands == observed and settled == planned
         assert settled >= 0.85 * commands, (settled, commands)
-        assert issued <= 0.20 * commands, (issued, commands)
+        assert commands - settled <= 0.20 * commands, (settled, commands)
 
     def test_colocated_copy(self):
-        commands, settled, _ = self._run(
+        commands, settled, _, _ = self._run(
             mode=AccessMode.BANK_PARTITIONED, mix="mix1",
             throttle="next_rank", opcode=NdaOpcode.COPY, channels=2,
             ranks=4, elements=1 << 14)

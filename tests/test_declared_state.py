@@ -132,10 +132,11 @@ def _walk(system):
 class TestReachability:
     @pytest.mark.parametrize("engine", ["cycle", "event"])
     @pytest.mark.parametrize("index", range(len(_SPECS)))
-    def test_fuzzed_config(self, index, engine, monkeypatch):
-        monkeypatch.delenv("REPRO_DISABLE_BURST", raising=False)
+    def test_fuzzed_config(self, index, engine):
         spec = _SPECS[index]
         system = _build_spec(spec, engine)
+        # A command observer is wiring: declared, and never saved.
+        system.dram.observer = [].append
         walked = []
         system.run(cycles=_CYCLES, warmup=spec["warmup"],
                    checkpoint_hook=lambda s: walked.append(len(_walk(s))),

@@ -1,12 +1,14 @@
-"""Equivalence suite: the event engine must be cycle-result-exact.
+"""Equivalence suite: the event engine must be cycle-state-exact.
 
 For every access mode, every throttle policy, a composite kernel sequence
 and a seeded random sample of full configurations, ``engine="event"`` must
-produce a :class:`SimulationResult` whose every field — including
-floating-point metrics, per-rank idle breakdowns and the energy table — is
-*identical* (not approximately equal) to ``engine="cycle"``.  This is the
-regression contract of the selective-wake engine and its dirty-notification
-routing (see ARCHITECTURE.md).
+end a run in the state ``engine="cycle"`` does: ``repro.snapshot.diff``
+over the two end-of-run snapshots — every member a checkpoint carries, so
+every field a :class:`SimulationResult` is computed from, floating-point
+metrics, per-rank idle breakdowns and the energy table included — must
+come back empty, bar what counts attempts or wake cadence
+(``CYCLE_IGNORE``).  This is the regression contract of the selective-wake
+engine and its dirty-notification routing (see ARCHITECTURE.md).
 """
 
 import dataclasses
@@ -20,6 +22,8 @@ from repro.config import scaled_config
 from repro.experiments.common import resolve_config
 from repro.nda.isa import NdaOpcode
 from repro.nda.write_buffer import NdaWriteBuffer
+from repro.snapshot import diff, snapshot_system
+from bisector.divergence import CYCLE_IGNORE
 
 CYCLES = 1500
 WARMUP = 150
@@ -36,26 +40,25 @@ def _build(engine, mode, mix=None, throttle="next_rank", config=None,
                         engine=engine)
 
 
+def _assert_same_state(systems):
+    """The cycle and event runs in ``systems`` end in the same state."""
+    mismatched = diff(snapshot_system(systems["cycle"]),
+                      snapshot_system(systems["event"]), CYCLE_IGNORE)
+    assert not mismatched, f"event diverged from cycle on {mismatched[:10]}"
+
+
 def _assert_equivalent(configure, mode, mix=None, throttle="next_rank",
                        config=None, cycles=CYCLES, warmup=WARMUP,
                        stochastic_probability=0.25):
-    results = {}
+    systems = {}
     for engine in _ENGINES:
-        system = _build(engine, mode, mix=mix, throttle=throttle,
-                        config=config,
-                        stochastic_probability=stochastic_probability)
+        system = systems[engine] = _build(
+            engine, mode, mix=mix, throttle=throttle, config=config,
+            stochastic_probability=stochastic_probability)
         if configure is not None:
             configure(system)
-        results[engine] = dataclasses.asdict(
-            system.run(cycles=cycles, warmup=warmup))
-    oracle = results["cycle"]
-    result = results["event"]
-    mismatched = [key for key in oracle if oracle[key] != result[key]]
-    assert not mismatched, (
-        f"event diverged from cycle on {mismatched}: "
-        + "; ".join(f"{k}: {oracle[k]!r} != {result[k]!r}"
-                    for k in mismatched[:3])
-    )
+        system.run(cycles=cycles, warmup=warmup)
+    _assert_same_state(systems)
 
 
 class TestEngineEquivalenceModes:
@@ -335,10 +338,11 @@ class TestEngineEquivalenceFuzz:
         from repro.nda.throttle import make_policy
         from repro.utils.rng import DeterministicRng
 
-        results = {}
+        systems = {}
         for engine in _ENGINES:
-            system = _build(engine, AccessMode.BANK_PARTITIONED, mix="mix5",
-                            throttle="issue_if_idle")
+            system = systems[engine] = _build(
+                engine, AccessMode.BANK_PARTITIONED, mix="mix5",
+                throttle="issue_if_idle")
             system.set_nda_workload(NdaOpcode.COPY, elements_per_rank=1 << 13)
             system.run(cycles=600, warmup=100)
             # Flip every rank controller to next-rank prediction mid-stream
@@ -348,9 +352,8 @@ class TestEngineEquivalenceFuzz:
                                  host_controllers=system.channel_controllers)
             for controller in system.rank_controllers.values():
                 controller.set_throttle(policy)
-            results[engine] = dataclasses.asdict(system.run(cycles=900))
-        assert results["event"] == results["cycle"], (
-            "event diverged across throttle flip")
+            system.run(cycles=900)
+        _assert_same_state(systems)
 
 
 class TestEngineBehaviour:

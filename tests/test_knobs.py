@@ -14,7 +14,6 @@ ROOT = Path(__file__).resolve().parents[1]
 #: The knob table, as ARCHITECTURE.md states it.
 KNOBS = {
     "REPRO_PLATFORM",
-    "REPRO_DISABLE_BURST",
     "REPRO_SWEEP_CACHE",
     "REPRO_CHECKPOINT_EVERY",
     "REPRO_SWEEP_PROGRESS",
@@ -35,5 +34,5 @@ def test_source_names_exactly_the_knob_table():
 def test_architecture_table_matches():
     text = (ROOT / "ARCHITECTURE.md").read_text(encoding="utf-8")
     rows = re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", text, flags=re.MULTILINE)
-    assert len(rows) == len(set(rows)) == 6
+    assert len(rows) == len(set(rows)) == 5
     assert set(rows) == KNOBS

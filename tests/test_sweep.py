@@ -84,13 +84,6 @@ class TestSweepCache:
         retargeted = SweepTask("m", "f", {"value": 1}).cache_key()
         assert default != retargeted
 
-    def test_cache_key_distinguishes_burst_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DISABLE_BURST", raising=False)
-        default = SweepTask("m", "f", {"value": 1}).cache_key()
-        monkeypatch.setenv("REPRO_DISABLE_BURST", "1")
-        per_cycle = SweepTask("m", "f", {"value": 1}).cache_key()
-        assert default != per_cycle
-
     def test_cache_key_distinguishes_code_version(self):
         base = SweepTask("m", "f", {"value": 1})
         edited = SweepTask("m", "f", {"value": 1},
