@@ -50,10 +50,11 @@ class DramEventCounts:
 class DramSystem:
     """All banks of the memory system plus the timing engine."""
 
-    STATE = ("timing", "channel_issue_version", "_banks")
+    STATE = ("timing", "_banks")
     COUNTERS = ("counts",)
     DERIVED = ("org", "timing_config", "_ranks_per_channel",
-               "_banks_per_group", "_banks_per_rank", "observer")
+               "_banks_per_group", "_banks_per_rank", "observer",
+               "channel_issue_version")
 
     def __init__(self, org: DramOrgConfig, timing: DramTimingConfig) -> None:
         org.validate()
@@ -76,6 +77,8 @@ class DramSystem:
         #: this counter is gone: the NDA wake caches it tagged were replaced
         #: by push notifications — host issues reach the rank units through
         #: the concurrent-access scheduler's wake hub, see core/scheduler.)
+        #: Derived like the timing engine's issue versions: scan caches
+        #: start cold (tag -1), so a restore need not carry it.
         self.channel_issue_version: List[int] = [0] * org.channels
         #: Banks in dense ``bank_index`` order: all banks of one rank are
         #: contiguous, ranks in ``rank_index`` order.

@@ -95,13 +95,13 @@ class _ChannelTiming:
 class TimingEngine:
     """Tracks and enforces DDR4 timing constraints for every command."""
 
-    STATE = ("_ranks", "_banks", "_channels", "_channel_refresh_due",
-             "_issue_versions", "_row_versions")
+    STATE = ("_ranks", "_banks", "_channels", "_channel_refresh_due")
     DERIVED = ("org", "timing", "_read_to_write", "_write_to_precharge",
                "_tCL", "_tCWL", "_tBL", "_tCCDS", "_tCCDL", "_tWTRS", "_tWTRL",
                "_tRTRS", "_wr_to_rd", "_ranks_per_channel", "_banks_per_group",
                "_banks_per_rank", "_act_cache", "_pre_cache", "_nda_rd_cache",
-               "_nda_wr_cache", "busy_observer")
+               "_nda_wr_cache", "busy_observer", "_issue_versions",
+               "_row_versions")
 
     def __init__(self, org: DramOrgConfig, timing: DramTimingConfig) -> None:
         self.org = org
@@ -151,6 +151,9 @@ class TimingEngine:
         # column command does move (its own bank's tRTP/tWR horizon) is
         # invalidated point-wise at issue.  Host FR-FCFS scans therefore
         # keep their ACT/PRE horizon hits across dense NDA column streams.
+        # Both are derived: only ever compared for equality with the tags
+        # of probe caches, whose cold entries carry -1, so the zeroed
+        # counters of a restored system cannot match a stale entry.
         self._issue_versions: List[int] = [0] * total_ranks
         self._row_versions: List[int] = [0] * total_ranks
         total_banks = total_ranks * org.banks_per_rank

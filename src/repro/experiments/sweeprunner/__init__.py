@@ -19,8 +19,8 @@ each and build their rows with :func:`run_sweep`:
   an epoch claim in that directory and a record in an append-only run
   ledger (fsynced at lease and completion), so a ``kill -9`` of driver or
   worker resumes exactly where it left off, and no point ever executes
-  more than ``1 + max_retries`` times, whether one host or several share
-  the directory.
+  more than ``1 + max_retries`` times.  One live driver works on a
+  directory at a time; a second one makes the sweep raise.
 * **Graceful degradation** — points that exhaust their retries surface in
   a structured failure report; strict mode (``SweepOptions.strict``, the
   default) raises :class:`SweepPointsFailed` instead of returning partial
@@ -28,8 +28,9 @@ each and build their rows with :func:`run_sweep`:
 
 Point functions must be module-level callables taking keyword arguments
 and returning a JSON-serializable dict.  Pass a :class:`SweepOptions` for
-the full service surface (retries, timeouts, host identity, fault
-injection, progress/ETA lines).
+the full service surface (retries, timeouts, fault injection).
+``python -m repro.experiments.sweeprunner status <dir>`` reports a
+sweep's per-key state, throughput and ETA from its journal, live or dead.
 
 Layering:
 
@@ -39,7 +40,7 @@ Layering:
   cache); validates entries before counting hits and quarantines corrupt
   files.
 * :mod:`.ledger` — append-only JSONL run journal (queued/leased/done/
-  failed), one file per host, fsynced at lease and completion.
+  failed), one file per sweep, fsynced at lease and completion.
 * :mod:`.faults` — deterministic crash/hang/corrupt-row injection and the
   table of the failure each fault ends in.  A :class:`FaultPlan` reaches a
   sweep only as ``SweepOptions.fault_plan``; nothing reads one from the
@@ -48,36 +49,23 @@ Layering:
   worker processes with crash detection, SIGKILL-on-timeout and respawn,
   and the inline executor for serial sweeps.
 * :mod:`.report` — sweep outcomes: rows + structured failure report.
-* :mod:`.progress` — live done/leased/failed, rows/sec, ETA lines.
-* :mod:`.cluster` — the claim path every sweep with a directory takes, on
-  one host or many: fenced epoch-file leases (the attempt counter),
-  heartbeat liveness and lease stealing (``SweepOptions.cluster``).
+* :mod:`.claims` — ``O_EXCL`` epoch files: the attempt counter and the
+  fencing token that makes a second live driver loud.
 * :mod:`.service` — the orchestrator: ``run_sweep`` /
   ``run_sweep_outcome``, one run loop with retries, backoff, resume and
   strict mode.
+* :mod:`.__main__` — the read-only ``status`` command.
 
 The end-to-end crash/fault/resume proofs live outside the package, in
 ``tests/sweep_proofs/`` (``PYTHONPATH=src:tests python -m sweep_proofs
-proof`` / ``ckpt-proof`` / ``shard-proof``).
+proof`` / ``ckpt-proof``).
 """
 
-from repro.experiments.sweeprunner.cluster import (
-    HOST_ENV,
-    ClusterOptions,
-    ShardCoordinator,
-    resolve_host,
-)
 from repro.experiments.sweeprunner.faults import (
     CORRUPT_MARKER,
     FaultPlan,
 )
-from repro.experiments.sweeprunner.ledger import (
-    RunLedger,
-    lease_counts,
-    merged_counts,
-    sweep_ledger_paths,
-)
-from repro.experiments.sweeprunner.progress import PROGRESS_ENV
+from repro.experiments.sweeprunner.ledger import RunLedger, lease_counts
 from repro.experiments.sweeprunner.report import (
     SweepOutcome,
     SweepPointsFailed,
@@ -110,12 +98,8 @@ __all__ = [
     "CACHE_ENV_VAR",
     "CACHE_VERSION",
     "CORRUPT_MARKER",
-    "HOST_ENV",
-    "PROGRESS_ENV",
-    "ClusterOptions",
     "FaultPlan",
     "RunLedger",
-    "ShardCoordinator",
     "Supervisor",
     "SweepCache",
     "SweepOptions",
@@ -131,8 +115,6 @@ __all__ = [
     "environment_axes",
     "lease_counts",
     "make_task",
-    "merged_counts",
-    "resolve_host",
     "run_sweep",
     "run_sweep_outcome",
     "sweep_id",

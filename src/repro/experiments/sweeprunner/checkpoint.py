@@ -11,11 +11,13 @@ written through :mod:`repro.snapshot`'s atomic, digest-checked envelope):
 * a point function opts in by running its system through
   :func:`run_with_checkpoint` instead of calling ``system.run`` directly —
   with ``REPRO_CHECKPOINT_EVERY`` set, the measured window then snapshots
-  every N cycles and a retried attempt resumes **bit-exactly** from the
-  last durable checkpoint instead of recomputing the prefix;
+  every N cycles and a retried attempt — in the same driver, or in the
+  next one after a ``kill -9`` — resumes **bit-exactly** from the last
+  durable checkpoint instead of recomputing the prefix;
 * the ledger's ``leased`` records carry the provenance
-  (``checkpoint="fresh"`` / ``"resume"``), and the checkpoint file is
-  deleted when the row lands in the store.
+  (``checkpoint="fresh"`` / ``"resume"``: a checkpoint file exists when
+  the attempt is claimed), and the checkpoint file is deleted when the row
+  lands in the store.
 
 Checkpointing changes when work happens, never what it computes: the
 resumed row is bit-identical to an uninterrupted run (the equivalence is
@@ -73,34 +75,6 @@ def checkpoint_file(directory: Union[str, Path], key: str) -> Path:
     """The checkpoint path for one task key (attempt-independent: a retry
     resumes whatever the previous attempt last saved)."""
     return Path(directory) / f"{key}.ckpt"
-
-
-def peek_fraction(path: Union[str, Path]) -> float:
-    """How much of its run a checkpoint has already simulated, in [0, 1].
-
-    Progress/ETA accounting credits a resumed point for the cycles its
-    checkpoint carries (a resumed point only *computes* the remainder, so
-    counting it as a full row of work would skew the measured rate and the
-    ETA).  Reads the snapshot's ``now``/``run_end``/``run_cycles`` fields;
-    anything unreadable or incompatible is worth zero credit — the point
-    then just counts as fresh, which is always a safe estimate.
-    """
-    from repro.snapshot import SnapshotError, read_snapshot
-
-    try:
-        payload = read_snapshot(Path(path))
-    except (OSError, SnapshotError):
-        return 0.0
-    if not isinstance(payload, dict):
-        return 0.0
-    now = payload.get("now")
-    run_end = payload.get("run_end")
-    run_cycles = payload.get("run_cycles")
-    if not all(isinstance(v, int) for v in (now, run_end, run_cycles)) \
-            or run_cycles <= 0:
-        return 0.0
-    remaining = max(run_end - now, 0)
-    return min(max(1.0 - remaining / run_cycles, 0.0), 1.0)
 
 
 class CheckpointSlot:
@@ -206,6 +180,6 @@ def run_with_checkpoint(build: Callable[[], Any], cycles: int,
 
 __all__ = [
     "CHECKPOINT_EVERY_ENV", "CheckpointSlot", "activate", "active_slot",
-    "checkpoint_every", "checkpoint_file", "deactivate", "peek_fraction",
+    "checkpoint_every", "checkpoint_file", "deactivate",
     "preload_snapshot_layer", "run_with_checkpoint",
 ]

@@ -32,18 +32,6 @@ the supervised worker and the inline executor both act on that table):
 The inline executor runs points in the driver process, which no injected
 fault may kill or hang: it reports the crash or timeout the worker would
 have produced without running the point.
-
-Cluster fault kinds (see :mod:`.cluster`) are host-level rather than
-worker-level, are **not** part of the default schedule (naming them in
-``FaultPlan(kinds=...)`` opts in), and are no-ops on single-host sweeps:
-
-* ``netsplit`` — the executing host freezes its heartbeats for the
-  duration of the point while it keeps computing; peers declare it dead,
-  steal the lease, and the fencing check discards the split host's late
-  writes.
-* ``steal-race`` — hosts that observe an expired lease skip the usual
-  deterministic steal stagger, so every candidate rushes the
-  ``O_CREAT|O_EXCL`` claim at once and exactly one wins.
 """
 
 from __future__ import annotations
@@ -54,22 +42,14 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-#: Each worker-level fault kind and the failure kind it ends in.  The order
-#: is the default schedule's (:meth:`FaultPlan.decide` indexes into it).
+#: Each fault kind and the failure kind it ends in.  The order is the
+#: default schedule's (:meth:`FaultPlan.decide` indexes into it).
 FAULT_OUTCOMES: Dict[str, str] = {
     "crash": "crash", "hang": "timeout", "corrupt": "corrupt-row",
     "die": "crash",
 }
 
 FAULT_KINDS: Tuple[str, ...] = tuple(FAULT_OUTCOMES)
-
-#: Host-level fault kinds understood by the shard coordinator.  Kept out of
-#: :data:`FAULT_KINDS` (the default schedule) so existing single-host fault
-#: schedules — and the CI proof runs pinned against them — are unchanged;
-#: plans opt in by naming them explicitly.
-CLUSTER_FAULT_KINDS: Tuple[str, ...] = ("netsplit", "steal-race")
-
-ALL_FAULT_KINDS: Tuple[str, ...] = FAULT_KINDS + CLUSTER_FAULT_KINDS
 
 #: Marker key planted by corrupt-row faults; row validation rejects any row
 #: carrying it, proving the validation path rather than trusting it.
@@ -125,8 +105,7 @@ def hang_forever(parent_pid: int, poll_seconds: float = 0.2) -> None:
 
 
 __all__ = [
-    "ALL_FAULT_KINDS", "CLUSTER_FAULT_KINDS", "CORRUPT_MARKER",
-    "CRASH_EXIT_CODE", "DEFAULT_HANG_TIMEOUT",
+    "CORRUPT_MARKER", "CRASH_EXIT_CODE", "DEFAULT_HANG_TIMEOUT",
     "FAULT_KINDS", "FAULT_OUTCOMES", "FaultPlan", "corrupt_row",
     "hang_forever",
 ]

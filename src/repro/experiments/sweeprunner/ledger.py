@@ -1,7 +1,8 @@
 """Append-only JSONL run ledger: the sweep's durable state machine.
 
-One ledger file per sweep identity (see :func:`tasks.sweep_id`) and host,
-holding one JSON object per line.  The task-level state machine is::
+One ledger file per sweep identity (``ledger/sweep-<id>.jsonl``, see
+:func:`tasks.sweep_id`), holding one JSON object per line.  The
+task-level state machine is::
 
     queued -> leased -> done
                   \\-> failed -> (leased again, while attempts remain)
@@ -11,7 +12,7 @@ holding one JSON object per line.  The task-level state machine is::
   carry the sweep metadata (total points, point function).
 * ``leased`` is appended **and fsynced before** the task is handed to a
   worker, right after the epoch claim that counts the attempt (see
-  :mod:`.cluster`): the journal shows every execution, including one a
+  :mod:`.claims`): the journal shows every execution, including one a
   ``kill -9`` of driver or worker interrupted.
 * ``done`` is appended (and fsynced) after the row has been written to the
   content-addressed store — the record points into the store by key, it
@@ -21,21 +22,16 @@ holding one JSON object per line.  The task-level state machine is::
   failure report.
 
 Replay is tolerant of a torn final line (the driver can die mid-append);
-any line that does not parse is counted and skipped.
-
-Each host keeps its **own** ledger file (``sweep-<id>.<host>.jsonl``,
-see :mod:`.cluster`) — append-only JSONL has exactly one writer per file,
-always — and audits merge every host's journal: :func:`merged_counts` sums
-a per-file counter (e.g. :func:`lease_counts`) over all ``sweep-*.jsonl``
-files in a directory, which is how the shard proof asserts the global
-lease bound across hosts.
+any line that does not parse is counted and skipped.  :func:`replay` is
+the one reader of a journal's events: :class:`RunLedger` rebuilds its
+state with it, and so do :func:`lease_counts` and the read-only ``status``
+command (see :mod:`.__main__`).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,16 +47,11 @@ class TaskRecord:
     failures: List[Dict[str, Any]] = field(default_factory=list)
     #: Leases that resumed from a mid-point checkpoint (see .checkpoint).
     resumed: int = 0
-    #: Resumed leases whose checkpoint another host left behind, taken
-    #: over by a lease steal (see .cluster; counted in ``resumed`` too).
-    migrated: int = 0
 
     def count_lease(self, checkpoint: Any) -> None:
         self.leases += 1
-        if checkpoint in ("resume", "migrated"):
+        if checkpoint == "resume":
             self.resumed += 1
-        if checkpoint == "migrated":
-            self.migrated += 1
 
 
 class RunLedger:
@@ -69,44 +60,9 @@ class RunLedger:
     def __init__(self, path: Path) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.torn_lines = 0
-        self._records = self._replay()
+        events, self.torn_lines = read_events(self.path)
+        self._records = replay(events)
         self._handle = self.path.open("a", encoding="utf-8")
-
-    # -- replay ----------------------------------------------------------
-
-    def _replay(self) -> Dict[str, TaskRecord]:
-        records: Dict[str, TaskRecord] = {}
-        events, self.torn_lines = _read_events(self.path)
-        for event in events:
-            kind = event.get("event")
-            if kind == "snapshot":
-                # A compacted journal: one record carrying the replay state
-                # of every key (see :meth:`compact`).
-                for key, state in _snapshot_tasks(event):
-                    records[key] = TaskRecord(
-                        leases=int(state.get("leases", 0)),
-                        done=bool(state.get("done", False)),
-                        failures=list(state.get("failures", [])),
-                        resumed=int(state.get("resumed", 0)),
-                        migrated=int(state.get("migrated", 0)))
-                continue
-            key = event.get("key")
-            if not key or kind not in ("queued", "leased", "done", "failed"):
-                continue
-            record = records.setdefault(key, TaskRecord())
-            if kind == "leased":
-                record.count_lease(event.get("checkpoint"))
-            elif kind == "done":
-                record.done = True
-            elif kind == "failed":
-                record.failures.append({
-                    "attempt": event.get("attempt"),
-                    "kind": event.get("kind", "error"),
-                    "error_type": event.get("error_type", ""),
-                    "message": event.get("message", ""),
-                })
-        return records
 
     @property
     def resumed(self) -> bool:
@@ -132,16 +88,14 @@ class RunLedger:
         self._handle.flush()
         os.fsync(self._handle.fileno())
 
-    def append_leased(self, key: str, attempt: int, worker: Any = None,
+    def append_leased(self, key: str, attempt: int,
                       checkpoint: str = "fresh") -> None:
         """Journal a lease; ``checkpoint`` records the execution's provenance:
-        ``"fresh"`` (from cycle zero), ``"resume"`` (from a checkpoint left
-        by an earlier, interrupted attempt), or ``"migrated"`` (from a
-        checkpoint a dead host left behind, after a lease steal)."""
+        ``"fresh"`` (from cycle zero) or ``"resume"`` (from a checkpoint left
+        by an earlier, interrupted attempt)."""
         self.record(key).count_lease(checkpoint)
         self._append({"event": "leased", "key": key, "attempt": attempt,
-                      "worker": worker, "checkpoint": checkpoint,
-                      "t": time.time()})
+                      "checkpoint": checkpoint, "t": time.time()})
 
     def append_done(self, key: str, attempt: int) -> None:
         self.record(key).done = True
@@ -173,8 +127,7 @@ class RunLedger:
                     "tasks": {key: {"leases": record.leases,
                                     "done": record.done,
                                     "failures": record.failures,
-                                    "resumed": record.resumed,
-                                    "migrated": record.migrated}
+                                    "resumed": record.resumed}
                               for key, record in self._records.items()}}
         tmp = self.path.with_name(
             f"{self.path.name}.{os.getpid()}.compact.tmp")
@@ -216,22 +169,12 @@ class RunLedger:
             pass
 
 
-def ledger_path(directory: Path, sweep_identity: str, host: str) -> Path:
-    """One host's journal file for one sweep: every append-only file has
-    exactly one writer."""
-    safe = re.sub(r"[^A-Za-z0-9_.-]+", "-", host)
-    return Path(directory) / f"sweep-{sweep_identity}.{safe}.jsonl"
+def ledger_path(directory: Path, sweep_identity: str) -> Path:
+    """The journal file of one sweep."""
+    return Path(directory) / f"sweep-{sweep_identity}.jsonl"
 
 
-def sweep_ledger_paths(directory: Path) -> List[Path]:
-    """Every ledger file in a directory (all hosts, all sweeps), sorted."""
-    try:
-        return sorted(Path(directory).glob("sweep-*.jsonl"))
-    except OSError:
-        return []
-
-
-def _read_events(path: Path) -> Tuple[List[Dict[str, Any]], int]:
+def read_events(path: Path) -> Tuple[List[Dict[str, Any]], int]:
     """The JSON-object lines of a ledger file, plus the count of lines that
     did not parse (a torn final append); a missing file has none."""
     try:
@@ -252,19 +195,39 @@ def _read_events(path: Path) -> Tuple[List[Dict[str, Any]], int]:
     return events, torn
 
 
-def _snapshot_tasks(event: Dict[str, Any]):
-    tasks = event.get("tasks")
-    return tasks.items() if isinstance(tasks, dict) else ()
-
-
-#: ``lease_counts`` filters: provenance -> (compacted snapshot field,
-#: admitted ``checkpoint`` values of live ``leased`` records; None = all).
-#: A migrated lease is a resume too.
-_PROVENANCE_FILTERS = {
-    None: ("leases", None),
-    "resume": ("resumed", ("resume", "migrated")),
-    "migrated": ("migrated", ("migrated",)),
-}
+def replay(events: Iterable[Dict[str, Any]]) -> Dict[str, TaskRecord]:
+    """Per-key replay state of a journal's events (see :func:`read_events`)."""
+    records: Dict[str, TaskRecord] = {}
+    for event in events:
+        kind = event.get("event")
+        if kind == "snapshot":
+            # A compacted journal: one record carrying the replay state of
+            # every key (see :meth:`RunLedger.compact`).
+            tasks = event.get("tasks")
+            for key, state in (tasks.items() if isinstance(tasks, dict)
+                               else ()):
+                records[key] = TaskRecord(
+                    leases=int(state.get("leases", 0)),
+                    done=bool(state.get("done", False)),
+                    failures=list(state.get("failures", [])),
+                    resumed=int(state.get("resumed", 0)))
+            continue
+        key = event.get("key")
+        if not key or kind not in ("queued", "leased", "done", "failed"):
+            continue
+        record = records.setdefault(key, TaskRecord())
+        if kind == "leased":
+            record.count_lease(event.get("checkpoint"))
+        elif kind == "done":
+            record.done = True
+        elif kind == "failed":
+            record.failures.append({
+                "attempt": event.get("attempt"),
+                "kind": event.get("kind", "error"),
+                "error_type": event.get("error_type", ""),
+                "message": event.get("message", ""),
+            })
+    return records
 
 
 def lease_counts(path: Path, provenance: Optional[str] = None
@@ -272,40 +235,21 @@ def lease_counts(path: Path, provenance: Optional[str] = None
     """Leases per key, read straight from a ledger file (snapshot-aware).
 
     With ``provenance="resume"`` only leases that resumed from a checkpoint
-    count, with ``"migrated"`` only those whose checkpoint another host
-    wrote.  Tests and the sweep proofs assert the retry bound (no key
-    leased more than ``1 + max_retries`` times) and the resume/migration
-    evidence with it, before and after compaction.
+    count.  Tests and the sweep proofs assert the retry bound (no key
+    leased more than ``1 + max_retries`` times) and the resume evidence
+    with it, before and after compaction.
     """
-    field, admitted = _PROVENANCE_FILTERS[provenance]
-    counts: Dict[str, int] = {}
-    for event in _read_events(path)[0]:
-        if event.get("event") == "snapshot":
-            for key, state in _snapshot_tasks(event):
-                count = int(state.get(field, 0))
-                if count:  # parity with replay: no zero-count keys
-                    counts[key] = counts.get(key, 0) + count
-        elif event.get("event") == "leased" and (
-                admitted is None or event.get("checkpoint") in admitted):
-            counts[event["key"]] = counts.get(event["key"], 0) + 1
-    return counts
-
-
-def merged_counts(directory: Path, counter=lease_counts) -> Dict[str, int]:
-    """Sum a per-file counter (e.g. :func:`lease_counts`) across every
-    ledger file in ``directory`` — the cross-host audit primitive."""
-    totals: Dict[str, int] = {}
-    for path in sweep_ledger_paths(directory):
-        for key, count in counter(path).items():
-            totals[key] = totals.get(key, 0) + count
-    return totals
+    field = {None: "leases", "resume": "resumed"}[provenance]
+    counts = {key: getattr(record, field)
+              for key, record in replay(read_events(path)[0]).items()}
+    return {key: count for key, count in counts.items() if count}
 
 
 def count_events(path: Path, kind: str) -> int:
     """Number of ``kind`` events in a ledger file (tolerant of torn lines)."""
-    return sum(1 for event in _read_events(path)[0]
+    return sum(1 for event in read_events(path)[0]
                if event.get("event") == kind)
 
 
 __all__ = ["RunLedger", "TaskRecord", "count_events", "lease_counts",
-           "ledger_path", "merged_counts", "sweep_ledger_paths"]
+           "ledger_path", "read_events", "replay"]

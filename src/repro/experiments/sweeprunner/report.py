@@ -42,11 +42,6 @@ class SweepStats:
     worker_respawns: int = 0
     resumed: bool = False      # the ledger held prior state at open
     duration_seconds: float = 0.0
-    # Cluster counters (zero on single-host sweeps; see .cluster):
-    steals: int = 0            # leases taken over from a dead host
-    migrated_resumes: int = 0  # steals that shipped the dead host's .ckpt
-    fenced_writes: int = 0     # stale done/failed/store writes discarded
-    peer_rows: int = 0         # points another host completed for us
 
 
 @dataclass

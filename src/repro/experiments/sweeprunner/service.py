@@ -4,12 +4,12 @@
 point builds its figure from, in parameter order, on top of this
 execution core:
 
-* every execution is one epoch claim (see :mod:`.cluster`) journaled to
+* every execution is one epoch claim (see :mod:`.claims`) journaled to
   the run ledger (``leased`` fsynced before dispatch, ``done``/``failed``
   after), so a ``kill -9`` of driver or worker resumes exactly where it
   left off — completed rows replay from the content-addressed store,
   interrupted claims count against the retry budget, and no point ever
-  executes more than ``1 + max_retries`` times, on one host or many;
+  executes more than ``1 + max_retries`` times;
 * one loop drives either executor (see :mod:`.supervisor`): supervised
   worker processes, where crashes and OOM-kills surface as retryable
   failures and the worker is respawned and hangs are cut by the per-task
@@ -24,8 +24,11 @@ execution core:
 
 Durability requires a directory: claims, journal and checkpoints live
 next to the result store (``<cache_dir>/claims/``, ``ledger/``,
-``checkpoints/``).  Without one, the sweep runs memory-only (still
-supervised, still retried), counting attempts in memory.
+``checkpoints/``).  One live driver works on a directory at a time; a
+second one makes the sweep raise (see :mod:`.claims`).  Without a
+directory, the sweep runs memory-only (still supervised, still retried),
+counting attempts in memory.  ``python -m repro.experiments.sweeprunner
+status <dir>`` reports a sweep's progress from its journal.
 """
 
 from __future__ import annotations
@@ -46,23 +49,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro.experiments.sweeprunner import checkpoint as checkpoint_module
 from repro.experiments.sweeprunner import ledger as ledger_module
 from repro.experiments.sweeprunner import store as store_module
-from repro.experiments.sweeprunner.cluster import (
-    BUSY,
-    EXHAUSTED,
-    ClusterOptions,
-    Lease,
-    LocalClaims,
-    ShardCoordinator,
-    resolve_host,
-)
+from repro.experiments.sweeprunner.claims import Claims
 from repro.experiments.sweeprunner.faults import (
     CORRUPT_MARKER,
     DEFAULT_HANG_TIMEOUT,
     FaultPlan,
-)
-from repro.experiments.sweeprunner.progress import (
-    ProgressReporter,
-    resolve_interval,
 )
 from repro.experiments.sweeprunner.report import (
     SweepOutcome,
@@ -93,7 +84,7 @@ class SweepOptions:
 
     processes: Optional[int] = None
     #: Store root: rows at ``<cache_dir>/<key>.json``, plus the ``claims/``,
-    #: ``hosts/``, ``ledger/`` and ``checkpoints/`` the sweep keeps there.
+    #: ``ledger/`` and ``checkpoints/`` the sweep keeps there.
     #: None resolves REPRO_SWEEP_CACHE; an empty string runs memory-only.
     cache_dir: Optional[os.PathLike] = None
     #: Executions per point are bounded by ``1 + max_retries``.
@@ -106,14 +97,9 @@ class SweepOptions:
     #: Raise SweepPointsFailed when a point exhausts its retries; False
     #: returns the completed rows and prints the failure report.
     strict: bool = True
-    #: Progress-line interval in seconds; None resolves REPRO_SWEEP_PROGRESS.
-    progress: Optional[float] = None
     start_method: Optional[str] = None
     #: Deterministic fault injection (see :mod:`.faults`); None injects none.
     fault_plan: Optional[FaultPlan] = None
-    #: Host identity and lease timing (see :mod:`.cluster`); None means
-    #: ``ClusterOptions()``.  Setting it requires a cache directory.
-    cluster: Optional[ClusterOptions] = None
 
 
 def default_processes(task_count: int) -> int:
@@ -146,7 +132,7 @@ class _PointState:
     """Driver-side state of one unique task key."""
 
     __slots__ = ("key", "task", "indices", "attempts", "row", "done",
-                 "failure", "resume_credit")
+                 "failure")
 
     def __init__(self, key: str, task: SweepTask) -> None:
         self.key = key
@@ -156,7 +142,6 @@ class _PointState:
         self.row: Optional[Dict[str, Any]] = None
         self.done = False
         self.failure: Optional[TaskFailure] = None
-        self.resume_credit = 0.0  # checkpoint fraction of the live lease
 
 
 class _SweepRun:
@@ -188,20 +173,14 @@ class _SweepRun:
             state.indices.append(index)
             self.order.append(key)
 
-        cluster = options.cluster or ClusterOptions()
-        self.poll_interval = cluster.poll_interval
-        self.host = resolve_host(cluster.host)
-        self.cache, self.claims = self._open_store(cluster)
+        self.cache, self.claims = self._open_store()
         self.ledger = self._open_ledger()
         self.checkpoint_dir = self._open_checkpoints()
-        self._computed_work = 0.0  # fractional units actually simulated
         self._interrupted = threading.Event()
 
     # -- durability ------------------------------------------------------
 
-    def _open_store(self, cluster: ClusterOptions
-                    ) -> Tuple[Optional[SweepCache],
-                               Union[ShardCoordinator, LocalClaims]]:
+    def _open_store(self) -> Tuple[Optional[SweepCache], Claims]:
         """The row store and the claims that count attempts beside it; a
         memory-only sweep counts them in memory."""
         if self.options.cache_dir is not None:
@@ -212,28 +191,21 @@ class _SweepRun:
         else:
             directory = default_cache_dir()
         if directory is None:
-            if self.options.cluster is not None:
-                # Hosts coordinate entirely through the cache directory;
-                # without one there is nothing for them to share.
-                raise ValueError(
-                    "SweepOptions.cluster requires a cache directory "
-                    "(cache_dir or REPRO_SWEEP_CACHE)")
-            return None, LocalClaims(self.max_leases)
+            return None, Claims(None, self.max_leases)
         try:
             cache = SweepCache(directory, fsync=True)
-            claims = ShardCoordinator(directory, self.host, self.max_leases,
-                                      cluster, fault_plan=self.fault_plan)
+            claims = Claims(directory / "claims", self.max_leases)
         except OSError as exc:  # caching is best-effort; never fail the sweep
             print(f"sweep cache disabled ({directory}: {exc})",
                   file=sys.stderr)
-            return None, LocalClaims(self.max_leases)
+            return None, Claims(None, self.max_leases)
         return cache, claims
 
     def _open_ledger(self) -> Optional[ledger_module.RunLedger]:
         if self.cache is None or not self.states:
             return None
         path = ledger_module.ledger_path(self.cache.directory / "ledger",
-                                         sweep_id(self.tasks), self.host)
+                                         sweep_id(self.tasks))
         fresh = not path.exists()
         try:
             journal = ledger_module.RunLedger(path)
@@ -251,8 +223,8 @@ class _SweepRun:
         return journal
 
     def _open_checkpoints(self) -> Optional[Path]:
-        """``<cache_dir>/checkpoints``, shared by every host: a steal
-        resumes the dead holder's checkpoint in place."""
+        """``<cache_dir>/checkpoints``: a retried attempt resumes what the
+        interrupted one last saved."""
         if self.cache is None:
             return None
         directory = self.cache.directory / "checkpoints"
@@ -285,28 +257,26 @@ class _SweepRun:
         return pending
 
     def _exhaust(self, state: _PointState) -> None:
-        """The attempt budget is spent and the final holder is gone (dead,
-        or released after failing): the point is dead sweep-wide.  The
-        failed-lease marker, when one exists, carries the real error."""
+        """Earlier driver incarnations spent the key's attempt budget.  The
+        journal's failure of the final attempt is the error; a final attempt
+        that never reported (its driver died) is a crash."""
         epoch = self.claims.current_epoch(state.key)
         state.attempts = epoch
-        info = self.claims.failure_info(state.key, epoch) or {}
+        failures = (self.ledger.record(state.key).failures
+                    if self.ledger is not None else [])
+        info = next((f for f in reversed(failures)
+                     if f.get("attempt") == epoch), {})
         state.failure = TaskFailure(
             key=state.key, params=dict(state.task.params), attempts=epoch,
             kind=str(info.get("kind") or "crash"),
             error_type=str(info.get("error_type") or ""),
             message=str(info.get("message") or
-                        "lease budget exhausted across hosts"))
+                        "attempt budget spent by earlier driver runs"))
 
     def _record_failure(self, state: _PointState, kind: str,
                         error_type: str, message: str) -> Optional[float]:
         """Journal one failed attempt; return a retry delay or None."""
-        state.resume_credit = 0.0
-        if not self.claims.still_holds(state.key, state.attempts):
-            # Fenced: a peer already stole this lease, so the outcome is
-            # theirs to decide — record nothing, just poll for their row.
-            self.stats.fenced_writes += 1
-            return self.poll_interval
+        self.claims.check_holds(state.key, state.attempts)
         if kind == "timeout":
             self.stats.timeouts += 1
         elif kind == "crash":
@@ -316,10 +286,6 @@ class _SweepRun:
         if self.ledger is not None:
             self.ledger.append_failed(state.key, state.attempts, kind,
                                       error_type, message)
-        # Release the lease: any host may mint the next epoch immediately
-        # instead of waiting out the staleness window.
-        self.claims.mark_failed(state.key, state.attempts, kind, error_type,
-                                message)
         if state.attempts < self.max_leases:
             return _backoff_delay(self.options, state.key, state.attempts)
         state.failure = TaskFailure(
@@ -328,34 +294,25 @@ class _SweepRun:
             error_type=error_type, message=message)
         return None
 
-    def _lease(self, state: _PointState, lease: Lease) -> None:
-        """Take a won claim: its epoch is the attempt number, and its
-        provenance says whether a checkpoint is resumed."""
-        state.attempts = lease.epoch
+    def _lease(self, state: _PointState, epoch: int) -> None:
+        """Take a won claim: its epoch is the attempt number, and a
+        checkpoint an interrupted attempt left makes it a resume."""
+        state.attempts = epoch
         ckpt = self._checkpoint_path(state.key)
-        state.resume_credit = (
-            checkpoint_module.peek_fraction(ckpt)
-            if ckpt is not None and lease.provenance != "fresh" else 0.0)
+        provenance = ("resume" if ckpt is not None and ckpt.exists()
+                      else "fresh")
         self.stats.executed += 1
-        if state.attempts > 1:
+        if epoch > 1:
             self.stats.retries += 1
         if self.ledger is not None:
-            self.ledger.append_leased(state.key, state.attempts,
-                                      checkpoint=lease.provenance)
+            self.ledger.append_leased(state.key, epoch,
+                                      checkpoint=provenance)
 
-    def _complete(self, state: _PointState, row: Dict[str, Any]) -> bool:
-        """Land a completed row; False when the lease was fenced off."""
-        if not self.claims.still_holds(state.key, state.attempts):
-            # A peer declared us dead (e.g. a netsplit froze our
-            # heartbeats) and stole the lease: our row must not land over
-            # the newer epoch's outcome.
-            self.stats.fenced_writes += 1
-            state.resume_credit = 0.0
-            return False
+    def _complete(self, state: _PointState, row: Dict[str, Any]) -> None:
+        """Land a completed row."""
+        self.claims.check_holds(state.key, state.attempts)
         state.row = row
         state.done = True
-        self._computed_work += max(1.0 - state.resume_credit, 0.0)
-        state.resume_credit = 0.0
         if self.cache is not None:
             self.cache.store(state.task, row)
         if self.ledger is not None:
@@ -367,18 +324,6 @@ class _SweepRun:
                 ckpt.unlink()
             except OSError:
                 pass
-        return True
-
-    def _peer_done(self, state: _PointState) -> bool:
-        """Whether another host's row for this key landed in the store."""
-        row = self.cache.peek(state.task) if self.cache is not None else None
-        if row is None:
-            return False
-        state.row = row
-        state.done = True
-        state.resume_credit = 0.0
-        self.stats.peer_rows += 1
-        return True
 
     # -- the run loop ----------------------------------------------------
 
@@ -386,19 +331,13 @@ class _SweepRun:
                  executor: Union[InlineExecutor, Supervisor]) -> None:
         """Lease ready keys onto idle executor slots and settle the events.
 
-        A key waits in the deferred heap while a live peer holds it
-        (``poll_interval``) or while its failed attempt backs off; the
-        loop ends when every key is done or dead sweep-wide.
+        A key whose attempt failed waits in the deferred heap while it
+        backs off; the loop ends when every key is done or out of attempts.
         """
         ready = deque(pending)
         deferred: List[Tuple[float, int, str]] = []
         tickets = itertools.count()
         in_flight = 0
-        split: set = set()
-
-        def defer(key: str, delay: float) -> None:
-            heapq.heappush(deferred,
-                           (time.monotonic() + delay, next(tickets), key))
 
         while ready or deferred or in_flight:
             now = time.monotonic()
@@ -406,30 +345,19 @@ class _SweepRun:
                 ready.append(heapq.heappop(deferred)[2])
             while ready and executor.idle_count() > 0:
                 state = self.states[ready.popleft()]
-                if self._peer_done(state):
-                    continue
-                lease = self.claims.acquire(state.key)
-                if lease is BUSY:
-                    defer(state.key, self.poll_interval)
-                    continue
-                if lease is EXHAUSTED:
+                epoch = self.claims.acquire(state.key)
+                if epoch is None:
                     self._exhaust(state)
                     continue
-                self._lease(state, lease)
-                if self.fault_plan is not None and self.fault_plan.decide(
-                        state.key, state.attempts) == "netsplit":
-                    # The point runs normally; the *driver* goes silent, so
-                    # the lease is stealable while the work is in flight.
-                    self.claims.suppress_heartbeats()
-                    split.add(state.key)
+                self._lease(state, epoch)
                 executor.submit(state.indices[0], state.key, state.attempts,
                                 state.task.params)
                 in_flight += 1
             if not in_flight:
                 if not deferred:
                     break
-                # Nothing runs: wait out a backoff or a peer's lease.  An
-                # Event wait (not a sleep) lets Ctrl-C cut it short.
+                # Nothing runs: wait out a backoff.  An Event wait (not a
+                # sleep) lets Ctrl-C cut it short.
                 delay = deferred[0][0] - time.monotonic()
                 if delay > 0 and self._interrupted.wait(min(delay, 0.5)):
                     raise KeyboardInterrupt
@@ -437,13 +365,10 @@ class _SweepRun:
             for event in executor.poll(timeout=0.05):
                 in_flight -= 1
                 key = event.assignment.key
-                if key in split:
-                    split.discard(key)
-                    self.claims.resume_heartbeats()
                 delay = self._handle_event(self.states[key], event)
                 if delay is not None:
-                    defer(key, delay)
-            self._tick_progress(leased=in_flight)
+                    heapq.heappush(deferred, (time.monotonic() + delay,
+                                              next(tickets), key))
 
     def _handle_event(self, state: _PointState,
                       event: TaskEvent) -> Optional[float]:
@@ -451,11 +376,8 @@ class _SweepRun:
         if event.kind == "row":
             invalid = _validate_row(self.fn_label, event.payload)
             if invalid is None:
-                if self._complete(state, event.payload):
-                    return None
-                # Fenced completion: the thief owns the outcome; poll for
-                # its row (or our next shot at the lease).
-                return self.poll_interval
+                self._complete(state, event.payload)
+                return None
             return self._record_failure(state, "corrupt-row", *invalid)
         if event.kind == "error":
             info = event.payload or {}
@@ -472,28 +394,10 @@ class _SweepRun:
                 f"exceeded {self.task_timeout:.1f}s wall clock")
         raise AssertionError(f"unknown supervision event {event.kind!r}")
 
-    # -- progress --------------------------------------------------------
-
-    def _tick_progress(self, leased: int = 0) -> None:
-        if self.progress is None:
-            return
-        done = sum(len(s.indices) for s in self.states.values() if s.done)
-        failed = sum(len(s.indices) for s in self.states.values()
-                     if s.failure is not None)
-        hits = self.cache.hits if self.cache is not None else 0
-        credit = sum(s.resume_credit for s in self.states.values()
-                     if not s.done and s.failure is None)
-        self.progress.maybe_report(done, leased, failed, hits,
-                                   computed_work=self._computed_work,
-                                   in_flight_credit=credit)
-
     # -- top level -------------------------------------------------------
 
     def run(self) -> SweepOutcome:
         started = time.monotonic()
-        interval = resolve_interval(self.options.progress)
-        self.progress = (ProgressReporter(len(self.param_sets), interval)
-                         if interval is not None else None)
         previous_sigint = self._install_sigint()
         try:
             pending = self._prefill()
@@ -502,8 +406,8 @@ class _SweepRun:
             if all(s.done for s in self.states.values()):
                 # Clean completion: collapse the journal to one snapshot
                 # record (replay state and per-key counts preserved), then
-                # expire old quarantined rows and checkpoints whose rows
-                # already landed.
+                # expire old quarantined rows, and the checkpoints and
+                # claims of keys whose rows already landed.
                 if self.ledger is not None:
                     self.ledger.compact()
                 if self.cache is not None:
@@ -512,7 +416,6 @@ class _SweepRun:
             self._on_interrupt()
             raise
         finally:
-            self.claims.stop()
             if previous_sigint is not None:
                 signal.signal(signal.SIGINT, previous_sigint)
             if self.ledger is not None:
@@ -520,9 +423,6 @@ class _SweepRun:
         return self._finalize(started)
 
     def _run_pending(self, pending: List[str]) -> None:
-        # Heartbeats start before the first claim; a sweep the store
-        # serves whole claims nothing and never starts them.
-        self.claims.start()
         if self.checkpoint_dir is not None:
             checkpoint_module.preload_snapshot_layer()
         workers = (default_processes(len(pending))
@@ -596,12 +496,6 @@ class _SweepRun:
                 failures.append(state.failure)
                 stats.failed_points += len(state.indices)
         stats.completed = len(rows)
-        stats.steals = self.claims.steals
-        stats.migrated_resumes = self.claims.migrations
-        if self.progress is not None:
-            self.progress.final(stats.completed, stats.failed_points,
-                                stats.cache_hits,
-                                computed_work=self._computed_work)
         return SweepOutcome(
             rows=rows, failures=failures, stats=stats,
             ledger_path=self.ledger.path if self.ledger is not None else None)
@@ -639,7 +533,7 @@ def run_sweep(fn: PointFn, param_sets: Sequence[Dict[str, Any]],
     machine has a single CPU or only one point, avoiding process overhead).
     ``cache_dir`` overrides the ``REPRO_SWEEP_CACHE`` environment variable.
     ``options`` exposes the full sweep-service surface (retries, timeouts,
-    host identity, fault injection, progress).
+    fault injection).
 
     In strict mode (the default) a point that exhausts its retries raises
     :class:`SweepPointsFailed` carrying the full outcome; with

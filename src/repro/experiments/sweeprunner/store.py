@@ -13,14 +13,11 @@ cannot fail every future load of the same key.
 
 :func:`collect_garbage` is the retention side of the same discipline:
 quarantined ``*.corrupt`` files are kept for a forensics window and then
-deleted, and orphaned ``.ckpt`` checkpoint files whose rows already landed
-in the store are deleted immediately — both previously accumulated forever
-in long-lived cache directories.
-
-Every host of a sweep reads and writes this one layout.  Fencing leaves one
-writer per attempt epoch, rows are a deterministic function of their key,
-and a torn entry fails validation and is recomputed, so concurrent writers
-of one key can only land the same row.
+deleted, and orphaned ``.ckpt`` checkpoint files and ``claims/`` epoch
+files whose rows already landed in the store are deleted immediately —
+all of them previously accumulated forever in long-lived cache
+directories.  A torn entry fails validation and is recomputed, never
+served.
 """
 
 from __future__ import annotations
@@ -69,12 +66,9 @@ class SweepCache:
             except OSError:
                 pass
 
-    def peek(self, task: SweepTask) -> Optional[Dict[str, Any]]:
-        """The validated row for ``task``, or None (missing entries are
-        silent; corrupt ones are quarantined).  Leaves the hit and miss
-        counters alone: the driver re-probes a pending key for a peer's row
-        before every lease, and that probe is no cache lookup."""
-        path = self._path(task)
+    def _read(self, path: Path) -> Optional[Dict[str, Any]]:
+        """The validated row at ``path``, or None (missing entries are
+        silent; corrupt ones are quarantined)."""
         try:
             with path.open("r", encoding="utf-8") as handle:
                 entry = json.load(handle)
@@ -90,7 +84,7 @@ class SweepCache:
         return row
 
     def load(self, task: SweepTask) -> Optional[Dict[str, Any]]:
-        row = self.peek(task)
+        row = self._read(self._path(task))
         if row is None:
             self.misses += 1
             return None
@@ -129,17 +123,18 @@ def collect_garbage(root: Path,
 
     * ``*.corrupt`` quarantine files older than ``corrupt_retention``
       seconds are deleted.
-    * Orphaned ``checkpoints/*.ckpt`` files whose row already landed in
-      the store are deleted — the row is durable, so the resume file is
-      dead weight; a checkpoint whose row has *not* landed is live
-      recovery state and is always kept.
+    * Orphaned ``checkpoints/*.ckpt`` files and ``claims/*.epoch-<N>``
+      files whose row already landed in the store are deleted — the row
+      is durable, so the resume file and the attempt count are dead
+      weight; those of a key whose row has *not* landed are live recovery
+      state and are always kept.
 
     Purely best-effort: every failure is skipped, never raised, and a
     concurrent sweep deleting the same file is harmless.
     """
     root = Path(root)
     now = time.time() if now is None else now
-    removed = {"corrupt": 0, "checkpoints": 0}
+    removed = {"corrupt": 0, "checkpoints": 0, "claims": 0}
     try:
         for path in root.glob("*.corrupt"):
             try:
@@ -148,13 +143,15 @@ def collect_garbage(root: Path,
                     removed["corrupt"] += 1
             except OSError:
                 continue
-        for path in (root / "checkpoints").glob("*.ckpt"):
-            try:
-                if (root / f"{path.stem}.json").exists():
-                    path.unlink()
-                    removed["checkpoints"] += 1
-            except OSError:
-                continue
+        for kind, pattern in (("checkpoints", "*.ckpt"),
+                              ("claims", "*.epoch-*")):
+            for path in (root / kind).glob(pattern):
+                try:
+                    if (root / f"{path.name.split('.')[0]}.json").exists():
+                        path.unlink()
+                        removed[kind] += 1
+                except OSError:
+                    continue
     except OSError:
         pass
     return removed

@@ -28,9 +28,10 @@ from pathlib import Path
 from typing import Any, Union
 
 MAGIC = "repro-snapshot"
-#: v13: the build spec records the ``burst`` constructor argument (which a
-#: restore rebuilds with) instead of the resolved ``burst_enabled`` flag.
-SCHEMA_VERSION = 13
+#: v14: the issue versions (``DramSystem.channel_issue_version``,
+#: ``TimingEngine._issue_versions`` / ``_row_versions``) are derived, not
+#: saved: they only tag probe caches, which a restore starts cold.
+SCHEMA_VERSION = 14
 
 _TAG = "__t"
 

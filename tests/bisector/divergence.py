@@ -76,11 +76,6 @@ BURST_OFF_IGNORE = (
     "build.burst",
     # Burst-plan diagnostics: what the plans did, not what was simulated.
     "system.rank_controllers.*.burst*",
-    # Issue versions tag memoised probes, which compare them by equality
-    # only; a plan bumps them once per settled run, the per-cycle path
-    # once per command.
-    "system.dram.channel_issue_version",
-    "system.dram.timing._issue_versions",
 )
 #: Paths where a cycle-engine run may differ from an event-engine run at
 #: its end: the cycle engine also attempts on every cycle the event engine

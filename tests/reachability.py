@@ -3,9 +3,10 @@
     PYTHONPATH=src python tests/reachability.py
 
 Unit tests keep every island of code alive, so reachability is measured from
-the entry points instead: the nine figure ``main()``s, the five examples and
+the entry points instead: the nine figure ``main()``s, the five examples,
 the seven ledger workloads (smoke budgets, read through
-``benchmarks/ledger/ledger_workloads.py``).  Everything runs in this process
+``benchmarks/ledger/ledger_workloads.py``) and the sweep ``status`` command,
+run on each sweep workload's directory.  Everything runs in this process
 under a ``sys.settrace`` hook that records call events only; sweeps run
 in-process (one worker), figure points at a 1 500-cycle budget.
 
@@ -128,6 +129,13 @@ def run_examples() -> None:
         sys.argv = argv
 
 
+def run_status(directory: Path) -> None:
+    from repro.experiments.sweeprunner.__main__ import main
+
+    if main(["status", str(directory)]):
+        raise SystemExit(f"status found no sweep journal in {directory}")
+
+
 def run_ledger_workloads(scratch: Path) -> None:
     sys.path.insert(0, str(LEDGER))
     import ledger_defs
@@ -140,6 +148,8 @@ def run_ledger_workloads(scratch: Path) -> None:
         state = workload.prepare()
         output, failed = workload.execute(state)
         checks += workload.verify(state, output)
+        if isinstance(state, Path):  # a sweep workload's cache directory
+            run_status(state)
         workload.finish(state)
         bad = [check for check, ok in checks if not ok]
         if failed or bad:

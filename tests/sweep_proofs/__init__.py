@@ -2,6 +2,5 @@
 
 Not a test module: the ``sweep-proofs`` CI job runs the proofs with
 ``PYTHONPATH=src:tests python -m sweep_proofs <proof>``, and
-``tests/test_sweeprunner.py`` / ``tests/test_cluster.py`` run scaled-down
-copies in-process.
+``tests/test_sweeprunner.py`` runs scaled-down copies in-process.
 """

@@ -17,7 +17,10 @@ and by spawned workers alike)::
 4. Verification: final rows bit-identical (JSON) to the clean run, every
    row done before the kill replayed from the store (not recomputed), no
    key leased more than ``1 + max_retries`` times across both driver
-   incarnations, and zero exhausted points.
+   incarnations, and zero exhausted points.  Between the kill and the
+   resume, ``status`` (``python -m repro.experiments.sweeprunner status``)
+   reads the dead driver's directory and must count as many done keys as
+   the ledger holds ``done`` records.
 
 ``drive`` is the child-driver entry point (also handy for manual kill -9
 experiments); ``proof`` orchestrates the whole thing and exits non-zero on
@@ -36,23 +39,11 @@ lands on disk, and a resume that must (a) journal a ``checkpoint="resume"``
 lease and (b) produce a row bit-identical to an uninterrupted run.  The parent also
 restores the orphaned checkpoint file directly and finishes it in-process,
 pinning the bit-exactness of the very snapshot the kill interrupted.
-
-``shard-proof`` is the multi-host variant (see
-:mod:`repro.experiments.sweeprunner.cluster`): three driver processes with
-distinct host identities share one sweep directory over real simulator
-points; the parent SIGKILLs one host right after its first mid-point
-checkpoint lands, the survivors steal its lease (resuming the orphaned
-checkpoint it left in the shared store), and the verdict demands rows
-bit-identical to a clean single-host run, the global lease bound held
-across every host's ledger, at least one ``checkpoint="migrated"`` lease,
-and a final in-process verifier pass that executes nothing (every row
-served by the store).
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import signal
@@ -64,15 +55,15 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import repro
 from repro.experiments.sweeprunner import (
-    ClusterOptions,
     FaultPlan,
     SweepOptions,
     make_task,
     run_sweep_outcome,
 )
 from repro.experiments.sweeprunner import ledger as ledger_module
+from repro.experiments.sweeprunner.__main__ import sweep_status
 from repro.experiments.sweeprunner.checkpoint import CHECKPOINT_EVERY_ENV
-from repro.experiments.sweeprunner.faults import ALL_FAULT_KINDS, FAULT_KINDS
+from repro.experiments.sweeprunner.faults import FAULT_KINDS
 
 
 def wait_until(condition, timeout: float, initial: float = 0.005,
@@ -143,8 +134,8 @@ def simulation_point(cycles: int, elements: int,
     from repro.nda.isa import NdaOpcode
 
     # Fresh executions must be self-deterministic no matter what ran in
-    # this process before (multi-point shard sweeps execute several points
-    # back to back); a checkpoint restore re-overrides the watermarks.
+    # this process before; a checkpoint restore re-overrides the
+    # watermarks.
     _reset_sim_watermarks()
 
     def build():
@@ -166,12 +157,12 @@ def _normalized(rows: List[Dict[str, Any]]) -> str:
 
 def drive(store: Path, points: int, spin: int, sleep: float,
           fault_plan: Optional[FaultPlan], workers: int, max_retries: int,
-          task_timeout: float, progress: Optional[float] = None):
+          task_timeout: float):
     """One driver incarnation over the proof sweep (killable, resumable)."""
     options = SweepOptions(
         processes=workers, cache_dir=store, max_retries=max_retries,
         task_timeout=task_timeout, retry_backoff=0.05,
-        fault_plan=fault_plan, progress=progress)
+        fault_plan=fault_plan)
     return run_sweep_outcome(checksum_point,
                              proof_params(points, spin, sleep),
                              options=options)
@@ -203,16 +194,6 @@ def drive_ckpt(store: Path, cycles: int, elements: int, seed: int,
 def _ledger_file(store: Path) -> Optional[Path]:
     candidates = sorted((store / "ledger").glob("sweep-*.jsonl"))
     return candidates[0] if candidates else None
-
-
-def _claim_holder(store: Path, key: str) -> Optional[str]:
-    """The host holding ``key``'s newest epoch claim (None while unreadable)."""
-    claims = sorted((store / "claims").glob(f"{key}.epoch-*"),
-                    key=lambda path: int(path.name.rsplit("-", 1)[1]))
-    try:
-        return json.loads(claims[-1].read_text(encoding="utf-8"))["host"]
-    except (IndexError, OSError, ValueError, KeyError, TypeError):
-        return None
 
 
 def make_plan(rate: float, seed: int,
@@ -292,6 +273,12 @@ def run_proof(points: int = 200, fault_rate: float = 0.05, seed: int = 7,
             *plan_argv(plan, "--seed")])
         done_at_kill = _kill_mid_run(child, store, kill_after)
         child_finished = child.returncode == 0
+        # What the dead driver left, as the status command reads it.
+        status_done = sum(report["totals"]["done"]
+                          for report in sweep_status(store))
+        ledger_path = _ledger_file(store)
+        done_records = (ledger_module.count_events(ledger_path, "done")
+                        if ledger_path is not None else 0)
 
         resumed = drive(store, points, spin, sleep, plan, workers,
                         max_retries, task_timeout)
@@ -309,6 +296,8 @@ def run_proof(points: int = 200, fault_rate: float = 0.05, seed: int = 7,
             "seed": seed,
             "done_at_kill": done_at_kill,
             "child_finished_before_kill": child_finished,
+            "status_done_at_kill": status_done,
+            "ledger_done_records_at_kill": done_records,
             "rows_match": _normalized(resumed.rows) == expected,
             "failures": len(resumed.failures),
             "resumed_flag": resumed.stats.resumed,
@@ -332,7 +321,8 @@ def run_proof(points: int = 200, fault_rate: float = 0.05, seed: int = 7,
             and report["lease_bound_held"]
             and report["leases_on_known_keys"]
             and (child_finished or report["resumed_flag"])
-            and (child_finished or report["recovered_at_least_kill_count"]))
+            and (child_finished or report["recovered_at_least_kill_count"])
+            and (child_finished or status_done == done_records))
     if verbose:
         print(json.dumps(report, indent=2))
     return report
@@ -440,155 +430,6 @@ def run_ckpt_proof(cycles: int = 12000, elements: int = 1 << 12,
     return report
 
 
-def shard_params(points: int, cycles: int, elements: int,
-                 seed: int) -> List[Dict[str, Any]]:
-    """Distinct real-simulator points (per-point seeds) for the shard proof."""
-    return [{"cycles": cycles, "elements": elements, "seed": seed + i}
-            for i in range(points)]
-
-
-def drive_shard(store: Path, host: str, points: int, cycles: int,
-                elements: int, seed: int, max_retries: int = 3,
-                staleness: float = 1.0, heartbeat: float = 0.1,
-                poll: float = 0.1,
-                fault_plan: Optional[FaultPlan] = None):
-    """One host's driver incarnation over the shared shard-proof sweep."""
-    options = SweepOptions(
-        processes=1, cache_dir=store, max_retries=max_retries,
-        retry_backoff=0.05, fault_plan=fault_plan,
-        cluster=ClusterOptions(host=host, heartbeat_interval=heartbeat,
-                               staleness=staleness, steal_stagger=0.25,
-                               poll_interval=poll))
-    return run_sweep_outcome(simulation_point,
-                             shard_params(points, cycles, elements, seed),
-                             options=options)
-
-
-def run_shard_proof(points: int = 4, cycles: int = 9000,
-                    elements: int = 1 << 11, seed: int = 12345,
-                    every: int = 300, hosts: int = 3, max_retries: int = 3,
-                    staleness: float = 1.0, fault_rate: float = 0.1,
-                    fault_seed: int = 7, store_dir: Optional[Path] = None,
-                    verbose: bool = True) -> Dict[str, Any]:
-    """Kill one of N cooperating hosts mid-point; prove the survivors win.
-
-    The verdict (``report["ok"]``) requires rows bit-identical to a clean
-    single-host run, zero failed points, the global lease bound held over
-    the merged per-host ledgers, at least one migrated-checkpoint lease
-    (unless the victim finished before the kill could land), survivors
-    exiting cleanly, and a final verifier host that executes nothing.
-    """
-    import tempfile
-
-    plan = make_plan(fault_rate, fault_seed, kinds=("netsplit", "steal-race"))
-    params = shard_params(points, cycles, elements, seed)
-    clean = run_sweep_outcome(
-        simulation_point, params,
-        options=SweepOptions(processes=1, cache_dir=""))
-    assert clean.ok and len(clean.rows) == points
-    expected = _normalized(clean.rows)
-
-    with tempfile.TemporaryDirectory(prefix="repro-shard-proof-") as tmp:
-        store = Path(store_dir) if store_dir is not None else Path(tmp)
-        ckpt_root = store / "checkpoints"
-
-        children: Dict[str, subprocess.Popen] = {}
-        for n in range(hosts):
-            host = f"shard{n}"
-            children[host] = _spawn_driver(
-                ["drive-shard", "--store", str(store), "--host", host,
-                 "--points", str(points), "--cycles", str(cycles),
-                 "--elements", str(elements), "--seed", str(seed),
-                 "--max-retries", str(max_retries),
-                 "--staleness", str(staleness),
-                 *plan_argv(plan, "--fault-seed")],
-                **{CHECKPOINT_EVERY_ENV: str(every)})
-
-        # SIGKILL the first live host holding a key whose mid-point
-        # checkpoint landed: its claim outlives it, and a survivor must
-        # steal the lease and resume the checkpoint.
-        victim: Optional[str] = None
-
-        def checkpoint_seen() -> bool:
-            nonlocal victim
-            if all(c.poll() is not None for c in children.values()):
-                return True  # everyone finished before any checkpoint
-            for ckpt in ckpt_root.glob("*.ckpt"):
-                host = _claim_holder(store, ckpt.stem)
-                if host in children and children[host].poll() is None:
-                    victim = host
-                    return True
-            return False
-
-        wait_until(checkpoint_seen, 240.0, initial=0.005, max_interval=0.05)
-        if victim is not None:
-            children[victim].send_signal(signal.SIGKILL)
-            children[victim].wait(timeout=30)
-
-        survivors_ok = True
-        for host, child in children.items():
-            if host == victim:
-                continue
-            try:
-                child.wait(timeout=300)
-            except subprocess.TimeoutExpired:
-                child.kill()
-                child.wait(timeout=30)
-            survivors_ok = survivors_ok and child.returncode == 0
-
-        # Verifier host: every row must come back from the store without
-        # executing anything — cross-host results are first-class.
-        verifier = run_sweep_outcome(
-            simulation_point, params,
-            options=SweepOptions(
-                processes=1, cache_dir=store, max_retries=max_retries,
-                retry_backoff=0.05,
-                cluster=ClusterOptions(host="verifier",
-                                       heartbeat_interval=0.1,
-                                       staleness=staleness,
-                                       poll_interval=0.05)))
-
-        ledger_dir = store / "ledger"
-        leases = ledger_module.merged_counts(ledger_dir,
-                                             ledger_module.lease_counts)
-        migrated = ledger_module.merged_counts(
-            ledger_dir, functools.partial(ledger_module.lease_counts,
-                                          provenance="migrated"))
-        keys = {make_task(simulation_point, p).cache_key() for p in params}
-
-        report = {
-            "points": points,
-            "hosts": hosts,
-            "victim": victim,
-            "killed_mid_point": victim is not None,
-            "survivors_ok": survivors_ok,
-            "rows_match": _normalized(verifier.rows) == expected,
-            "failures": len(verifier.failures),
-            "verifier_executed": verifier.stats.executed,
-            "verifier_peer_rows": verifier.stats.peer_rows,
-            "ledger_files": len(
-                ledger_module.sweep_ledger_paths(ledger_dir)),
-            "max_leases_observed": max(leases.values()) if leases else 0,
-            "lease_bound": 1 + max_retries,
-            "lease_bound_held":
-                all(count <= 1 + max_retries for count in leases.values()),
-            "leases_on_known_keys": all(key in keys for key in leases),
-            "migrated_leases": sum(migrated.values()),
-        }
-        report["ok"] = bool(
-            report["rows_match"]
-            and report["failures"] == 0
-            and report["survivors_ok"]
-            and report["verifier_executed"] == 0
-            and report["lease_bound_held"]
-            and report["leases_on_known_keys"]
-            and (report["migrated_leases"] >= 1
-                 or not report["killed_mid_point"]))
-    if verbose:
-        print(json.dumps(report, indent=2))
-    return report
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m sweep_proofs", description=__doc__,
@@ -618,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     driver.add_argument("--task-timeout", type=float, default=2.0)
     driver.add_argument("--fault-rate", type=float, default=0.0)
     driver.add_argument("--seed", type=int, default=0, help="fault seed")
-    driver.add_argument("--fault-kinds", nargs="+", choices=ALL_FAULT_KINDS,
+    driver.add_argument("--fault-kinds", nargs="+", choices=FAULT_KINDS,
                         default=FAULT_KINDS)
 
     ckpt = sub.add_parser("ckpt-proof",
@@ -637,37 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
     ckpt_driver.add_argument("--elements", type=int, default=1 << 12)
     ckpt_driver.add_argument("--seed", type=int, default=12345)
     ckpt_driver.add_argument("--max-retries", type=int, default=3)
-
-    shard = sub.add_parser(
-        "shard-proof", help="multi-host steal/migrate proof")
-    shard.add_argument("--points", type=int, default=4)
-    shard.add_argument("--cycles", type=int, default=9000)
-    shard.add_argument("--elements", type=int, default=1 << 11)
-    shard.add_argument("--seed", type=int, default=12345)
-    shard.add_argument("--every", type=int, default=300,
-                       help="checkpoint interval in simulated cycles")
-    shard.add_argument("--hosts", type=int, default=3)
-    shard.add_argument("--max-retries", type=int, default=3)
-    shard.add_argument("--staleness", type=float, default=1.0)
-    shard.add_argument("--fault-rate", type=float, default=0.1,
-                       help="rate for the netsplit/steal-race schedule "
-                            "the child hosts run under (0 disables)")
-    shard.add_argument("--fault-seed", type=int, default=7)
-
-    shard_driver = sub.add_parser(
-        "drive-shard", help="one killable host over the shared shard sweep")
-    shard_driver.add_argument("--store", type=Path, required=True)
-    shard_driver.add_argument("--host", required=True)
-    shard_driver.add_argument("--points", type=int, default=4)
-    shard_driver.add_argument("--cycles", type=int, default=9000)
-    shard_driver.add_argument("--elements", type=int, default=1 << 11)
-    shard_driver.add_argument("--seed", type=int, default=12345)
-    shard_driver.add_argument("--max-retries", type=int, default=3)
-    shard_driver.add_argument("--staleness", type=float, default=1.0)
-    shard_driver.add_argument("--fault-rate", type=float, default=0.0)
-    shard_driver.add_argument("--fault-seed", type=int, default=0)
-    shard_driver.add_argument("--fault-kinds", nargs="+",
-                              choices=ALL_FAULT_KINDS, default=FAULT_KINDS)
 
     return parser
 
@@ -694,31 +504,9 @@ def main(argv=None) -> int:
             print(f"drive-ckpt: {outcome.stats.completed} completed, "
                   f"{len(outcome.failures)} failed")
             return 0 if outcome.ok else 1
-        if args.command == "shard-proof":
-            report = run_shard_proof(
-                points=args.points, cycles=args.cycles,
-                elements=args.elements, seed=args.seed, every=args.every,
-                hosts=args.hosts, max_retries=args.max_retries,
-                staleness=args.staleness, fault_rate=args.fault_rate,
-                fault_seed=args.fault_seed)
-            return 0 if report["ok"] else 1
-        if args.command == "drive-shard":
-            outcome = drive_shard(args.store, args.host, args.points,
-                                  args.cycles, args.elements, args.seed,
-                                  args.max_retries, args.staleness,
-                                  fault_plan=make_plan(args.fault_rate,
-                                                       args.fault_seed,
-                                                       args.fault_kinds))
-            print(f"drive-shard[{args.host}]: "
-                  f"{outcome.stats.completed} completed, "
-                  f"{outcome.stats.executed} executed, "
-                  f"{outcome.stats.steals} stolen, "
-                  f"{len(outcome.failures)} failed")
-            return 0 if outcome.ok else 1
         outcome = drive(args.store, args.points, args.spin, args.sleep,
                         make_plan(args.fault_rate, args.seed, args.fault_kinds),
-                        args.workers, args.max_retries, args.task_timeout,
-                        progress=1.0)
+                        args.workers, args.max_retries, args.task_timeout)
         print(f"drive: {outcome.stats.completed} completed, "
               f"{len(outcome.failures)} failed")
         return 0 if outcome.ok else 1

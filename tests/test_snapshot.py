@@ -406,6 +406,14 @@ class TestRestoreGuards:
             assert payload["build"]["burst"] is burst
             assert restore_system(payload).burst_enabled is burst
 
+    def test_payload_holds_no_issue_versions(self):
+        # Issue versions only tag probe caches, which a restore starts
+        # cold (tag -1): they are derived, and no payload carries them.
+        dram = self._snapshot()["system"]["dram"]
+        assert "channel_issue_version" not in dram
+        assert not {"_issue_versions", "_row_versions"} & set(dram["timing"])
+        assert {"_banks", "_channel_refresh_due"} <= set(dram["timing"])
+
     def test_finish_run_requires_in_progress_run(self):
         system = ChopimSystem(mode=AccessMode.HOST_ONLY, mix="mix8")
         with pytest.raises(RuntimeError):

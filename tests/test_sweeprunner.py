@@ -9,8 +9,10 @@ pending points with ``processes=2``.
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -24,11 +26,22 @@ from repro.experiments.sweeprunner import (
     SweepCache,
     SweepOptions,
     SweepPointsFailed,
+    collect_garbage,
     lease_counts,
     make_task,
-    resolve_host,
     run_sweep,
     run_sweep_outcome,
+)
+from repro.experiments.sweeprunner.__main__ import main as sweeprunner_main
+from repro.experiments.sweeprunner.__main__ import sweep_status
+from repro.experiments.sweeprunner.claims import (
+    ConcurrentDriverError,
+    claimed_epochs,
+)
+from repro.experiments.sweeprunner.ledger import (
+    TaskRecord,
+    read_events,
+    replay,
 )
 from repro.experiments.sweeprunner.tasks import describe_key_derivation
 from sweep_proofs import proofs
@@ -84,6 +97,34 @@ def _tally(value: int, tally: str) -> dict:
 def _interrupt_on(value: int) -> dict:
     if value == 1:
         raise KeyboardInterrupt
+    return {"value": value}
+
+
+def _mint_next_epoch(value: int, root: str) -> dict:
+    """Claims the epoch after its own running lease, as a second driver
+    working on the same directory would."""
+    key = make_task(_mint_next_epoch, {"value": value, "root": root}
+                    ).cache_key()
+    claims = Path(root) / "claims"
+    epoch = len(list(claims.glob(f"{key}.epoch-*")))
+    (claims / f"{key}.epoch-{epoch + 1}").write_text("{}")
+    return {"value": value}
+
+
+def _error_once(value: int, marker: str) -> dict:
+    """First execution raises; the retry succeeds."""
+    path = Path(marker)
+    if not path.exists():
+        path.write_text("failed")
+        raise ValueError("first attempt fails")
+    return {"value": value}
+
+
+_RELEASE_POINT = threading.Event()
+
+
+def _wait_for_release(value: int) -> dict:
+    _RELEASE_POINT.wait(timeout=10.0)
     return {"value": value}
 
 
@@ -155,6 +196,43 @@ class TestLedger:
         assert replayed.record("k1").leases == 1
         assert not replayed.record("k1").done
         replayed.close()
+
+
+    def test_replay_is_the_ledgers_own_reader(self, tmp_path):
+        path = tmp_path / "sweep-x.jsonl"
+        journal = RunLedger(path)
+        journal.append_queued(["a", "b"], {"max_retries": 1})
+        journal.append_leased("a", 1)
+        journal.append_failed("a", 1, "crash")
+        journal.append_leased("a", 2, checkpoint="resume")
+        journal.append_done("a", 2)
+        journal.append_leased("b", 1)
+        journal.close()
+        records = replay(read_events(path)[0])
+        assert records["a"] == TaskRecord(
+            leases=2, done=True, resumed=1,
+            failures=[{"attempt": 1, "kind": "crash", "error_type": "",
+                       "message": ""}])
+        assert records["b"] == TaskRecord(leases=1)
+        reopened = RunLedger(path)
+        assert {key: reopened.record(key) for key in records} == records
+        assert reopened.compact()
+        reopened.close()
+        assert replay(read_events(path)[0]) == records
+
+    def test_one_journal_per_sweep_across_driver_runs(self, tmp_path):
+        options = SweepOptions(processes=1, cache_dir=tmp_path,
+                               max_retries=0, strict=False)
+        params = [{"value": v} for v in (2, 3)]
+        first = run_sweep_outcome(_fails_on_three, params, options=options)
+        second = run_sweep_outcome(_fails_on_three, params, options=options)
+        assert first.ledger_path == second.ledger_path
+        assert re.fullmatch(r"sweep-[0-9a-f]{16}\.jsonl",
+                            first.ledger_path.name)
+        assert [p.name for p in (tmp_path / "ledger").iterdir()] == [
+            first.ledger_path.name]
+        assert second.stats.resumed and second.stats.executed == 0
+        assert sorted(lease_counts(first.ledger_path).values()) == [1, 1]
 
 
 class TestSupervisedRecovery:
@@ -310,10 +388,6 @@ class TestFaultPlansAreArguments:
             ("point-0", 1), ("point-5", 1), ("point-5", 2), ("point-19", 1),
             ("point-61", 1), ("point-64", 1), ("point-64", 3))] == [
             None, None, "hang", "die", "corrupt", None, "crash"]
-        cluster = FaultPlan(rate=0.1, seed=7, kinds=("netsplit", "steal-race"))
-        assert [cluster.decide(key, 1)
-                for key in ("point-0", "point-12", "point-61")] == [
-            None, "steal-race", "netsplit"]
 
 
 class TestDedupe:
@@ -334,8 +408,7 @@ class TestDurability:
         claims = tmp_path / "claims"
         claims.mkdir()
         for epoch in (1, 2):
-            (claims / f"{task.cache_key()}.epoch-{epoch}").write_text(
-                json.dumps({"host": resolve_host()}))
+            (claims / f"{task.cache_key()}.epoch-{epoch}").write_text("{}")
         options = SweepOptions(processes=1, cache_dir=tmp_path,
                                max_retries=2, retry_backoff=0.0,
                                strict=False)
@@ -396,6 +469,307 @@ class TestDurability:
         assert rows == [_ok(p["value"]) for p in params]
         kinds = {kind for pairs in failed.values() for _, kind in pairs}
         assert kinds == {"crash", "corrupt-row"}
+
+
+class TestClaims:
+    """Epoch files count attempts across driver runs; a second live driver
+    on the same directory is an error, not a silent race."""
+
+    def test_dead_predecessors_claim_resumes_its_checkpoint(self, tmp_path):
+        # A driver killed mid-point left its claim and a checkpoint: the
+        # next run re-claims the key under epoch 2 as a resume.
+        params = {"value": 5}
+        key = make_task(_ok, params).cache_key()
+        (tmp_path / "claims").mkdir()
+        (tmp_path / "claims" / f"{key}.epoch-1").write_text("{}")
+        (tmp_path / "checkpoints").mkdir()
+        (tmp_path / "checkpoints" / f"{key}.ckpt").write_bytes(b"state")
+        outcome = run_sweep_outcome(
+            _ok, [params], options=SweepOptions(processes=1,
+                                                cache_dir=tmp_path))
+        assert outcome.rows == [_ok(5)]
+        assert outcome.stats.retries == 1
+        assert lease_counts(outcome.ledger_path, "resume") == {key: 1}
+        assert not (tmp_path / "checkpoints" / f"{key}.ckpt").exists()
+
+    def test_second_driver_fails_the_sweep_loudly(self, tmp_path):
+        # The point claims the epoch after its own lease, so the fencing
+        # check before the row lands finds a newer attempt than ours.
+        params = [{"value": 1, "root": str(tmp_path)}]
+        with pytest.raises(ConcurrentDriverError) as excinfo:
+            run_sweep_outcome(_mint_next_epoch, params, options=SweepOptions(
+                processes=1, cache_dir=tmp_path))
+        assert str(tmp_path) in str(excinfo.value)
+        assert not list(tmp_path.glob("*.json"))  # no row landed
+    def test_dead_predecessors_claim_without_checkpoint_reruns_fresh(
+            self, tmp_path):
+        params = {"value": 6}
+        key = make_task(_ok, params).cache_key()
+        (tmp_path / "claims").mkdir()
+        (tmp_path / "claims" / f"{key}.epoch-1").write_text("{}")
+        outcome = run_sweep_outcome(
+            _ok, [params], options=SweepOptions(processes=1,
+                                                cache_dir=tmp_path))
+        assert outcome.rows == [_ok(6)]
+        assert (outcome.stats.executed, outcome.stats.retries) == (1, 1)
+        assert lease_counts(outcome.ledger_path) == {key: 1}
+        assert lease_counts(outcome.ledger_path, "resume") == {}
+
+    def test_supervised_second_driver_fails_the_sweep_loudly(self, tmp_path):
+        # The same fencing check, on rows that arrive from worker processes.
+        params = [{"value": v, "root": str(tmp_path)} for v in (1, 2)]
+        with pytest.raises(ConcurrentDriverError) as excinfo:
+            run_sweep_outcome(_mint_next_epoch, params, options=SweepOptions(
+                processes=2, cache_dir=tmp_path))
+        assert str(tmp_path) in str(excinfo.value)
+        assert not list(tmp_path.glob("*.json"))
+
+    def test_memory_only_sweep_counts_attempts_in_memory(self, tmp_path,
+                                                         monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        outcome = run_sweep_outcome(
+            _always_fails, [{"value": 1}], options=SweepOptions(
+                processes=1, cache_dir="", max_retries=1, retry_backoff=0.0,
+                strict=False))
+        assert outcome.stats.executed == 2
+        assert outcome.failures[0].attempts == 2
+        assert outcome.ledger_path is None
+        assert not list(tmp_path.iterdir())
+
+    def test_claimed_epochs_reads_the_highest_epoch_per_key(self, tmp_path):
+        for name in ("k1.epoch-1", "k1.epoch-3", "k2.epoch-1",
+                     "k3.epoch-x", "notes.txt"):
+            (tmp_path / name).write_text("{}")
+        assert claimed_epochs(tmp_path) == {"k1": 3, "k2": 1}
+        assert claimed_epochs(tmp_path / "missing") == {}
+
+    def test_clean_completion_removes_its_claims(self, tmp_path):
+        marker = str(tmp_path / "failed-once")
+        store = tmp_path / "store"
+        outcome = run_sweep_outcome(
+            _error_once, [{"value": v, "marker": marker} for v in (1, 2)],
+            options=SweepOptions(processes=1, cache_dir=store,
+                                 retry_backoff=0.0))
+        assert outcome.ok and outcome.stats.retries == 1
+        # The journal keeps the attempt counts; the landed rows' claims go.
+        assert sorted(lease_counts(outcome.ledger_path).values()) == [1, 2]
+        assert not list((store / "claims").iterdir())
+
+
+class TestGarbageCollection:
+    def test_checkpoints_and_claims_of_landed_rows_removed(self, tmp_path):
+        for kind, names in (("checkpoints", ("k1.ckpt", "k2.ckpt")),
+                            ("claims", ("k1.epoch-1", "k1.epoch-2",
+                                        "k2.epoch-1"))):
+            (tmp_path / kind).mkdir()
+            for name in names:
+                (tmp_path / kind / name).write_bytes(b"x")
+        (tmp_path / "k1.json").write_text("{}")
+        removed = collect_garbage(tmp_path)
+        assert (removed["checkpoints"], removed["claims"]) == (1, 2)
+        # k2's row has not landed: its resume file and attempt count are
+        # live recovery state.
+        assert sorted(p.name for p in tmp_path.glob("*/*")) == [
+            "k2.ckpt", "k2.epoch-1"]
+
+
+    def test_claims_of_a_quarantined_row_kept(self, tmp_path):
+        # A quarantined row left the key namespace: the key runs again,
+        # and its spent attempts still count.
+        (tmp_path / "claims").mkdir()
+        claim = tmp_path / "claims" / "k1.epoch-1"
+        claim.write_text("{}")
+        (tmp_path / "k1.corrupt").write_text("{}")
+        assert collect_garbage(tmp_path)["claims"] == 0
+        assert claim.exists()
+
+
+class TestStatus:
+    """``python -m repro.experiments.sweeprunner status <dir>`` reads the
+    journal and claims of a live or dead sweep, and writes nothing."""
+
+    def test_finished_and_compacted_sweep(self, tmp_path):
+        params = [{"value": v} for v in range(3)]
+        run_sweep(_ok, params, options=SweepOptions(processes=1,
+                                                    cache_dir=tmp_path))
+        [report] = sweep_status(tmp_path)
+        assert report["totals"] == {"queued": 0, "leased": 0, "done": 3,
+                                    "failed": 0, "exhausted": 0}
+        assert report["done_per_s"] is None  # compaction drops the stamps
+        assert report["eta_s"] == 0.0
+        assert {entry["attempts"] for entry in report["keys"].values()} == {1}
+
+    def test_killed_driver_leaves_a_leased_key(self, tmp_path):
+        # The journal of a driver SIGKILLed while point b ran.
+        journal = RunLedger(tmp_path / "ledger" / "sweep-dead.jsonl")
+        journal.append_queued(["a", "b", "c"], {"max_retries": 2})
+        journal.append_leased("a", 1)
+        journal.append_done("a", 1)
+        journal.append_leased("b", 1)
+        journal.append_failed("b", 1, "crash")
+        journal.append_leased("b", 2)
+        journal.close()
+        (tmp_path / "claims").mkdir()
+        for epoch in (1, 2):
+            (tmp_path / "claims" / f"b.epoch-{epoch}").write_text("{}")
+        [report] = sweep_status(tmp_path)
+        keys = report["keys"]
+        assert keys["a"] == {"state": "done", "attempts": 1, "failures": []}
+        assert keys["b"] == {"state": "leased", "attempts": 2,
+                             "failures": ["crash"]}
+        assert keys["c"] == {"state": "queued", "attempts": 0,
+                             "failures": []}
+        assert report["totals"]["done"] == 1
+        assert report["done_per_s"] > 0
+        assert report["eta_s"] == pytest.approx(2 / report["done_per_s"])
+
+    def test_key_exhausted_without_strict(self, tmp_path):
+        run_sweep(_fails_on_three, [{"value": v} for v in (2, 3)],
+                  options=SweepOptions(processes=1, cache_dir=tmp_path,
+                                       max_retries=1, retry_backoff=0.0,
+                                       strict=False))
+        [report] = sweep_status(tmp_path)
+        key = make_task(_fails_on_three, {"value": 3}).cache_key()
+        assert report["keys"][key] == {"state": "exhausted", "attempts": 2,
+                                       "failures": ["error", "error"]}
+        assert report["totals"]["exhausted"] == 1
+        assert report["totals"]["done"] == 1
+        assert report["eta_s"] == 0.0
+
+    def test_status_writes_nothing(self, tmp_path, capsys):
+        run_sweep(_fails_on_three, [{"value": v} for v in (2, 3)],
+                  options=SweepOptions(processes=1, cache_dir=tmp_path,
+                                       max_retries=0, strict=False))
+        capsys.readouterr()
+
+        def tree():
+            return {path: (path.stat().st_mtime_ns, path.stat().st_size)
+                    for path in tmp_path.rglob("*")}
+
+        before = tree()
+        assert sweeprunner_main(["status", str(tmp_path)]) == 0
+        assert tree() == before
+        [line] = capsys.readouterr().out.splitlines()
+        assert json.loads(line)["totals"]["exhausted"] == 1
+
+
+    def test_no_journal_exits_nonzero(self, tmp_path, capsys):
+        assert sweeprunner_main(["status", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no sweep journal" in captured.err
+        assert not list(tmp_path.iterdir())
+
+    def test_module_entry_point(self, tmp_path):
+        run_sweep(_fails_on_three, [{"value": v} for v in (2, 3)],
+                  options=SweepOptions(processes=1, cache_dir=tmp_path,
+                                       max_retries=0, strict=False))
+        src = str(Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.experiments.sweeprunner",
+             "status", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=src), text=True,
+            capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        [line] = done.stdout.splitlines()
+        report = json.loads(line)
+        assert report["fn"].endswith("._fails_on_three")
+        assert (report["totals"]["done"], report["totals"]["exhausted"]) \
+            == (1, 1)
+
+    def _journal(self, tmp_path, keys, meta):
+        journal = RunLedger(tmp_path / "ledger" / "sweep-x.jsonl")
+        journal.append_queued(keys, meta)
+        return journal
+
+    def test_failed_key_with_attempts_left(self, tmp_path):
+        journal = self._journal(tmp_path, ["a"], {"max_retries": 2})
+        journal.append_leased("a", 1)
+        journal.append_failed("a", 1, "timeout")
+        journal.close()
+        [report] = sweep_status(tmp_path)
+        assert report["keys"]["a"] == {"state": "failed", "attempts": 1,
+                                       "failures": ["timeout"]}
+        assert report["done_per_s"] is None and report["eta_s"] is None
+
+    def test_journal_without_budget_is_never_exhausted(self, tmp_path):
+        journal = self._journal(tmp_path, ["a"], {})
+        for attempt in range(1, 5):
+            journal.append_leased("a", attempt)
+            journal.append_failed("a", attempt, "error")
+        journal.close()
+        [report] = sweep_status(tmp_path)
+        assert report["keys"]["a"]["state"] == "failed"
+        assert report["keys"]["a"]["attempts"] == 4
+
+    def test_claims_count_attempts_the_journal_missed(self, tmp_path):
+        # A driver killed between minting a claim and journaling its lease:
+        # the claim is a spent attempt all the same.
+        self._journal(tmp_path, ["a", "b"], {"max_retries": 1}).close()
+        (tmp_path / "claims").mkdir()
+        for name in ("a.epoch-1", "a.epoch-2", "b.epoch-1"):
+            (tmp_path / "claims" / name).write_text("{}")
+        [report] = sweep_status(tmp_path)
+        assert report["keys"]["a"] == {"state": "exhausted", "attempts": 2,
+                                       "failures": []}
+        assert report["keys"]["b"] == {"state": "queued", "attempts": 1,
+                                       "failures": []}
+
+    def test_rate_and_eta_from_record_stamps(self, tmp_path):
+        self._journal(tmp_path, ["a", "b", "c"], {"max_retries": 0}).close()
+        path = tmp_path / "ledger" / "sweep-x.jsonl"
+        with path.open("a", encoding="utf-8") as handle:
+            for event, key, stamp in (("leased", "a", 100.0),
+                                      ("done", "a", 102.0),
+                                      ("leased", "b", 102.0),
+                                      ("done", "b", 104.0)):
+                handle.write(json.dumps({"event": event, "key": key,
+                                         "attempt": 1, "t": stamp}) + "\n")
+            handle.write('{"event": "leased", "key": "c", "att')  # torn
+        [report] = sweep_status(tmp_path)
+        assert report["done_per_s"] == pytest.approx(0.5)
+        assert report["eta_s"] == pytest.approx(2.0)
+        assert report["keys"]["c"]["state"] == "queued"
+
+    def test_one_report_per_sweep_journal(self, tmp_path):
+        options = SweepOptions(processes=1, cache_dir=tmp_path,
+                               max_retries=0, strict=False)
+        run_sweep(_ok, [{"value": 1}], options=options)
+        run_sweep(_fails_on_three, [{"value": 3}], options=options)
+        reports = sweep_status(tmp_path)
+        assert [r["ledger"] for r in reports] == sorted(
+            p.name for p in (tmp_path / "ledger").iterdir())
+        # The finished sweep's journal is compacted: its point function
+        # went with the queued records.
+        totals = {r["fn"]: r["totals"] for r in reports}
+        assert totals[None]["done"] == 1
+        [named] = [fn for fn in totals if fn]
+        assert named.endswith("._fails_on_three")
+        assert totals[named]["exhausted"] == 1
+
+    def test_live_sweep_shows_its_running_key(self, tmp_path):
+        _RELEASE_POINT.clear()
+        params = [{"value": v} for v in (1, 2)]
+        driver = threading.Thread(target=run_sweep, args=(
+            _wait_for_release, params), kwargs={"options": SweepOptions(
+                processes=1, cache_dir=tmp_path)})
+        driver.start()
+        try:
+            deadline = time.monotonic() + 10.0
+            totals = {}
+            while time.monotonic() < deadline:
+                reports = sweep_status(tmp_path)
+                totals = reports[0]["totals"] if reports else {}
+                if totals.get("leased"):
+                    break
+                time.sleep(0.01)
+            assert (totals["leased"], totals["queued"]) == (1, 1)
+        finally:
+            _RELEASE_POINT.set()
+            driver.join(timeout=10)
+        assert not driver.is_alive()
+        [report] = sweep_status(tmp_path)
+        assert report["totals"]["done"] == 2
 
 
 class TestKeyboardInterrupt:
@@ -482,3 +856,18 @@ class TestRecoveryProof:
         assert report["failures"] == 0
         assert report["lease_bound_held"]
         assert report["max_leases_observed"] <= 1 + 3
+        if not report["child_finished_before_kill"]:
+            assert report["status_done_at_kill"] \
+                == report["ledger_done_records_at_kill"]
+
+    def test_checkpoint_kill_resume_proof(self, tmp_path):
+        """The checkpoint proof, scaled down: a driver SIGKILLed mid-point
+        leaves its claim and checkpoint, and the next driver re-claims the
+        key as a resume and lands the uninterrupted run's row."""
+        report = proofs.run_ckpt_proof(cycles=4000, elements=1 << 10,
+                                       every=200, store_dir=tmp_path,
+                                       verbose=False)
+        assert report["ok"], report
+        if report["killed_mid_point"]:
+            assert report["resumed_leases"] == 1
+            assert not list((tmp_path / "claims").iterdir())
