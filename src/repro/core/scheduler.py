@@ -118,7 +118,7 @@ class ConcurrentAccessScheduler:
         elif (channel, rank) in self._host_issued_this_cycle:
             self.nda_blocked_cycles += 1
             return False
-        # Inline rank_host_busy (command-cycle window or data-burst window).
+        # The host occupies the rank in its command-cycle window or data burst.
         state = self._rank_states[channel * self._ranks_per_channel + rank]
         if (state.busy_until > now
                 or state.data_busy_from <= now < state.data_busy_until):

@@ -65,8 +65,8 @@ class DramAddress(_DramAddressBase):
     system (``rank_index = channel * ranks_per_channel + rank``,
     ``bank_index = rank_index * banks_per_rank + flat_bank``); ``-1`` means
     "not stamped".  They are an addressing-time cache for the timing
-    engine's flat state arrays and never participate in equality, hashing
-    or ``same_bank``.  The address must stay immutable: stamped indices are
+    engine's flat state arrays and never participate in equality or
+    hashing.  The address must stay immutable: stamped indices are
     only valid for the coordinates they were computed from, so mutation
     would silently corrupt flat-array lookups (``_replace`` clears them
     whenever a bank-identifying coordinate changes).
@@ -79,19 +79,11 @@ class DramAddress(_DramAddressBase):
         return self._make((self.channel, self.rank, self.bank_group, self.bank,
                            self.row, column, self.rank_index, self.bank_index))
 
-    def with_row(self, row: int) -> "DramAddress":
-        return self._make((self.channel, self.rank, self.bank_group, self.bank,
-                           row, self.column, self.rank_index, self.bank_index))
-
     def _replace(self, **kwargs) -> "DramAddress":
         if any(key in kwargs for key in ("channel", "rank", "bank_group", "bank")):
             kwargs.setdefault("rank_index", -1)
             kwargs.setdefault("bank_index", -1)
         return super()._replace(**kwargs)
-
-    def same_bank(self, other: "DramAddress") -> bool:
-        return (self.channel == other.channel and self.rank == other.rank
-                and self.bank_group == other.bank_group and self.bank == other.bank)
 
     # Equality/hashing over the six DRAM coordinates only, so stamped and
     # unstamped addresses of one location are interchangeable as values.

@@ -9,13 +9,12 @@ and energy models consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.config import DramOrgConfig, DramTimingConfig
 from repro.dram.bank import Bank, BankState
 from repro.dram.commands import Command, CommandRecord, CommandType, DramAddress, RequestSource
 from repro.dram.timing import TimingEngine
-from repro.utils.stats import Counter
 
 
 @dataclass
@@ -106,7 +105,7 @@ class DramSystem:
     def bank(self, addr: DramAddress) -> Bank:
         return self._banks[self.bank_index(addr)]
 
-    def banks(self) -> Iterable[Bank]:
+    def banks(self) -> List[Bank]:
         return self._banks
 
     def banks_of_rank(self, channel: int, rank: int) -> List[Bank]:
@@ -139,8 +138,8 @@ class DramSystem:
                      source: RequestSource, now: int) -> bool:
         """Protocol-state plus timing legality of ``(kind, addr)`` at ``now``.
 
-        Value-based twin of :meth:`can_issue`; schedulers use it to probe
-        candidate commands without allocating a :class:`Command`.
+        Schedulers probe candidate commands with it without allocating a
+        :class:`Command`.
         """
         bank = self.bank(addr)
         if kind is CommandType.ACT and bank.state is BankState.OPEN:
@@ -154,21 +153,14 @@ class DramSystem:
                 return False
         return self.timing.earliest_issue_at(kind, addr, source, now) <= now
 
-    def can_issue(self, cmd: Command, now: int) -> bool:
-        """Protocol-state plus timing legality of ``cmd`` at cycle ``now``."""
-        return self.can_issue_at(cmd.kind, cmd.addr, cmd.source, now)
-
     def earliest_issue_at(self, kind: CommandType, addr: DramAddress,
                           source: RequestSource, now: int) -> int:
         """Timing-only earliest issue cycle of ``(kind, addr)`` (value-based)."""
         return self.timing.earliest_issue_at(kind, addr, source, now)
 
-    def earliest_issue(self, cmd: Command, now: int) -> int:
-        return self.timing.earliest_issue_at(cmd.kind, cmd.addr, cmd.source, now)
-
     def issue(self, cmd: Command, now: int) -> None:
         """Issue ``cmd``: update bank state, timing state and event counts."""
-        if not self.can_issue(cmd, now):
+        if not self.can_issue_at(cmd.kind, cmd.addr, cmd.source, now):
             raise ValueError(f"illegal command at cycle {now}: {cmd}")
         self.issue_trusted(cmd, now)
 
@@ -270,9 +262,6 @@ class DramSystem:
     # Convenience queries used by schedulers and statistics
     # ------------------------------------------------------------------ #
 
-    def open_row(self, addr: DramAddress) -> Optional[int]:
-        return self.bank(addr).open_row
-
     def refresh_due(self, channel: int, rank: int, now: int) -> bool:
         return self.timing.refresh_due(channel, rank, now)
 
@@ -288,16 +277,3 @@ class DramSystem:
 
     def write_latency(self) -> int:
         return self.timing.write_latency()
-
-    def conflict_counts(self) -> Dict[str, int]:
-        """Row hit / miss / conflict totals split by requester."""
-        totals = Counter()
-        for bank in self.banks():
-            totals.add("row_hits", bank.row_hits)
-            totals.add("row_misses", bank.row_misses)
-            totals.add("row_conflicts", bank.row_conflicts)
-            totals.add("host_reads", bank.reads)
-            totals.add("host_writes", bank.writes)
-            totals.add("nda_reads", bank.nda_reads)
-            totals.add("nda_writes", bank.nda_writes)
-        return totals.as_dict()

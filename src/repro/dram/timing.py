@@ -401,14 +401,6 @@ class TimingEngine:
         """Whether ``(kind, addr)`` can legally issue at cycle ``now``."""
         return self.earliest_issue_at(kind, addr, source, now) <= now
 
-    def earliest_issue(self, cmd: Command, now: int) -> int:
-        """Earliest cycle >= ``now`` at which ``cmd`` may legally issue."""
-        return self.earliest_issue_at(cmd.kind, cmd.addr, cmd.source, now)
-
-    def can_issue(self, cmd: Command, now: int) -> bool:
-        """Whether ``cmd`` can legally issue at cycle ``now``."""
-        return self.earliest_issue_at(cmd.kind, cmd.addr, cmd.source, now) <= now
-
     # ------------------------------------------------------------------ #
     # State updates on issue
     # ------------------------------------------------------------------ #
@@ -567,13 +559,6 @@ class TimingEngine:
     # ------------------------------------------------------------------ #
     # Host-busy queries used by the NDA opportunistic scheduler
     # ------------------------------------------------------------------ #
-
-    def rank_host_busy(self, channel: int, rank: int, now: int) -> bool:
-        """Whether the host currently occupies the rank (command or data)."""
-        state = self.rank_state(channel, rank)
-        if state.busy_until > now:
-            return True
-        return state.data_busy_from <= now < state.data_busy_until
 
     def next_host_free_cycle(self, channel: int, rank: int, now: int) -> int:
         """Earliest cycle >= ``now`` at which the rank is host-free.

@@ -32,9 +32,6 @@ class IndexedCalendar:
     def __init__(self, slots: int) -> None:
         self.values: List[int] = [INFINITY] * slots
 
-    def __len__(self) -> int:
-        return len(self.values)
-
     def min_cycle(self) -> int:
         """The earliest wake cycle over all slots (``INFINITY`` when none)."""
         return min(self.values) if self.values else INFINITY

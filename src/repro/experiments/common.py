@@ -24,7 +24,6 @@ from repro.experiments.cli import (
     resolve_platform,
     run_experiment_cli,
 )
-from repro.nda.isa import NdaOpcode
 from repro.nda.throttle import DEFAULT_STOCHASTIC_PROBABILITY
 
 __all__ = [
@@ -34,11 +33,9 @@ __all__ = [
     "QUICK_MIXES",
     "build_system",
     "format_table",
-    "opcode_by_name",
     "resolve_config",
     "resolve_platform",
     "run_experiment_cli",
-    "run_point",
 ]
 
 #: Default measured window per configuration point, in DRAM cycles.  Long
@@ -80,18 +77,3 @@ def build_system(mode: AccessMode, mix: Optional[str],
     return ChopimSystem(config=cfg, mode=mode, mix=mix, throttle=throttle,
                         stochastic_probability=stochastic_probability,
                         engine=engine)
-
-
-def run_point(system: ChopimSystem, cycles: int = DEFAULT_CYCLES,
-              warmup: int = DEFAULT_WARMUP):
-    """Run one configuration point and return its :class:`SimulationResult`."""
-    return system.run(cycles=cycles, warmup=warmup)
-
-
-def opcode_by_name(name: str) -> NdaOpcode:
-    """Look an NDA opcode up by its lowercase name (``dot``, ``copy``, ...)."""
-    try:
-        return NdaOpcode(name.lower())
-    except ValueError as exc:
-        valid = ", ".join(op.value for op in NdaOpcode)
-        raise KeyError(f"unknown NDA operation {name!r}; valid: {valid}") from exc

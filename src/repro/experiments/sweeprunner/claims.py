@@ -11,8 +11,8 @@ driver finds was therefore left by a dead predecessor (a driver that was
 ``kill -9``'d, or whose machine went down): its attempt is spent, and the
 key is re-claimed under the next epoch.  A second live driver breaks the
 contract, and this module makes that loud rather than silent: losing the
-``O_EXCL`` race for an epoch, or finding a newer epoch than one's own
-before a done/failed/store write (the fencing check,
+``O_EXCL`` race for an epoch, or finding a newer epoch than one's own, or
+one's own epoch gone, before a done/failed/store write (the fencing check,
 :meth:`Claims.check_holds`), means another driver is at work, and the
 sweep raises :class:`ConcurrentDriverError` naming the directory.
 
@@ -83,9 +83,12 @@ class Claims:
 
     def check_holds(self, key: str, epoch: int) -> None:
         """The fencing check, run before any done/failed/store write: raise
-        when a newer epoch than ours exists."""
-        if self.directory is not None \
-                and self._path(key, epoch + 1).exists():
+        when a newer epoch than ours exists, or when ours is gone (a newer
+        driver landed the row, and its clean completion collected the key's
+        claims)."""
+        if self.directory is not None and (
+                self._path(key, epoch + 1).exists()
+                or not self._path(key, epoch).exists()):
             raise ConcurrentDriverError(self.directory, key, epoch + 1)
 
 

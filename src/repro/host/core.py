@@ -12,7 +12,7 @@ memory:
 Instruction throughput when not memory-bound is ``fetch_width``-limited and
 scaled by the profile's ``base_cpi``.  The miss stream itself comes from an
 :class:`~repro.host.traffic.AddressStreamGenerator`.  IPC (the paper's host
-metric) is ``instructions_retired / cpu_cycles``.
+metric) is retired instructions per CPU cycle.
 
 All internal accounting uses fixed-point integers (``_FP_ONE`` units per
 instruction / CPU cycle) so that advancing the core by ``n`` DRAM cycles in
@@ -141,26 +141,18 @@ class CoreModel:
     # Cycle advance
     # ------------------------------------------------------------------ #
 
-    def tick(self, cpu_cycles: float) -> List[Tuple[int, bool]]:
-        """Advance the core by ``cpu_cycles`` CPU cycles.
+    def tick_dram(self, dram_cycles: int) -> List[Tuple[int, bool]]:
+        """Advance the core by ``dram_cycles`` DRAM command-clock cycles.
 
         Returns the (physical address, is_write) memory transactions the core
         generated during this interval; the caller is responsible for sending
-        them to the memory controllers (and may apply back-pressure by simply
-        re-presenting the core's requests next cycle — see the system model).
-        """
-        return self._advance_fp(int(round(cpu_cycles * _FP_ONE)))
-
-    def tick_dram(self, dram_cycles: int) -> List[Tuple[int, bool]]:
-        """Advance the core by ``dram_cycles`` DRAM command-clock cycles.
+        them to the memory controllers.
 
         ``tick_dram(a); tick_dram(b)`` is bit-identical to ``tick_dram(a+b)``
         as long as no completion is delivered in between; the simulation
         engines rely on this to batch idle stretches.
         """
-        return self._advance_fp(dram_cycles * self._cpd_fp)
-
-    def _advance_fp(self, increment_fp: int) -> List[Tuple[int, bool]]:
+        increment_fp = dram_cycles * self._cpd_fp
         self._cpu_cycles_fp += increment_fp
         self._budget_fp += increment_fp
         self._consume()
@@ -244,18 +236,6 @@ class CoreModel:
     # Metrics
     # ------------------------------------------------------------------ #
 
-    @property
-    def instructions_retired(self) -> float:
-        return self._retired_fp / _FP_ONE
-
-    @property
-    def cpu_cycles(self) -> float:
-        return self._cpu_cycles_fp / _FP_ONE
-
-    @property
-    def stall_cycles(self) -> float:
-        return float(self._stall_cycles)
-
     def on_measurement_reset(self, now: int) -> None:
         """After the counters are zeroed: re-anchor outstanding-miss ages so
         ROB accounting stays consistent with the zeroed retirement counter,
@@ -276,18 +256,3 @@ class CoreModel:
         if self._cpu_cycles_fp <= 0:
             return 0.0
         return self._retired_fp / self._cpu_cycles_fp
-
-    @property
-    def outstanding_misses(self) -> int:
-        return len(self._outstanding)
-
-    def stats(self) -> Dict[str, float]:
-        return {
-            "ipc": self.ipc,
-            "instructions": self.instructions_retired,
-            "cpu_cycles": self.cpu_cycles,
-            "stall_cycles": self.stall_cycles,
-            "reads": self.reads_issued,
-            "writes": self.writes_issued,
-            "outstanding": float(len(self._outstanding)),
-        }

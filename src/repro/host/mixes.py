@@ -49,13 +49,3 @@ def mix_profiles(mix: str) -> List[BenchmarkProfile]:
     if mix not in MIXES:
         raise KeyError(f"unknown mix {mix!r}; valid mixes: {', '.join(MIXES)}")
     return [profile_by_name(name) for name in MIXES[mix]]
-
-
-def mix_core_count(mix: str) -> int:
-    """Cores used by a mix (8 for mix0, 4 otherwise, per Table II)."""
-    return len(MIXES[mix])
-
-
-def mix_aggregate_mpki(mix: str) -> float:
-    """Sum of the constituent benchmarks' MPKI (a mix-intensity proxy)."""
-    return sum(p.mpki for p in mix_profiles(mix))

@@ -207,14 +207,6 @@ class ChannelController:
         return (self.read_queue.has_bank(rank, bank_group, bank)
                 or self.write_queue.has_bank(rank, bank_group, bank))
 
-    @property
-    def queued_reads(self) -> int:
-        return len(self.read_queue)
-
-    @property
-    def queued_writes(self) -> int:
-        return len(self.write_queue)
-
     # ------------------------------------------------------------------ #
     # Cycle advance
     # ------------------------------------------------------------------ #
@@ -512,20 +504,3 @@ class ChannelController:
     def load_refs(self, saved: Dict[str, object], refs) -> None:
         self._completions = [_PendingCompletion(cycle, refs.requests[rid])
                              for cycle, rid in saved.pop("_completions")]
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-
-    @property
-    def outstanding(self) -> int:
-        return (len(self.read_queue) + len(self.write_queue)
-                + len(self._completions) + self.inflight_completions)
-
-    def busy(self) -> bool:
-        return self.outstanding > 0
-
-    def stats(self) -> Dict[str, float]:
-        data = dict(self.counters.as_dict())
-        data["avg_read_latency"] = self.read_latency.mean
-        return data

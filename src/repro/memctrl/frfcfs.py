@@ -49,12 +49,6 @@ class FrFcfsScheduler:
         self._host_column_base = dram.timing.host_column_base
         self._bank_timings = dram.timing._banks
 
-    def select(self, requests: Iterable[MemoryRequest],
-               now: int) -> Optional[Tuple[MemoryRequest, Command]]:
-        """Pick (request, command) per FR-FCFS, or None if nothing can issue."""
-        choice, _ = self.select_or_horizon(requests, now)
-        return choice
-
     def select_or_horizon(self, requests: Iterable[MemoryRequest], now: int,
                           ) -> Tuple[Optional[Tuple[MemoryRequest, Command]], int]:
         """FR-FCFS pick plus the earliest future issue cycle.
@@ -62,7 +56,7 @@ class FrFcfsScheduler:
         Returns ``(choice, horizon)``.  When ``choice`` is not None the
         horizon is meaningless (the scan may have stopped early at a
         row-hit); when ``choice`` is None the horizon is the minimum
-        ``earliest_issue`` over every queued request's required command — a
+        ``earliest_issue_at`` over every queued request's required command — a
         lower bound on the next cycle this queue could issue anything,
         assuming no intervening enqueue or DRAM state change that hastens a
         request (timing state moves constraints later, apart from the

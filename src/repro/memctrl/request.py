@@ -81,11 +81,6 @@ class MemoryRequest:
         if self.on_complete is not None:
             self.on_complete(cycle)
 
-    def latency(self) -> Optional[int]:
-        if self.completed_cycle is None:
-            return None
-        return self.completed_cycle - self.arrival_cycle
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         op = "WR" if self.is_write else "RD"
         return (f"MemoryRequest(#{self.request_id} {op} ch{self.addr.channel} "

@@ -280,23 +280,8 @@ class NdaRankController:
             listener()
 
     @property
-    def pending_instructions(self) -> int:
-        return len(self._queue) + (1 if self._active is not None else 0)
-
-    @property
     def busy(self) -> bool:
         return self._active is not None or bool(self._queue)
-
-    def set_throttle(self, policy: WriteThrottlePolicy) -> None:
-        # Plans embed the old policy's decisions.  Swaps happen between
-        # engine runs, after the run-boundary flush settled every elapsed
-        # command: the remainder lies in the future and is simply dropped.
-        self.stop_burst(0, "throttle_change")
-        self.throttle = policy
-        # Throttle behaviour feeds the wake computation; re-poll.
-        listener = self.wake_listener
-        if listener is not None:
-            listener()
 
     # ------------------------------------------------------------------ #
     # Cycle advance: called by the system when the rank may issue an NDA

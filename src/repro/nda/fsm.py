@@ -39,11 +39,6 @@ class NdaFsmState:
     def idle(self) -> bool:
         return self.current_instruction is None
 
-    def as_tuple(self) -> Tuple:
-        return (self.current_instruction, self.reads_remaining,
-                self.writes_remaining, self.write_buffer_occupancy,
-                self.draining, self.instructions_completed)
-
 
 class _FsmCopy:
     """One mutable FSM replica (device side or host side).

@@ -152,11 +152,6 @@ class NdaInstruction:
             return self.num_elements * self.matrix_columns
         return self.num_elements * self.traits.fmas_per_element
 
-    @property
-    def dram_bytes(self) -> int:
-        """Total DRAM traffic (read + write) of this instruction in bytes."""
-        return (self.read_cache_blocks + self.write_cache_blocks) * 64
-
     def split(self, cache_blocks: int) -> "list[NdaInstruction]":
         """Split into instructions of at most ``cache_blocks`` granularity each."""
         if cache_blocks <= 0:

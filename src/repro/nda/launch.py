@@ -396,15 +396,3 @@ class NdaHostController:
             # on completion (_deliver pops the map by identity).
             refs.requests[request_id].on_complete = (
                 lambda cycle, p=inflight: self._deliver(p, cycle))
-
-    # ------------------------------------------------------------------ #
-    # Statistics
-    # ------------------------------------------------------------------ #
-
-    def stats(self) -> Dict[str, float]:
-        return {
-            "operations_launched": self.operations_launched,
-            "operations_completed": self.operations_completed,
-            "packets_sent": self.packets_sent,
-            "pending_packets": len(self._pending_packets),
-        }

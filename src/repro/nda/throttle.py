@@ -32,44 +32,33 @@ class _HostQueueView(Protocol):
 
 
 class WriteThrottlePolicy:
-    """Base class: decides whether an NDA write may issue this cycle."""
+    """Base class: decides whether an NDA write may issue this cycle.
 
-    name = "base"
+    Every policy has ``allow_write(channel, rank, now)``, the decision the
+    write attempt consumes.  A deterministic one also has ``would_allow``
+    with the same arguments: a preview of that decision that touches no
+    counter and no RNG state.
+    """
+
     STATE = ()
     #: Whether the decision is a pure function of observable state (no RNG
     #: consumption).  Deterministic policies can be peeked by the event
-    #: engine via :meth:`would_allow` without perturbing the simulation;
+    #: engine via ``would_allow`` without perturbing the simulation;
     #: non-deterministic ones force the engine to attempt the write on every
     #: issue-eligible cycle so the RNG stream matches the cycle-by-cycle
     #: baseline.
     deterministic = True
 
-    def allow_write(self, channel: int, rank: int, now: int) -> bool:
-        raise NotImplementedError
-
-    def would_allow(self, channel: int, rank: int, now: int) -> bool:
-        """Side-effect-free preview of :meth:`allow_write`.
-
-        Only meaningful for deterministic policies; must not touch counters
-        or RNG state.
-        """
-        raise NotImplementedError
-
     def note_decisions(self, allowed: int, inhibited: int) -> None:
         """Record decisions a burst plan embedded without calling
-        :meth:`allow_write` (one per planned drain attempt, each equal to
-        the plan-time :meth:`would_allow`).  Policies that count their
-        decisions override this; only deterministic policies are planned.
+        ``allow_write`` (one per planned drain attempt, each equal to the
+        plan-time ``would_allow``).  Policies that count their decisions
+        override this; only deterministic policies are planned.
         """
-
-    def describe(self) -> str:
-        return self.name
 
 
 class IssueIfIdlePolicy(WriteThrottlePolicy):
     """No write throttling: issue whenever the rank is idle from the host."""
-
-    name = "issue_if_idle"
 
     def allow_write(self, channel: int, rank: int, now: int) -> bool:
         return True
@@ -81,7 +70,6 @@ class IssueIfIdlePolicy(WriteThrottlePolicy):
 class StochasticIssuePolicy(WriteThrottlePolicy):
     """Issue each NDA write with a fixed probability (no signaling needed)."""
 
-    name = "stochastic_issue"
     deterministic = False
     STATE = ("rng", "attempts", "allowed")
     DERIVED = ("probability",)
@@ -101,9 +89,6 @@ class StochasticIssuePolicy(WriteThrottlePolicy):
             self.allowed += 1
         return allowed
 
-    def describe(self) -> str:
-        return f"{self.name}(p={self.probability:g})"
-
 
 class NextRankPredictionPolicy(WriteThrottlePolicy):
     """Inhibit NDA writes to the rank the host is about to read.
@@ -115,7 +100,6 @@ class NextRankPredictionPolicy(WriteThrottlePolicy):
     transaction (modelled as available in the same cycle).
     """
 
-    name = "next_rank_prediction"
     STATE = ("inhibits", "checks")
     DERIVED = ("host_controllers",)
 
@@ -141,9 +125,6 @@ class NextRankPredictionPolicy(WriteThrottlePolicy):
     def note_decisions(self, allowed: int, inhibited: int) -> None:
         self.checks += allowed + inhibited
         self.inhibits += inhibited
-
-    def inhibit_rate(self) -> float:
-        return self.inhibits / self.checks if self.checks else 0.0
 
 
 def make_policy(name: str, rng: Optional[DeterministicRng] = None,

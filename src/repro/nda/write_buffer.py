@@ -15,8 +15,6 @@ owner's drain cursor (``NdaRankController`` derives the head address).
 
 from __future__ import annotations
 
-from typing import Tuple
-
 
 class NdaWriteBuffer:
     """Occupancy and drain phase of one rank's FIFO of pending NDA writes."""
@@ -101,7 +99,3 @@ class NdaWriteBuffer:
         """Enter the drain phase regardless of occupancy (end of instruction)."""
         if self.length:
             self._draining = True
-
-    def state_tuple(self) -> Tuple[int, bool]:
-        """(occupancy, draining) — the state mirrored by the replicated FSM."""
-        return (self.length, self._draining)

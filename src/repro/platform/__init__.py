@@ -28,7 +28,6 @@ from repro.platform.presets import (
     PLATFORM_REGISTRY,
     get_platform,
     platform_names,
-    register_platform,
 )
 from repro.platform.spec import PlatformSpec, ns_to_cycles
 
@@ -43,7 +42,6 @@ __all__ = [
     "HBM2",
     "get_platform",
     "platform_names",
-    "register_platform",
     "platform_config",
     "ns_to_cycles",
 ]

@@ -162,7 +162,7 @@ HBM2 = PlatformSpec(
 )
 
 #: Registry of named presets, in declaration order (the paper baseline
-#: first).  ``register_platform`` extends it at runtime.
+#: first).
 PLATFORM_REGISTRY: Dict[str, PlatformSpec] = {
     spec.name: spec
     for spec in (DDR4_2400, DDR4_3200, LPDDR4_3200, DDR5_4800, HBM2)
@@ -184,12 +184,3 @@ def get_platform(name: str) -> PlatformSpec:
 def platform_names() -> List[str]:
     """All registered preset names, baseline first."""
     return list(PLATFORM_REGISTRY)
-
-
-def register_platform(spec: PlatformSpec, replace: bool = False) -> PlatformSpec:
-    """Register a preset (validating its derived configuration first)."""
-    if spec.name in PLATFORM_REGISTRY and not replace:
-        raise ValueError(f"platform {spec.name!r} is already registered")
-    spec.system_config()  # validates timing/org derivations, fails loudly
-    PLATFORM_REGISTRY[spec.name] = spec
-    return spec

@@ -25,7 +25,7 @@ is a one-line data-rate change.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.config import (
@@ -200,13 +200,3 @@ class PlatformSpec:
         )
         cfg.validate()
         return cfg
-
-    def rescaled(self, data_rate_mtps: int, name: Optional[str] = None,
-                 ) -> "PlatformSpec":
-        """The same device retimed to a different data rate.
-
-        Analog parameters are nanoseconds, so they survive unchanged; only
-        the quantization moves.  This is the add-a-speed-bin recipe.
-        """
-        return replace(self, data_rate_mtps=data_rate_mtps,
-                       name=name or f"{self.name}@{data_rate_mtps}")

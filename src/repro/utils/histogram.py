@@ -59,10 +59,6 @@ class BucketHistogram:
     def total_weight(self) -> float:
         return sum(self.weights)
 
-    @property
-    def total_count(self) -> int:
-        return sum(self.counts)
-
     def fractions(self, extra_total: float = 0.0) -> Dict[str, float]:
         """Per-bucket weight fraction.
 
@@ -73,18 +69,3 @@ class BucketHistogram:
         if denom <= 0:
             return {label: 0.0 for label in self.labels}
         return {label: self.weights[i] / denom for i, label in enumerate(self.labels)}
-
-    def merge(self, other: "BucketHistogram") -> None:
-        """Accumulate another histogram with identical buckets into this one."""
-        if other.bounds != self.bounds:
-            raise ValueError("cannot merge histograms with different buckets")
-        for i in range(len(self.weights)):
-            self.weights[i] += other.weights[i]
-            self.counts[i] += other.counts[i]
-
-    def as_dict(self) -> Dict[str, float]:
-        return dict(zip(self.labels, self.weights))
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        parts = ", ".join(f"{l}={w:.0f}" for l, w in zip(self.labels, self.weights))
-        return f"BucketHistogram({parts})"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import List, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -45,14 +45,6 @@ class DeterministicRng:
         """Create an independent child stream."""
         return DeterministicRng(self.base_seed, f"{self.stream}/{substream}")
 
-    def random(self) -> float:
-        """Uniform float in [0, 1)."""
-        return self._rng.random()
-
-    def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi] inclusive."""
-        return self._rng.randint(lo, hi)
-
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n)."""
         return self._rng.randrange(n)
@@ -68,27 +60,6 @@ class DeterministicRng:
     def choice(self, seq: Sequence[T]) -> T:
         return self._rng.choice(seq)
 
-    def shuffle(self, items: List[T]) -> None:
-        self._rng.shuffle(items)
-
-    def sample(self, seq: Sequence[T], k: int) -> List[T]:
-        return self._rng.sample(seq, k)
-
     def expovariate(self, rate: float) -> float:
         """Exponential inter-arrival sample with the given rate (1/mean)."""
         return self._rng.expovariate(rate)
-
-    def gauss(self, mu: float, sigma: float) -> float:
-        return self._rng.gauss(mu, sigma)
-
-    def numpy_seed(self) -> int:
-        """A 32-bit seed suitable for ``numpy.random.default_rng``."""
-        return _derive_seed(self.base_seed, self.stream) & 0xFFFFFFFF
-
-    def getstate(self):
-        """The underlying Mersenne Twister state (checkpointing)."""
-        return self._rng.getstate()
-
-    def setstate(self, state) -> None:
-        """Restore a state captured by :meth:`getstate`."""
-        self._rng.setstate(state)

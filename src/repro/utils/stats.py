@@ -16,17 +16,8 @@ class Counter:
     def add(self, name: str, amount: int = 1) -> None:
         self._counts[name] = self._counts.get(name, 0) + amount
 
-    def get(self, name: str) -> int:
-        return self._counts.get(name, 0)
-
     def as_dict(self) -> Dict[str, int]:
         return dict(self._counts)
-
-    def __getitem__(self, name: str) -> int:
-        return self.get(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._counts
 
 
 class WindowedStat:
@@ -45,7 +36,3 @@ class WindowedStat:
         self.total += value
         self.minimum = value if self.minimum is None else min(self.minimum, value)
         self.maximum = value if self.maximum is None else max(self.maximum, value)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0

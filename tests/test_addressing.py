@@ -247,6 +247,7 @@ class TestMaskDecodeEquivalence:
         from repro.dram.commands import DramAddress
         bare = DramAddress(a.channel, a.rank, a.bank_group, a.bank, a.row, a.column)
         assert a == bare and hash(a) == hash(bare)
+        assert not (a != bare)
         assert bare.rank_index == -1 and bare.bank_index == -1
 
     def test_replace_of_bank_coordinate_clears_stamps(self):
@@ -256,4 +257,4 @@ class TestMaskDecodeEquivalence:
         assert moved.rank_index == -1 and moved.bank_index == -1
         # Row/column changes keep the (still valid) stamps.
         assert a.with_column(3).bank_index == a.bank_index
-        assert a.with_row(5).rank_index == a.rank_index
+        assert a._replace(row=5).rank_index == a.rank_index

@@ -157,11 +157,10 @@ class TestBurstRefreshPressure:
 
     A refresh-heavy timing config (small tREFI) forces refresh precharges
     and REF commands into the middle of the NDA's steady-state streaks.
-    Each scenario is checked two ways: the burst run against the
-    ``burst=False`` per-cycle replay (full-state diff), and the event
-    engine against the cycle engine (result diff) — if a REF fails
-    to truncate a live ``BurstPlan``, the settled stream runs through the
-    refresh window and both diffs light up.
+    Each scenario's burst run is diffed (full state) against each oracle:
+    the ``burst=False`` per-cycle replay and the cycle engine — if a REF
+    fails to truncate a live ``BurstPlan``, the settled stream runs through
+    the refresh window and both diffs light up.
     """
 
     _SCENARIOS = [
@@ -188,20 +187,10 @@ class TestBurstRefreshPressure:
         burst_system, mismatched = _replay_mismatches(
             config=lambda: _refresh_heavy_config(platform), oracle=oracle,
             **spec)
-        refreshes = sum(mc.counters.get("refreshes")
-                        for mc in burst_system.channel_controllers.values())
-        assert refreshes > 0, "scenario exerts no refresh pressure"
+        assert burst_system.dram.counts.refreshes > 0, (
+            "scenario exerts no refresh pressure")
         assert not mismatched, (
             f"burst path diverged under refresh pressure on {mismatched}")
-
-    @pytest.mark.parametrize("name,spec", _SCENARIOS)
-    def test_engines_agree_under_refresh_pressure(self, name, spec):
-        results = {}
-        for engine in ("cycle", "event"):
-            _, result, _ = _build_and_run(config=_refresh_heavy_config(),
-                                          engine=engine, **spec)
-            results[engine] = dataclasses.asdict(result)
-        assert results["cycle"] == results["event"]
 
     def test_bursts_still_planned_between_refreshes(self):
         system, _, _ = _build_and_run(mode=AccessMode.NDA_ONLY,
@@ -611,7 +600,7 @@ class TestBulkPrimitives:
             for _ in range(pops):
                 loop.pop()
             bulk.pop(pops)
-            assert bulk.state_tuple() == loop.state_tuple()
+            assert (len(bulk), bulk.draining) == (len(loop), loop.draining)
             assert bulk.total_enqueued == loop.total_enqueued == 10
             assert bulk.total_drained == loop.total_drained == pops
 
@@ -622,4 +611,4 @@ class TestBulkPrimitives:
             buffer.pop(2)
         with pytest.raises(IndexError):
             buffer.push(4)
-        assert buffer.state_tuple() == (1, False)
+        assert (len(buffer), buffer.draining) == (1, False)

@@ -129,6 +129,19 @@ def _wait_for_rival(value, root):
     return {"value": value}
 
 
+_RIVAL_LANDED = threading.Event()
+
+
+def _outlive_rival(value, root):
+    """The first driver's run returns only once a rival driver's sweep
+    landed the row and collected the key's claims."""
+    started = Path(root) / "first-driver.started"
+    if not started.exists():
+        started.write_text("x")
+        _RIVAL_LANDED.wait(timeout=10.0)
+    return {"value": value}
+
+
 def _rival_then_raise(value, root):
     """Mints the epoch after its own running lease, as a second driver
     would, then fails."""
@@ -180,6 +193,39 @@ class TestClusterService:
         # Both ran the point; only the later driver's row landed.
         assert (store / "tally.txt").read_text().splitlines() == ["7", "7"]
         assert len(list(store.glob("*.json"))) == 1
+
+    def test_fence_survives_rivals_garbage_collection(self, tmp_path):
+        """The rival's clean completion deletes every claim of the key, the
+        earlier driver's epoch file included, before that driver's point
+        returns: the earlier driver still raises naming the directory."""
+        store = tmp_path / "store"
+        params = [{"value": 5, "root": str(store)}]
+        raised = []
+        _RIVAL_LANDED.clear()
+
+        def first_driver():
+            try:
+                run_sweep_outcome(_outlive_rival, params,
+                                  options=self._options(store))
+            except ConcurrentDriverError as exc:
+                raised.append(str(exc))
+
+        thread = threading.Thread(target=first_driver)
+        thread.start()
+        started = store / "first-driver.started"
+        deadline = time.monotonic() + 10.0
+        while not started.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        try:
+            second = run_sweep_outcome(_outlive_rival, params,
+                                       options=self._options(store))
+            assert not list((store / "claims").glob("*.epoch-*"))
+        finally:
+            _RIVAL_LANDED.set()
+        thread.join(timeout=15)
+        assert not thread.is_alive()
+        assert second.rows == [{"value": 5}]
+        assert len(raised) == 1 and str(store) in raised[0]
 
     def test_failed_lease_info_crosses_hosts(self, tmp_path):
         """A later driver run (from any machine that mounts the directory)

@@ -165,7 +165,7 @@ class TestScheduler:
             scheduler.host_pending_to_bank(ch, rk, bank)
             for ch in range(2) for rk in range(2) for bank in range(16)
         )
-        total_queued = sum(mc.queued_reads + mc.queued_writes
+        total_queued = sum(len(mc.read_queue) + len(mc.write_queue)
                            for mc in system.channel_controllers.values())
         assert found_any == (total_queued > 0)
 

@@ -23,6 +23,10 @@ def nda(kind, a) -> Command:
     return Command(kind, a, RequestSource.NDA)
 
 
+HOST, NDA = RequestSource.HOST, RequestSource.NDA
+ACT, PRE, RD, WR = CommandType.ACT, CommandType.PRE, CommandType.RD, CommandType.WR
+
+
 @pytest.fixture
 def engine(org):
     return TimingEngine(org, T)
@@ -40,14 +44,14 @@ class TestCommandTypes:
         assert CommandType.ACT.is_row and CommandType.PRE.is_row
         assert not CommandType.RD.is_row
 
-    def test_dram_address_same_bank(self):
-        assert addr(row=1).same_bank(addr(row=9))
-        assert not addr(bank=1).same_bank(addr(bank=2))
+    def test_dram_address_same_bank(self, dram):
+        assert dram.bank(addr(row=1)) is dram.bank(addr(row=9))
+        assert dram.bank(addr(bank=1)) is not dram.bank(addr(bank=2))
 
     def test_with_helpers(self):
         a = addr(row=5, col=3)
         assert a.with_column(7).column == 7
-        assert a.with_row(9).row == 9
+        assert a._replace(row=9).row == 9
 
 
 class TestBankStateMachine:
@@ -71,45 +75,41 @@ class TestActivationTiming:
     def test_trcd_enforced(self, engine):
         a = addr(row=1)
         engine.issue(host(CommandType.ACT, a), 0)
-        rd = host(CommandType.RD, a)
-        assert not engine.can_issue(rd, T.tRCD - 1)
-        assert engine.can_issue(rd, T.tRCD)
+        assert not engine.can_issue_at(RD, a, HOST, T.tRCD - 1)
+        assert engine.can_issue_at(RD, a, HOST, T.tRCD)
 
     def test_tras_and_trp_enforced(self, engine):
         a = addr(row=1)
         engine.issue(host(CommandType.ACT, a), 0)
-        pre = host(CommandType.PRE, a)
-        assert not engine.can_issue(pre, T.tRAS - 1)
-        assert engine.can_issue(pre, T.tRAS)
-        engine.issue(pre, T.tRAS)
-        act = host(CommandType.ACT, a)
-        assert not engine.can_issue(act, T.tRAS + T.tRP - 1)
-        assert engine.can_issue(act, max(T.tRAS + T.tRP, T.tRC))
+        assert not engine.can_issue_at(PRE, a, HOST, T.tRAS - 1)
+        assert engine.can_issue_at(PRE, a, HOST, T.tRAS)
+        engine.issue(host(PRE, a), T.tRAS)
+        assert not engine.can_issue_at(ACT, a, HOST, T.tRAS + T.tRP - 1)
+        assert engine.can_issue_at(ACT, a, HOST, max(T.tRAS + T.tRP, T.tRC))
 
     def test_trc_same_bank(self, engine):
         a = addr(row=1)
         engine.issue(host(CommandType.ACT, a), 0)
         engine.issue(host(CommandType.PRE, a), T.tRAS)
-        act = host(CommandType.ACT, addr(row=2))
-        assert engine.earliest_issue(act, 0) >= T.tRC
+        assert engine.earliest_issue_at(ACT, addr(row=2), HOST, 0) >= T.tRC
 
     def test_trrd_across_banks(self, engine):
         engine.issue(host(CommandType.ACT, addr(bg=0, bank=0, row=1)), 0)
-        same_bg = host(CommandType.ACT, addr(bg=0, bank=1, row=1))
-        diff_bg = host(CommandType.ACT, addr(bg=1, bank=0, row=1))
-        assert engine.earliest_issue(same_bg, 0) == T.tRRDL
-        assert engine.earliest_issue(diff_bg, 0) == T.tRRDS
+        same_bg = addr(bg=0, bank=1, row=1)
+        diff_bg = addr(bg=1, bank=0, row=1)
+        assert engine.earliest_issue_at(ACT, same_bg, HOST, 0) == T.tRRDL
+        assert engine.earliest_issue_at(ACT, diff_bg, HOST, 0) == T.tRRDS
 
     def test_faw_limits_fifth_activate(self, engine):
         # Four activates to different bank groups at the RRD_S rate.
         t = 0
         for bank_group in range(4):
-            cmd = host(CommandType.ACT, addr(bg=bank_group, bank=0, row=1))
-            t = engine.earliest_issue(cmd, t)
-            engine.issue(cmd, t)
-        fifth = host(CommandType.ACT, addr(bg=0, bank=1, row=1))
+            a = addr(bg=bank_group, bank=0, row=1)
+            t = engine.earliest_issue_at(ACT, a, HOST, t)
+            engine.issue(host(ACT, a), t)
+        fifth = addr(bg=0, bank=1, row=1)
         first_act_time = 0
-        assert engine.earliest_issue(fifth, t) >= first_act_time + T.tFAW
+        assert engine.earliest_issue_at(ACT, fifth, HOST, t) >= first_act_time + T.tFAW
 
 
 class TestColumnTiming:
@@ -121,8 +121,8 @@ class TestColumnTiming:
         a = addr(row=1)
         ready = self._open(engine, a)
         engine.issue(host(CommandType.RD, a), ready)
-        nxt = host(CommandType.RD, a.with_column(1))
-        assert engine.earliest_issue(nxt, ready) == ready + T.tCCDL
+        nxt = a.with_column(1)
+        assert engine.earliest_issue_at(RD, nxt, HOST, ready) == ready + T.tCCDL
 
     def test_read_to_read_diff_bank_group_uses_ccds(self, engine):
         a = addr(bg=0, row=1)
@@ -131,15 +131,13 @@ class TestColumnTiming:
         rb = self._open(engine, b, 4)
         start = max(ra, rb)
         engine.issue(host(CommandType.RD, a), start)
-        nxt = host(CommandType.RD, b)
-        assert engine.earliest_issue(nxt, start) == start + T.tCCDS
+        assert engine.earliest_issue_at(RD, b, HOST, start) == start + T.tCCDS
 
     def test_write_to_read_turnaround_same_rank(self, engine):
         a = addr(bg=0, row=1)
         ready = self._open(engine, a)
         engine.issue(host(CommandType.WR, a), ready)
-        rd = host(CommandType.RD, a.with_column(1))
-        assert (engine.earliest_issue(rd, ready)
+        assert (engine.earliest_issue_at(RD, a.with_column(1), HOST, ready)
                 == ready + T.tCWL + T.tBL + T.tWTRL)
 
     def test_write_to_read_smaller_penalty_across_bank_groups(self, engine):
@@ -149,22 +147,20 @@ class TestColumnTiming:
         rb = self._open(engine, b, 4)
         start = max(ra, rb)
         engine.issue(host(CommandType.WR, a), start)
-        rd_same = host(CommandType.RD, a.with_column(1))
-        rd_diff = host(CommandType.RD, b)
-        assert (engine.earliest_issue(rd_diff, start)
-                < engine.earliest_issue(rd_same, start))
+        assert (engine.earliest_issue_at(RD, b, HOST, start)
+                < engine.earliest_issue_at(RD, a.with_column(1), HOST, start))
 
     def test_read_to_write_penalty_smaller_than_write_to_read(self, engine):
         a = addr(bg=0, row=1)
         ready = self._open(engine, a)
         engine.issue(host(CommandType.RD, a), ready)
-        wr_after_rd = engine.earliest_issue(host(CommandType.WR, a.with_column(1)), ready) - ready
+        wr_after_rd = engine.earliest_issue_at(WR, a.with_column(1), HOST, ready) - ready
 
         engine2 = TimingEngine(DramOrgConfig(), T)
         ready2 = T.tRCD
         engine2.issue(host(CommandType.ACT, a), 0)
         engine2.issue(host(CommandType.WR, a), ready2)
-        rd_after_wr = engine2.earliest_issue(host(CommandType.RD, a.with_column(1)), ready2) - ready2
+        rd_after_wr = engine2.earliest_issue_at(RD, a.with_column(1), HOST, ready2) - ready2
         assert rd_after_wr > wr_after_rd
 
     def test_rank_to_rank_switch_penalty_on_channel(self, engine):
@@ -174,23 +170,22 @@ class TestColumnTiming:
         engine.issue(host(CommandType.ACT, b), 1)
         start = max(ra, 1 + T.tRCD)
         engine.issue(host(CommandType.RD, a), start)
-        same_rank = engine.earliest_issue(host(CommandType.RD, a.with_column(1)), start)
-        other_rank = engine.earliest_issue(host(CommandType.RD, b), start)
+        same_rank = engine.earliest_issue_at(RD, a.with_column(1), HOST, start)
+        other_rank = engine.earliest_issue_at(RD, b, HOST, start)
         assert other_rank >= same_rank - T.tCCDL + T.tBL + T.tRTRS - 1
 
     def test_read_to_precharge(self, engine):
         a = addr(row=1)
         ready = self._open(engine, a)
         engine.issue(host(CommandType.RD, a), ready)
-        pre = host(CommandType.PRE, a)
-        assert engine.earliest_issue(pre, ready) >= ready + T.tRTP
+        assert engine.earliest_issue_at(PRE, a, HOST, ready) >= ready + T.tRTP
 
     def test_write_recovery_before_precharge(self, engine):
         a = addr(row=1)
         ready = self._open(engine, a)
         engine.issue(host(CommandType.WR, a), ready)
-        pre = host(CommandType.PRE, a)
-        assert engine.earliest_issue(pre, ready) >= ready + T.tCWL + T.tBL + T.tWR
+        assert (engine.earliest_issue_at(PRE, a, HOST, ready)
+                >= ready + T.tCWL + T.tBL + T.tWR)
 
 
 class TestNdaHostInteraction:
@@ -202,8 +197,7 @@ class TestNdaHostInteraction:
         engine.issue(host(CommandType.ACT, b), 1)
         start = 1 + T.tRCD
         engine.issue(nda(CommandType.RD, a), T.tRCD)
-        host_rd = host(CommandType.RD, b)
-        assert engine.earliest_issue(host_rd, start) == start
+        assert engine.earliest_issue_at(RD, b, HOST, start) == start
 
     def test_nda_write_causes_wtr_for_host_read_same_rank(self, engine):
         """The central interference mechanism of Section III-B."""
@@ -213,15 +207,15 @@ class TestNdaHostInteraction:
         engine.issue(host(CommandType.ACT, b), 1)
         start = 1 + T.tRCD
         engine.issue(nda(CommandType.WR, a), start)
-        host_rd = host(CommandType.RD, b)
-        assert engine.earliest_issue(host_rd, start) >= start + T.tCWL + T.tBL + T.tWTRS
+        assert (engine.earliest_issue_at(RD, b, HOST, start)
+                >= start + T.tCWL + T.tBL + T.tWTRS)
 
     def test_nda_columns_paced_at_ccds_within_bank_group(self, engine):
         a = addr(rank=0, bg=0, row=1)
         engine.issue(nda(CommandType.ACT, a), 0)
         engine.issue(nda(CommandType.RD, a), T.tRCD)
-        nxt = nda(CommandType.RD, a.with_column(1))
-        assert engine.earliest_issue(nxt, T.tRCD) == T.tRCD + T.tCCDS
+        nxt = a.with_column(1)
+        assert engine.earliest_issue_at(RD, nxt, NDA, T.tRCD) == T.tRCD + T.tCCDS
 
     def test_rank_host_busy_tracks_host_data(self, engine):
         a = addr(rank=0, row=1)
@@ -229,16 +223,17 @@ class TestNdaHostInteraction:
         engine.issue(host(CommandType.RD, a), T.tRCD)
         # Busy during the command cycle and during the data burst; the CAS
         # gap in between is a short idle window the NDAs may exploit.
-        assert engine.rank_host_busy(0, 0, T.tRCD)
-        assert not engine.rank_host_busy(0, 0, T.tRCD + 2)
-        assert engine.rank_host_busy(0, 0, T.tRCD + T.tCL + 1)
-        assert not engine.rank_host_busy(0, 0, T.tRCD + T.tCL + T.tBL + 1)
+        burst = T.tRCD + T.tCL
+        assert engine.next_host_free_cycle(0, 0, T.tRCD) == T.tRCD + 1
+        assert engine.next_host_free_cycle(0, 0, T.tRCD + 2) == T.tRCD + 2
+        assert engine.next_host_free_cycle(0, 0, burst + 1) == burst + T.tBL
+        assert engine.next_host_free_cycle(0, 0, burst + T.tBL + 1) == burst + T.tBL + 1
 
     def test_nda_access_does_not_mark_rank_host_busy(self, engine):
         a = addr(rank=0, row=1)
         engine.issue(nda(CommandType.ACT, a), 0)
         engine.issue(nda(CommandType.RD, a), T.tRCD)
-        assert not engine.rank_host_busy(0, 0, T.tRCD + 1)
+        assert engine.next_host_free_cycle(0, 0, T.tRCD + 1) == T.tRCD + 1
 
 
 class TestRefresh:
@@ -250,9 +245,8 @@ class TestRefresh:
         a = addr(row=0)
         ref = host(CommandType.REF, a)
         dram.issue(ref, 0)
-        act = host(CommandType.ACT, addr(row=1))
-        assert not dram.can_issue(act, T.tRFC - 1)
-        assert dram.can_issue(act, T.tRFC)
+        assert not dram.can_issue_at(ACT, addr(row=1), HOST, T.tRFC - 1)
+        assert dram.can_issue_at(ACT, addr(row=1), HOST, T.tRFC)
 
 
 class TestDramSystemFacade:
@@ -261,7 +255,7 @@ class TestDramSystemFacade:
         assert dram.required_command(a, False) is CommandType.ACT
         dram.issue(host(CommandType.ACT, a), 0)
         assert dram.required_command(a, False) is CommandType.RD
-        assert dram.required_command(a.with_row(4), False) is CommandType.PRE
+        assert dram.required_command(a._replace(row=4), False) is CommandType.PRE
 
     def test_illegal_command_raises(self, dram):
         a = addr(row=3)
@@ -284,7 +278,7 @@ class TestDramSystemFacade:
         assert dram.record_access_outcome(a, False, is_nda=False) == "miss"
         dram.issue(host(CommandType.ACT, a), 0)
         assert dram.record_access_outcome(a, False, is_nda=False) == "hit"
-        assert dram.record_access_outcome(a.with_row(9), False, is_nda=True) == "conflict"
+        assert dram.record_access_outcome(a._replace(row=9), False, is_nda=True) == "conflict"
         assert dram.counts.host_row_hits == 1
         assert dram.counts.nda_row_conflicts == 1
 
@@ -295,8 +289,9 @@ class TestDramSystemFacade:
     def test_conflict_counts_aggregate(self, dram):
         a = addr(row=3)
         dram.record_access_outcome(a, False, is_nda=False)
-        totals = dram.conflict_counts()
-        assert totals["row_misses"] == 1
+        dram.record_access_outcome(a, True, is_nda=True)
+        bank = dram.bank(a)
+        assert (bank.row_misses, bank.reads, bank.nda_writes) == (2, 1, 1)
 
 
 class TestWriteToReadLongTurnaround:

@@ -332,29 +332,6 @@ class TestEngineEquivalenceFuzz:
     def test_write_phase_config(self, index):
         _run_fuzz_spec(_WRITE_FUZZ_CONFIGS[index], cycles=1200)
 
-    def test_throttle_flip_mid_stream(self):
-        """Swapping the write-throttle policy between run segments truncates
-        live write bursts; results must stay engine-exact across the flip."""
-        from repro.nda.throttle import make_policy
-        from repro.utils.rng import DeterministicRng
-
-        systems = {}
-        for engine in _ENGINES:
-            system = systems[engine] = _build(
-                engine, AccessMode.BANK_PARTITIONED, mix="mix5",
-                throttle="issue_if_idle")
-            system.set_nda_workload(NdaOpcode.COPY, elements_per_rank=1 << 13)
-            system.run(cycles=600, warmup=100)
-            # Flip every rank controller to next-rank prediction mid-stream
-            # (the same policy object for all, as the system builds it).
-            policy = make_policy("next_rank",
-                                 rng=DeterministicRng(7, "flip"),
-                                 host_controllers=system.channel_controllers)
-            for controller in system.rank_controllers.values():
-                controller.set_throttle(policy)
-            system.run(cycles=900)
-        _assert_same_state(systems)
-
 
 class TestEngineBehaviour:
     def test_event_engine_skips_cycles_when_idle(self):

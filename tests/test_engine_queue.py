@@ -13,7 +13,7 @@ class TestIndexedCalendar:
     def test_initially_unscheduled(self):
         cal = IndexedCalendar(4)
         assert cal.min_cycle() == INFINITY
-        assert len(cal) == 4
+        assert cal.values == [INFINITY] * 4
 
     def test_set_and_min(self):
         cal = IndexedCalendar(3)

@@ -22,7 +22,6 @@ from repro.experiments.common import (
     DEFAULT_WARMUP,
     build_system,
     format_table,
-    opcode_by_name,
 )
 from repro.experiments.fig02_idle import run_idle_histogram, short_idle_fraction
 from repro.experiments.fig10_coarse import coarse_vs_fine_summary, run_coarse_grain_sweep
@@ -129,12 +128,6 @@ class TestCommon:
         text = format_table(rows)
         assert "a" in text and "0.500" in text
         assert format_table([]) == "(no data)"
-
-    def test_opcode_lookup(self):
-        assert opcode_by_name("dot") is NdaOpcode.DOT
-        assert opcode_by_name("COPY") is NdaOpcode.COPY
-        with pytest.raises(KeyError):
-            opcode_by_name("fma")
 
 
 class TestFig02:

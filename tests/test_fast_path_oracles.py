@@ -646,7 +646,7 @@ class TestStagingWindow:
             for rc in system.rank_controllers.values():
                 state, wb = rc._active, rc.write_buffer
                 if state is None:
-                    assert wb.state_tuple() == (0, False)
+                    assert (len(wb), wb.draining) == (0, False)
                     continue
                 windows += 1
                 assert len(wb) == state.writes_staged - state.writes_drained

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import HostConfig
 from repro.host.core import CoreModel
-from repro.host.mixes import mix_aggregate_mpki, mix_core_count, mix_names, mix_profiles
+from repro.host.mixes import mix_names, mix_profiles
 from repro.host.profiles import SPEC_PROFILES, make_synthetic_profile, profile_by_name
 from repro.host.traffic import AddressStreamGenerator
 from repro.utils.rng import DeterministicRng
@@ -47,13 +47,14 @@ class TestMixes:
         assert mix_names() == [f"mix{i}" for i in range(9)]
 
     def test_mix0_has_eight_benchmarks_others_four(self):
-        assert mix_core_count("mix0") == 8
+        assert len(mix_profiles("mix0")) == 8
         for mix in mix_names()[1:]:
-            assert mix_core_count(mix) == 4
+            assert len(mix_profiles(mix)) == 4
 
     def test_mix_intensity_ordering(self):
         """mix1 is the most and mix8 the least memory-intensive 4-core mix."""
-        intensities = [mix_aggregate_mpki(m) for m in mix_names()[1:]]
+        intensities = [sum(p.mpki for p in mix_profiles(m))
+                       for m in mix_names()[1:]]
         assert intensities[0] == max(intensities)
         assert intensities[-1] == min(intensities)
 
@@ -111,43 +112,38 @@ class TestCoreModel:
 
     def test_ipc_bounded_by_issue_width(self):
         core = self.make_core(mpki=0.0)
-        core.tick(1000.0)
+        core.tick_dram(300)
         assert 0 < core.ipc <= HostConfig().fetch_width
 
     def test_memory_free_core_hits_base_cpi(self):
         core = self.make_core(mpki=0.0)
-        core.tick(1000.0)
+        core.tick_dram(300)
         assert core.ipc == pytest.approx(1.0 / core.profile.base_cpi, rel=0.05)
 
     def test_generates_requests_at_mpki_rate(self):
         core = self.make_core(mpki=20.0)
         requests = []
         for _ in range(200):
-            requests.extend(core.tick(10.0))
+            requests.extend(core.tick_dram(3))  # 10 CPU cycles
             # Complete misses immediately so the core never stalls.
             for phys, is_write in requests[-5:]:
                 if not is_write:
                     core.notify_completion(phys)
-        observed_mpki = 1000.0 * (core.reads_issued + core.writes_issued) / core.instructions_retired
+        instructions = core.ipc * 2000
+        observed_mpki = 1000.0 * (core.reads_issued + core.writes_issued) / instructions
         assert 10.0 < observed_mpki < 35.0
 
     def test_core_stalls_without_completions(self):
         core = self.make_core(mpki=50.0, mlp=2)
-        for _ in range(500):
-            core.tick(4.0)
-        assert core.stall_cycles > 0
-        assert core.outstanding_misses <= 2
+        for _ in range(600):
+            core.tick_dram(1)
+        assert core._stall_cycles > 0
+        assert len(core._outstanding) <= 2
         low_ipc = core.ipc
         # Completing requests unblocks retirement.
         core2 = self.make_core(mpki=50.0, mlp=2)
-        for _ in range(500):
-            for phys, is_write in core2.tick(4.0):
+        for _ in range(600):
+            for phys, is_write in core2.tick_dram(1):
                 if not is_write:
                     core2.notify_completion(phys)
         assert core2.ipc > low_ipc
-
-    def test_stats_dict(self):
-        core = self.make_core()
-        core.tick(50.0)
-        stats = core.stats()
-        assert set(stats) >= {"ipc", "instructions", "cpu_cycles", "reads", "writes"}

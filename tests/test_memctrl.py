@@ -84,7 +84,7 @@ class TestRequestQueue:
         a1 = addr(rank=1, bank=1, row=2)
         r0 = MemoryRequest(a0, False)
         r1 = MemoryRequest(a1, False)
-        r2 = MemoryRequest(a0.with_row(7), False)
+        r2 = MemoryRequest(a0._replace(row=7), False)
         for r in (r0, r1, r2):
             q.push(r)
         assert q.has_bank(0, 0, 1) and q.has_bank(1, 0, 1)
@@ -104,10 +104,9 @@ class TestRequestQueue:
     def test_request_completion_callback(self):
         seen = []
         r = MemoryRequest(addr(), False, on_complete=seen.append)
-        r.arrival_cycle = 5
         r.complete(30)
         assert seen == [30]
-        assert r.latency() == 25
+        assert r.completed_cycle == 30
 
 
 class TestFrFcfs:
@@ -121,7 +120,7 @@ class TestFrFcfs:
         older_miss = MemoryRequest(miss_addr, False)
         newer_hit = MemoryRequest(hit_addr, False)
         now = T.tRCD
-        chosen = scheduler.select([older_miss, newer_hit], now)
+        chosen, _ = scheduler.select_or_horizon([older_miss, newer_hit], now)
         assert chosen is not None
         request, cmd = chosen
         assert request is newer_hit
@@ -131,7 +130,7 @@ class TestFrFcfs:
         scheduler = FrFcfsScheduler(dram)
         r1 = MemoryRequest(addr(bank=0, row=1), False)
         r2 = MemoryRequest(addr(bank=1, row=2), False)
-        chosen = scheduler.select([r1, r2], 0)
+        chosen, _ = scheduler.select_or_horizon([r1, r2], 0)
         assert chosen is not None
         assert chosen[0] is r1
         assert chosen[1].kind is CommandType.ACT
@@ -142,8 +141,8 @@ class TestFrFcfs:
         from repro.dram.commands import Command, RequestSource
         dram.issue(Command(CommandType.ACT, a, RequestSource.HOST), 0)
         # A conflicting request needs PRE, which is not legal before tRAS.
-        conflicting = MemoryRequest(a.with_row(9), False)
-        assert scheduler.select([conflicting], 1) is None
+        conflicting = MemoryRequest(a._replace(row=9), False)
+        assert scheduler.select_or_horizon([conflicting], 1)[0] is None
 
 
 class TestChannelController:
@@ -163,7 +162,7 @@ class TestChannelController:
         for i in range(controller.config.read_queue_entries):
             assert controller.enqueue(MemoryRequest(addr(row=i, bank=i % 4), False), 0)
         assert not controller.enqueue(MemoryRequest(addr(row=99), False), 0)
-        assert controller.counters["queue_full_rejects"] == 1
+        assert controller.counters.as_dict()["queue_full_rejects"] == 1
 
     def test_read_forwarding_from_write_queue(self, controller):
         target = addr(row=7, col=3)
@@ -172,23 +171,23 @@ class TestChannelController:
         controller.enqueue(read, 1)
         # Forwarded reads complete immediately without a DRAM access.
         assert read.completed_cycle == 1
-        assert controller.counters["read_forwards"] == 1
+        assert controller.counters.as_dict()["read_forwards"] == 1
 
     def test_row_hits_after_first_access(self, controller, dram):
         for col in range(4):
             controller.enqueue(MemoryRequest(addr(row=5, col=col), False), 0)
         drive(controller, 300)
-        counts = dram.conflict_counts()
-        assert counts["row_hits"] == 3
-        assert counts["row_misses"] == 1
+        bank = dram.bank(addr(row=5))
+        assert (bank.row_hits, bank.row_misses) == (3, 1)
 
     def test_write_drain_triggers_at_watermark(self, controller):
         entries = controller.config.write_queue_entries
         for i in range(int(entries * 0.8)):
             controller.enqueue(MemoryRequest(addr(row=i % 8, bank=i % 4, col=i), True), 0)
         drive(controller, 400)
-        assert controller.counters["drain_entries"] >= 1
-        assert controller.counters["cmd_wr"] > 0
+        counters = controller.counters.as_dict()
+        assert counters["drain_entries"] >= 1
+        assert counters["cmd_wr"] > 0
 
     def test_reads_prioritized_over_writes_below_watermark(self, controller):
         controller.enqueue(MemoryRequest(addr(row=1, bank=0), True), 0)
@@ -197,7 +196,7 @@ class TestChannelController:
         drive(controller, 100)
         # The read must not wait behind the single queued write.
         assert read.completed_cycle is not None
-        assert controller.counters["cmd_rd"] == 1
+        assert controller.counters.as_dict()["cmd_rd"] == 1
 
     def test_oldest_pending_read_rank(self, controller):
         assert controller.oldest_pending_read_rank() is None
@@ -215,14 +214,12 @@ class TestChannelController:
         controller = ChannelController(0, dram, SchedulerConfig(refresh_enabled=True))
         for now in range(T.tREFI + 50):
             controller.tick(now)
-        assert controller.counters["refreshes"] >= 1
+        assert controller.counters.as_dict()["refreshes"] >= 1
 
     def test_stats_reporting(self, controller):
         request = MemoryRequest(addr(row=1), False)
         controller.enqueue(request, 0)
         drive(controller, 200)
-        stats = controller.stats()
-        assert stats["read_enqueued"] == 1
-        assert stats["avg_read_latency"] > 0
-        assert controller.outstanding == 0
-        assert not controller.busy()
+        assert controller.counters.as_dict()["read_enqueued"] == 1
+        assert controller.read_latency.count == 1
+        assert controller.read_latency.total > 0

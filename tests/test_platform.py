@@ -40,7 +40,6 @@ from repro.platform import (
     ns_to_cycles,
     platform_config,
     platform_names,
-    register_platform,
 )
 
 NON_DEFAULT = [name for name in platform_names() if name != DEFAULT_PLATFORM]
@@ -161,8 +160,7 @@ class TestDerivation:
 
     def test_rescaled_retimes_analog_parameters(self):
         slow = get_platform("ddr4-2400")
-        fast = slow.rescaled(3200)
-        assert fast.name == "ddr4-2400@3200"
+        fast = dataclasses.replace(slow, data_rate_mtps=3200)
         assert fast.dram_clock_ghz == pytest.approx(1.6)
         # Same nanoseconds, more cycles.
         assert fast.timing_config().tRCD > slow.timing_config().tRCD
@@ -170,23 +168,6 @@ class TestDerivation:
     def test_unknown_platform_names_the_valid_ones(self):
         with pytest.raises(KeyError, match="ddr4-2400"):
             get_platform("ddr3-1600")
-
-    def test_register_platform_rejects_duplicates_and_validates(self):
-        spec = get_platform("ddr4-2400").rescaled(2666, name="ddr4-2666")
-        try:
-            registered = register_platform(spec)
-            assert get_platform("ddr4-2666") is registered
-            with pytest.raises(ValueError, match="already registered"):
-                register_platform(spec)
-        finally:
-            PLATFORM_REGISTRY.pop("ddr4-2666", None)
-
-    def test_register_platform_rejects_invalid_derivations(self):
-        bad = dataclasses.replace(
-            get_platform("lpddr4-3200"), name="lpddr4-broken", tRTRS_ck=1)
-        with pytest.raises(ValueError, match="write_to_read_diff_rank"):
-            register_platform(bad)
-        assert "lpddr4-broken" not in PLATFORM_REGISTRY
 
 
 class TestTurnaroundValidation:
@@ -203,6 +184,10 @@ class TestTurnaroundValidation:
                                   tRCD=28, tRP=28, tRAS=50, tRC=80)
         with pytest.raises(ValueError, match="write_to_read_diff_rank"):
             bad.validate()
+        # A preset's derived configuration is validated the same way.
+        spec = dataclasses.replace(get_platform("lpddr4-3200"), tRTRS_ck=1)
+        with pytest.raises(ValueError, match="write_to_read_diff_rank"):
+            spec.system_config()
 
     def test_properties_clamp_unvalidated_configs_at_zero(self):
         unvalidated = dataclasses.replace(DramTimingConfig(), tCL=40)

@@ -12,22 +12,24 @@ class TestDeterministicRng:
     def test_same_seed_same_stream_reproduces(self):
         a = DeterministicRng(42, "traffic")
         b = DeterministicRng(42, "traffic")
-        assert [a.random() for _ in range(20)] == [b.random() for _ in range(20)]
+        assert ([a.randrange(1 << 30) for _ in range(20)]
+                == [b.randrange(1 << 30) for _ in range(20)])
 
     def test_different_streams_differ(self):
         a = DeterministicRng(42, "traffic")
         b = DeterministicRng(42, "other")
-        assert [a.random() for _ in range(10)] != [b.random() for _ in range(10)]
+        assert ([a.randrange(1 << 30) for _ in range(10)]
+                != [b.randrange(1 << 30) for _ in range(10)])
 
     def test_different_seeds_differ(self):
         a = DeterministicRng(1, "s")
         b = DeterministicRng(2, "s")
-        assert [a.randint(0, 100) for _ in range(10)] != [b.randint(0, 100) for _ in range(10)]
+        assert [a.randrange(101) for _ in range(10)] != [b.randrange(101) for _ in range(10)]
 
     def test_spawn_is_deterministic(self):
         a = DeterministicRng(7, "sys").spawn("core0")
         b = DeterministicRng(7, "sys").spawn("core0")
-        assert a.random() == b.random()
+        assert a.randrange(1 << 30) == b.randrange(1 << 30)
 
     def test_coin_extremes(self):
         rng = DeterministicRng(1, "coin")
@@ -45,10 +47,6 @@ class TestDeterministicRng:
         for _ in range(100):
             assert 0 <= rng.randrange(7) < 7
 
-    def test_numpy_seed_is_32bit(self):
-        seed = DeterministicRng(9, "np").numpy_seed()
-        assert 0 <= seed < 2 ** 32
-
 
 class TestBucketHistogram:
     def test_bucket_index_boundaries(self):
@@ -64,7 +62,7 @@ class TestBucketHistogram:
         h = BucketHistogram()
         h.add(300)
         assert h.weights[h.bucket_index(300)] == 300
-        assert h.total_count == 1
+        assert h.counts == [0, 0, 0, 1, 0, 0]
 
     def test_fractions_sum_to_one_with_extra_total(self):
         h = BucketHistogram()
@@ -72,21 +70,6 @@ class TestBucketHistogram:
         h.add(500)
         fractions = h.fractions(extra_total=495)
         assert sum(fractions.values()) == pytest.approx((5 + 500) / 1000)
-
-    def test_merge(self):
-        a, b = BucketHistogram(), BucketHistogram()
-        a.add(5)
-        b.add(5)
-        b.add(2000)
-        a.merge(b)
-        assert a.total_count == 3
-        assert a.weights[0] == 10
-
-    def test_merge_rejects_different_buckets(self):
-        a = BucketHistogram()
-        b = BucketHistogram(bounds=(1, 2), labels=("a", "b", "c"))
-        with pytest.raises(ValueError):
-            a.merge(b)
 
     def test_label_count_must_match(self):
         with pytest.raises(ValueError):
@@ -105,6 +88,5 @@ class TestStatsHelpers:
         c = Counter()
         c.add("reads")
         c.add("reads", 4)
-        assert c["reads"] == 5
-        assert "reads" in c
-        assert c["missing"] == 0
+        c.add("writes", 0)
+        assert c.as_dict() == {"reads": 5, "writes": 0}
