@@ -243,8 +243,6 @@ class NdaConfig:
     """Near-data accelerator configuration (Table II and Section V)."""
 
     pes_per_chip: int = 1
-    fpfma_per_pe: int = 2
-    buffer_bytes: int = 1024
     write_buffer_entries: int = 128
     access_granularity_bytes: int = 8
     scalar_registers: int = 5

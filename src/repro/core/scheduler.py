@@ -21,7 +21,6 @@ class ConcurrentAccessScheduler:
     #: The host-issued set is this cycle's only; a safe point lies between
     #: cycles, so it is never saved.
     STATE = ()
-    COUNTERS = ("nda_issue_opportunities", "nda_blocked_cycles")
     DERIVED = ("dram", "channel_controllers", "_rank_states",
                "_ranks_per_channel", "_refresh_enabled",
                "_host_issued_this_cycle", "_cycle", "_wake_hub",
@@ -46,8 +45,6 @@ class ConcurrentAccessScheduler:
             False)
         self._host_issued_this_cycle: Set[Tuple[int, int]] = set()
         self._cycle = -1
-        self.nda_issue_opportunities = 0
-        self.nda_blocked_cycles = 0
         # Selective-wake plumbing: every host command issue is reported here
         # (the channel components call note_host_issue), so this is the one
         # place that sees "the host touched rank (ch, rk)" — the event that
@@ -116,24 +113,18 @@ class ConcurrentAccessScheduler:
             self._cycle = now
             self._host_issued_this_cycle.clear()
         elif (channel, rank) in self._host_issued_this_cycle:
-            self.nda_blocked_cycles += 1
             return False
         # The host occupies the rank in its command-cycle window or data burst.
         state = self._rank_states[channel * self._ranks_per_channel + rank]
         if (state.busy_until > now
                 or state.data_busy_from <= now < state.data_busy_until):
-            self.nda_blocked_cycles += 1
             return False
         # A due refresh outranks NDA work: pausing lets the rank's bank
         # precharge horizons settle so the channel's refresh precharges and
         # REF become legal (the REF's tRFC window then blocks NDA commands
         # through the ordinary timing path, and the REF issue itself arrives
         # as a host-issue notification that reschedules the NDA unit).
-        if self._refresh_enabled and state.refresh_due <= now:
-            self.nda_blocked_cycles += 1
-            return False
-        self.nda_issue_opportunities += 1
-        return True
+        return not (self._refresh_enabled and state.refresh_due <= now)
 
     def host_pending_to_bank(self, channel: int, rank: int, flat_bank: int) -> bool:
         """Whether the host has a queued request to the given bank.

@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.config import SystemConfig
 from repro.utils.histogram import BucketHistogram, IDLE_BUCKET_LABELS
-from repro.utils.stats import Counter
 
 
 class RankIdleTracker:
@@ -124,12 +123,11 @@ class SimulationStats:
     """Accumulates per-cycle observations during a run."""
 
     STATE = ("rank_trackers",)
-    COUNTERS = ("counters", "cycles_observed")
+    COUNTERS = ("cycles_observed",)
     DERIVED = ("config", "nda_rank_keys")
 
     def __init__(self, config: SystemConfig, nda_rank_keys: List[Tuple[int, int]]) -> None:
         self.config = config
-        self.counters = Counter()
         self.rank_trackers: Dict[Tuple[int, int], RankIdleTracker] = {}
         for ch in range(config.org.channels):
             for rk in range(config.org.ranks_per_channel):

@@ -80,14 +80,15 @@ class ChopimSystem:
     """The simulated multi-core host + NDA-enabled DDR4 memory system."""
 
     STATE = ("now", "_measure_start", "_run_end", "_run_cycles", "rng",
-             "dram", "channel_controllers", "scheduler", "cores",
-             "_core_backlog", "_host_component", "rank_controllers",
-             "nda_host", "throttle_policy", "stats", "_stats_component",
-             "_nda_sequence", "_nda_sequence_index")
+             "dram", "channel_controllers", "cores", "_core_backlog",
+             "_host_component", "rank_controllers", "nda_host",
+             "throttle_policy", "stats", "_stats_component", "_nda_sequence",
+             "_nda_sequence_index")
     #: The build spec (the checkpoint's ``build`` record) and what the
-    #: constructor derives from it; the engine's calendar is rebuilt by
-    #: ``invalidate_wakes``.
+    #: constructor derives from it (the concurrent-access scheduler saves
+    #: nothing); the engine's calendar is rebuilt by ``invalidate_wakes``.
     DERIVED = ("config", "mode", "mix", "collect_energy", "mapping",
+               "scheduler",
                "_host_capacity", "energy_model", "_throttle_name",
                "_stochastic_probability", "_launch_packets_use_channel",
                "engine_kind", "engine", "burst", "burst_enabled")
@@ -250,7 +251,6 @@ class ChopimSystem:
             component.burst_enabled = True
         by_channel: Dict[int, List[NdaRankController]] = {}
         for (ch, _rk), controller in self.rank_controllers.items():
-            controller.gate_stats = self.scheduler
             by_channel.setdefault(ch, []).append(controller)
         self.scheduler.bind_burst_controllers(self.rank_controllers)
         bank_index = self.dram.bank_index

@@ -16,18 +16,14 @@ class BankState(enum.Enum):
 
 @dataclass
 class Bank:
-    """State and access statistics of one DRAM bank.
+    """Row-buffer state of one DRAM bank: which row (if any) is latched.
 
-    The bank records which row (if any) is latched in its row buffer, and
-    classifies column accesses into row hits, row misses (bank was closed)
-    and row conflicts (a different row was open and had to be closed first).
-    Conflicts are the quantity that bank partitioning (Section III-C) is
-    designed to reduce.
+    Access outcomes (row hits and conflicts, the quantity bank partitioning
+    in Section III-C is designed to improve) are counted per request source
+    in :class:`~repro.dram.device.DramEventCounts`.
     """
 
     STATE = ("state", "open_row")
-    COUNTERS = ("row_hits", "row_misses", "row_conflicts", "activates",
-                "precharges", "reads", "writes", "nda_reads", "nda_writes")
     DERIVED = ("channel", "rank", "bank_group", "bank")
 
     channel: int
@@ -37,16 +33,6 @@ class Bank:
 
     state: BankState = BankState.CLOSED
     open_row: Optional[int] = None
-
-    row_hits: int = 0
-    row_misses: int = 0
-    row_conflicts: int = 0
-    activates: int = 0
-    precharges: int = 0
-    reads: int = 0
-    writes: int = 0
-    nda_reads: int = 0
-    nda_writes: int = 0
 
     def is_open(self, row: Optional[int] = None) -> bool:
         """Whether the bank is open (optionally: open to a specific row)."""
@@ -64,9 +50,7 @@ class Bank:
             )
         self.state = BankState.OPEN
         self.open_row = row
-        self.activates += 1
 
     def precharge(self) -> None:
         self.state = BankState.CLOSED
         self.open_row = None
-        self.precharges += 1

@@ -105,9 +105,6 @@ class DramSystem:
     def bank(self, addr: DramAddress) -> Bank:
         return self._banks[self.bank_index(addr)]
 
-    def banks(self) -> List[Bank]:
-        return self._banks
-
     def banks_of_rank(self, channel: int, rank: int) -> List[Bank]:
         start = (channel * self._ranks_per_channel + rank) * self._banks_per_rank
         return self._banks[start:start + self._banks_per_rank]
@@ -216,8 +213,7 @@ class DramSystem:
         self.channel_issue_version[addr.channel] += 1
         self.timing.issue_nda_run(kind, addr, last)
 
-    def record_access_outcome(self, addr: DramAddress, is_write: bool,
-                              is_nda: bool) -> str:
+    def record_access_outcome(self, addr: DramAddress, is_nda: bool) -> str:
         """Classify and record the row-buffer outcome of a new column access.
 
         Memory controllers call this once per access, at the moment the
@@ -230,33 +226,18 @@ class DramSystem:
         # Classify and record inline: this runs once per column access.
         counts = self.counts
         if bank.state is BankState.CLOSED:
-            outcome = "miss"
-            bank.row_misses += 1
-        elif bank.open_row == addr.row:
-            outcome = "hit"
-            bank.row_hits += 1
+            return "miss"
+        if bank.open_row == addr.row:
             if is_nda:
                 counts.nda_row_hits += 1
             else:
                 counts.host_row_hits += 1
+            return "hit"
+        if is_nda:
+            counts.nda_row_conflicts += 1
         else:
-            outcome = "conflict"
-            bank.row_conflicts += 1
-            if is_nda:
-                counts.nda_row_conflicts += 1
-            else:
-                counts.host_row_conflicts += 1
-        if is_write:
-            if is_nda:
-                bank.nda_writes += 1
-            else:
-                bank.writes += 1
-        else:
-            if is_nda:
-                bank.nda_reads += 1
-            else:
-                bank.reads += 1
-        return outcome
+            counts.host_row_conflicts += 1
+        return "conflict"
 
     # ------------------------------------------------------------------ #
     # Convenience queries used by schedulers and statistics

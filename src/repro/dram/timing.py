@@ -80,16 +80,13 @@ class _BankTiming:
 class _ChannelTiming:
     """Mutable timing state of one channel's shared buses (host side)."""
 
-    __slots__ = ("data_bus_free", "last_col_rank", "last_data_end",
-                 "last_col_was_write", "last_col_cycle")
+    __slots__ = ("data_bus_free", "last_col_rank", "last_data_end")
     STATE = __slots__
 
     def __init__(self) -> None:
         self.data_bus_free = 0
         self.last_col_rank = -1
         self.last_data_end = 0
-        self.last_col_was_write = False
-        self.last_col_cycle = -(10 ** 9)
 
 
 class TimingEngine:
@@ -171,6 +168,12 @@ class TimingEngine:
         #: available.  NDA column commands never mutate host-busy state and
         #: skip the callback.
         self.busy_observer: Optional[Callable[[int, int, int], None]] = None
+
+    def clear_probe_caches(self) -> None:
+        """Start every probe cache cold, in place (hot paths hold the lists)."""
+        for cache in (self._act_cache, self._pre_cache, self._nda_rd_cache,
+                      self._nda_wr_cache):
+            cache[:] = [(-1, 0)] * len(cache)
 
     # ------------------------------------------------------------------ #
     # Accessors
@@ -536,8 +539,6 @@ class TimingEngine:
                 channel.data_bus_free = data_end
             channel.last_col_rank = addr.rank
             channel.last_data_end = data_end
-            channel.last_col_was_write = not is_read
-            channel.last_col_cycle = now
             # The rank is occupied by the host for the command cycle and for
             # the data-burst window; the gap in between (CAS latency) is a
             # short idle period the NDA may exploit (Section III-B).

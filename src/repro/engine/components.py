@@ -293,7 +293,6 @@ class HostComponent:
 
     def _finish_completion(self, cycle: int, request, controller) -> None:
         """Deliver one scheduled completion at its (simulated) cycle."""
-        controller.inflight_completions -= 1
         request.complete(cycle)
         if not request.is_write:
             controller.read_latency.add(

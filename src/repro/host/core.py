@@ -38,20 +38,18 @@ _FP_ONE = 1 << 32
 
 @dataclass
 class _OutstandingMiss:
-    STATE = ("phys", "issued_at_instruction_fp", "is_blocking")
+    STATE = ("phys", "issued_at_instruction_fp")
 
     phys: int
     issued_at_instruction_fp: int
-    is_blocking: bool = False
 
 
 class CoreModel:
     """One host core running one benchmark profile."""
 
     STATE = ("traffic", "rng", "_budget_fp", "_gap_fp", "_outstanding",
-             "_pending_requests", "event_count", "reads_issued",
-             "writes_issued", "misses_completed")
-    COUNTERS = ("_retired_fp", "_cpu_cycles_fp", "_stall_cycles")
+             "_pending_requests", "event_count")
+    COUNTERS = ("_retired_fp", "_cpu_cycles_fp")
     DERIVED = ("core_id", "profile", "host_config", "_cpd_fp",
                "_rob_limit_fp", "_max_ipc_fp")
 
@@ -66,7 +64,6 @@ class CoreModel:
 
         self._retired_fp = 0
         self._cpu_cycles_fp = 0
-        self._stall_cycles = 0
         self._budget_fp = 0
         self._cpd_fp = int(round(host_config.cycles_per_dram_cycle * _FP_ONE))
         self._rob_limit_fp = host_config.rob_entries * _FP_ONE
@@ -83,9 +80,6 @@ class CoreModel:
         #: engine through the host unit's completion calendar, not through a
         #: per-core listener — see HostComponent.)
         self.event_count = 0
-        self.reads_issued = 0
-        self.writes_issued = 0
-        self.misses_completed = 0
 
     # ------------------------------------------------------------------ #
     # Miss-stream plumbing
@@ -103,11 +97,8 @@ class CoreModel:
         self.event_count += 1
         phys, is_write = self.traffic.next_access()
         self._pending_requests.append((phys, is_write))
-        if is_write:
-            self.writes_issued += 1
-            # Posted writebacks do not occupy the core's miss window.
-        else:
-            self.reads_issued += 1
+        # Posted writebacks do not occupy the core's miss window.
+        if not is_write:
             self._outstanding.append(
                 _OutstandingMiss(phys, self._retired_fp)
             )
@@ -118,7 +109,6 @@ class CoreModel:
         for i, miss in enumerate(self._outstanding):
             if miss.phys == phys:
                 del self._outstanding[i]
-                self.misses_completed += 1
                 self.event_count += 1
                 return
         # Completion for a request we no longer track (e.g. after reset).
@@ -172,9 +162,7 @@ class CoreModel:
             if self._rob_blocked():
                 # The oldest miss can only return between ticks, so every
                 # remaining whole cycle in this batch stalls.
-                whole = budget // _FP_ONE
-                self._stall_cycles += whole
-                budget -= whole * _FP_ONE
+                budget %= _FP_ONE
                 break
             retire = self._max_ipc_fp
             mlp = self._mlp_blocked()

@@ -30,8 +30,7 @@ class AddressStreamGenerator:
         Deterministic random stream.
     """
 
-    STATE = ("rng", "_current_line", "_recent_lines", "generated_reads",
-             "generated_writes")
+    STATE = ("rng", "_current_line", "_recent_lines")
     DERIVED = ("profile", "region_base", "cacheline_bytes", "footprint_bytes",
                "footprint_lines")
 
@@ -48,8 +47,6 @@ class AddressStreamGenerator:
         self.rng = rng
         self._current_line = rng.randrange(self.footprint_lines)
         self._recent_lines: Deque[int] = deque(maxlen=64)
-        self.generated_reads = 0
-        self.generated_writes = 0
 
     # ------------------------------------------------------------------ #
 
@@ -63,12 +60,10 @@ class AddressStreamGenerator:
         else:
             self._current_line = self.rng.randrange(self.footprint_lines)
         self._recent_lines.append(self._current_line)
-        self.generated_reads += 1
         return self._line_to_phys(self._current_line)
 
     def next_writeback_address(self) -> int:
         """Physical address of a writeback (an LLC dirty eviction)."""
-        self.generated_writes += 1
         if self._recent_lines and self.rng.coin(0.8):
             line = self.rng.choice(list(self._recent_lines))
         else:

@@ -17,7 +17,7 @@ from repro.dram.commands import Command, CommandType, DramAddress, RequestSource
 from repro.dram.device import DramSystem
 from repro.memctrl.frfcfs import NO_EVENT, FrFcfsScheduler
 from repro.memctrl.request import MemoryRequest, RequestQueue
-from repro.utils.stats import Counter, WindowedStat
+from repro.utils.stats import WindowedStat
 
 
 @dataclass
@@ -28,19 +28,13 @@ class _PendingCompletion:
     request: MemoryRequest
 
 
-#: Counter labels per issued command kind, precomputed once — the hot path
-#: used to pay an f-string format per issued command.
-_CMD_COUNTER_LABELS = {kind: f"cmd_{kind.name.lower()}" for kind in CommandType}
-
-
 class ChannelController:
     """FR-FCFS memory controller for one channel."""
 
     STATE = ("read_queue", "write_queue", "_completions", "_completions_min",
-             "inflight_completions", "_draining_writes",
-             "_last_issue_was_write", "last_issue_cycle", "last_issue_rank",
+             "_draining_writes", "last_issue_cycle", "last_issue_rank",
              "last_tick_cycle", "published_wake", "_issue_hint")
-    COUNTERS = ("counters", "read_latency")
+    COUNTERS = ("read_latency",)
     DERIVED = ("channel", "dram", "config", "scheduler", "_drain_high_len",
                "_drain_low_len", "completion_sink", "_scan_cache_read",
                "_scan_cache_write", "wake_listener", "burst_settler",
@@ -66,7 +60,6 @@ class ChannelController:
         self._drain_low_len = max(
             (k for k in range(capacity + 1) if k / capacity <= low),
             default=-1)
-        self.counters = Counter()
         self.read_latency = WindowedStat()
         self._completions: List[_PendingCompletion] = []
         # Earliest pending completion cycle (NO_EVENT when none): lets the
@@ -80,11 +73,7 @@ class ChannelController:
         #: controller use) keeps the internal list.
         self.completion_sink: Optional[
             Callable[[int, MemoryRequest, "ChannelController"], None]] = None
-        #: Pending completions handed to the sink and not yet delivered
-        #: (keeps the ``outstanding`` introspection exact).
-        self.inflight_completions = 0
         self._draining_writes = False
-        self._last_issue_was_write = False
         #: (cycle, rank) of the most recent command issued on this channel;
         #: the concurrent-access scheduler uses it to gate NDA issue.
         self.last_issue_cycle: int = -1
@@ -113,8 +102,7 @@ class ChannelController:
         # event engine's wake probe and the same cycle's tick share one
         # scan — and an empty probe's at-horizon lookahead lets the tick at
         # the horizon issue without re-scanning at all.
-        self._scan_cache_read = (-1, -1, -1, None, 0, None)
-        self._scan_cache_write = (-1, -1, -1, None, 0, None)
+        self.clear_scan_caches()
         #: Selective-wake notification: invoked when a request is accepted
         #: into a queue, so the engine re-polls this channel's unit (the
         #: issue hint just moved to "next cycle") instead of polling every
@@ -156,18 +144,15 @@ class ChannelController:
             )
         queue = self.write_queue if request.is_write else self.read_queue
         if queue.full:
-            self.counters.add("queue_full_rejects")
             return False
         request.arrival_cycle = now
         if request.is_read:
             # Read forwarding from a queued write to the same line.
             forward = self.write_queue.find_write_to(request.addr)
             if forward is not None:
-                self.counters.add("read_forwards")
                 request.complete(now)
                 return True
         queue.push(request)
-        self.counters.add("write_enqueued" if request.is_write else "read_enqueued")
         if request.is_read:
             listener = self.read_queue_listener
             if listener is not None:
@@ -262,7 +247,6 @@ class ChannelController:
     def _add_completion(self, cycle: int, request: MemoryRequest) -> None:
         sink = self.completion_sink
         if sink is not None:
-            self.inflight_completions += 1
             sink(cycle, request, self)
             return
         self._completions.append(_PendingCompletion(cycle, request))
@@ -288,7 +272,6 @@ class ChannelController:
                         cmd = Command(CommandType.PRE, addr, RequestSource.HOST)
                         self.dram.issue_trusted(cmd, now)
                         self._note_issue(now, rank)
-                        self.counters.add("refresh_precharges")
                         return True
                     return False  # wait for the precharge to become legal
             addr = DramAddress(self.channel, rank, 0, 0, 0, 0)
@@ -297,7 +280,6 @@ class ChannelController:
                 cmd = Command(CommandType.REF, addr, RequestSource.HOST)
                 self.dram.issue_trusted(cmd, now)
                 self._note_issue(now, rank)
-                self.counters.add("refreshes")
                 return True
             return False
         return False
@@ -322,10 +304,14 @@ class ChannelController:
             if (writes >= self._drain_high_len
                     or (writes and not self.read_queue)):
                 self._draining_writes = True
-                self.counters.add("drain_entries")
         else:
             if writes <= self._drain_low_len or not writes:
                 self._draining_writes = False
+
+    def clear_scan_caches(self) -> None:
+        """Start both FR-FCFS scan memos cold."""
+        self._scan_cache_read = (-1, -1, -1, None, 0, None)
+        self._scan_cache_write = (-1, -1, -1, None, 0, None)
 
     def _scan(self, queue: RequestQueue, now: int,
               ) -> Tuple[Optional[Tuple[MemoryRequest, Command]], int]:
@@ -371,25 +357,20 @@ class ChannelController:
     def _issue_for_request(self, request: MemoryRequest, cmd: Command,
                            now: int) -> None:
         if not request.outcome_recorded:
-            self.dram.record_access_outcome(request.addr, request.is_write,
-                                            is_nda=False)
+            self.dram.record_access_outcome(request.addr, is_nda=False)
             request.outcome_recorded = True
         # The command comes from this cycle's FR-FCFS scan (the scan cache
         # is version-guarded), so legality was just proven.
         self.dram.issue_trusted(cmd, now)
         self._note_issue(now, cmd.addr.rank)
-        self.counters.add(_CMD_COUNTER_LABELS[cmd.kind])
         if cmd.kind is CommandType.RD:
-            request.issued_cycle = now
             self.read_queue.remove(request)
             listener = self.read_queue_listener
             if listener is not None:
                 listener(now)
             self._add_completion(now + self.dram.read_latency(), request)
-            self._last_issue_was_write = False
             self._update_drain_mode()
         elif cmd.kind is CommandType.WR:
-            request.issued_cycle = now
             self.write_queue.remove(request)
             # Writes are posted: the transaction is complete once the data
             # has been driven onto the bus.  A plain writeback has no
@@ -401,9 +382,6 @@ class ChannelController:
                 request.complete(now + self.dram.write_latency())
             else:
                 self._add_completion(now + self.dram.write_latency(), request)
-            if not self._last_issue_was_write:
-                self.counters.add("read_write_turnarounds")
-            self._last_issue_was_write = True
             self._update_drain_mode()
 
     def _note_issue(self, now: int, rank: int) -> None:

@@ -46,10 +46,9 @@ class MemoryRequest:
 
     __slots__ = ("addr", "is_write", "phys", "core_id", "arrival_cycle",
                  "request_id", "on_complete", "outcome_recorded",
-                 "issued_cycle", "completed_cycle", "queue_seq")
+                 "completed_cycle", "queue_seq")
     STATE = ("addr", "is_write", "phys", "core_id", "arrival_cycle",
-             "request_id", "outcome_recorded", "issued_cycle",
-             "completed_cycle", "queue_seq")
+             "request_id", "outcome_recorded", "completed_cycle", "queue_seq")
     #: Rebuilt at restore: demand reads from ``core_id``, launch-packet
     #: writes from the NDA host's in-flight map.
     DERIVED = ("on_complete",)
@@ -66,7 +65,6 @@ class MemoryRequest:
         self.request_id = next(_request_ids) if request_id is None else request_id
         self.on_complete = on_complete
         self.outcome_recorded = False
-        self.issued_cycle: Optional[int] = None
         self.completed_cycle: Optional[int] = None
         #: Arrival-order stamp within the owning queue (set by push); lets
         #: the bucketed FR-FCFS scan compare age across bank buckets.

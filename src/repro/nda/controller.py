@@ -59,8 +59,7 @@ class RankWorkItem:
     """
 
     STATE = ("instruction", "operand_banks", "operand_base_rows",
-             "output_bank", "output_base_row", "launched_cycle",
-             "completed_cycle", "operation_id")
+             "output_bank", "output_base_row", "operation_id")
     #: Rebuilt at restore from ``operation_id``.
     DERIVED = ("on_complete",)
 
@@ -70,8 +69,6 @@ class RankWorkItem:
     output_bank: Optional[int] = None
     output_base_row: Optional[int] = None
     on_complete: Optional[Callable[[int], None]] = None
-    launched_cycle: int = 0
-    completed_cycle: Optional[int] = None
     #: Id of the owning :class:`~repro.nda.launch.NdaOperation` (``-1`` for
     #: directly enqueued test work).  Checkpoint restore uses it to rebuild
     #: ``on_complete`` from the operation table.
@@ -182,7 +179,7 @@ class NdaRankController:
                "_nda_rd_cache", "_nda_wr_cache", "config", "allowed_banks",
                "throttle", "_host_pending_to_bank", "_rank_timing",
                "refresh_enabled", "wake_listener", "_plan", "burst_class",
-               "burst_due", "_replan_cycle", "_planner", "gate_stats")
+               "burst_due", "_replan_cycle", "_planner")
 
     def __init__(self, channel: int, rank: int, dram: DramSystem,
                  config: Optional[NdaConfig] = None,
@@ -246,10 +243,6 @@ class NdaRankController:
         self._planner = StreakPlanner.for_timing(
             dram.timing.timing, self._host_free,
             dram.timing.act_after_precharge)
-        #: Optional scheduler whose ``nda_issue_opportunities`` counter is
-        #: advanced per settled command (one per issuing cycle, as the
-        #: per-cycle selective engine counts).
-        self.gate_stats = None
         # Burst diagnostics (cumulative; read by the perf ledger).
         self.bursts_planned = 0
         self.burst_commands_planned = 0
@@ -272,8 +265,7 @@ class NdaRankController:
     # Work submission
     # ------------------------------------------------------------------ #
 
-    def enqueue(self, work: RankWorkItem, now: int = 0) -> None:
-        work.launched_cycle = now
+    def enqueue(self, work: RankWorkItem) -> None:
         self._queue.append(work)
         listener = self.wake_listener
         if listener is not None:
@@ -400,18 +392,11 @@ class NdaRankController:
     def _settle_row(self, cycle: int, cmd: Command, is_write: bool) -> None:
         """Issue an absorbed row command of the non-leading side (``is_write``:
         the drain) with what the per-cycle wake issuing it records: the
-        access's classification if it is the access's first command, one
-        gate opportunity and one drain-attempt throttle decision —
-        permissive, since only plans under a permissive pending drain
-        absorb."""
+        access's classification if it is the access's first command."""
         self._classify(self._active, cmd.addr, is_write)
         self.dram.issue_trusted(cmd, cycle, self.burst_class.name)
         self.commands_issued += 1
         self.burst_row_commands += 1
-        self.throttle.note_decisions(1, 0)
-        gate = self.gate_stats
-        if gate is not None:
-            gate.nda_issue_opportunities += 1
 
     def _account_burst(self, plan: BurstPlan) -> None:
         """Apply the deferred accounting of the plan's settled commands:
@@ -425,17 +410,13 @@ class NdaRankController:
         plan.acc_idx = plan.idx
         dram = self.dram
         counts = dram.counts
-        bank = self._banks[plan.addr.bank_index]
         # Every streak command is a row-buffer hit, classified (once per
         # access) at its issue — except a first command whose access was
         # already classified by its preceding row command.
-        classified = dj - 1 if (done == 0 and plan.skip_first) else dj
-        bank.row_hits += classified
-        counts.nda_row_hits += classified
+        counts.nda_row_hits += dj - 1 if (done == 0 and plan.skip_first) else dj
         cacheline = dram.org.cacheline_bytes
         state = self._active
         if plan.kind is _WR:
-            bank.nda_writes += classified
             counts.nda_writes += dj
             self.bytes_written += dj * cacheline
             self.write_buffer.pop(dj)
@@ -443,7 +424,6 @@ class NdaRankController:
             state.write_classified_idx = state.writes_drained - 1
             self.fsm.apply_bulk("write_drained", dj)
         else:
-            bank.nda_reads += classified
             counts.nda_reads += dj
             self.bytes_read += dj * cacheline
             state.reads_issued += dj
@@ -452,20 +432,12 @@ class NdaRankController:
         if state.writes_staged < state.total_write_columns:
             # As the per-cycle path's post-cycle after each command.
             self._stage_writes(state)
-        # One throttle decision per planned cycle while a drain is pending
-        # (the drain attempt precedes the read), as the per-cycle selective
-        # engine records.
-        decision = plan.decision
-        if decision:
-            self.throttle.note_decisions(dj, 0)
-        elif decision is not None:
-            self.throttle.note_decisions(0, dj)
+        # A drain attempt the plan-time decision inhibited precedes every
+        # planned read, as the per-cycle selective engine records.
+        if plan.decision is False:
             self.cycles_blocked_by_throttle += dj
         self.commands_issued += dj
         self.burst_commands_settled += dj
-        gate = self.gate_stats
-        if gate is not None:
-            gate.nda_issue_opportunities += dj
 
     def stop_burst(self, upto: int, cause: Optional[str] = None,
                    park: bool = False, bank: int = -1) -> None:
@@ -589,10 +561,10 @@ class NdaRankController:
         bank state the access found."""
         if is_write:
             if state.writes_drained > state.write_classified_idx:
-                self.dram.record_access_outcome(addr, True, is_nda=True)
+                self.dram.record_access_outcome(addr, is_nda=True)
                 state.write_classified_idx = state.writes_drained
         elif state.reads_issued > state.read_classified_idx:
-            self.dram.record_access_outcome(addr, False, is_nda=True)
+            self.dram.record_access_outcome(addr, is_nda=True)
             state.read_classified_idx = state.reads_issued
 
     def _required_earliest(self, addr: DramAddress, is_write: bool,
@@ -718,7 +690,6 @@ class NdaRankController:
         state = self._active
         assert state is not None
         work = state.work
-        work.completed_cycle = now
         self._active = None
         self.instructions_completed += 1
         self.fsm.apply("complete")
@@ -798,8 +769,7 @@ class NdaRankController:
                 "_active": active}
 
     def load_refs(self, saved: Dict[str, object], refs) -> None:
-        # Direct appends: enqueue would overwrite launched_cycle and fire
-        # the wake listener.
+        # Direct appends: enqueue would fire the wake listener.
         self._queue = deque(refs.load_work(work)
                             for work in saved.pop("_queue"))
         active = saved.pop("_active")

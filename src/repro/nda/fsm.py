@@ -107,7 +107,7 @@ class FsmDivergenceError(Exception):
 class ReplicatedFsm:
     """Two synchronized copies of one rank's NDA controller FSM."""
 
-    STATE = ("_device", "_host", "events_applied")
+    STATE = ("_device", "_host")
     DERIVED = ("channel", "rank", "check_every_event")
 
     def __init__(self, channel: int, rank: int, check_every_event: bool = True) -> None:
@@ -116,7 +116,6 @@ class ReplicatedFsm:
         self.check_every_event = check_every_event
         self._device = _FsmCopy()
         self._host = _FsmCopy()
-        self.events_applied = 0
 
     # ------------------------------------------------------------------ #
 
@@ -125,7 +124,6 @@ class ReplicatedFsm:
         """Apply an event to both copies (as the hardware would) and verify."""
         _apply_to(self._device, event, instruction_id, reads, writes)
         _apply_to(self._host, event, instruction_id, reads, writes)
-        self.events_applied += 1
         if self.check_every_event:
             self.verify()
 
@@ -156,7 +154,6 @@ class ReplicatedFsm:
                 copy.write_buffer_occupancy += count
             else:
                 raise ValueError(f"event {event!r} is not bulk-applicable")
-        self.events_applied += count
         if self.check_every_event:
             self.verify()
 
@@ -165,7 +162,6 @@ class ReplicatedFsm:
         """Apply an event to the device copy only (used to *test* divergence
         detection; real hardware never does this)."""
         _apply_to(self._device, event, instruction_id, reads, writes)
-        self.events_applied += 1
 
     def verify(self) -> None:
         """Raise :class:`FsmDivergenceError` if the two copies differ."""

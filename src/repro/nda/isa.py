@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 
 class NdaOpcode(enum.Enum):
@@ -89,18 +89,17 @@ class NdaInstruction:
     """One NDA instruction targeting the portion of its operands in one rank.
 
     ``num_elements`` is the per-rank element count this instruction covers;
-    ``cache_blocks`` is the coarse-grain granularity (the N-way vector width
-    of Section III, swept by Figure 10): the number of 64-byte cache blocks
-    of *each operand* processed by this single instruction.
+    :meth:`split` cuts an instruction to the coarse-grain granularity (the
+    N-way vector width of Section III, swept by Figure 10): the number of
+    64-byte cache blocks of *each operand* one instruction processes.
     """
 
-    STATE = ("opcode", "num_elements", "element_bytes", "cache_blocks",
-             "scalars", "matrix_columns", "instruction_id")
+    STATE = ("opcode", "num_elements", "element_bytes", "scalars",
+             "matrix_columns", "instruction_id")
 
     opcode: NdaOpcode
     num_elements: int
     element_bytes: int = 4
-    cache_blocks: Optional[int] = None
     scalars: Tuple[float, ...] = ()
     #: GEMV only: number of matrix columns per output row.
     matrix_columns: int = 0
@@ -165,7 +164,6 @@ class NdaInstruction:
                 opcode=self.opcode,
                 num_elements=take,
                 element_bytes=self.element_bytes,
-                cache_blocks=cache_blocks,
                 scalars=self.scalars,
                 matrix_columns=self.matrix_columns,
             ))

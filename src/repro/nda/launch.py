@@ -50,13 +50,12 @@ def set_operation_id_watermark(value: int) -> None:
 class NdaPacket:
     """A launch packet written to a rank's NDA control registers."""
 
-    STATE = ("channel", "rank", "work", "control_address", "enqueued")
+    STATE = ("channel", "rank", "work", "control_address")
 
     channel: int
     rank: int
     work: RankWorkItem
     control_address: DramAddress
-    enqueued: bool = False
 
 
 @dataclass
@@ -72,7 +71,7 @@ class NdaOperation:
 
     STATE = ("opcode", "total_elements", "cache_blocks", "element_bytes",
              "scalars", "matrix_columns", "async_launch", "operation_id",
-             "launched_cycle", "completed_cycle", "outstanding_instructions")
+             "completed_cycle", "outstanding_instructions")
     #: A runtime callback: checkpoints refuse operations that carry one.
     DERIVED = ("on_complete",)
 
@@ -86,7 +85,6 @@ class NdaOperation:
     on_complete: Optional[Callable[[int], None]] = None
     operation_id: int = field(default_factory=lambda: next(_operation_ids))
 
-    launched_cycle: Optional[int] = None
     completed_cycle: Optional[int] = None
     outstanding_instructions: int = 0
 
@@ -128,7 +126,7 @@ class NdaHostController:
 
     STATE = ("_operation_queue", "_pending_packets", "_active_blocking",
              "_placers", "_control_column", "_inflight")
-    COUNTERS = ("operations_launched", "operations_completed", "packets_sent")
+    COUNTERS = ("operations_completed",)
     DERIVED = ("dram", "channel_controllers", "rank_controllers", "config",
                "launch_packets_use_channel", "wake_listener")
 
@@ -155,9 +153,7 @@ class NdaHostController:
         #: can serialize the packet an in-flight control write delivers (the
         #: request's ``on_complete`` closure is rebuilt from this at restore).
         self._inflight: Dict[int, NdaPacket] = {}
-        self.operations_launched = 0
         self.operations_completed = 0
-        self.packets_sent = 0
         #: Selective-wake notification: invoked when a new operation is
         #: submitted, so the engine re-polls this controller's unit instead
         #: of polling it every cycle.
@@ -218,7 +214,6 @@ class NdaHostController:
             self._active_blocking = operation
 
     def _launch(self, operation: NdaOperation, now: int) -> None:
-        operation.launched_cycle = now
         total_ranks = list(self.rank_controllers.keys())
         if not total_ranks:
             raise RuntimeError("no NDA rank controllers configured")
@@ -229,7 +224,6 @@ class NdaHostController:
                 opcode=operation.opcode,
                 num_elements=per_rank,
                 element_bytes=operation.element_bytes,
-                cache_blocks=granularity,
                 scalars=operation.scalars,
                 matrix_columns=operation.matrix_columns,
             )
@@ -242,7 +236,6 @@ class NdaHostController:
                     control_address=self._control_register_address(key),
                 )
                 self._pending_packets.append(packet)
-        self.operations_launched += 1
         self._drain_packets(now)
 
     def _bind(self, key: Tuple[int, int], instruction: NdaInstruction,
@@ -325,7 +318,6 @@ class NdaHostController:
                 on_complete=lambda cycle, p=packet: self._deliver(p, cycle),
             )
             if controller.enqueue(request, now):
-                self.packets_sent += 1
                 self._inflight[request.request_id] = packet
             else:
                 remaining.append(packet)
@@ -339,7 +331,7 @@ class NdaHostController:
             if inflight is packet:
                 del self._inflight[request_id]
                 break
-        self.rank_controllers[(packet.channel, packet.rank)].enqueue(packet.work, cycle)
+        self.rank_controllers[(packet.channel, packet.rank)].enqueue(packet.work)
 
     # ------------------------------------------------------------------ #
     # Event-engine interface

@@ -37,7 +37,7 @@ class WriteThrottlePolicy:
     Every policy has ``allow_write(channel, rank, now)``, the decision the
     write attempt consumes.  A deterministic one also has ``would_allow``
     with the same arguments: a preview of that decision that touches no
-    counter and no RNG state.
+    RNG state.
     """
 
     STATE = ()
@@ -48,13 +48,6 @@ class WriteThrottlePolicy:
     #: issue-eligible cycle so the RNG stream matches the cycle-by-cycle
     #: baseline.
     deterministic = True
-
-    def note_decisions(self, allowed: int, inhibited: int) -> None:
-        """Record decisions a burst plan embedded without calling
-        ``allow_write`` (one per planned drain attempt, each equal to the
-        plan-time ``would_allow``).  Policies that count their decisions
-        override this; only deterministic policies are planned.
-        """
 
 
 class IssueIfIdlePolicy(WriteThrottlePolicy):
@@ -71,7 +64,7 @@ class StochasticIssuePolicy(WriteThrottlePolicy):
     """Issue each NDA write with a fixed probability (no signaling needed)."""
 
     deterministic = False
-    STATE = ("rng", "attempts", "allowed")
+    STATE = ("rng",)
     DERIVED = ("probability",)
 
     def __init__(self, probability: float, rng: DeterministicRng) -> None:
@@ -79,15 +72,9 @@ class StochasticIssuePolicy(WriteThrottlePolicy):
             raise ValueError("probability must be in (0, 1]")
         self.probability = probability
         self.rng = rng
-        self.attempts = 0
-        self.allowed = 0
 
     def allow_write(self, channel: int, rank: int, now: int) -> bool:
-        self.attempts += 1
-        allowed = self.rng.coin(self.probability)
-        if allowed:
-            self.allowed += 1
-        return allowed
+        return self.rng.coin(self.probability)
 
 
 class NextRankPredictionPolicy(WriteThrottlePolicy):
@@ -100,20 +87,13 @@ class NextRankPredictionPolicy(WriteThrottlePolicy):
     transaction (modelled as available in the same cycle).
     """
 
-    STATE = ("inhibits", "checks")
     DERIVED = ("host_controllers",)
 
     def __init__(self, host_controllers: Dict[int, _HostQueueView]) -> None:
         self.host_controllers = host_controllers
-        self.inhibits = 0
-        self.checks = 0
 
     def allow_write(self, channel: int, rank: int, now: int) -> bool:
-        self.checks += 1
-        if not self.would_allow(channel, rank, now):
-            self.inhibits += 1
-            return False
-        return True
+        return self.would_allow(channel, rank, now)
 
     def would_allow(self, channel: int, rank: int, now: int) -> bool:
         controller = self.host_controllers.get(channel)
@@ -121,10 +101,6 @@ class NextRankPredictionPolicy(WriteThrottlePolicy):
             return True
         predicted = controller.oldest_pending_read_rank()
         return predicted is None or predicted != rank
-
-    def note_decisions(self, allowed: int, inhibited: int) -> None:
-        self.checks += allowed + inhibited
-        self.inhibits += inhibited
 
 
 def make_policy(name: str, rng: Optional[DeterministicRng] = None,

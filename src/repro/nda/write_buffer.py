@@ -19,7 +19,7 @@ from __future__ import annotations
 class NdaWriteBuffer:
     """Occupancy and drain phase of one rank's FIFO of pending NDA writes."""
 
-    STATE = ("length", "_draining", "total_enqueued", "total_drained")
+    STATE = ("length", "_draining")
     DERIVED = ("capacity", "drain_high_watermark", "drain_low_watermark",
                "drain_high_len", "drain_low_len")
 
@@ -46,8 +46,6 @@ class NdaWriteBuffer:
              if k / capacity <= drain_low_watermark), default=0)
         self.length = 0
         self._draining = False
-        self.total_enqueued = 0
-        self.total_drained = 0
 
     # ------------------------------------------------------------------ #
 
@@ -76,7 +74,6 @@ class NdaWriteBuffer:
         if length > self.capacity:
             raise IndexError("push beyond buffer capacity")
         self.length = length
-        self.total_enqueued += count
         if length >= self.drain_high_len:
             self._draining = True
 
@@ -91,7 +88,6 @@ class NdaWriteBuffer:
         if length < 0:
             raise IndexError("pop beyond buffer occupancy")
         self.length = length
-        self.total_drained += count
         if length <= self.drain_low_len:
             self._draining = False
 

@@ -28,10 +28,10 @@ from pathlib import Path
 from typing import Any, Union
 
 MAGIC = "repro-snapshot"
-#: v14: the issue versions (``DramSystem.channel_issue_version``,
-#: ``TimingEngine._issue_versions`` / ``_row_versions``) are derived, not
-#: saved: they only tag probe caches, which a restore starts cold.
-SCHEMA_VERSION = 14
+#: v15: write-only members are gone (bank, PE, throttle, gate and request
+#: counters among them), and with them ``NdaConfig.fpfma_per_pe`` and
+#: ``buffer_bytes`` from the build spec.
+SCHEMA_VERSION = 15
 
 _TAG = "__t"
 

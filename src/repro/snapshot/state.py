@@ -15,6 +15,9 @@ writing each saved value back in place.  What the walk leaves out:
   bit-identical to the restored one;
 * the engine wake calendar — derived; both the checkpointed (continuing)
   system and the restored system rebuild it through ``invalidate_wakes()``;
+* the timing probe caches and FR-FCFS scan memos — derived; the
+  continuing system drops them at the safe point, so both sides start
+  every checkpoint cold and a stale entry shows the same on either side;
 * identity-carrying members (requests, instructions and operations, which
   several places reference, and the closures bound to them) — the owning
   classes' ``save_refs`` / ``load_refs`` hooks save them as ids into the
@@ -270,11 +273,12 @@ class _Refs:
 def snapshot_system(system) -> Dict[str, Any]:
     """Serialize the full state of ``system`` at an inter-cycle safe point.
 
-    Mutates the running system in two benign ways that the restored system
-    mirrors exactly: live burst plans are settled-and-cancelled (cause
-    ``"checkpoint"`` — the standard early-wake fallback), and every cached
-    wake is invalidated.  The continuing run therefore stays bit-identical
-    to a restore of the returned payload.
+    Mutates the running system in three benign ways that the restored
+    system mirrors exactly: live burst plans are settled-and-cancelled
+    (cause ``"checkpoint"`` — the standard early-wake fallback), the probe
+    caches and scan memos start cold, and every cached wake is invalidated.
+    The continuing run therefore stays bit-identical to a restore of the
+    returned payload.
     """
     if system.cores and system.mix is None:
         raise SnapshotError(
@@ -295,8 +299,11 @@ def snapshot_system(system) -> Dict[str, Any]:
         "system": state,
     }
     # Cancelled plans and (possibly) settled timing left stale calendar
-    # entries behind; the continuing run re-derives every wake, exactly as
-    # the restored system will.
+    # entries behind; the continuing run re-derives every wake and re-fills
+    # every probe cache, exactly as the restored system will.
+    system.dram.timing.clear_probe_caches()
+    for controller in system.channel_controllers.values():
+        controller.clear_scan_caches()
     system.engine.invalidate_wakes()
     return payload
 

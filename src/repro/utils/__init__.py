@@ -1,13 +1,12 @@
-"""Shared utilities: deterministic RNG, histograms and counters."""
+"""Shared utilities: deterministic RNG, histograms and sample totals."""
 
 from repro.utils.rng import DeterministicRng
 from repro.utils.histogram import BucketHistogram, IDLE_BUCKETS
-from repro.utils.stats import Counter, WindowedStat
+from repro.utils.stats import WindowedStat
 
 __all__ = [
     "DeterministicRng",
     "BucketHistogram",
     "IDLE_BUCKETS",
-    "Counter",
     "WindowedStat",
 ]

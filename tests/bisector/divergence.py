@@ -85,20 +85,13 @@ BURST_OFF_IGNORE = (
 #: bisector.)
 CYCLE_IGNORE = BURST_OFF_IGNORE + (
     "build.engine",
-    # Counters of futile attempts: blocked NDA issues, enqueues refused by
-    # a full queue, the throttle's decisions and the concurrent-access
-    # gate's verdicts.
+    # Counters of futile attempts: blocked NDA issues.
     "system.rank_controllers.*.cycles_blocked_by_*",
-    "system.channel_controllers.*.counters._counts.queue_full_rejects",
-    "system.throttle_policy.checks",
-    "system.throttle_policy.inhibits",
-    "system.scheduler.nda_*",
-    # The write-drain mode and its entries: where the hysteresis oscillates
-    # under per-cycle evaluation (an empty read queue, few writes) the pick
-    # does not depend on it, and both follow the tick cadence (see
+    # The write-drain mode: where the hysteresis oscillates under per-cycle
+    # evaluation (an empty read queue, few writes) the pick does not
+    # depend on it, and it follows the tick cadence (see
     # ``ChannelController._update_drain_mode``).
     "system.channel_controllers.*._draining_writes",
-    "system.channel_controllers.*.counters._counts.drain_entries",
     # The channel unit's own wake bookkeeping.
     "system.channel_controllers.*.last_tick_cycle",
     "system.channel_controllers.*.published_wake",

@@ -119,8 +119,6 @@ class TestHostAndNdaConfig:
     def test_nda_defaults_match_table_ii(self):
         nda = NdaConfig()
         assert nda.write_buffer_entries == 128
-        assert nda.fpfma_per_pe == 2
-        assert nda.buffer_bytes == 1024
 
     def test_energy_defaults_match_table_ii(self):
         e = EnergyConfig()

@@ -28,24 +28,18 @@ from repro.utils.state import declared
 from test_snapshot import _CYCLES, _EVERY, _SPECS, _build_spec
 
 #: Every field zeroed at the warm-up boundary, by class.  Burst
-#: diagnostics, throttle decision counts, FSM event counts, write-buffer
-#: totals and traffic-generator counts stay cumulative.
+#: diagnostics stay cumulative.
 WARMUP_COUNTERS = {
-    "Bank": {"row_hits", "row_misses", "row_conflicts", "activates",
-             "precharges", "reads", "writes", "nda_reads", "nda_writes"},
     "DramSystem": {"counts"},
-    "ChannelController": {"counters", "read_latency"},
-    "CoreModel": {"_retired_fp", "_cpu_cycles_fp", "_stall_cycles"},
+    "ChannelController": {"read_latency"},
+    "CoreModel": {"_retired_fp", "_cpu_cycles_fp"},
     "NdaRankController": {"bytes_read", "bytes_written", "commands_issued",
                           "cycles_blocked_by_host",
                           "cycles_blocked_by_throttle",
                           "instructions_completed"},
     "ProcessingElement": {"stats"},
-    "NdaHostController": {"operations_launched", "operations_completed",
-                          "packets_sent"},
-    "ConcurrentAccessScheduler": {"nda_issue_opportunities",
-                                  "nda_blocked_cycles"},
-    "SimulationStats": {"counters", "cycles_observed"},
+    "NdaHostController": {"operations_completed"},
+    "SimulationStats": {"cycles_observed"},
     "RankIdleTracker": {"histogram", "busy_cycles", "idle_cycles",
                         "_idle_run"},
 }

@@ -275,23 +275,16 @@ class TestDramSystemFacade:
 
     def test_record_access_outcome(self, dram):
         a = addr(row=3)
-        assert dram.record_access_outcome(a, False, is_nda=False) == "miss"
+        assert dram.record_access_outcome(a, is_nda=False) == "miss"
         dram.issue(host(CommandType.ACT, a), 0)
-        assert dram.record_access_outcome(a, False, is_nda=False) == "hit"
-        assert dram.record_access_outcome(a._replace(row=9), False, is_nda=True) == "conflict"
+        assert dram.record_access_outcome(a, is_nda=False) == "hit"
+        assert dram.record_access_outcome(a._replace(row=9), is_nda=True) == "conflict"
         assert dram.counts.host_row_hits == 1
         assert dram.counts.nda_row_conflicts == 1
 
     def test_latencies(self, dram):
         assert dram.read_latency() == T.tCL + T.tBL
         assert dram.write_latency() == T.tCWL + T.tBL
-
-    def test_conflict_counts_aggregate(self, dram):
-        a = addr(row=3)
-        dram.record_access_outcome(a, False, is_nda=False)
-        dram.record_access_outcome(a, True, is_nda=True)
-        bank = dram.bank(a)
-        assert (bank.row_misses, bank.reads, bank.nda_writes) == (2, 1, 1)
 
 
 class TestWriteToReadLongTurnaround:

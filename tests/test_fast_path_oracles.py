@@ -609,7 +609,6 @@ class TestStagingWindow:
             p["total_writes"], p["capacity"], p["high"], draining)
         assert (state.writes_staged, wb.draining) == (staged, draining), p
         assert len(wb) == staged - p["drained"]
-        assert wb.total_enqueued == staged - p["staged"]
 
     @given(_buffer_points(reads_pending=True), st.integers(1, 512))
     @settings(max_examples=400, deadline=None)

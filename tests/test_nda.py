@@ -90,8 +90,9 @@ class TestProcessingElement:
         assert pe.busy
         pe.finish()
         assert not pe.busy
-        assert pe.stats.instructions_executed == 1
-        assert pe.stats.bytes_read == instr.read_cache_blocks * 64
+        streamed = (instr.read_cache_blocks + instr.write_cache_blocks) * 64
+        assert pe.stats.buffer_accesses == streamed // 8
+        assert pe.stats.scratchpad_accesses == 0
         assert pe.stats.fma_operations > 0
 
     def test_double_start_rejected(self):
@@ -103,18 +104,6 @@ class TestProcessingElement:
     def test_finish_without_start_rejected(self):
         with pytest.raises(RuntimeError):
             ProcessingElement(0).finish()
-
-    def test_batching_matches_buffer_size(self):
-        pe = ProcessingElement(0)
-        instr = NdaInstruction(NdaOpcode.COPY, num_elements=16 * 1024)  # 64 KiB
-        # 64 KiB / 8 chips = 8 KiB per chip = 8 batches of the 1 KiB buffer.
-        assert pe.batch_count(instr) == 8
-
-    def test_compute_never_exceeds_memory_time(self):
-        pe = ProcessingElement(0)
-        instr = NdaInstruction(NdaOpcode.AXPBYPCZ, num_elements=4096)
-        memory_cycles = instr.read_cache_blocks * 4  # one column per tCCD_S
-        assert pe.compute_cycles(instr) <= memory_cycles
 
 
 class TestWriteBuffer:
@@ -128,7 +117,7 @@ class TestWriteBuffer:
         assert len(wb) == 4
         with pytest.raises(IndexError):
             wb.push()  # full: the PE stalls instead
-        assert len(wb) == 4 and wb.total_enqueued == 4
+        assert len(wb) == 4
 
     def test_drain_clears_flag_at_low_watermark(self):
         wb = NdaWriteBuffer(capacity=4, drain_high_watermark=0.5, drain_low_watermark=0.25)
@@ -139,7 +128,7 @@ class TestWriteBuffer:
         wb.pop()
         assert not wb.draining
         wb.pop()
-        assert wb.empty and wb.total_drained == 3
+        assert wb.empty
 
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
@@ -179,7 +168,6 @@ class TestReplicatedFsm:
         assert fsm.in_sync
         assert fsm.state.idle
         assert fsm.state.instructions_completed == 1
-        assert fsm.events_applied == 11
 
     def test_divergence_detected(self):
         fsm = ReplicatedFsm(0, 0, check_every_event=False)
@@ -216,7 +204,6 @@ class TestThrottlePolicies:
         policy = StochasticIssuePolicy(0.25, DeterministicRng(1, "st"))
         allowed = sum(policy.allow_write(0, 0, i) for i in range(4000))
         assert abs(allowed / 4000 - 0.25) < 0.05
-        assert policy.attempts == 4000
 
     def test_stochastic_invalid_probability(self):
         with pytest.raises(ValueError):
@@ -234,7 +221,6 @@ class TestThrottlePolicies:
         assert not policy.allow_write(0, 1, 0)   # predicted rank blocked
         assert policy.allow_write(0, 0, 0)       # other rank allowed
         assert policy.allow_write(1, 1, 0)       # unknown channel allowed
-        assert (policy.inhibits, policy.checks) == (1, 3)
 
     def test_factory(self):
         rng = DeterministicRng(1, "f")
@@ -361,39 +347,53 @@ class TestNdaHostController:
         assert host.operations_completed == 1
         assert host.idle
 
+    @staticmethod
+    def host_writes(dram):
+        """The host WR commands ``dram`` issues from now on."""
+        log = []
+        dram.observer = lambda record: (
+            log.append(record)
+            if (record.kind, record.source) == ("WR", "host") else None)
+        return log
+
+    def launch_packets(self, cache_blocks):
+        """Launch packets of a DOT after 200 cycles: written, queued or
+        waiting for a queue."""
+        dram, channels, rcs, host = self.make()
+        written = self.host_writes(dram)
+        host.submit_kernel(NdaOpcode.DOT, total_elements=4096,
+                           cache_blocks=cache_blocks)
+        self.run(channels, rcs, host, 200)
+        return (len(written) + len(host._pending_packets)
+                + sum(len(mc.write_queue) for mc in channels.values()))
+
     def test_launch_packets_consume_host_writes(self):
         dram, channels, rcs, host = self.make()
+        written = self.host_writes(dram)
         host.submit_kernel(NdaOpcode.DOT, total_elements=4096, cache_blocks=1)
         self.run(channels, rcs, host, 300)
-        assert host.packets_sent > 4  # one per instruction per rank
-        assert sum(mc.counters.as_dict().get("write_enqueued", 0)
-                   for mc in channels.values()) > 4
+        # One host write per instruction per rank, to the control row.
+        assert len(written) > 4
+        assert {record.row for record in written} == {dram.org.rows_per_bank - 1}
 
     def test_fine_grain_needs_more_packets_than_coarse(self):
-        dram1, ch1, rc1, host1 = self.make()
-        host1.submit_kernel(NdaOpcode.DOT, total_elements=4096, cache_blocks=1)
-        self.run(ch1, rc1, host1, 200)
-        dram2, ch2, rc2, host2 = self.make()
-        host2.submit_kernel(NdaOpcode.DOT, total_elements=4096, cache_blocks=1024)
-        self.run(ch2, rc2, host2, 200)
-        assert (host1.packets_sent + len(host1._pending_packets)
-                > host2.packets_sent + len(host2._pending_packets))
+        assert self.launch_packets(1) > self.launch_packets(1024)
 
     def test_blocking_operation_serializes_launches(self):
         dram, channels, rcs, host = self.make()
         first = host.submit_kernel(NdaOpcode.COPY, total_elements=2048)
         second = host.submit_kernel(NdaOpcode.COPY, total_elements=2048)
         self.run(channels, rcs, host, 50)
-        assert first.launched_cycle is not None
-        assert second.launched_cycle is None  # waits for the blocking op
+        assert first.outstanding_instructions > 0
+        assert second.outstanding_instructions == 0  # waits for the blocking op
 
     def test_async_operations_overlap(self):
         dram, channels, rcs, host = self.make()
         first = host.submit_kernel(NdaOpcode.COPY, total_elements=2048, async_launch=True)
         second = host.submit_kernel(NdaOpcode.COPY, total_elements=2048, async_launch=True)
         self.run(channels, rcs, host, 50)
-        assert first.launched_cycle is not None
-        assert second.launched_cycle is not None
+        assert first.outstanding_instructions > 0
+        assert second.outstanding_instructions > 0
 
     def test_bypassing_channel_for_launches(self):
         org = DramOrgConfig()
@@ -404,11 +404,5 @@ class TestNdaHostController:
         host = NdaHostController(dram, channels, rcs, launch_packets_use_channel=False)
         host.submit_kernel(NdaOpcode.DOT, total_elements=1024)
         host.tick(0)
-        assert host.packets_sent == 0
+        assert not any(mc.write_queue for mc in channels.values())
         assert all(rc.busy for rc in rcs.values())
-
-    def test_stats(self):
-        dram, channels, rcs, host = self.make()
-        host.submit_kernel(NdaOpcode.DOT, total_elements=1024)
-        host.tick(0)
-        assert host.operations_launched == 1

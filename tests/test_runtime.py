@@ -19,17 +19,16 @@ class TestRuntimeAllocator:
     frames: the NDA host places operands itself, in DRAM coordinates."""
 
     def test_heap_in_shared_region_with_bank_partitioning(self, runtime):
+        system = runtime.system
+        commands = []
+        system.dram.observer = commands.append
         x = runtime.vector(4096, init=np.ones(4096))
         y = runtime.vector(4096)
         runtime.copy(y, x)
         runtime.axpy(y, 2.0, x)
-        system = runtime.system
         reserved = set(system.mapping.reserved_banks)
-        touched = set()
-        for bank in system.dram.banks():
-            if bank.nda_reads or bank.nda_writes:
-                touched.add(bank.bank_group * system.config.org.banks_per_group
-                            + bank.bank)
+        touched = {c.bank_group * system.config.org.banks_per_group + c.bank
+                   for c in commands if c.source == "nda"}
         assert touched and touched <= reserved
 
 

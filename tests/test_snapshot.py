@@ -8,7 +8,7 @@ off, a run that checkpoints mid-flight must end in the state — every
 member a snapshot carries, compared by ``repro.snapshot.diff`` — of an
 uninterrupted run, and a fresh system restored from any of those
 checkpoints must finish in it too.  A checkpoint cuts live burst plans
-short, so the burst-plan diagnostics and issue versions are not compared
+short, so the burst-plan diagnostics are not compared
 (``BURST_OFF_IGNORE``).  This extends the repo's cycle == event == burst
 equivalence contract with "== checkpoint/restore".
 """

@@ -1,11 +1,10 @@
-"""Tests for the utility layer: RNG, histograms and statistics helpers."""
+"""Tests for the utility layer: RNG and histograms."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.utils.histogram import BucketHistogram, IDLE_BUCKETS
 from repro.utils.rng import DeterministicRng
-from repro.utils.stats import Counter
 
 
 class TestDeterministicRng:
@@ -82,11 +81,3 @@ class TestBucketHistogram:
             h.add(v)
         assert h.total_weight == sum(values)
 
-
-class TestStatsHelpers:
-    def test_counter(self):
-        c = Counter()
-        c.add("reads")
-        c.add("reads", 4)
-        c.add("writes", 0)
-        assert c.as_dict() == {"reads": 5, "writes": 0}
